@@ -5,7 +5,8 @@ on stdout and diagnostics on stderr.  Exit codes: 0 success, 1 validation
 failure (with a witness in the payload where one exists), 2 usage error.
 Identical inputs produce byte-identical output; --seed only feeds the optional
 randomized spot checks of `geneo verify`.  The GENEO_MAX_GROUP environment
-variable overrides the default group-closure size cap.
+variable overrides the default group-closure size cap; a value that is not a
+positive integer is a usage error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .geneo import (
     verify_nonexpansive,
 )
 from .graph import edge_automorphism_group, parse_graph, vertex_automorphism_group
-from .perm import CapExceededError, CycleParseError, DomainMismatchError, format_cycles
+from .perm import CapExceededError, CycleParseError, DomainMismatchError, format_cycles, group_cap
 from .permutant import (
     GeneralizedPermutant,
     all_orbits,
@@ -175,7 +176,7 @@ def cmd_geneo_decompose(args) -> dict:
 
 
 def cmd_codes(args):
-    table = build_code_table(args.n, jobs=args.jobs)
+    table = build_code_table(args.n)
     if args.analyze:
         findings = analyze_code_table(table)
         return {
@@ -239,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--pretty", action="store_true", help="indent JSON output")
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized spot checks")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for table building")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("aut", help="automorphism group of a graph")
@@ -312,6 +312,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "codes" and args.analyze and args.format == "csv":
         parser.error("--analyze reports JSON findings; drop --format csv")
+    try:
+        group_cap()
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         payload = args.fn(args)
     except ValidationFailure as exc:

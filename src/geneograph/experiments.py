@@ -67,21 +67,9 @@ class CodeTable:
         return self.rows[index]
 
 
-def _codes_for_chunk(args):
-    coeffs, vectors = args
-    return [
-        tuple(sum((c * v for c, v in zip(row, vec)), Fraction(0)) for row in coeffs)
-        for vec in vectors
-    ]
-
-
-def build_code_table(n: int, jobs: int = 1) -> CodeTable:
+def build_code_table(n: int) -> CodeTable:
     """Apply the transposition-averaging operator of K_n to every 0/1 edge
-    vector and join with the subgraph isomorphism classes.
-
-    With jobs > 1 the vectors are coded in parallel worker processes; the
-    output is identical either way.
-    """
+    vector and join with the subgraph isomorphism classes."""
     if not 3 <= n <= 5:
         raise ValueError(f"code tables support 3 <= n <= 5, got {n}")
     permutant = transposition_permutant(n, model="edge")
@@ -92,16 +80,7 @@ def build_code_table(n: int, jobs: int = 1) -> CodeTable:
     size = permutant.size
     assert size == comb(n, 2)
     vectors = list(product((0, 1), repeat=len(labels)))
-    if jobs > 1:
-        import multiprocessing
-
-        chunk = -(-len(vectors) // jobs)
-        batches = [vectors[i : i + chunk] for i in range(0, len(vectors), chunk)]
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_codes_for_chunk, [(op.coeffs, b) for b in batches])
-        codes = [code for batch in results for code in batch]
-    else:
-        codes = [apply(op, measurement(vec, labels)).values for vec in vectors]
+    codes = [apply(op, measurement(vec, labels)).values for vec in vectors]
     rows = []
     for vec, code in zip(vectors, codes):
         scaled = tuple(c * size for c in code)

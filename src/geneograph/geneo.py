@@ -31,11 +31,13 @@ from .perm import (
     DomainMismatchError,
     Homomorphism,
     Permutation,
+    orbit_partition,
 )
 from .permutant import (
     GeneralizedPermutant,
     Mapping,
     PermutantMeasure,
+    alpha_move,
     endo_context,
     is_permutant_measure,
 )
@@ -437,31 +439,6 @@ def check_closure(
 DEFAULT_DECOMPOSE_CAP = 5040
 
 
-def _conjugation_orbits(
-    perms: list[tuple[int, ...]], generators: Sequence[Permutation]
-) -> list[list[tuple[int, ...]]]:
-    gen_pairs = [(g.images, g.inverse().images) for g in generators]
-    orbits = []
-    visited: set[tuple[int, ...]] = set()
-    for seed in perms:
-        if seed in visited:
-            continue
-        members = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g, ginv in gen_pairs:
-                    moved = tuple(g[h[ginv[i]]] for i in range(len(h)))
-                    if moved not in members:
-                        members.add(moved)
-                        nxt.append(moved)
-            frontier = nxt
-        visited |= members
-        orbits.append(sorted(members))
-    return orbits
-
-
 def decompose_to_measure(
     op: LinearOperator, max_perms: int = DEFAULT_DECOMPOSE_CAP
 ) -> PermutantMeasure:
@@ -490,9 +467,8 @@ def decompose_to_measure(
     if not ok:
         raise ValueError(f"operator is not equivariant (witness {witness})")
 
-    perms = sorted(permutations(range(n)))
-    orbits = _conjugation_orbits(perms, group.generators)
-    orbits.sort(key=lambda o: o[0])
+    moves = [alpha_move(g.images, g.inverse().images) for g in group.generators]
+    orbits = [sorted(o) for o in orbit_partition(permutations(range(n)), moves)]
     m = len(orbits)
 
     # reconstruction equations over one weight per conjugation orbit; the n^2

@@ -12,6 +12,7 @@ from .perm import (
     FiniteGroup,
     Permutation,
     group_from_elements,
+    orbit_partition,
     trivial_group,
 )
 
@@ -232,24 +233,6 @@ def subgraph_isomorphism_classes(n: int) -> list[list[tuple[int, ...]]]:
     if not 1 <= n <= 6:
         raise CapExceededError(f"subgraph enumeration supports n <= 6, got {n}")
     kn = complete_graph(n)
-    group = edge_automorphism_group(kn)
-    gens = group.generators if group.generators else (group.identity,)
-    classes: list[list[tuple[int, ...]]] = []
-    visited: set[tuple[int, ...]] = set()
-    for vec in product((0, 1), repeat=kn.n_edges):
-        if vec in visited:
-            continue
-        orbit = {vec}
-        frontier = [vec]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for gen in gens:
-                    img = gen.pullback(w)
-                    if img not in orbit:
-                        orbit.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        visited |= orbit
-        classes.append(sorted(orbit))
-    return classes
+    moves = [gen.pullback for gen in edge_automorphism_group(kn).generators]
+    vectors = product((0, 1), repeat=kn.n_edges)
+    return [sorted(orbit) for orbit in orbit_partition(vectors, moves)]

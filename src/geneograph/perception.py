@@ -15,8 +15,6 @@ from typing import Iterable, Sequence
 
 from .perm import DomainMismatchError, FiniteGroup, Permutation
 
-FLOAT_TOLERANCE = Fraction(1, 10**9)
-
 Equation = tuple[tuple[Fraction, ...], Fraction]
 
 BALL_NORMS = ("sup", "l1", "l2")
@@ -81,11 +79,6 @@ def sup_distance(a: Measurement, b: Measurement) -> Fraction:
     if not a.values:
         return Fraction(0)
     return max(abs(x - y) for x, y in zip(a.values, b.values))
-
-
-def approx_equal(a: Measurement, b: Measurement, tol: Fraction = FLOAT_TOLERANCE) -> bool:
-    """Floating-mode comparison for measurements sourced from inexact data."""
-    return sup_distance(a, b) <= tol
 
 
 @dataclass(frozen=True)

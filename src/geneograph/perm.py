@@ -3,6 +3,12 @@
 Everything here is deliberately explicit and desk-scale: groups are stored as
 full element lists (canonically ordered), and homomorphisms as full tables
 verified at construction.  No Schreier-Sims machinery.
+
+``closure`` is the single breadth-first search that every enumeration uses:
+group closure, homomorphism extension, coordinate orbits, orbits of the alpha
+action, subgraph isomorphism classes and conjugation orbits.  It works on
+plain hashable points (integer image tuples); labeled objects are built only
+for results.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 DEFAULT_GROUP_CAP = math.factorial(10)
 
@@ -170,13 +176,79 @@ def format_cycles(p: Permutation) -> str:
     return "".join("(" + ",".join(labels[i] for i in cyc) + ")" for cyc in cycles)
 
 
-def _group_cap(max_size: int | None) -> int:
-    if max_size is not None:
-        return max_size
+def closure(
+    seeds: Iterable[Hashable],
+    moves: Sequence[Callable[[Hashable], Hashable]],
+    cap: int | None = None,
+) -> set:
+    """The smallest set containing the seeds and closed under every move, by
+    breadth-first search.
+
+    Points are plain hashable values such as integer image tuples.  The cap,
+    used by group closures, is checked on every insertion: CapExceededError is
+    raised as soon as the set holds more than cap points.
+    """
+    limit = math.inf if cap is None else cap
+    found: set = set()
+    frontier = []
+    for point in seeds:
+        if point not in found:
+            found.add(point)
+            frontier.append(point)
+    if len(found) > limit:
+        raise CapExceededError(f"group closure exceeded cap {cap}")
+    while frontier:
+        new = []
+        for point in frontier:
+            for move in moves:
+                image = move(point)
+                if image not in found:
+                    found.add(image)
+                    if len(found) > limit:
+                        raise CapExceededError(f"group closure exceeded cap {cap}")
+                    new.append(image)
+        frontier = new
+    return found
+
+
+def orbit_partition(
+    points: Iterable[Hashable], moves: Sequence[Callable[[Hashable], Hashable]]
+) -> Iterator[set]:
+    """Lazily split points into orbits: the closure of each point not in an
+    earlier orbit, in the order the points come.
+
+    The moves must be permutations of the point set (a group action), so that
+    each closure is an orbit and no point lies in two of them.
+    """
+    visited: set = set()
+    for point in points:
+        if point not in visited:
+            orbit = closure((point,), moves)
+            visited |= orbit
+            yield orbit
+
+
+def _left_multiplication(a: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The move p -> a o p on image tuples."""
+    return lambda p: tuple([a[i] for i in p])
+
+
+def group_cap() -> int:
+    """The group-closure cap: GENEO_MAX_GROUP if set, else 10!.
+
+    Raises ValueError naming the variable when it is set but not a positive
+    integer.
+    """
     env = os.environ.get(_ENV_GROUP_CAP)
-    if env:
-        return int(env)
-    return DEFAULT_GROUP_CAP
+    if not env:
+        return DEFAULT_GROUP_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{_ENV_GROUP_CAP} must be a positive integer, got {env!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -216,25 +288,10 @@ class FiniteGroup:
         return p in self._members  # type: ignore[attr-defined]
 
     def coordinate_orbits(self) -> list[list[int]]:
-        """Orbits of the group action on the underlying indices, each sorted."""
-        n = self.degree
-        parent = list(range(n))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for g in self.generators:
-            for i, im in enumerate(g.images):
-                ri, rj = find(i), find(im)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-        buckets: dict[int, list[int]] = {}
-        for i in range(n):
-            buckets.setdefault(find(i), []).append(i)
-        return [sorted(v) for _, v in sorted(buckets.items())]
+        """Orbits of the group action on the underlying indices, each sorted,
+        listed by smallest index."""
+        moves = [g.images.__getitem__ for g in self.generators]
+        return [sorted(o) for o in orbit_partition(range(self.degree), moves)]
 
 
 def generate_group(
@@ -251,7 +308,7 @@ def generate_group(
     overridable via the GENEO_MAX_GROUP environment variable).
     """
     gens = list(generators)
-    cap = _group_cap(max_size)
+    cap = max_size if max_size is not None else group_cap()
     if gens:
         n = gens[0].n
         lab = gens[0].labels
@@ -267,23 +324,8 @@ def generate_group(
         else:
             raise ValueError("empty generator list needs domain_size or labels")
     ident = identity(n, lab)
-    elements = {ident}
-    frontier = [g for g in gens if g not in elements]
-    elements.update(frontier)
-    while frontier:
-        if len(elements) > cap:
-            raise CapExceededError(f"group closure exceeded cap {cap}")
-        new = []
-        for a in gens:
-            for b in frontier:
-                c = compose(a, b)
-                if c not in elements:
-                    elements.add(c)
-                    new.append(c)
-        frontier = new
-    if len(elements) > cap:
-        raise CapExceededError(f"group closure exceeded cap {cap}")
-    ordered = tuple(sorted(elements, key=lambda p: p.images))
+    elements = closure((ident.images,), [_left_multiplication(g.images) for g in gens], cap)
+    ordered = tuple(Permutation(images, lab) for images in sorted(elements))
     return FiniteGroup(ordered, tuple(gens), ident)
 
 
@@ -376,22 +418,25 @@ class Homomorphism:
                 raise ValueError(f"{format_cycles(g)} not in source group")
             if k not in target:
                 raise ValueError(f"{format_cycles(k)} not in target group")
-        table = {source.identity: target.identity}
-        frontier = [source.identity]
-        while frontier:
-            new = []
-            for g, k in pairs:
-                for e in frontier:
-                    ge = compose(g, e)
-                    im = compose(k, table[e])
-                    if ge not in table:
-                        table[ge] = im
-                        new.append(ge)
-                    elif table[ge] != im:
-                        raise ValueError("generator images do not define a homomorphism")
-            frontier = new
-        if len(table) != source.order:
+
+        def pair_move(g: Permutation, k: Permutation):
+            g_move, k_move = _left_multiplication(g.images), _left_multiplication(k.images)
+            return lambda pair: (g_move(pair[0]), k_move(pair[1]))
+
+        moves = [pair_move(g, k) for g, k in pairs]
+        conflict = ValueError("generator images do not define a homomorphism")
+        try:
+            # a consistent assignment closes to at most one pair per source element
+            graph = closure([(source.identity.images, target.identity.images)], moves, source.order)
+        except CapExceededError:
+            raise conflict from None
+        images = dict(graph)
+        if len(images) != len(graph):
+            raise conflict
+        if len(images) != source.order:
             raise ValueError("given permutations do not generate the source group")
+        target_element = {k.images: k for k in target.elements}
+        table = {g: target_element[images[g.images]] for g in source.elements}
         return cls(source, target, table)
 
     def then(self, other: "Homomorphism") -> "Homomorphism":

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping as MappingABC, Sequence
+from typing import Callable, Iterable, Iterator, Mapping as MappingABC, Sequence
 
 from .graph import complete_graph, edge_automorphism_group, induced_edge_permutation, vertex_automorphism_group
 from .perception import as_fraction
@@ -22,6 +22,8 @@ from .perm import (
     FiniteGroup,
     Homomorphism,
     Permutation,
+    closure,
+    orbit_partition,
     parse_cycles,
 )
 
@@ -110,12 +112,20 @@ def parse_mapping(text: str, source_labels: Sequence[str], target_labels: Sequen
     return mapping_from_labels(list(text), source_labels, target_labels)
 
 
+def alpha_move(
+    g_images: Sequence[int], tg_inv_images: Sequence[int]
+) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The move h -> g o h o t on image tuples, for t = T(g^-1) given by its images."""
+    return lambda h: tuple([g_images[h[y]] for y in tg_inv_images])
+
+
 @dataclass(frozen=True)
 class ActionContext:
     """The data (G, K, T) of the action (g, f) -> g o f o T(g^-1) on maps Y -> X.
 
     G acts on the target set X, K on the source set Y, and T : G -> K is a
-    verified homomorphism.
+    verified homomorphism.  Each element's move on image tuples is built once
+    here: ``moves`` holds those of G's generators, in generator order.
     """
 
     G: FiniteGroup
@@ -125,6 +135,11 @@ class ActionContext:
     def __post_init__(self):
         if self.T.source != self.G or self.T.target != self.K:
             raise ValueError("homomorphism must map the acting group G into K")
+        element_moves = {
+            g: alpha_move(g.images, self.T(g.inverse()).images) for g in self.G.elements
+        }
+        object.__setattr__(self, "element_moves", element_moves)
+        object.__setattr__(self, "moves", tuple(element_moves[g] for g in self.G.generators))
 
     @property
     def x_labels(self) -> tuple[str, ...]:
@@ -164,12 +179,11 @@ def endo_context(group: FiniteGroup) -> ActionContext:
 
 def alpha_action(g: Permutation, f: Mapping, ctx: ActionContext) -> Mapping:
     """The left action alpha(g, f) = g o f o T(g^-1)."""
-    if g not in ctx.G:
+    move = ctx.element_moves.get(g)
+    if move is None:
         raise ValueError(f"{g} is not in the acting group")
     ctx._check_mapping(f)
-    tg_inv = ctx.T(g.inverse())
-    images = tuple(g.images[f.images[tg_inv.images[y]]] for y in range(f.source_size))
-    return Mapping(f.source_labels, f.target_labels, images)
+    return Mapping(f.source_labels, f.target_labels, move(f.images))
 
 
 @dataclass(frozen=True)
@@ -180,16 +194,16 @@ class GeneralizedPermutant:
     members: tuple[Mapping, ...]
 
     def __post_init__(self):
-        seen = set(self.members)
-        if len(seen) != len(self.members):
+        if len(set(self.members)) != len(self.members):
             raise ValueError("duplicate members")
         for f in self.members:
             self.context._check_mapping(f)
-        gens = self.context.G.generators
+        images = {f.images for f in self.members}
         for f in self.members:
-            for g in gens:
-                moved = alpha_action(g, f, self.context)
-                if moved not in seen:
+            for g, move in zip(self.context.G.generators, self.context.moves):
+                moved = move(f.images)
+                if moved not in images:
+                    moved = Mapping(f.source_labels, f.target_labels, moved)
                     raise ValueError(f"not alpha-closed: alpha({g}, {f}) = {moved} escapes")
         object.__setattr__(self, "members", tuple(sorted(self.members, key=lambda m: m.images)))
 
@@ -209,22 +223,14 @@ class GeneralizedPermutant:
         return self.members[0]
 
 
+def _permutant(ctx: ActionContext, images: Iterable[tuple[int, ...]]) -> GeneralizedPermutant:
+    members = tuple(Mapping(ctx.y_labels, ctx.x_labels, im) for im in images)
+    return GeneralizedPermutant(ctx, members)
+
+
 def orbit(f: Mapping | str, ctx: ActionContext) -> GeneralizedPermutant:
     """The orbit of f under alpha, enumerated by closure over G's generators."""
-    f = ctx.mapping(f)
-    seen = {f}
-    frontier = [f]
-    gens = ctx.G.generators
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                moved = alpha_action(g, h, ctx)
-                if moved not in seen:
-                    seen.add(moved)
-                    nxt.append(moved)
-        frontier = nxt
-    return GeneralizedPermutant(ctx, tuple(seen))
+    return _permutant(ctx, closure((ctx.mapping(f).images,), ctx.moves))
 
 
 def all_orbits(
@@ -238,14 +244,8 @@ def all_orbits(
     total = ctx.map_space_size()
     if total > max_maps:
         raise CapExceededError(f"map space has {total} elements, over the cap {max_maps}")
-    orbits: list[GeneralizedPermutant] = []
-    visited: set[Mapping] = set()
-    for f in ctx.all_mappings():
-        if f in visited:
-            continue
-        o = orbit(f, ctx)
-        visited.update(o.members)
-        orbits.append(o)
+    points = product(range(ctx.G.degree), repeat=ctx.K.degree)
+    orbits = [_permutant(ctx, o) for o in orbit_partition(points, ctx.moves)]
     census: dict[int, int] = {}
     for o in orbits:
         census[o.size] = census.get(o.size, 0) + 1
@@ -264,19 +264,20 @@ def is_generalized_permutant(
     mset = set(members)
     for f in mset:
         ctx._check_mapping(f)
-    ordered = sorted(mset, key=lambda m: m.images)
-    closed, witness = True, None
-    for h in ordered:
-        for g in ctx.G.elements:
-            if alpha_action(g, h, ctx) not in mset:
-                closed, witness = False, (h, g)
-                break
-        if not closed:
-            break
-    union: set[Mapping] = set()
-    for h in ordered:
-        union.update(orbit(h, ctx).members)
-    assert closed == (union == mset), "closure and union-of-orbits checks disagree"
+    images = {f.images for f in mset}
+    witness = next(
+        (
+            (h, g)
+            for h in sorted(mset, key=lambda m: m.images)
+            for g, move in ctx.element_moves.items()
+            if move(h.images) not in images
+        ),
+        None,
+    )
+    closed = witness is None
+    assert closed == (closure(images, ctx.moves) == images), (
+        "closure and union-of-orbits checks disagree"
+    )
     return closed, witness
 
 
@@ -327,9 +328,10 @@ def is_permutant_measure(
 ) -> tuple[bool, tuple[Mapping, Permutation] | None]:
     """Atom-level alpha-invariance of the weights; sufficient since the measure
     is atomic and every subset of the finite map space is measurable."""
+    weights = {f.images: w for f, w in m.weights.items()}
     for f in m.support:
-        for g in m.context.G.elements:
-            if m.weight(alpha_action(g, f, m.context)) != m.weight(f):
+        for g, move in m.context.element_moves.items():
+            if weights.get(move(f.images), 0) != weights[f.images]:
                 return False, (f, g)
     return True, None
 

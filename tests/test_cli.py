@@ -274,6 +274,17 @@ def test_group_cap_env(tmp_path, ctx_file, capsys, monkeypatch):
     assert "cap" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_invalid_group_cap_env_is_usage_error(ctx_file, capsys, monkeypatch, value):
+    monkeypatch.setenv("GENEO_MAX_GROUP", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["orbits", "--context", ctx_file])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"GENEO_MAX_GROUP must be a positive integer, got {value!r}" in captured.err
+
+
 def test_pretty_flag(capsys):
     code, out, _ = run_cli(capsys, "--pretty", "census-c6c3")
     assert code == 0
@@ -290,7 +301,3 @@ def test_console_entry_point_subprocess():
     assert json.loads(proc.stdout)["total"] == 216
 
 
-def test_jobs_flag_matches_serial(capsys):
-    _, serial, _ = run_cli(capsys, "codes", "--n", "4")
-    _, parallel, _ = run_cli(capsys, "--jobs", "2", "codes", "--n", "4")
-    assert serial == parallel

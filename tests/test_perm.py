@@ -162,6 +162,15 @@ def test_group_cap():
         generate_group(gens, max_size=10)
 
 
+def test_group_cap_boundary():
+    # the cap is checked on every insertion, and S4 has exactly 24 elements
+    gens = [perm("(A,B)", ABCD), perm("(B,C)", ABCD), perm("(C,D)", ABCD)]
+    assert generate_group(gens, max_size=24).order == 24
+    with pytest.raises(CapExceededError) as exc:
+        generate_group(gens, max_size=23)
+    assert str(exc.value) == "group closure exceeded cap 23"
+
+
 def test_group_cap_env(monkeypatch):
     gens = [perm("(A,B)", ABCD), perm("(B,C)", ABCD), perm("(C,D)", ABCD)]
     monkeypatch.setenv("GENEO_MAX_GROUP", "10")

@@ -13,6 +13,7 @@ from geneograph.fixtures import (
     small_image_permutant,
     symmetric_group,
 )
+from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group
 from geneograph.perm import CapExceededError, compose, format_cycles, parse_cycles
 from geneograph.permutant import (
     GeneralizedPermutant,
@@ -31,7 +32,7 @@ from geneograph.permutant import (
     uniform_measure,
 )
 
-from conftest import EDGES3, EDGES6
+from conftest import EDGES3, EDGES6, dihedral_edge_context
 
 
 def label_oracle_alpha(ctx, g, f):
@@ -173,6 +174,35 @@ def test_orbit_count_matches_fixed_point_average(c6c3):
     assert fixed_total % c6c3.G.order == 0
     orbits, _ = all_orbits(c6c3)
     assert fixed_total // c6c3.G.order == len(orbits) == 22
+
+
+def burnside_orbit_count(ctx):
+    # f is fixed by g iff g o f = f o T(g): on each cycle c of T(g), f sends one
+    # point anywhere on a cycle d of g with len(d) dividing len(c)
+    total = 0
+    for g in ctx.G:
+        g_lengths = [len(d) for d in g.cycles(include_fixed=True)]
+        fixed = 1
+        for c in ctx.T(g).cycles(include_fixed=True):
+            fixed *= sum(length for length in g_lengths if len(c) % length == 0)
+        total += fixed
+    assert total % ctx.G.order == 0
+    return total // ctx.G.order
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (dihedral_edge_context, 22),
+        (lambda: endo_context(edge_automorphism_group(cycle_graph(5))), 327),
+        (lambda: endo_context(edge_automorphism_group(cycle_graph(6))), 4003),
+        (lambda: endo_context(edge_automorphism_group(complete_graph(4))), 2013),
+    ],
+    ids=["c6c3", "c5-endo", "c6-endo", "k4-endo"],
+)
+def test_orbit_count_matches_burnside(build, expected):
+    ctx = build()
+    assert burnside_orbit_count(ctx) == len(all_orbits(ctx)[0]) == expected
 
 
 def test_trivial_group_gives_singletons():
