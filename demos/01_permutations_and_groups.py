@@ -31,7 +31,7 @@ print("\nedge symmetries of the hexagon:", hexagon_group.order, "elements")
 for p in hexagon_group:
     print("  ", format_cycles(p))
 
-# A homomorphism is stored as a full table and verified exhaustively.  Here:
+# A homomorphism is stored as a full table and verified on the generators.  Here:
 # fold the hexagon's symmetries onto the triangle's by sending the 6-cycle to
 # a 3-cycle and the reflection to a reflection.
 TRI = ("g", "h", "i")

@@ -109,30 +109,27 @@ def apply(op: Operator, phi: Measurement) -> Measurement:
     return Measurement(values, op.target.domain)
 
 
-def _basis(n: int, domain: tuple[str, ...]) -> list[Measurement]:
-    return [
-        Measurement(tuple(Fraction(1 if j == i else 0) for j in range(n)), domain)
-        for i in range(n)
-    ]
-
-
 def verify_equivariance(
     op: LinearOperator, spot_checks: int = 0, seed: int | None = None
 ) -> tuple[bool, Witness | None]:
-    """Exact equivariance check: F(e_i o g) = F(e_i) o T(g) on every standard
-    basis vector and every generator of the source group.
+    """Exact equivariance check F(phi o g) = F(phi) o T(g) on the coefficient
+    table, for every generator g of the source group.
 
-    This is sufficient for linear operators over a generated group; optional
-    randomized spot checks over the full group add redundancy.  The witness on
-    failure is (basis index, generator).
+    For the standard basis vector e_i, e_i o g = e_{g^-1(i)}, so the check on
+    e_i reads coeffs[y][g^-1(i)] == coeffs[T(g)(y)][i] for every row y.
+    Linearity extends it to every measurement, and the generators to the whole
+    group.  Optional randomized spot checks over the full group add
+    redundancy.  The witness on failure is (basis index, generator): the first
+    failing index i for the first failing generator, or (-1, g) for a failed
+    spot check.
     """
-    basis = _basis(op.n_in, op.source.domain)
+    c = op.coeffs
+    rows = range(op.n_out)
     for g in op.source.group.generators:
-        tg = op.hom(g)
-        for i, e in enumerate(basis):
-            lhs = apply(op, e.pullback(g))
-            rhs = apply(op, e).pullback(tg)
-            if lhs.values != rhs.values:
+        g_inv = g.inverse().images
+        tg = op.hom(g).images
+        for i, j in enumerate(g_inv):
+            if any(c[y][j] != c[tg[y]][i] for y in rows):
                 return False, (i, g)
     if spot_checks:
         rng = random.Random(seed)

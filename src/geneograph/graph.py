@@ -96,17 +96,26 @@ def graph(vertices: Sequence[str], edges: Sequence[tuple[str, tuple[str, str]]])
 
 
 def parse_graph(document: Mapping) -> Graph:
-    """Validate a graph JSON document {"vertices": [...], "edges": [{"label", "ends"}]}."""
+    """Validate a graph JSON document {"vertices": [...], "edges": [{"label", "ends"}]}.
+
+    Raises ValueError naming the first malformed field.
+    """
     try:
         vertices = list(document["vertices"])
         edge_docs = list(document["edges"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"graph document needs 'vertices' and 'edges': {exc}") from exc
+    if not all(isinstance(v, str) for v in vertices):
+        raise ValueError("vertices must be strings")
     edges = []
-    for doc in edge_docs:
+    for k, doc in enumerate(edge_docs):
+        if not isinstance(doc, Mapping):
+            raise ValueError(f"edges[{k}] must be an object with 'label' and 'ends', got {doc!r}")
         ends = doc["ends"]
-        if len(ends) != 2:
+        if not isinstance(ends, (list, tuple)) or len(ends) != 2:
             raise ValueError(f"edge {doc.get('label')!r} must have exactly two ends")
+        if not all(isinstance(end, str) for end in ends):
+            raise ValueError(f"edges[{k}].ends must be vertex names, got {ends!r}")
         edges.append((str(doc["label"]), (ends[0], ends[1])))
     return graph(vertices, edges)
 

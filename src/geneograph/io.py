@@ -59,19 +59,31 @@ def group_to_json(g: FiniteGroup) -> dict:
     }
 
 
+def _require_object(doc, what: str) -> None:
+    if not isinstance(doc, MappingABC):
+        raise ValueError(f"{what} must be a JSON object")
+
+
+def _strings(value, field: str) -> list[str]:
+    """A group field that must be an array of strings; ValueError naming it otherwise."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"group field {field!r} must be an array of strings")
+    return list(value)
+
+
 def group_from_json(doc: MappingABC) -> FiniteGroup:
-    labels = tuple(doc["labels"])
-    gens = [parse_cycles(text, labels) for text in doc.get("generators", [])]
+    _require_object(doc, "a group document")
+    labels = tuple(_strings(doc["labels"], "labels"))
+    gens = [parse_cycles(text, labels) for text in _strings(doc.get("generators", []), "generators")]
+    texts = _strings(doc["elements"], "elements") if "elements" in doc else None
     if gens:
         group = generate_group(gens)
-    elif "elements" in doc:
-        group = group_from_elements(
-            [parse_cycles(text, labels) for text in doc["elements"]]
-        )
+    elif texts is not None:
+        group = group_from_elements([parse_cycles(text, labels) for text in texts])
     else:
         group = generate_group([], labels=labels)
-    if "elements" in doc:
-        stated = {parse_cycles(text, labels) for text in doc["elements"]}
+    if texts is not None:
+        stated = {parse_cycles(text, labels) for text in texts}
         if stated != set(group.elements):
             raise ValueError("stated elements do not match the closure of the generators")
     return group
@@ -100,6 +112,7 @@ def context_to_json(ctx: ActionContext) -> dict:
 
 
 def context_from_json(doc: MappingABC) -> ActionContext:
+    _require_object(doc, "a context document")
     g = group_from_json(doc["G"])
     k = group_from_json(doc["K"])
     return ActionContext(g, k, homomorphism_from_json(doc["T"], g, k))
@@ -188,6 +201,7 @@ def pair_to_json(pair: PerceptionPair) -> dict:
 
 
 def pair_from_json(doc: MappingABC) -> PerceptionPair:
+    _require_object(doc, "a perception pair document")
     return PerceptionPair(space_from_json(doc["space"]), group_from_json(doc["group"]))
 
 
@@ -202,10 +216,17 @@ def operator_to_json(op: LinearOperator) -> dict:
 
 
 def operator_from_json(doc: MappingABC) -> LinearOperator:
+    _require_object(doc, "an operator document")
     source = pair_from_json(doc["source"])
     target = pair_from_json(doc["target"])
     hom = homomorphism_from_json(doc["homomorphism"], source.group, target.group)
-    coeffs = tuple(tuple(as_fraction(c) for c in row) for row in doc["coeffs"])
+    rows = doc["coeffs"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("operator field 'coeffs' must be an array of arrays")
+    try:
+        coeffs = tuple(tuple(as_fraction(c) for c in row) for row in rows)
+    except TypeError as exc:
+        raise ValueError(f"operator field 'coeffs': {exc}") from None
     flags = doc.get("flags", {})
     return LinearOperator(
         coeffs, source, target, hom, flags.get("is_geo"), flags.get("is_geneo")

@@ -257,6 +257,11 @@ class FiniteGroup:
 
     Elements are sorted lexicographically by image array so that every
     downstream enumeration (orbits, censuses, witnesses) is deterministic.
+
+    Invariant: ``generators`` generate ``elements``.  The only builders,
+    ``generate_group`` and ``group_from_elements``, guarantee it, and the
+    homomorphism, equivariance and measure-invariance checks rely on it to
+    certify a property of the whole group on the generators alone.
     """
 
     elements: tuple[Permutation, ...]
@@ -370,7 +375,15 @@ def group_from_elements(elements: Iterable[Permutation], verify: bool = True) ->
 
 @dataclass
 class Homomorphism:
-    """A group homomorphism as a full table, verified exhaustively at construction."""
+    """A group homomorphism as a full table, verified at construction.
+
+    The table must cover the source group, land in the target group and map
+    the identity to the identity.  Multiplicativity is certified on the
+    generators: phi(a o s) = phi(a) o phi(s) for every element a and generator
+    s implies it for all pairs, as every element is a positive word in the
+    generators.  Only when that fails are all pairs scanned in element order,
+    to name the first pair (a, b) that breaks it.
+    """
 
     source: FiniteGroup
     target: FiniteGroup
@@ -384,6 +397,13 @@ class Homomorphism:
                 raise ValueError(f"image {v} not in target group")
         if self.table[self.source.identity] != self.target.identity:
             raise ValueError("homomorphism must map identity to identity")
+        images = {a.images: v.images for a, v in self.table.items()}
+        if all(
+            images[tuple([a[i] for i in s])] == tuple([image[i] for i in images[s]])
+            for s in (g.images for g in self.source.generators)
+            for a, image in images.items()
+        ):
+            return
         for a in self.source.elements:
             for b in self.source.elements:
                 if self.table[compose(a, b)] != compose(self.table[a], self.table[b]):
@@ -410,8 +430,10 @@ class Homomorphism:
     ) -> "Homomorphism":
         """Extend generator assignments g_i -> k_i to the whole source group.
 
-        The given permutations must generate the source group; the extension is
-        then verified exhaustively, which also certifies well-definedness.
+        The given permutations must generate the source group.  The closure of
+        the pairs (g_i, k_i) rejects an assignment that gives one source element
+        two images; the resulting table is then verified on the source
+        group's generators like any other.
         """
         for g, k in pairs:
             if g not in source:

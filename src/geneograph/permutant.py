@@ -327,8 +327,19 @@ def is_permutant_measure(
     m: PermutantMeasure,
 ) -> tuple[bool, tuple[Mapping, Permutation] | None]:
     """Atom-level alpha-invariance of the weights; sufficient since the measure
-    is atomic and every subset of the finite map space is measurable."""
+    is atomic and every subset of the finite map space is measurable.
+
+    Certified on the generators: if every generator's move keeps the weight
+    of every support point, the support is closed under the moves and the
+    weights are constant along each orbit.  Only on failure are the support
+    and all group elements scanned in order, so the witness (f, g) is the
+    first support map f, and for it the first element g of G, that changes
+    the weight.
+    """
     weights = {f.images: w for f, w in m.weights.items()}
+    moves = m.context.moves
+    if all(weights.get(move(f), 0) == w for f, w in weights.items() for move in moves):
+        return True, None
     for f in m.support:
         for g, move in m.context.element_moves.items():
             if weights.get(move(f.images), 0) != weights[f.images]:

@@ -261,6 +261,32 @@ def test_bad_cycle_text_in_group_doc(tmp_path, ctx_file, capsys):
     assert "error" in json.loads(out)
 
 
+def test_graph_with_string_edges_is_validation_failure(tmp_path, capsys):
+    path = write_json(tmp_path / "g.json", {"vertices": ["A", "B", "C"], "edges": ["ab", "bc"]})
+    code, out, err = run_cli(capsys, "aut", path)
+    assert code == 1
+    assert json.loads(out)["error"].startswith("edges[0] must be an object")
+
+
+def test_numeric_group_generator_is_validation_failure(tmp_path, ctx_file, capsys):
+    doc = json.load(open(ctx_file))
+    doc["G"]["generators"] = [5]
+    path = write_json(tmp_path / "bad_ctx.json", doc)
+    code, out, err = run_cli(capsys, "orbits", "--context", path)
+    assert code == 1
+    assert json.loads(out) == {"error": "group field 'generators' must be an array of strings"}
+
+
+@pytest.mark.parametrize("command", ["apply", "verify", "decompose"])
+def test_array_operator_is_validation_failure(tmp_path, capsys, command):
+    op_path = write_json(tmp_path / "op.json", [1, 2, 3])
+    phi_path = write_json(tmp_path / "phi.json", [1, 2, 3])
+    extra = [phi_path] if command == "apply" else []
+    code, out, err = run_cli(capsys, "geneo", command, op_path, *extra)
+    assert code == 1
+    assert json.loads(out) == {"error": "an operator document must be a JSON object"}
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["codes"])  # --n is required

@@ -1,3 +1,5 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -25,7 +27,7 @@ from geneograph.geneo import (
     verify_nonexpansive,
     zero_operator,
 )
-from geneograph.graph import complete_graph, edge_automorphism_group
+from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group
 from geneograph.perception import (
     PerceptionPair,
     constrained_space,
@@ -42,6 +44,8 @@ from geneograph.permutant import (
     transposition_permutant,
     uniform_measure,
 )
+
+from conftest import dihedral_edge_context
 
 EDGE_LABELS = ("p", "q", "r", "s", "t", "u")
 
@@ -182,6 +186,61 @@ def test_f4_equivariance_entrywise_over_full_group(f4):
         for y in range(6):
             for x in range(6):
                 assert coeffs[y][x] == coeffs[tg(y)][g(x)]
+
+
+def basis_vector_witness(op):
+    """Equivariance on basis vectors: F(e_i o g) against F(e_i) o T(g), for each
+    generator g and then each index i."""
+    n = op.n_in
+    for g in op.source.group.generators:
+        for i in range(n):
+            e = measurement([1 if j == i else 0 for j in range(n)], op.source.domain)
+            if apply(op, e.pullback(g)).values != apply(op, e).pullback(op.hom(g)).values:
+                return False, (i, g)
+    return True, None
+
+
+WITNESS_CONTEXTS = {
+    "c6c3": dihedral_edge_context,
+    "c5-endo": lambda: endo_context(edge_automorphism_group(cycle_graph(5))),
+    "k4-endo": lambda: endo_context(edge_automorphism_group(complete_graph(4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_CONTEXTS))
+def test_equivariance_witness_matches_basis_vector_check(name):
+    ctx = WITNESS_CONTEXTS[name]()
+    rng = random.Random(name)
+    witnesses = set()
+    for _ in range(6):
+        op = from_permutant(orbit([rng.choice(ctx.x_labels) for _ in ctx.y_labels], ctx))
+        doubled = replace(op, coeffs=tuple(tuple(2 * c for c in row) for row in op.coeffs))
+        variants = [op, doubled]
+        for base in (op, doubled):
+            for _ in range(8):
+                rows = [list(row) for row in base.coeffs]
+                rows[rng.randrange(op.n_out)][rng.randrange(op.n_in)] += Fraction(
+                    rng.choice((-1, 1)), rng.randint(1, 6)
+                )
+                variants.append(replace(base, coeffs=tuple(map(tuple, rows))))
+        for variant in variants:
+            result = verify_equivariance(variant)
+            assert result == basis_vector_witness(variant)
+            witnesses.add(result[1])
+        assert verify_equivariance(op) == verify_equivariance(doubled) == (True, None)
+    assert len(witnesses) > 3
+
+
+def test_equivariance_check_applies_only_for_spot_checks(f4, monkeypatch):
+    import geneograph.geneo as geneo_module
+
+    calls = []
+    real_apply = geneo_module.apply
+    monkeypatch.setattr(geneo_module, "apply", lambda op, phi: calls.append(1) or real_apply(op, phi))
+    assert verify_equivariance(f4) == (True, None)
+    assert calls == []
+    assert verify_equivariance(f4, spot_checks=3, seed=1) == (True, None)
+    assert len(calls) == 6
 
 
 def test_identity_operator_equivariant(k4_pair):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -252,6 +253,105 @@ def test_homomorphism_rejects_bad_table():
     # swapping the two images breaks multiplicativity
     with pytest.raises(ValueError):
         Homomorphism(g, g, {g.identity: swap, swap: g.identity})
+
+
+def exhaustive_rejection(source, table):
+    """The G x G multiplicativity scan in element order: None, or the rejection text."""
+    for a in source:
+        for b in source:
+            if table[compose(a, b)] != compose(table[a], table[b]):
+                return f"not multiplicative at ({format_cycles(a)}, {format_cycles(b)})"
+    return None
+
+
+def sign_table(source, c2):
+    swap = c2.generators[0]
+    return {g: swap if sum(len(c) - 1 for c in g.cycles()) % 2 else c2.identity for g in source}
+
+
+def conjugation_table(source, c):
+    return {g: compose(compose(c, g), c.inverse()) for g in source}
+
+
+ABCDE = ("A", "B", "C", "D", "E")
+
+
+def hom_check_cases(name):
+    """(source, target, homomorphism tables) for D5 and for S4 (order 24)."""
+    c2 = generate_group([perm("(x,y)", ("x", "y"))])
+    if name == "D5":
+        rotation = perm("(A,B,C,D,E)", ABCDE)
+        d5 = generate_group([rotation, perm("(B,E)(C,D)", ABCDE)])
+        rotations = set(generate_group([rotation]))
+        swap = c2.generators[0]
+        to_c2 = {g: c2.identity if g in rotations else swap for g in d5}
+        return [
+            (d5, d5, [conjugation_table(d5, d5.identity), conjugation_table(d5, rotation)]),
+            (d5, c2, [to_c2]),
+        ]
+    s4 = generate_group([perm("(A,B,C,D)", ABCD), perm("(A,B)", ABCD)])
+    assert s4.order == 24
+    return [
+        (s4, s4, [conjugation_table(s4, s4.identity), conjugation_table(s4, perm("(A,B,C)", ABCD))]),
+        (s4, c2, [sign_table(s4, c2)]),
+    ]
+
+
+@pytest.mark.parametrize("name", ["D5", "S4"])
+def test_homomorphism_check_matches_exhaustive_scan(name):
+    # seeded random tables and homomorphisms with one entry changed: the
+    # generator-level check must give the verdict and the text of the full scan
+    rng = random.Random(name)
+    rejections = set()
+    for source, target, homs in hom_check_cases(name):
+        others = [g for g in source if g != source.identity]
+        tables = list(homs)
+        for _ in range(20):
+            table = {g: rng.choice(target.elements) for g in others}
+            table[source.identity] = target.identity
+            tables.append(table)
+        for hom in homs:
+            for _ in range(20):
+                table = dict(hom)
+                a = rng.choice(others)
+                table[a] = rng.choice([k for k in target if k != table[a]])
+                tables.append(table)
+        for table in tables:
+            expected = exhaustive_rejection(source, table)
+            if expected is None:
+                assert Homomorphism(source, target, table).table == table
+            else:
+                with pytest.raises(ValueError) as exc:
+                    Homomorphism(source, target, table)
+                assert str(exc.value) == expected
+                rejections.add(expected)
+        for hom in homs:
+            assert exhaustive_rejection(source, hom) is None
+    assert len(rejections) > 5
+
+
+def test_homomorphism_check_on_trivial_group():
+    trivial = trivial_group(ABCD)
+    assert trivial.generators == ()
+    c2 = generate_group([perm("(x,y)", ("x", "y"))])
+    assert Homomorphism(trivial, c2, {trivial.identity: c2.identity}).table
+    assert Homomorphism.identity_on(trivial).is_identity()
+
+
+def test_valid_homomorphism_table_does_no_pairwise_work(monkeypatch):
+    import geneograph.perm as perm_module
+
+    s4 = generate_group([perm("(A,B,C,D)", ABCD), perm("(A,B)", ABCD)])
+    table = conjugation_table(s4, perm("(A,B,C)", ABCD))
+    calls = []
+    real_compose = perm_module.compose
+    monkeypatch.setattr(perm_module, "compose", lambda p, q: calls.append(1) or real_compose(p, q))
+    Homomorphism(s4, s4, table)
+    assert calls == []
+    table[perm("(A,B)", ABCD)] = s4.identity
+    with pytest.raises(ValueError, match="not multiplicative"):
+        Homomorphism(s4, s4, table)
+    assert calls
 
 
 def test_homomorphism_identity_and_composition():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -334,6 +335,55 @@ def test_unbalanced_weights_are_rejected(c6c3):
     assert not ok
     f, g = witness
     assert m.weight(alpha_action(g, f, c6c3)) != m.weight(f)
+
+
+def full_scan_witness(m):
+    """Invariance over the support and every group element, in element order."""
+    for f in m.support:
+        for g in m.context.G:
+            if m.weight(alpha_action(g, f, m.context)) != m.weight(f):
+                return False, (f, g)
+    return True, None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        dihedral_edge_context,
+        lambda: endo_context(edge_automorphism_group(cycle_graph(5))),
+        lambda: endo_context(edge_automorphism_group(complete_graph(4))),
+    ],
+    ids=["c6c3", "c5-endo", "k4-endo"],
+)
+def test_measure_witness_matches_full_scan(build):
+    # invariant measures on a few orbits, then one weight changed, one member
+    # dropped, or one stray map added: the witness is that of the full scan
+    ctx = build()
+    rng = random.Random(len(ctx.x_labels) * 100 + len(ctx.y_labels))
+
+    def random_map():
+        return ctx.mapping([rng.choice(ctx.x_labels) for _ in ctx.y_labels])
+
+    witnesses = set()
+    for _ in range(12):
+        weights = {}
+        for _ in range(rng.randint(1, 3)):
+            w = Fraction(rng.randint(1, 5), rng.randint(1, 7))
+            weights.update({f: w for f in orbit(random_map(), ctx).members})
+        members = sorted(weights, key=lambda f: f.images)
+        changed = dict(weights)
+        changed[rng.choice(members)] += 1
+        dropped = dict(weights)
+        del dropped[rng.choice(members)]
+        stray = dict(weights)
+        stray[random_map()] = Fraction(-1, 2)
+        for w in (weights, changed, dropped, stray):
+            m = PermutantMeasure(ctx, w)
+            result = is_permutant_measure(m)
+            assert result == full_scan_witness(m)
+            witnesses.add(result[1])
+        assert is_permutant_measure(PermutantMeasure(ctx, weights)) == (True, None)
+    assert len(witnesses) > 3
 
 
 def test_measure_drops_zero_weights(c6c3):
