@@ -10,8 +10,9 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .geneo import LinearOperator, apply, from_permutant
+from .geneo import LinearOperator, from_permutant
 from .graph import cycle_graph, edge_automorphism_group, subgraph_isomorphism_classes
+from .linalg import matvec
 from .perception import Measurement, measurement
 from .perm import Homomorphism, parse_cycles
 from .permutant import (
@@ -79,10 +80,9 @@ def build_code_table(n: int) -> CodeTable:
     labels = op.source.domain
     size = permutant.size
     assert size == comb(n, 2)
-    vectors = list(product((0, 1), repeat=len(labels)))
-    codes = [apply(op, measurement(vec, labels)).values for vec in vectors]
     rows = []
-    for vec, code in zip(vectors, codes):
+    for vec in product((0, 1), repeat=len(labels)):
+        code = matvec(op.coeffs, vec)
         scaled = tuple(c * size for c in code)
         assert all(s.denominator == 1 for s in scaled)
         rows.append(CodeRow(vec, code, tuple(int(s) for s in scaled), class_of[vec]))
@@ -202,9 +202,5 @@ def orbit_operator_table(
     """The averaging operator of one orbit, tabulated over all 0/1 weights."""
     ctx = ctx or c6_c3_context()
     op = from_permutant(orbit(rep, ctx))
-    labels = op.source.domain
-    rows = tuple(
-        (bits, apply(op, measurement(bits, labels)).values)
-        for bits in product((0, 1), repeat=len(labels))
-    )
+    rows = tuple((bits, matvec(op.coeffs, bits)) for bits in product((0, 1), repeat=op.n_in))
     return op, rows

@@ -5,7 +5,8 @@ permutant measure.
 
 Operators store dense exact-rational coefficient tables; rows are indexed by
 the target set Y, columns by the source set X, so F(phi)(y) = sum_x
-coeffs[y][x] phi(x).
+coeffs[y][x] phi(x).  Products of tables and vectors go through the kernel in
+`linalg`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Iterable, Sequence
 
-from .linalg import OPTIMAL, rref, simplex_min, solution_subset
+from .linalg import OPTIMAL, dot, matmul, matvec, rref, simplex_min, solution_subset
 from .perception import (
     FunctionSpace,
     Measurement,
@@ -34,6 +35,7 @@ from .perm import (
     orbit_partition,
 )
 from .permutant import (
+    ActionContext,
     GeneralizedPermutant,
     Mapping,
     PermutantMeasure,
@@ -103,10 +105,7 @@ def apply(op: Operator, phi: Measurement) -> Measurement:
         raise DomainMismatchError(f"measurement domain {phi.domain} is not {op.source.domain}")
     if isinstance(op, NonlinearOperator):
         return op.fn(phi)
-    values = tuple(
-        sum((c * v for c, v in zip(row, phi.values)), Fraction(0)) for row in op.coeffs
-    )
-    return Measurement(values, op.target.domain)
+    return Measurement(matvec(op.coeffs, phi.values), op.target.domain)
 
 
 def verify_equivariance(
@@ -165,6 +164,25 @@ def _verified(op: LinearOperator) -> LinearOperator:
     return replace(op, is_geo=geo, is_geneo=geo and verify_nonexpansive(op))
 
 
+def _map_table(maps: Iterable[tuple], n_rows: int, n_cols: int) -> list[list[Fraction]]:
+    """The table of weighted maps (images, w): entry [y][x] sums w over the maps with y -> x."""
+    table = [[Fraction(0)] * n_cols for _ in range(n_rows)]
+    for images, w in maps:
+        for y, x in enumerate(images):
+            table[y][x] += w
+    return table
+
+
+def _map_operator(
+    ctx: ActionContext, maps: Iterable[tuple], source: FunctionSpace | None, target: FunctionSpace | None
+) -> LinearOperator:
+    """The verified operator phi -> sum_f w(f) phi o f, on the full spaces by default."""
+    coeffs = tuple(map(tuple, _map_table(maps, ctx.K.degree, ctx.G.degree)))
+    source_pair = PerceptionPair(source or full_space(ctx.x_labels), ctx.G)
+    target_pair = PerceptionPair(target or full_space(ctx.y_labels), ctx.K)
+    return _verified(LinearOperator(coeffs, source_pair, target_pair, ctx.T))
+
+
 def from_permutant(
     h: GeneralizedPermutant,
     source_space: FunctionSpace | None = None,
@@ -177,19 +195,8 @@ def from_permutant(
     """
     if h.size == 0:
         raise ValueError("cannot build an operator from the empty permutant")
-    ctx = h.context
-    counts = [[0] * ctx.G.degree for _ in range(ctx.K.degree)]
-    for member in h.members:
-        for y, x in enumerate(member.images):
-            counts[y][x] += 1
-    coeffs = tuple(tuple(Fraction(c, h.size) for c in row) for row in counts)
-    op = LinearOperator(
-        coeffs,
-        PerceptionPair(source_space or full_space(ctx.x_labels), ctx.G),
-        PerceptionPair(target_space or full_space(ctx.y_labels), ctx.K),
-        ctx.T,
-    )
-    op = _verified(op)
+    w = Fraction(1, h.size)
+    op = _map_operator(h.context, ((f.images, w) for f in h.members), source_space, target_space)
     assert op.is_geo and op.is_geneo, "permutant averaging must yield a GENEO"
     return op
 
@@ -209,39 +216,25 @@ def from_measure(
     if not ok:
         f, g = witness
         raise ValueError(f"not a permutant measure: weight changes along alpha({g}, {f})")
-    ctx = m.context
-    coeffs_acc = [[Fraction(0)] * ctx.G.degree for _ in range(ctx.K.degree)]
-    for f, w in m.weights.items():
-        for y, x in enumerate(f.images):
-            coeffs_acc[y][x] += w
-    coeffs = tuple(tuple(row) for row in coeffs_acc)
-    op = LinearOperator(
-        coeffs,
-        PerceptionPair(source_space or full_space(ctx.x_labels), ctx.G),
-        PerceptionPair(target_space or full_space(ctx.y_labels), ctx.K),
-        ctx.T,
-    )
-    op = _verified(op)
+    weighted = ((f.images, w) for f, w in m.weights.items())
+    op = _map_operator(m.context, weighted, source_space, target_space)
     assert op.is_geo, "a permutant measure must yield an equivariant operator"
     return op
 
 
+def _diagonal_operator(pair: PerceptionPair, diagonal: Sequence[Fraction]) -> LinearOperator:
+    """The verified endo-operator phi -> (d_1 phi^1, ..., d_n phi^n) under the identity."""
+    n = len(diagonal)
+    coeffs = tuple(tuple(d if i == j else Fraction(0) for j in range(n)) for i, d in enumerate(diagonal))
+    return _verified(LinearOperator(coeffs, pair, pair, Homomorphism.identity_on(pair.group)))
+
+
 def identity_operator(pair: PerceptionPair) -> LinearOperator:
-    n = pair.space.dim
-    coeffs = tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-    return _verified(
-        LinearOperator(coeffs, pair, pair, Homomorphism.identity_on(pair.group))
-    )
+    return _diagonal_operator(pair, [Fraction(1)] * pair.space.dim)
 
 
 def zero_operator(pair: PerceptionPair) -> LinearOperator:
-    n = pair.space.dim
-    coeffs = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-    return _verified(
-        LinearOperator(coeffs, pair, pair, Homomorphism.identity_on(pair.group))
-    )
+    return _diagonal_operator(pair, [Fraction(0)] * pair.space.dim)
 
 
 # -- diagonal scaling ---------------------------------------------------------
@@ -310,13 +303,7 @@ def diagonal_scaling(d: Sequence, pair: PerceptionPair) -> ScalingOutcome:
             )
         return ScalingOutcome(False, None, violated, closure_ok, detail)
 
-    coeffs = tuple(
-        tuple(Fraction(1) / scale[i] if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-    op = _verified(
-        LinearOperator(coeffs, pair, pair, Homomorphism.identity_on(pair.group))
-    )
+    op = _diagonal_operator(pair, [Fraction(1) / s for s in scale])
     assert op.is_geo and op.is_geneo
     return ScalingOutcome(True, op, (), True, "")
 
@@ -345,12 +332,10 @@ def convex_combination(ops: Sequence[LinearOperator], weights: Sequence) -> Line
     if any(w < 0 for w in lam) or sum(lam) != 1:
         raise ValueError("weights must be nonnegative and sum to 1")
     _require_same_signature(ops)
+    # row i stacks the ops' row i; its entries across the ops form the columns
     coeffs = tuple(
-        tuple(
-            sum((w * op.coeffs[i][j] for w, op in zip(lam, ops)), Fraction(0))
-            for j in range(ops[0].n_in)
-        )
-        for i in range(ops[0].n_out)
+        tuple(dot(lam, entries) for entries in zip(*rows))
+        for rows in zip(*(op.coeffs for op in ops))
     )
     return _verified(LinearOperator(coeffs, ops[0].source, ops[0].target, ops[0].hom))
 
@@ -359,13 +344,7 @@ def compose_operators(f2: LinearOperator, f1: LinearOperator) -> LinearOperator:
     """The composite F2 o F1 (apply F1 first); homomorphisms compose alongside."""
     if f1.target != f2.source:
         raise DomainMismatchError("target pair of the first operator must be the source of the second")
-    coeffs = tuple(
-        tuple(
-            sum((f2.coeffs[i][k] * f1.coeffs[k][j] for k in range(f1.n_out)), Fraction(0))
-            for j in range(f1.n_in)
-        )
-        for i in range(f2.n_out)
-    )
+    coeffs = matmul(f2.coeffs, f1.coeffs, f1.n_in)
     return _verified(LinearOperator(coeffs, f1.source, f2.target, f1.hom.then(f2.hom)))
 
 
@@ -470,11 +449,8 @@ def decompose_to_measure(
 
     # reconstruction equations over one weight per conjugation orbit; the n^2
     # raw equations repeat across orbits of index pairs, so reduce them first
-    raw = []
-    for y in range(n):
-        for x in range(n):
-            counts = [Fraction(sum(1 for h in o if h[y] == x)) for o in orbits]
-            raw.append(counts + [op.coeffs[y][x]])
+    tables = [_map_table(((h, 1) for h in o), n, n) for o in orbits]
+    raw = [[t[y][x] for t in tables] + [op.coeffs[y][x]] for y in range(n) for x in range(n)]
     reduced = rref(raw)
     if any(next(i for i, v in enumerate(r) if v != 0) == m for r in reduced):
         raise ValueError("no permutant measure reproduces this operator")

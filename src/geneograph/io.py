@@ -48,7 +48,7 @@ def measurement_to_json(m: Measurement) -> list:
 def measurement_from_json(doc, domain=None) -> Measurement:
     if not isinstance(doc, list):
         raise ValueError("a measurement document is a JSON array")
-    return measurement(doc, domain)
+    return measurement([_rational(v, "measurement entry") for v in doc], domain)
 
 
 def group_to_json(g: FiniteGroup) -> dict:
@@ -65,17 +65,25 @@ def _require_object(doc, what: str) -> None:
 
 
 def _strings(value, field: str) -> list[str]:
-    """A group field that must be an array of strings; ValueError naming it otherwise."""
+    """A field that must be an array of strings; ValueError naming it otherwise."""
     if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
-        raise ValueError(f"group field {field!r} must be an array of strings")
+        raise ValueError(f"{field} must be an array of strings")
     return list(value)
+
+
+def _rational(value, field: str) -> Fraction:
+    """as_fraction, with its TypeError for a non-number turned into a ValueError naming the field."""
+    try:
+        return as_fraction(value)
+    except TypeError as exc:
+        raise ValueError(f"{field}: {exc}") from None
 
 
 def group_from_json(doc: MappingABC) -> FiniteGroup:
     _require_object(doc, "a group document")
-    labels = tuple(_strings(doc["labels"], "labels"))
-    gens = [parse_cycles(text, labels) for text in _strings(doc.get("generators", []), "generators")]
-    texts = _strings(doc["elements"], "elements") if "elements" in doc else None
+    labels = tuple(_strings(doc["labels"], "group field 'labels'"))
+    gens = [parse_cycles(t, labels) for t in _strings(doc.get("generators", []), "group field 'generators'")]
+    texts = _strings(doc["elements"], "group field 'elements'") if "elements" in doc else None
     if gens:
         group = generate_group(gens)
     elif texts is not None:
@@ -94,6 +102,11 @@ def homomorphism_to_json(t: Homomorphism) -> list:
 
 
 def homomorphism_from_json(doc, source: FiniteGroup, target: FiniteGroup) -> Homomorphism:
+    if not isinstance(doc, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(isinstance(p, str) for p in pair)
+        for pair in doc
+    ):
+        raise ValueError("a homomorphism must be an array of [element, image] cycle-string pairs")
     pairs = [
         (parse_cycles(src, source.labels), parse_cycles(dst, target.labels))
         for src, dst in doc
@@ -127,7 +140,7 @@ def mapping_to_json(f: Mapping):
 def mapping_from_json(doc, ctx: ActionContext) -> Mapping:
     if isinstance(doc, str):
         return parse_mapping(doc, ctx.y_labels, ctx.x_labels)
-    return mapping_from_labels(doc, ctx.y_labels, ctx.x_labels)
+    return mapping_from_labels(_strings(doc, "a mapping in label form"), ctx.y_labels, ctx.x_labels)
 
 
 def permutant_to_json(h: GeneralizedPermutant, include_context: bool = True) -> dict:
@@ -139,6 +152,8 @@ def permutant_to_json(h: GeneralizedPermutant, include_context: bool = True) -> 
 
 def permutant_members_from_json(doc, ctx: ActionContext) -> list[Mapping]:
     members = doc["members"] if isinstance(doc, MappingABC) else doc
+    if not isinstance(members, list):
+        raise ValueError("permutant field 'members' must be an array")
     return [mapping_from_json(m, ctx) for m in members]
 
 
@@ -155,14 +170,16 @@ def measure_to_json(m: PermutantMeasure, include_context: bool = True) -> dict:
 
 
 def measure_from_json(doc: MappingABC, ctx: ActionContext) -> PermutantMeasure:
-    weights_doc = doc["weights"] if "weights" in doc else doc
+    weights_doc = doc.get("weights", doc) if isinstance(doc, MappingABC) else doc
     weights: dict[Mapping, Fraction] = {}
     if isinstance(weights_doc, MappingABC):
         items = [(k, v) for k, v in weights_doc.items()]
-    else:
+    elif isinstance(weights_doc, list) and all(isinstance(e, MappingABC) for e in weights_doc):
         items = [(entry["mapping"], entry["weight"]) for entry in weights_doc]
+    else:
+        raise ValueError("measure field 'weights' must be an object or an array of objects")
     for key, value in items:
-        weights[mapping_from_json(key, ctx)] = as_fraction(value)
+        weights[mapping_from_json(key, ctx)] = _rational(value, "measure weight")
     return PermutantMeasure(ctx, weights)
 
 
@@ -181,18 +198,22 @@ def space_to_json(space: FunctionSpace) -> dict:
 
 
 def space_from_json(doc: MappingABC) -> FunctionSpace:
-    domain = tuple(doc["domain"])
+    _require_object(doc, "a space document")
+    domain = tuple(_strings(doc["domain"], "space field 'domain'"))
     kind = doc.get("kind", "full")
     if kind == "explicit":
         return FunctionSpace(
-            domain, members=tuple(measurement(vals, domain) for vals in doc["members"])
+            domain, members=tuple(measurement_from_json(vals, domain) for vals in doc["members"])
         )
     equations = tuple(
-        (tuple(as_fraction(c) for c in con["coeffs"]), as_fraction(con["rhs"]))
+        (
+            tuple(_rational(c, "constraint field 'coeffs'") for c in con["coeffs"]),
+            _rational(con["rhs"], "constraint field 'rhs'"),
+        )
         for con in doc.get("constraints", [])
     )
     ball_doc = doc.get("ball")
-    ball = (ball_doc["norm"], as_fraction(ball_doc["radius"])) if ball_doc else None
+    ball = (ball_doc["norm"], _rational(ball_doc["radius"], "ball field 'radius'")) if ball_doc else None
     return FunctionSpace(domain, equations=equations, ball=ball)
 
 
@@ -223,11 +244,9 @@ def operator_from_json(doc: MappingABC) -> LinearOperator:
     rows = doc["coeffs"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("operator field 'coeffs' must be an array of arrays")
-    try:
-        coeffs = tuple(tuple(as_fraction(c) for c in row) for row in rows)
-    except TypeError as exc:
-        raise ValueError(f"operator field 'coeffs': {exc}") from None
+    coeffs = tuple(tuple(_rational(c, "operator field 'coeffs'") for c in row) for row in rows)
     flags = doc.get("flags", {})
+    _require_object(flags, "operator field 'flags'")
     return LinearOperator(
         coeffs, source, target, hom, flags.get("is_geo"), flags.get("is_geneo")
     )

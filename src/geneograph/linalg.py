@@ -1,5 +1,6 @@
-"""Exact rational linear algebra: reduced row echelon form, affine solution
-sets, and a small two-phase simplex.
+"""Exact rational linear algebra: the package's one product kernel (dot,
+matvec, matmul) and one row-elimination step, reduced row echelon form, affine
+solution sets, and a small two-phase simplex.
 
 Everything works on fractions.Fraction and is deterministic (Bland's rule for
 the simplex), which the operator-decomposition and constraint-closure code
@@ -9,13 +10,40 @@ relies on for reproducible witnesses.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 Row = list[Fraction]
 
 
+def dot(u: Sequence, v: Sequence) -> Fraction:
+    """The exact inner product sum_i u_i v_i, starting from Fraction(0)."""
+    return sum(map(mul, u, v), Fraction(0))
+
+
+def matvec(a: Sequence[Sequence], v: Sequence) -> tuple[Fraction, ...]:
+    """The exact product of the matrix with rows a and the vector v."""
+    return tuple([dot(row, v) for row in a])
+
+
+def matmul(a: Sequence[Sequence], b: Sequence[Sequence], n_cols: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The exact product a b; n_cols is explicit because a b with no rows has no columns to read."""
+    cols = [tuple(row[j] for row in b) for j in range(n_cols)]
+    return tuple(matvec(cols, row) for row in a)
+
+
 def _as_rows(rows: Sequence[Sequence[Fraction]]) -> list[Row]:
     return [[Fraction(x) for x in row] for row in rows]
+
+
+def _pivot(m: list[Row], row: int, col: int) -> None:
+    """Scale m[row] so its col entry is 1, then clear col from every other row."""
+    scale = m[row][col]
+    m[row] = [x / scale for x in m[row]]
+    for r in range(len(m)):
+        if r != row and m[r][col] != 0:
+            factor = m[r][col]
+            m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> list[Row]:
@@ -30,12 +58,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> list[Row]:
         if pivot is None:
             continue
         m[pivot_row], m[pivot] = m[pivot], m[pivot_row]
-        scale = m[pivot_row][col]
-        m[pivot_row] = [x / scale for x in m[pivot_row]]
-        for r in range(len(m)):
-            if r != pivot_row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[pivot_row])]
+        _pivot(m, pivot_row, col)
         pivot_row += 1
         if pivot_row == len(m):
             break
@@ -108,16 +131,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-def _pivot(tableau: list[Row], basis: list[int], row: int, col: int) -> None:
-    scale = tableau[row][col]
-    tableau[row] = [x / scale for x in tableau[row]]
-    for r in range(len(tableau)):
-        if r != row and tableau[r][col] != 0:
-            factor = tableau[r][col]
-            tableau[r] = [a - factor * b for a, b in zip(tableau[r], tableau[row])]
-    basis[row] = col
-
-
 def _run_simplex(tableau: list[Row], basis: list[int], n_cols: int) -> str:
     """Bland's-rule pivoting on a priced-out tableau; last row is the objective."""
     while True:
@@ -133,7 +146,8 @@ def _run_simplex(tableau: list[Row], basis: list[int], n_cols: int) -> str:
                     best = (ratio, r)
         if best is None:
             return UNBOUNDED
-        _pivot(tableau, basis, best[1], col)
+        _pivot(tableau, best[1], col)
+        basis[best[1]] = col
 
 
 def simplex_min(
@@ -146,7 +160,7 @@ def simplex_min(
     Exact two-phase simplex; returns (status, optimal value, solution).
     """
     n = len(costs)
-    rows = [[Fraction(x) for x in row] for row in eq_lhs]
+    rows = _as_rows(eq_lhs)
     rhs = [Fraction(x) for x in eq_rhs]
     for i in range(len(rows)):
         if rhs[i] < 0:
@@ -174,7 +188,8 @@ def simplex_min(
             if col is None:
                 drop_rows.append(r)
             else:
-                _pivot(tableau, basis, r, col)
+                _pivot(tableau, r, col)
+                basis[r] = col
     for r in sorted(drop_rows, reverse=True):
         del tableau[r]
         del basis[r]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .linalg import dot, same_solution_set, solve_affine
 from .perm import DomainMismatchError, FiniteGroup, Permutation
 
 Equation = tuple[tuple[Fraction, ...], Fraction]
@@ -131,7 +132,7 @@ class FunctionSpace:
         if self.members is not None:
             return any(phi.values == m.values for m in self.members)
         for coeffs, rhs in self.equations:
-            if sum(c * v for c, v in zip(coeffs, phi.values)) != rhs:
+            if dot(coeffs, phi.values) != rhs:
                 return False
         if self.ball is not None:
             norm, radius = self.ball
@@ -139,7 +140,7 @@ class FunctionSpace:
                 return False
             if norm == "l1" and sum(abs(v) for v in phi.values) > radius:
                 return False
-            if norm == "l2" and sum(v * v for v in phi.values) > radius * radius:
+            if norm == "l2" and dot(phi.values, phi.values) > radius * radius:
                 return False
         return True
 
@@ -186,8 +187,6 @@ def verify_perception_pair(
     permutation-invariant); the full space is trivially closed.  On failure
     returns a witness (phi, g) with phi o g outside the space.
     """
-    from .linalg import same_solution_set, solve_affine
-
     _check_group_acts(space, group)
     if space.kind == "full":
         return True, None
@@ -206,12 +205,6 @@ def verify_perception_pair(
     solved = solve_affine(sys0, n)
     if solved is None:
         return True, None  # empty space, vacuously closed
-
-    def satisfies_equations(values) -> bool:
-        return all(
-            sum(c * v for c, v in zip(coeffs, values)) == rhs for coeffs, rhs in sys0
-        )
-
     particular, basis = solved
     for g in group:
         moved = [(g.pullback(coeffs), rhs) for coeffs, rhs in space.equations]
@@ -224,7 +217,8 @@ def verify_perception_pair(
         ]
         for cand in candidates:
             phi = Measurement(tuple(cand), space.domain)
-            if not satisfies_equations(phi.pullback(g).values):
+            values = phi.pullback(g).values
+            if any(dot(coeffs, values) != rhs for coeffs, rhs in sys0):
                 return False, (phi, g)
         raise AssertionError("no witness found for an unclosed constrained space")
     return True, None

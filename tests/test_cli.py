@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -285,6 +286,103 @@ def test_array_operator_is_validation_failure(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, "geneo", command, op_path, *extra)
     assert code == 1
     assert json.loads(out) == {"error": "an operator document must be a JSON object"}
+
+
+MEASURE = ["measure", "check", "{doc}", "--context", "{ctx}"]
+VERIFY = ["geneo", "verify", "{doc}"]
+APPLY = ["geneo", "apply", "{op}", "{doc}"]
+SPACE = ("source", "space")
+
+# (command, document, fragment of the error): a plain document, or (base, key
+# path, value) to overwrite one field of the F4 operator ("op") or the C6/C3
+# context ("ctx")
+MALFORMED = {
+    "measure-weight-null": (MEASURE, {"weights": [{"mapping": "aec", "weight": None}]}, "measure weight"),
+    "measure-mapping-number": (MEASURE, {"weights": [{"mapping": 5, "weight": 1}]}, "mapping"),
+    "measure-weight-array": (MEASURE, {"weights": {"aec": [1]}}, "measure weight"),
+    "measure-document-array": (MEASURE, [1, 2], "measure field 'weights'"),
+    "build-measure-weight-null": (
+        ["geneo", "build", "--measure", "{doc}", "--context", "{ctx}"],
+        {"weights": [{"mapping": "aec", "weight": None}]},
+        "measure weight",
+    ),
+    "permutant-member-number": (
+        ["permutant", "check", "{doc}", "--context", "{ctx}"], {"members": [5]}, "mapping"
+    ),
+    "apply-entry-null": (APPLY, [None, 0, 0, 0, 0, 0], "measurement entry"),
+    "apply-entry-true": (APPLY, [True, 0, 0, 0, 0, 0], "measurement entry"),
+    "apply-entry-array": (APPLY, [[1], 0, 0, 0, 0, 0], "measurement entry"),
+    "verify-constraint-null": (
+        VERIFY,
+        ("op", SPACE + ("constraints",), [{"coeffs": [None, 1, 1, 1, 1, 1], "rhs": 0}]),
+        "constraint field 'coeffs'",
+    ),
+    "verify-domain-number": (VERIFY, ("op", SPACE + ("domain",), 5), "space field 'domain'"),
+    "verify-homomorphism-number": (VERIFY, ("op", ("homomorphism",), 5), "homomorphism"),
+    "verify-flags-number": (VERIFY, ("op", ("flags",), 5), "operator field 'flags'"),
+    "orbits-T-number": (["orbits", "--context", "{doc}"], ("ctx", ("T",), 5), "homomorphism"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_is_validation_failure(tmp_path, ctx_file, f4_file, capsys, case):
+    argv, doc, fragment = MALFORMED[case]
+    if isinstance(doc, tuple):
+        base, path, value = doc
+        doc = json.load(open(f4_file if base == "op" else ctx_file))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    files = {"doc": write_json(tmp_path / "doc.json", doc), "ctx": ctx_file, "op": f4_file}
+    code, out, err = run_cli(capsys, *[arg.format(**files) for arg in argv])
+    assert code == 1
+    payload = json.loads(out)
+    assert list(payload) == ["error"]
+    assert fragment in payload["error"]
+    assert "Traceback" not in err
+
+
+# sha256 of stdout for the paper's analyses.  Output is promised byte-identical
+# for identical inputs, so a changed digest is a change of the CLI contract.
+GOLDEN = {
+    ("census-c6c3",): "e41e7d2069e7955b1f4cf1cdcc507de68345f31e3889ff3f3b105d1abcab7ded",
+    ("codes", "--n", "3"): "85ae24e975b7f1f7c16720dc0afb07603955fdefa8678b036c86172b492bec1d",
+    ("codes", "--n", "3", "--format", "csv"): "3ded3d1a2054f4a37bdc030357c78e23446055b3b62412d421e9ab95f1f1a0f1",
+    ("codes", "--n", "4"): "4c528097baf3e45904e35bb51d332ea2d25c5949736c1bd892c7b874bc07be97",
+    ("codes", "--n", "4", "--format", "csv"): "f7281903056515c36b0e440719792a941b86ef198616a4149502fc3bdba9739d",
+    ("codes", "--n", "4", "--analyze"): "cea702c93078394c51de76d625f48067ebde5c8f864fb56b68acf8ed218238aa",
+}
+GOLDEN_K4_OPERATOR = {
+    "build": "031ebd98bb93890cd0e3ea72f496971fbe1e5dea213d44eb5f6f7859984e9a45",
+    "verify": "b1cca920437b5434683c4e0f3d6dc72e61904ea6b47e343658e8510f36da5ca9",
+    "decompose": "ccfa0e891094f7a3cb0acad3305a3c54a1d257580550b9c2d2879163ba5ea519",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_golden_output(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert sha256(out) == GOLDEN[argv]
+
+
+def test_golden_k4_transposition_operator(tmp_path, capsys):
+    h = transposition_permutant(4, model="edge")
+    h_path = write_json(tmp_path / "h.json", docs.permutant_to_json(h))
+    code, built, _ = run_cli(capsys, "geneo", "build", "--permutant", h_path)
+    assert code == 0
+    assert sha256(built) == GOLDEN_K4_OPERATOR["build"]
+    op_path = tmp_path / "op.json"
+    op_path.write_text(built)
+    for command in ("verify", "decompose"):
+        code, out, _ = run_cli(capsys, "geneo", command, str(op_path))
+        assert code == 0
+        assert sha256(out) == GOLDEN_K4_OPERATOR[command]
 
 
 def test_usage_error_exit_code():

@@ -35,9 +35,10 @@ from geneograph.perception import (
     full_space,
     measurement,
 )
-from geneograph.perm import Homomorphism, generate_group, parse_cycles
+from geneograph.perm import Homomorphism, generate_group, parse_cycles, trivial_group
 from geneograph.permutant import (
     PermutantMeasure,
+    all_orbits,
     endo_context,
     mapping_from_permutation,
     orbit,
@@ -552,3 +553,95 @@ def test_decompose_expansive_operator_fails(k4_pair):
     )
     with pytest.raises(ValueError, match="total variation"):
         decompose_to_measure(doubled)
+
+
+# the dense kernel against the hand-written loops it replaced
+
+
+def trivial_pair(n):
+    labels = tuple(f"v{i}" for i in range(n))
+    return PerceptionPair(full_space(labels), trivial_group(labels))
+
+
+def random_operator(rng, source, target):
+    coeffs = tuple(
+        tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(source.space.dim))
+        for _ in range(target.space.dim)
+    )
+    hom = Homomorphism(source.group, target.group, {source.group.identity: target.group.identity})
+    return LinearOperator(coeffs, source, target, hom)
+
+
+def reference_apply(op, values):
+    return tuple(sum((c * v for c, v in zip(row, values)), Fraction(0)) for row in op.coeffs)
+
+
+def reference_compose(f2, f1):
+    return tuple(
+        tuple(
+            sum((f2.coeffs[i][k] * f1.coeffs[k][j] for k in range(f1.n_out)), Fraction(0))
+            for j in range(f1.n_in)
+        )
+        for i in range(f2.n_out)
+    )
+
+
+def reference_convex(ops, lam):
+    return tuple(
+        tuple(
+            sum((w * op.coeffs[i][j] for w, op in zip(lam, ops)), Fraction(0))
+            for j in range(ops[0].n_in)
+        )
+        for i in range(ops[0].n_out)
+    )
+
+
+def reference_map_table(ctx, weighted):
+    acc = [[Fraction(0)] * ctx.G.degree for _ in range(ctx.K.degree)]
+    for f, w in weighted:
+        for y, x in enumerate(f.images):
+            acc[y][x] += w
+    return tuple(tuple(row) for row in acc)
+
+
+@pytest.mark.parametrize("dims", [(3, 4, 2), (6, 6, 6), (1, 5, 1), (2, 0, 2), (0, 3, 0), (0, 0, 0)])
+def test_kernel_matches_reference_loops(dims):
+    rng = random.Random(f"kernel:{dims}")
+    x, y, z = (trivial_pair(n) for n in dims)
+    for _ in range(8):
+        f1, f2 = random_operator(rng, x, y), random_operator(rng, y, z)
+        phi = measurement([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in x.domain], x.domain)
+        assert apply(f1, phi).values == reference_apply(f1, phi.values)
+        assert compose_operators(f2, f1).coeffs == reference_compose(f2, f1)
+        ops = [f1] + [random_operator(rng, x, y) for _ in range(rng.randint(0, 3))]
+        parts = [rng.randint(1, 5) for _ in ops]
+        lam = [Fraction(p, sum(parts)) for p in parts]
+        assert convex_combination(ops, lam).coeffs == reference_convex(ops, lam)
+
+
+def test_compose_through_empty_domain_is_zero():
+    x, empty = trivial_pair(2), trivial_pair(0)
+    rng = random.Random(7)
+    to_empty, from_empty = random_operator(rng, x, empty), random_operator(rng, empty, x)
+    assert to_empty.coeffs == () and from_empty.coeffs == ((), ())
+    composite = compose_operators(from_empty, to_empty)
+    assert composite.coeffs == ((0, 0), (0, 0))
+    assert all(type(c) is Fraction for row in composite.coeffs for c in row)
+
+
+def test_weighted_map_tables_match_reference_loops(c6c3):
+    rng = random.Random(2206)
+    k4 = endo_context(edge_automorphism_group(complete_graph(4)))
+    for ctx in (c6c3, k4):
+        orbits, _ = all_orbits(ctx)
+        for _ in range(6):
+            chosen = rng.sample(orbits, rng.randint(1, 4))
+            for h in chosen:
+                w = Fraction(1, h.size)
+                assert from_permutant(h).coeffs == reference_map_table(ctx, ((f, w) for f in h.members))
+            weights = {}
+            for h in chosen:
+                w = Fraction(rng.randint(-3, 3), rng.randint(1, 5) * h.size)
+                weights.update(dict.fromkeys(h.members, w))
+            m = PermutantMeasure(ctx, weights)
+            assert from_measure(m).coeffs == reference_map_table(ctx, m.weights.items())
