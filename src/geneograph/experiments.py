@@ -13,7 +13,7 @@ from math import comb
 from .geneo import LinearOperator, from_permutant
 from .graph import cycle_graph, edge_automorphism_group, subgraph_isomorphism_classes
 from .linalg import matvec
-from .perception import Measurement, measurement
+from .perception import Measurement
 from .perm import Homomorphism, parse_cycles
 from .permutant import (
     ActionContext,
@@ -80,12 +80,14 @@ def build_code_table(n: int) -> CodeTable:
     labels = op.source.domain
     size = permutant.size
     assert size == comb(n, 2)
+    # scaled codes are products with the integer count table |H| coeffs; codes are k/|H|, 0 <= k <= |H|
+    counts = [[int(c * size) for c in row] for row in op.coeffs]
+    fractions = [Fraction(k, size) for k in range(size + 1)]
     rows = []
     for vec in product((0, 1), repeat=len(labels)):
-        code = matvec(op.coeffs, vec)
-        scaled = tuple(c * size for c in code)
-        assert all(s.denominator == 1 for s in scaled)
-        rows.append(CodeRow(vec, code, tuple(int(s) for s in scaled), class_of[vec]))
+        scaled = matvec(counts, vec, 0)
+        code = tuple([fractions[s] for s in scaled])
+        rows.append(CodeRow(vec, code, scaled, class_of[vec]))
     return CodeTable(n, labels, op, size, tuple(rows), len(classes))
 
 
@@ -117,20 +119,22 @@ def analyze_code_table(table: CodeTable) -> CodeFindings:
     full list of distinct class pairs with equivalent codes; (4) the code of
     the reversal is the reversal of the code, exactly.
     """
-    labels = table.edge_labels
+    size = table.permutant_size
     by_class: dict[int, list[CodeRow]] = {}
     for row in table.rows:
         by_class.setdefault(row.class_id, []).append(row)
 
+    # code = scaled_code / |H| exactly, so the statements hold for the codes
+    # exactly when they hold for the integer scaled codes
     finding1 = all(
-        sorted(row.code) == sorted(rows[0].code)
+        sorted(row.scaled_code) == sorted(rows[0].scaled_code)
         for rows in by_class.values()
         for row in rows
     )
 
     finding2 = all(
-        table.row_for(complement(measurement(row.vector, labels)).values).code
-        == tuple(Fraction(1) - c for c in row.code)
+        table.row_for(tuple(1 - v for v in row.vector)).scaled_code
+        == tuple(size - s for s in row.scaled_code)
         for row in table.rows
     )
 
@@ -139,11 +143,11 @@ def analyze_code_table(table: CodeTable) -> CodeFindings:
     ids = sorted(reps)
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
-            if sorted(reps[a].code) == sorted(reps[b].code):
+            if sorted(reps[a].scaled_code) == sorted(reps[b].scaled_code):
                 pairs.append(EquivalentPair(a, b, reps[a].vector, reps[b].vector))
 
     finding4 = all(
-        table.row_for(tuple(reversed(row.vector))).code == row.code[::-1]
+        table.row_for(tuple(reversed(row.vector))).scaled_code == row.scaled_code[::-1]
         for row in table.rows
     )
 

@@ -6,7 +6,9 @@ permutant measure.
 Operators store dense exact-rational coefficient tables; rows are indexed by
 the target set Y, columns by the source set X, so F(phi)(y) = sum_x
 coeffs[y][x] phi(x).  Products of tables and vectors go through the kernel in
-`linalg`.
+`linalg`.  Tables built from maps are counted in int and divided once per
+cell; the decomposition drops repeated equations and leaves the elimination
+and the LP to the fraction-free integer rows of `linalg`.
 """
 
 from __future__ import annotations
@@ -164,9 +166,9 @@ def _verified(op: LinearOperator) -> LinearOperator:
     return replace(op, is_geo=geo, is_geneo=geo and verify_nonexpansive(op))
 
 
-def _map_table(maps: Iterable[tuple], n_rows: int, n_cols: int) -> list[list[Fraction]]:
-    """The table of weighted maps (images, w): entry [y][x] sums w over the maps with y -> x."""
-    table = [[Fraction(0)] * n_cols for _ in range(n_rows)]
+def _map_table(maps: Iterable[tuple], n_rows: int, n_cols: int) -> list[list[int]]:
+    """The table of integer-weighted maps (images, w): entry [y][x] sums w over the maps with y -> x."""
+    table = [[0] * n_cols for _ in range(n_rows)]
     for images, w in maps:
         for y, x in enumerate(images):
             table[y][x] += w
@@ -174,10 +176,12 @@ def _map_table(maps: Iterable[tuple], n_rows: int, n_cols: int) -> list[list[Fra
 
 
 def _map_operator(
-    ctx: ActionContext, maps: Iterable[tuple], source: FunctionSpace | None, target: FunctionSpace | None
+    ctx: ActionContext, maps: Iterable[tuple], denominator: int,
+    source: FunctionSpace | None, target: FunctionSpace | None,
 ) -> LinearOperator:
-    """The verified operator phi -> sum_f w(f) phi o f, on the full spaces by default."""
-    coeffs = tuple(map(tuple, _map_table(maps, ctx.K.degree, ctx.G.degree)))
+    """The verified operator phi -> sum_f w(f) / denominator phi o f, on the full spaces by default."""
+    table = _map_table(maps, ctx.K.degree, ctx.G.degree)
+    coeffs = tuple(tuple(Fraction(c, denominator) for c in row) for row in table)
     source_pair = PerceptionPair(source or full_space(ctx.x_labels), ctx.G)
     target_pair = PerceptionPair(target or full_space(ctx.y_labels), ctx.K)
     return _verified(LinearOperator(coeffs, source_pair, target_pair, ctx.T))
@@ -195,8 +199,7 @@ def from_permutant(
     """
     if h.size == 0:
         raise ValueError("cannot build an operator from the empty permutant")
-    w = Fraction(1, h.size)
-    op = _map_operator(h.context, ((f.images, w) for f in h.members), source_space, target_space)
+    op = _map_operator(h.context, ((f.images, 1) for f in h.members), h.size, source_space, target_space)
     assert op.is_geo and op.is_geneo, "permutant averaging must yield a GENEO"
     return op
 
@@ -216,8 +219,9 @@ def from_measure(
     if not ok:
         f, g = witness
         raise ValueError(f"not a permutant measure: weight changes along alpha({g}, {f})")
-    weighted = ((f.images, w) for f, w in m.weights.items())
-    op = _map_operator(m.context, weighted, source_space, target_space)
+    denominator = math.lcm(*(w.denominator for w in m.weights.values()))
+    weighted = ((f.images, w.numerator * (denominator // w.denominator)) for f, w in m.weights.items())
+    op = _map_operator(m.context, weighted, denominator, source_space, target_space)
     assert op.is_geo, "a permutant measure must yield an equivariant operator"
     return op
 
@@ -447,11 +451,12 @@ def decompose_to_measure(
     orbits = [sorted(o) for o in orbit_partition(permutations(range(n)), moves)]
     m = len(orbits)
 
-    # reconstruction equations over one weight per conjugation orbit; the n^2
-    # raw equations repeat across orbits of index pairs, so reduce them first
+    # reconstruction equations over one weight per conjugation orbit.  As op is
+    # equivariant, equation (y, x) repeats at (g.y, g.x); one copy of each keeps
+    # the row space, hence the reduced rows (49 rows -> 4 on the 7-cycle's edges)
     tables = [_map_table(((h, 1) for h in o), n, n) for o in orbits]
-    raw = [[t[y][x] for t in tables] + [op.coeffs[y][x]] for y in range(n) for x in range(n)]
-    reduced = rref(raw)
+    raw = dict.fromkeys(tuple(t[y][x] for t in tables) + (op.coeffs[y][x],) for y in range(n) for x in range(n))
+    reduced = rref(list(raw))
     if any(next(i for i, v in enumerate(r) if v != 0) == m for r in reduced):
         raise ValueError("no permutant measure reproduces this operator")
     eq_rows = [r[:-1] for r in reduced]

@@ -71,6 +71,13 @@ def _strings(value, field: str) -> list[str]:
     return list(value)
 
 
+def _array(value, field: str) -> list:
+    """A field that must be a JSON array; ValueError naming it otherwise."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be an array")
+    return value
+
+
 def _rational(value, field: str) -> Fraction:
     """as_fraction, with its TypeError for a non-number turned into a ValueError naming the field."""
     try:
@@ -152,9 +159,7 @@ def permutant_to_json(h: GeneralizedPermutant, include_context: bool = True) -> 
 
 def permutant_members_from_json(doc, ctx: ActionContext) -> list[Mapping]:
     members = doc["members"] if isinstance(doc, MappingABC) else doc
-    if not isinstance(members, list):
-        raise ValueError("permutant field 'members' must be an array")
-    return [mapping_from_json(m, ctx) for m in members]
+    return [mapping_from_json(m, ctx) for m in _array(members, "permutant field 'members'")]
 
 
 def measure_to_json(m: PermutantMeasure, include_context: bool = True) -> dict:
@@ -202,19 +207,25 @@ def space_from_json(doc: MappingABC) -> FunctionSpace:
     domain = tuple(_strings(doc["domain"], "space field 'domain'"))
     kind = doc.get("kind", "full")
     if kind == "explicit":
-        return FunctionSpace(
-            domain, members=tuple(measurement_from_json(vals, domain) for vals in doc["members"])
-        )
-    equations = tuple(
-        (
-            tuple(_rational(c, "constraint field 'coeffs'") for c in con["coeffs"]),
+        members = _array(doc["members"], "space field 'members'")
+        return FunctionSpace(domain, members=tuple(measurement_from_json(vals, domain) for vals in members))
+    equations = []
+    for con in _array(doc.get("constraints", []), "space field 'constraints'"):
+        _require_object(con, "a constraint")
+        coeffs = _array(con["coeffs"], "constraint field 'coeffs'")
+        equations.append((
+            tuple(_rational(c, "constraint field 'coeffs'") for c in coeffs),
             _rational(con["rhs"], "constraint field 'rhs'"),
-        )
-        for con in doc.get("constraints", [])
-    )
+        ))
     ball_doc = doc.get("ball")
-    ball = (ball_doc["norm"], _rational(ball_doc["radius"], "ball field 'radius'")) if ball_doc else None
-    return FunctionSpace(domain, equations=equations, ball=ball)
+    ball = None
+    if ball_doc is not None:
+        _require_object(ball_doc, "space field 'ball'")
+        for key in ("norm", "radius"):
+            if key not in ball_doc:
+                raise ValueError(f"ball field '{key}' is missing")
+        ball = (ball_doc["norm"], _rational(ball_doc["radius"], "ball field 'radius'"))
+    return FunctionSpace(domain, equations=tuple(equations), ball=ball)
 
 
 def pair_to_json(pair: PerceptionPair) -> dict:

@@ -2,28 +2,32 @@
 matvec, matmul) and one row-elimination step, reduced row echelon form, affine
 solution sets, and a small two-phase simplex.
 
-Everything works on fractions.Fraction and is deterministic (Bland's rule for
-the simplex), which the operator-decomposition and constraint-closure code
-relies on for reproducible witnesses.
+Fractions cross the API; inside, rref and the simplex keep each row as a
+positive integer multiple of its rational row and pivot fraction-free (Bareiss,
+Math. Comp. 22, 1968, with a gcd division in place of his exact one).  A
+positive row scale keeps every sign, zero and ratio, so Bland's rule picks the
+pivots it picks on fractions, and the decomposition and constraint-closure
+code get reproducible witnesses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
 Row = list[Fraction]
 
 
-def dot(u: Sequence, v: Sequence) -> Fraction:
-    """The exact inner product sum_i u_i v_i, starting from Fraction(0)."""
-    return sum(map(mul, u, v), Fraction(0))
+def dot(u: Sequence, v: Sequence, start=Fraction(0)):
+    """The exact inner product start + sum_i u_i v_i; start=0 keeps integer vectors in int."""
+    return sum(map(mul, u, v), start)
 
 
-def matvec(a: Sequence[Sequence], v: Sequence) -> tuple[Fraction, ...]:
-    """The exact product of the matrix with rows a and the vector v."""
-    return tuple([dot(row, v) for row in a])
+def matvec(a: Sequence[Sequence], v: Sequence, start=Fraction(0)) -> tuple:
+    """The exact product of the matrix with rows a and the vector v, each entry summed from start."""
+    return tuple([dot(row, v, start) for row in a])
 
 
 def matmul(a: Sequence[Sequence], b: Sequence[Sequence], n_cols: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -32,18 +36,29 @@ def matmul(a: Sequence[Sequence], b: Sequence[Sequence], n_cols: int) -> tuple[t
     return tuple(matvec(cols, row) for row in a)
 
 
-def _as_rows(rows: Sequence[Sequence[Fraction]]) -> list[Row]:
-    return [[Fraction(x) for x in row] for row in rows]
+def _as_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Each rational row as an integer row: scaled by the lcm of its denominators."""
+    out = []
+    for row in rows:
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (scale // x.denominator) for x in row])
+    return out
 
 
-def _pivot(m: list[Row], row: int, col: int) -> None:
-    """Scale m[row] so its col entry is 1, then clear col from every other row."""
-    scale = m[row][col]
-    m[row] = [x / scale for x in m[row]]
+def _pivot(m: list[list[int]], row: int, col: int) -> None:
+    """Pivot the integer rows m on (row, col), fraction-free: m[row] turns
+    positive at col, every other row r becomes p m[r] - m[r][col] m[row] for
+    that pivot p, and each row so changed is divided by its gcd."""
+    if m[row][col] < 0:
+        m[row] = [-x for x in m[row]]
+    pivot_row, p = m[row], m[row][col]
     for r in range(len(m)):
-        if r != row and m[r][col] != 0:
-            factor = m[r][col]
-            m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+        a = m[r][col]
+        if r != row and a:
+            new = [p * x - a * y for x, y in zip(m[r], pivot_row)]
+            g = gcd(*new)
+            m[r] = [x // g for x in new] if g > 1 else new
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> list[Row]:
@@ -53,16 +68,18 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> list[Row]:
         return []
     n_cols = len(m[0])
     pivot_row = 0
+    leads = []
     for col in range(n_cols):
         pivot = next((r for r in range(pivot_row, len(m)) if m[r][col] != 0), None)
         if pivot is None:
             continue
         m[pivot_row], m[pivot] = m[pivot], m[pivot_row]
         _pivot(m, pivot_row, col)
+        leads.append(col)
         pivot_row += 1
         if pivot_row == len(m):
             break
-    return [row for row in m[:pivot_row] if any(x != 0 for x in row)]
+    return [[Fraction(x, row[lead]) for x in row] for row, lead in zip(m, leads)]
 
 
 def solve_affine(
@@ -131,23 +148,24 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-def _run_simplex(tableau: list[Row], basis: list[int], n_cols: int) -> str:
-    """Bland's-rule pivoting on a priced-out tableau; last row is the objective."""
+def _run_simplex(tableau: list[list[int]], basis: list[int], n_cols: int) -> str:
+    """Bland's-rule pivoting on a priced-out tableau; last row is the objective.
+    The ratio test compares cross products, as rhs / entry ignores a positive row scale."""
     while True:
         obj = tableau[-1]
         col = next((j for j in range(n_cols) if obj[j] < 0), None)
         if col is None:
             return OPTIMAL
-        best = None
-        for r in range(len(tableau) - 1):
-            if tableau[r][col] > 0:
-                ratio = tableau[r][-1] / tableau[r][col]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[r] < basis[best[1]]):
-                    best = (ratio, r)
-        if best is None:
+        rows = [r for r in range(len(tableau) - 1) if tableau[r][col] > 0]
+        if not rows:
             return UNBOUNDED
-        _pivot(tableau, best[1], col)
-        basis[best[1]] = col
+        best = rows[0]
+        for r in rows[1:]:
+            lhs, rhs = tableau[r][-1] * tableau[best][col], tableau[best][-1] * tableau[r][col]
+            if lhs < rhs or (lhs == rhs and basis[r] < basis[best]):
+                best = r
+        _pivot(tableau, best, col)
+        basis[best] = col
 
 
 def simplex_min(
@@ -160,23 +178,20 @@ def simplex_min(
     Exact two-phase simplex; returns (status, optimal value, solution).
     """
     n = len(costs)
-    rows = _as_rows(eq_lhs)
-    rhs = [Fraction(x) for x in eq_rhs]
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-    m = len(rows)
+    m = len(eq_lhs)
 
-    # phase 1: artificial basis
-    width = n + m
-    tableau = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs[i]] for i in range(m)]
-    obj = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
+    # phase 1: artificial basis (rows with a negative right-hand side negated
+    # first), priced out by pivoting on each artificial column
+    tableau = []
+    for i, (row, b) in enumerate(zip(eq_lhs, eq_rhs)):
+        if b < 0:
+            row, b = [-x for x in row], -b
+        tableau.append(list(row) + [int(j == i) for j in range(m)] + [b])
+    tableau = _as_rows(tableau + [[0] * n + [1] * m + [0]])
     basis = list(range(n, n + m))
-    for i in range(m):  # price out the artificial costs
-        obj = [a - b for a, b in zip(obj, tableau[i] )]
-    tableau.append(obj)
-    status = _run_simplex(tableau, basis, width)
+    for i in range(m):
+        _pivot(tableau, i, n + i)
+    status = _run_simplex(tableau, basis, n + m)
     if status != OPTIMAL or tableau[-1][-1] != 0:
         return INFEASIBLE, None, None
 
@@ -195,17 +210,14 @@ def simplex_min(
         del basis[r]
 
     # phase 2: restore the real objective, restricted to original columns
-    tableau = [row[:n] + [row[-1]] for row in tableau[:-1]]
-    obj = [Fraction(x) for x in costs] + [Fraction(0)]
+    tableau = [row[:n] + [row[-1]] for row in tableau[:-1]] + _as_rows([list(costs) + [0]])
     for r, bcol in enumerate(basis):
-        if obj[bcol] != 0:
-            factor = obj[bcol]
-            obj = [a - factor * b for a, b in zip(obj, tableau[r])]
-    tableau.append(obj)
+        if tableau[-1][bcol] != 0:
+            _pivot(tableau, r, bcol)
     status = _run_simplex(tableau, basis, n)
     if status != OPTIMAL:
         return status, None, None
     solution = [Fraction(0)] * n
     for r, bcol in enumerate(basis):
-        solution[bcol] = tableau[r][-1]
-    return OPTIMAL, -tableau[-1][-1], solution
+        solution[bcol] = Fraction(tableau[r][-1], tableau[r][bcol])
+    return OPTIMAL, dot(costs, solution), solution

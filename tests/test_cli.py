@@ -2,15 +2,16 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from geneograph import io as docs
 from geneograph.cli import main
 from geneograph.experiments import c6_c3_context
-from geneograph.geneo import from_permutant, identity_operator
-from geneograph.graph import complete_graph, graph_document
-from geneograph.permutant import orbit, transposition_permutant
+from geneograph.geneo import from_measure, from_permutant, identity_operator
+from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group, graph_document
+from geneograph.permutant import PermutantMeasure, endo_context, orbit, transposition_permutant
 
 
 def run_cli(capsys, *argv):
@@ -318,6 +319,16 @@ MALFORMED = {
         "constraint field 'coeffs'",
     ),
     "verify-domain-number": (VERIFY, ("op", SPACE + ("domain",), 5), "space field 'domain'"),
+    "verify-constraints-number": (VERIFY, ("op", SPACE + ("constraints",), 5), "space field 'constraints'"),
+    "verify-constraint-number": (VERIFY, ("op", SPACE + ("constraints",), [5]), "a constraint must be"),
+    "verify-constraint-coeffs-number": (
+        VERIFY, ("op", SPACE + ("constraints",), [{"coeffs": 5, "rhs": 0}]), "constraint field 'coeffs'"
+    ),
+    "verify-ball-number": (VERIFY, ("op", SPACE + ("ball",), 5), "space field 'ball'"),
+    "verify-ball-without-norm": (VERIFY, ("op", SPACE + ("ball",), {"radius": 1}), "ball field 'norm'"),
+    "verify-members-number": (
+        VERIFY, ("op", SPACE, {"kind": "explicit", "domain": list("pqrstu"), "members": 5}), "space field 'members'"
+    ),
     "verify-homomorphism-number": (VERIFY, ("op", ("homomorphism",), 5), "homomorphism"),
     "verify-flags-number": (VERIFY, ("op", ("flags",), 5), "operator field 'flags'"),
     "orbits-T-number": (["orbits", "--context", "{doc}"], ("ctx", ("T",), 5), "homomorphism"),
@@ -352,6 +363,9 @@ GOLDEN = {
     ("codes", "--n", "4"): "4c528097baf3e45904e35bb51d332ea2d25c5949736c1bd892c7b874bc07be97",
     ("codes", "--n", "4", "--format", "csv"): "f7281903056515c36b0e440719792a941b86ef198616a4149502fc3bdba9739d",
     ("codes", "--n", "4", "--analyze"): "cea702c93078394c51de76d625f48067ebde5c8f864fb56b68acf8ed218238aa",
+    ("codes", "--n", "5"): "05cf0922182a3839830e1d0a65fd4f4eadbc8fa71a11f41d68f3ae25f5e444aa",
+    ("codes", "--n", "5", "--analyze"): "7b5e018076a519f71892a0798421ad4aec1399db0dca596e41645a587db6a60f",
+    ("geneo", "decompose", "{c7_operator}"): "5ac3ccebb76c2f1b3670eec49fb4ad76ca289428addcefe8ee5ad9bbd3d68265",
 }
 GOLDEN_K4_OPERATOR = {
     "build": "031ebd98bb93890cd0e3ea72f496971fbe1e5dea213d44eb5f6f7859984e9a45",
@@ -364,9 +378,23 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def c7_operator_file(tmp_path_factory):
+    """The operator of a fixed invariant measure on three conjugation orbits of
+    bijections of the 7-cycle's edges, with total variation 3/4."""
+    ctx = endo_context(edge_automorphism_group(cycle_graph(7)))
+    masses = {"bcdefga": Fraction(1, 4), "badcfeg": Fraction(-1, 3), "acegbdf": Fraction(1, 6)}
+    weights = {}
+    for rep, mass in masses.items():
+        o = orbit(rep, ctx)
+        weights.update(dict.fromkeys(o.members, mass / o.size))
+    op = from_measure(PermutantMeasure(ctx, weights))
+    return write_json(tmp_path_factory.mktemp("c7") / "c7.json", docs.operator_to_json(op))
+
+
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
-def test_golden_output(capsys, argv):
-    code, out, _ = run_cli(capsys, *argv)
+def test_golden_output(capsys, c7_operator_file, argv):
+    code, out, _ = run_cli(capsys, *[arg.format(c7_operator=c7_operator_file) for arg in argv])
     assert code == 0
     assert sha256(out) == GOLDEN[argv]
 

@@ -28,6 +28,8 @@ from geneograph.geneo import (
     zero_operator,
 )
 from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group
+from geneograph import linalg
+from geneograph.linalg import rref, simplex_min
 from geneograph.perception import (
     PerceptionPair,
     constrained_space,
@@ -645,3 +647,198 @@ def test_weighted_map_tables_match_reference_loops(c6c3):
                 weights.update(dict.fromkeys(h.members, w))
             m = PermutantMeasure(ctx, weights)
             assert from_measure(m).coeffs == reference_map_table(ctx, m.weights.items())
+
+
+# -- the rational pivot step, rref and simplex the integer kernel replaced ------------
+
+
+def reference_pivot(m, row, col):
+    scale = m[row][col]
+    m[row] = [x / scale for x in m[row]]
+    for r in range(len(m)):
+        if r != row and m[r][col] != 0:
+            factor = m[r][col]
+            m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+
+
+def reference_rref(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return []
+    pivot_row = 0
+    for col in range(len(m[0])):
+        pivot = next((r for r in range(pivot_row, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[pivot_row], m[pivot] = m[pivot], m[pivot_row]
+        reference_pivot(m, pivot_row, col)
+        pivot_row += 1
+        if pivot_row == len(m):
+            break
+    return [row for row in m[:pivot_row] if any(x != 0 for x in row)]
+
+
+def reference_run_simplex(tableau, basis, n_cols):
+    while True:
+        obj = tableau[-1]
+        col = next((j for j in range(n_cols) if obj[j] < 0), None)
+        if col is None:
+            return "optimal"
+        best = None
+        for r in range(len(tableau) - 1):
+            if tableau[r][col] > 0:
+                ratio = tableau[r][-1] / tableau[r][col]
+                if best is None or ratio < best[0] or (ratio == best[0] and basis[r] < basis[best[1]]):
+                    best = (ratio, r)
+        if best is None:
+            return "unbounded"
+        reference_pivot(tableau, best[1], col)
+        basis[best[1]] = col
+
+
+def reference_simplex_min(costs, eq_lhs, eq_rhs):
+    n = len(costs)
+    rows = [[Fraction(x) for x in row] for row in eq_lhs]
+    rhs = [Fraction(x) for x in eq_rhs]
+    for i in range(len(rows)):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+    m = len(rows)
+    tableau = [rows[i] + [Fraction(int(j == i)) for j in range(m)] + [rhs[i]] for i in range(m)]
+    obj = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
+    basis = list(range(n, n + m))
+    for i in range(m):
+        obj = [a - b for a, b in zip(obj, tableau[i])]
+    tableau.append(obj)
+    status = reference_run_simplex(tableau, basis, n + m)
+    if status != "optimal" or tableau[-1][-1] != 0:
+        return "infeasible", None, None
+    drop_rows = []
+    for r in range(m):
+        if basis[r] >= n:
+            col = next((j for j in range(n) if tableau[r][j] != 0), None)
+            if col is None:
+                drop_rows.append(r)
+            else:
+                reference_pivot(tableau, r, col)
+                basis[r] = col
+    for r in sorted(drop_rows, reverse=True):
+        del tableau[r]
+        del basis[r]
+    tableau = [row[:n] + [row[-1]] for row in tableau[:-1]]
+    obj = [Fraction(x) for x in costs] + [Fraction(0)]
+    for r, bcol in enumerate(basis):
+        if obj[bcol] != 0:
+            factor = obj[bcol]
+            obj = [a - factor * b for a, b in zip(obj, tableau[r])]
+    tableau.append(obj)
+    status = reference_run_simplex(tableau, basis, n)
+    if status != "optimal":
+        return status, None, None
+    solution = [Fraction(0)] * n
+    for r, bcol in enumerate(basis):
+        solution[bcol] = tableau[r][-1]
+    return "optimal", -tableau[-1][-1], solution
+
+
+def random_rational(rng, spread=3, denominators=(1, 1, 1, 2, 3, 4)):
+    return Fraction(rng.randint(-spread, spread), rng.choice(denominators))
+
+
+def random_rows(rng, n_rows, n_cols, spread=3):
+    """Random rational rows with zero rows, repeated rows and combinations of
+    earlier rows mixed in, so rref meets rank deficiency and empty columns."""
+    rows = []
+    for _ in range(n_rows):
+        kind = rng.random()
+        if kind < 0.1 or not rows:
+            row = [Fraction(0)] * n_cols if kind < 0.1 else [random_rational(rng, spread) for _ in range(n_cols)]
+        elif kind < 0.2:
+            row = list(rng.choice(rows))
+        elif kind < 0.4:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = random_rational(rng), random_rational(rng)
+            row = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            row = [random_rational(rng, spread) if rng.random() < 0.7 else Fraction(0) for _ in range(n_cols)]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (5, 3), (6, 6), (8, 4), (4, 9), (0, 0)])
+def test_rref_matches_rational_reference(shape):
+    rng = random.Random(f"rref:{shape}")
+    for _ in range(60):
+        rows = random_rows(rng, *shape)
+        assert rref(rows) == reference_rref(rows)
+        assert all(type(x) is Fraction for row in rref(rows) for x in row)
+
+
+def random_lp(rng, kind):
+    """A seeded LP of one kind: 'feasible' rows b = A x0 for a sparse x0 >= 0
+    (zero entries make ratio ties), 'redundant' the same with combinations of
+    earlier rows appended (artificial variables left in the basis at a zero
+    level, driven out or dropped), 'degenerate' a larger system of small
+    integer rows with mostly zero costs, 'infeasible' with a contradicted row
+    or an unreachable right-hand side, 'unbounded' with a negative-cost column
+    that no row restrains."""
+    n, m = rng.randint(1, 7), rng.randint(0, 5)
+    lhs = [[Fraction(rng.randint(-2, 2)) if rng.random() < 0.8 else random_rational(rng, 2) for _ in range(n)]
+           for _ in range(m)]
+    x0 = [Fraction(rng.choice((0, 0, 1, 2, rng.randint(1, 5)))) for _ in range(n)]
+    rhs = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in lhs]
+    costs = [Fraction(rng.randint(0, 4)) if rng.random() < 0.6 else random_rational(rng, 4) for _ in range(n)]
+    if kind == "redundant" and lhs:
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randrange(len(lhs)), rng.randrange(len(lhs))
+            s, t = rng.choice((1, -1, 2, Fraction(-1, 2))), rng.choice((0, 1, -1, 3))
+            lhs.append([s * a + t * b for a, b in zip(lhs[i], lhs[j])])
+            rhs.append(s * rhs[i] + t * rhs[j])
+        costs = [abs(c) for c in costs]
+    elif kind == "infeasible":
+        if lhs and rng.random() < 0.5:
+            i = rng.randrange(len(lhs))
+            lhs.append(list(lhs[i]))
+            rhs.append(rhs[i] + rng.choice((-1, 1, Fraction(1, 2))))
+        else:
+            lhs.append([Fraction(rng.randint(0, 3)) for _ in range(n)])
+            rhs.append(Fraction(-rng.randint(1, 4)))
+    elif kind == "degenerate":
+        # small integer rows over a sparse x0 tie often in the ratio test, and
+        # mostly zero costs leave several optimal vertices for the tie-break to pick
+        n, m = rng.randint(6, 10), rng.randint(3, 5)
+        x0 = [Fraction(rng.choice((0, 0, 1, 2))) for _ in range(n)]
+        lhs = [[Fraction(rng.randint(-1, 2)) for _ in range(n)] for _ in range(m)]
+        rhs = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in lhs]
+        costs = [Fraction(rng.choice((0, 0, 0, 1))) for _ in range(n)]
+    elif kind == "unbounded":
+        for row in lhs:
+            row.append(Fraction(0))
+        costs.append(Fraction(-rng.randint(1, 3)))
+    else:
+        costs = [abs(c) for c in costs]
+    return costs, lhs, rhs
+
+
+@pytest.mark.parametrize("kind", ["feasible", "degenerate", "redundant", "infeasible", "unbounded"])
+def test_simplex_matches_rational_reference(kind, monkeypatch):
+    # Bland's rule cannot cycle; a pivot budget turns a kernel that does into a failure, not a hang
+    pivots = []
+
+    def counted_pivot(m, row, col):
+        pivots.append(col)
+        assert len(pivots) < 1000, "simplex cycles"
+        real_pivot(m, row, col)
+
+    real_pivot = linalg._pivot
+    monkeypatch.setattr(linalg, "_pivot", counted_pivot)
+    rng = random.Random(f"simplex:{kind}")
+    statuses = set()
+    for _ in range(300):
+        costs, lhs, rhs = random_lp(rng, kind)
+        pivots.clear()
+        got = simplex_min(costs, lhs, rhs)
+        assert got == reference_simplex_min(costs, lhs, rhs)
+        statuses.add(got[0])
+    assert statuses == {{"feasible": "optimal", "degenerate": "optimal", "redundant": "optimal"}.get(kind, kind)}

@@ -4,13 +4,15 @@
 
 Covers the action axioms, orbit-size divisibility, the permutant ==
 union-of-orbits agreement on randomized subsets, parse/format round-trips,
-metric axioms, the diagonal-scaling if-and-only-if patterns, and the
-subset-stabilizer fixtures.
+metric axioms, the diagonal-scaling if-and-only-if patterns, the
+subset-stabilizer fixtures, and the exact measure -> operator -> measure
+round trip.
 """
 
 import random
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import permutations, product
 
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +22,8 @@ from geneograph.fixtures import (
     small_image_permutant,
     symmetric_group,
 )
-from geneograph.geneo import diagonal_scaling
+from geneograph.geneo import decompose_to_measure, diagonal_scaling, from_measure
+from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group
 from geneograph.perception import (
     PerceptionPair,
     constrained_space,
@@ -30,6 +33,7 @@ from geneograph.perception import (
 from geneograph.perm import Permutation, compose, format_cycles, generate_group, parse_cycles
 from geneograph.permutant import (
     Mapping,
+    PermutantMeasure,
     all_orbits,
     alpha_action,
     endo_context,
@@ -168,6 +172,41 @@ def prop_sup_distance_is_a_metric(xs, ys, zs):
     assert sup_distance(a, c) <= sup_distance(a, b) + sup_distance(b, c)
 
 
+ROUNDTRIP_GRAPHS = {"C5": lambda: cycle_graph(5), "C6": lambda: cycle_graph(6), "K4": lambda: complete_graph(4)}
+
+
+@lru_cache(maxsize=None)
+def bijection_orbits(name):
+    """The endo-context of a graph's edge group and the alpha orbits of its bijections."""
+    ctx = endo_context(edge_automorphism_group(ROUNDTRIP_GRAPHS[name]()))
+    seen, orbits = set(), []
+    for images in permutations(range(ctx.G.degree)):
+        if images not in seen:
+            o = orbit(Mapping(ctx.y_labels, ctx.x_labels, images), ctx)
+            seen.update(f.images for f in o.members)
+            orbits.append(o)
+    return ctx, orbits
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(sorted(ROUNDTRIP_GRAPHS)), st.data())
+def prop_measure_decomposition_roundtrip(name, data):
+    """An alpha-invariant measure with total variation <= 1 on up to four
+    orbits: from_measure -> decompose_to_measure -> from_measure reproduces
+    the coefficients exactly."""
+    ctx, orbits = bijection_orbits(name)
+    chosen = data.draw(st.lists(st.integers(0, len(orbits) - 1), min_size=1, max_size=4, unique=True))
+    parts = data.draw(st.lists(st.integers(-4, 4).filter(bool), min_size=len(chosen), max_size=len(chosen)))
+    total = sum(map(abs, parts)) + data.draw(st.integers(0, 3))
+    weights = {}
+    for i, part in zip(chosen, parts):
+        weights.update(dict.fromkeys(orbits[i].members, Fraction(part, total * orbits[i].size)))
+    op = from_measure(PermutantMeasure(ctx, weights))
+    recovered = decompose_to_measure(op)
+    assert recovered.total_variation() <= 1
+    assert from_measure(recovered).coeffs == op.coeffs
+
+
 # -- pytest wrappers -------------------------------------------------------------
 
 
@@ -205,3 +244,7 @@ def test_mapping_roundtrip():
 
 def test_sup_distance_is_a_metric():
     prop_sup_distance_is_a_metric()
+
+
+def test_measure_decomposition_roundtrip():
+    prop_measure_decomposition_roundtrip()
