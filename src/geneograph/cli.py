@@ -72,17 +72,17 @@ def cmd_aut(args) -> dict:
 def cmd_orbits(args) -> dict:
     ctx = _context(args)
     orbits, census = all_orbits(ctx)
+    form = docs.images_to_json(ctx.x_labels)
+    reps: dict[int, list] = {}
+    for o in orbits:
+        reps.setdefault(o.size, []).append(form(ctx.map_images(o.codes[0])))
     payload = {
         "total": ctx.map_space_size(),
         "census": {str(size): count for size, count in census.items()},
-        "representatives": {},
+        "representatives": {str(s): sorted(v) for s, v in sorted(reps.items())},
     }
-    reps: dict[int, list] = {}
-    for o in orbits:
-        reps.setdefault(o.size, []).append(docs.mapping_to_json(o.representative()))
-    payload["representatives"] = {str(s): sorted(v) for s, v in sorted(reps.items())}
     if args.full:
-        payload["orbits"] = [[docs.mapping_to_json(f) for f in o.members] for o in orbits]
+        payload["orbits"] = [[form(ctx.map_images(c)) for c in o.codes] for o in orbits]
     return payload
 
 

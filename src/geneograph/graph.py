@@ -176,8 +176,9 @@ def cycle_graph(
     return Graph(vertices, pairs, labels)
 
 
-def vertex_automorphism_group(g: Graph, max_vertices: int = DEFAULT_VERTEX_CAP) -> FiniteGroup:
-    """All adjacency-preserving vertex permutations, by backtracking with degree pruning."""
+def _automorphism_images(g: Graph, max_vertices: int) -> list[tuple[int, ...]]:
+    """Image tuples of all adjacency-preserving vertex permutations, in
+    lexicographic order, by backtracking with degree pruning."""
     n = g.n_vertices
     if n > max_vertices:
         raise CapExceededError(f"{n} vertices exceeds the automorphism-search cap {max_vertices}")
@@ -185,11 +186,11 @@ def vertex_automorphism_group(g: Graph, max_vertices: int = DEFAULT_VERTEX_CAP) 
     deg = g.degrees()
     images = [-1] * n
     used = [False] * n
-    found: list[Permutation] = []
+    found: list[tuple[int, ...]] = []
 
     def backtrack(v: int):
         if v == n:
-            found.append(Permutation(tuple(images), g.vertex_labels))
+            found.append(tuple(images))
             return
         for w in range(n):
             if used[w] or deg[w] != deg[v]:
@@ -202,7 +203,13 @@ def vertex_automorphism_group(g: Graph, max_vertices: int = DEFAULT_VERTEX_CAP) 
         images[v] = -1
 
     backtrack(0)
-    return group_from_elements(found, verify=False)
+    return found
+
+
+def vertex_automorphism_group(g: Graph, max_vertices: int = DEFAULT_VERTEX_CAP) -> FiniteGroup:
+    """The group of all adjacency-preserving vertex permutations."""
+    autos = _automorphism_images(g, max_vertices)
+    return group_from_elements([Permutation(im, g.vertex_labels) for im in autos], verify=False)
 
 
 def induced_edge_permutation(g: Graph, vp: Permutation) -> Permutation:
@@ -227,9 +234,13 @@ def edge_automorphism_group(g: Graph, max_vertices: int = DEFAULT_VERTEX_CAP) ->
     """Image of the vertex automorphism group on the edge set, de-duplicated."""
     if g.n_edges == 0:
         return trivial_group(())
-    vgroup = vertex_automorphism_group(g, max_vertices)
-    induced = {induced_edge_permutation(g, vp) for vp in vgroup}
-    return group_from_elements(induced, verify=False)
+    edge_index = {pair: i for i, pair in enumerate(g.edges)}
+    edge_index.update({(v, u): i for (u, v), i in edge_index.items()})
+    induced = {
+        tuple([edge_index[vp[u], vp[v]] for u, v in g.edges])
+        for vp in _automorphism_images(g, max_vertices)
+    }
+    return group_from_elements([Permutation(im, g.edge_labels) for im in induced], verify=False)
 
 
 def subgraph_isomorphism_classes(n: int) -> list[list[tuple[int, ...]]]:

@@ -9,7 +9,7 @@ All emitters order their output deterministically.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping as MappingABC
+from typing import Callable, Mapping as MappingABC, Sequence
 
 from .geneo import LinearOperator
 from .perception import (
@@ -64,6 +64,13 @@ def _require_object(doc, what: str) -> None:
         raise ValueError(f"{what} must be a JSON object")
 
 
+def _get(doc, what: str, key: str):
+    """doc[key]; a ValueError naming the field if the document lacks it."""
+    if key not in doc:
+        raise ValueError(f"{what} field '{key}' is missing")
+    return doc[key]
+
+
 def _strings(value, field: str) -> list[str]:
     """A field that must be an array of strings; ValueError naming it otherwise."""
     if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
@@ -88,7 +95,7 @@ def _rational(value, field: str) -> Fraction:
 
 def group_from_json(doc: MappingABC) -> FiniteGroup:
     _require_object(doc, "a group document")
-    labels = tuple(_strings(doc["labels"], "group field 'labels'"))
+    labels = tuple(_strings(_get(doc, "group", "labels"), "group field 'labels'"))
     gens = [parse_cycles(t, labels) for t in _strings(doc.get("generators", []), "group field 'generators'")]
     texts = _strings(doc["elements"], "group field 'elements'") if "elements" in doc else None
     if gens:
@@ -133,15 +140,23 @@ def context_to_json(ctx: ActionContext) -> dict:
 
 def context_from_json(doc: MappingABC) -> ActionContext:
     _require_object(doc, "a context document")
-    g = group_from_json(doc["G"])
-    k = group_from_json(doc["K"])
-    return ActionContext(g, k, homomorphism_from_json(doc["T"], g, k))
+    g = group_from_json(_get(doc, "context", "G"))
+    k = group_from_json(_get(doc, "context", "K"))
+    return ActionContext(g, k, homomorphism_from_json(_get(doc, "context", "T"), g, k))
 
 
 def mapping_to_json(f: Mapping):
     if all(len(lab) == 1 for lab in f.target_labels):
         return f.compact()
     return [f.target_labels[i] for i in f.images]
+
+
+def images_to_json(target_labels: Sequence[str]) -> Callable[[Sequence[int]], str | list]:
+    """mapping_to_json for image tuples into fixed target labels, with the
+    compact or list form decided once."""
+    if all(len(lab) == 1 for lab in target_labels):
+        return lambda images: "".join([target_labels[i] for i in images])
+    return lambda images: [target_labels[i] for i in images]
 
 
 def mapping_from_json(doc, ctx: ActionContext) -> Mapping:
@@ -158,7 +173,7 @@ def permutant_to_json(h: GeneralizedPermutant, include_context: bool = True) -> 
 
 
 def permutant_members_from_json(doc, ctx: ActionContext) -> list[Mapping]:
-    members = doc["members"] if isinstance(doc, MappingABC) else doc
+    members = _get(doc, "permutant", "members") if isinstance(doc, MappingABC) else doc
     return [mapping_from_json(m, ctx) for m in _array(members, "permutant field 'members'")]
 
 
@@ -180,7 +195,8 @@ def measure_from_json(doc: MappingABC, ctx: ActionContext) -> PermutantMeasure:
     if isinstance(weights_doc, MappingABC):
         items = [(k, v) for k, v in weights_doc.items()]
     elif isinstance(weights_doc, list) and all(isinstance(e, MappingABC) for e in weights_doc):
-        items = [(entry["mapping"], entry["weight"]) for entry in weights_doc]
+        keys = ("mapping", "weight")
+        items = [tuple(_get(entry, "measure entry", key) for key in keys) for entry in weights_doc]
     else:
         raise ValueError("measure field 'weights' must be an object or an array of objects")
     for key, value in items:
@@ -204,27 +220,25 @@ def space_to_json(space: FunctionSpace) -> dict:
 
 def space_from_json(doc: MappingABC) -> FunctionSpace:
     _require_object(doc, "a space document")
-    domain = tuple(_strings(doc["domain"], "space field 'domain'"))
+    domain = tuple(_strings(_get(doc, "space", "domain"), "space field 'domain'"))
     kind = doc.get("kind", "full")
     if kind == "explicit":
-        members = _array(doc["members"], "space field 'members'")
+        members = _array(_get(doc, "space", "members"), "space field 'members'")
         return FunctionSpace(domain, members=tuple(measurement_from_json(vals, domain) for vals in members))
     equations = []
     for con in _array(doc.get("constraints", []), "space field 'constraints'"):
         _require_object(con, "a constraint")
-        coeffs = _array(con["coeffs"], "constraint field 'coeffs'")
+        coeffs = _array(_get(con, "constraint", "coeffs"), "constraint field 'coeffs'")
         equations.append((
             tuple(_rational(c, "constraint field 'coeffs'") for c in coeffs),
-            _rational(con["rhs"], "constraint field 'rhs'"),
+            _rational(_get(con, "constraint", "rhs"), "constraint field 'rhs'"),
         ))
     ball_doc = doc.get("ball")
     ball = None
     if ball_doc is not None:
         _require_object(ball_doc, "space field 'ball'")
-        for key in ("norm", "radius"):
-            if key not in ball_doc:
-                raise ValueError(f"ball field '{key}' is missing")
-        ball = (ball_doc["norm"], _rational(ball_doc["radius"], "ball field 'radius'"))
+        norm = _get(ball_doc, "ball", "norm")
+        ball = (norm, _rational(_get(ball_doc, "ball", "radius"), "ball field 'radius'"))
     return FunctionSpace(domain, equations=tuple(equations), ball=ball)
 
 
@@ -234,7 +248,8 @@ def pair_to_json(pair: PerceptionPair) -> dict:
 
 def pair_from_json(doc: MappingABC) -> PerceptionPair:
     _require_object(doc, "a perception pair document")
-    return PerceptionPair(space_from_json(doc["space"]), group_from_json(doc["group"]))
+    space, group = (_get(doc, "perception pair", key) for key in ("space", "group"))
+    return PerceptionPair(space_from_json(space), group_from_json(group))
 
 
 def operator_to_json(op: LinearOperator) -> dict:
@@ -249,10 +264,10 @@ def operator_to_json(op: LinearOperator) -> dict:
 
 def operator_from_json(doc: MappingABC) -> LinearOperator:
     _require_object(doc, "an operator document")
-    source = pair_from_json(doc["source"])
-    target = pair_from_json(doc["target"])
-    hom = homomorphism_from_json(doc["homomorphism"], source.group, target.group)
-    rows = doc["coeffs"]
+    source = pair_from_json(_get(doc, "operator", "source"))
+    target = pair_from_json(_get(doc, "operator", "target"))
+    hom = homomorphism_from_json(_get(doc, "operator", "homomorphism"), source.group, target.group)
+    rows = _get(doc, "operator", "coeffs")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("operator field 'coeffs' must be an array of arrays")
     coeffs = tuple(tuple(_rational(c, "operator field 'coeffs'") for c in row) for row in rows)

@@ -7,8 +7,8 @@ verified at construction.  No Schreier-Sims machinery.
 ``closure`` is the single breadth-first search that every enumeration uses:
 group closure, homomorphism extension, coordinate orbits, orbits of the alpha
 action, subgraph isomorphism classes and conjugation orbits.  It works on
-plain hashable points (integer image tuples); labeled objects are built only
-for results.
+plain hashable points (integer image tuples or map codes); labeled objects
+are built only for results.
 """
 
 from __future__ import annotations
@@ -341,6 +341,9 @@ def trivial_group(labels: Sequence[str]) -> FiniteGroup:
 def group_from_elements(elements: Iterable[Permutation], verify: bool = True) -> FiniteGroup:
     """Wrap an explicit element set as a FiniteGroup, with a small greedy generating set.
 
+    Each element, in order, that lies outside the subgroup generated so far
+    becomes a generator; one closure, seeded with that subgroup, grows it.
+
     With verify=True the elements are checked to form a group (contain the
     identity, closed under composition and inverse); pass verify=False when the
     set is a group by construction, e.g. the image of a group homomorphism.
@@ -363,11 +366,13 @@ def group_from_elements(elements: Iterable[Permutation], verify: bool = True) ->
                 if compose(p, q) not in member:
                     raise ValueError(f"element set not closed under composition at {p}, {q}")
     gens: list[Permutation] = []
-    have = {ident}
+    moves = []
+    have = {ident.images}
     for p in elems:
-        if p not in have:
+        if p.images not in have:
             gens.append(p)
-            have = set(generate_group(gens, max_size=len(elems)).elements)
+            moves.append(_left_multiplication(p.images))
+            have = closure(have, moves, len(elems))
             if len(have) == len(elems):
                 break
     return FiniteGroup(tuple(elems), tuple(gens), ident)

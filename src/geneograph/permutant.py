@@ -2,6 +2,12 @@
 orbit enumeration, and validation of generalized permutants and permutant
 measures.
 
+Inside, a map Y -> X is an integer: its image tuple h read as a base-|X|
+numeral, sum h[y] * |X|^(|Y|-1-y), so that numeric order is lexicographic
+order of image tuples.  ``all_orbits`` partitions these codes with one lookup
+table per generator of G, and a ``GeneralizedPermutant`` holds the codes of
+its members; labeled ``Mapping`` objects are built only when asked for.
+
 A classical permutant (bijections of X closed under conjugation by G) is the
 special case where source and target coincide and T is the identity; no
 separate representation is used for it.
@@ -10,6 +16,7 @@ separate representation is used for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping as MappingABC, Sequence
@@ -172,6 +179,34 @@ class ActionContext:
         for images in product(range(self.G.degree), repeat=self.K.degree):
             yield Mapping(self.y_labels, self.x_labels, images)
 
+    def map_code(self, images: Sequence[int]) -> int:
+        """The code of a map: its image tuple as a base-|X| numeral, first image most significant."""
+        nx, code = self.G.degree, 0
+        for i in images:
+            code = code * nx + i
+        return code
+
+    def map_images(self, code: int) -> tuple[int, ...]:
+        """The image tuple of a map code."""
+        nx, ny = self.G.degree, self.K.degree
+        return tuple(code // nx ** (ny - 1 - y) % nx for y in range(ny))
+
+    def code_tables(self) -> list[list[int]]:
+        """Each generator's move h -> g o h o T(g^-1) as a table indexed by map
+        code.  As (g o h o T(g^-1))[T(g)(z)] = g(h[z]), source point z adds
+        g(h[z]) * |X|^(|Y|-1-T(g)(z)) to the code of the moved map."""
+        nx, ny = self.G.degree, self.K.degree
+        tables = []
+        for g in self.G.generators:
+            t = self.T(g).images
+            table = [0]
+            for z in range(ny):
+                place = nx ** (ny - 1 - t[z])
+                digits = [x * place for x in g.images]
+                table = [c + d for c in table for d in digits]
+            tables.append(table)
+        return tables
+
 
 def endo_context(group: FiniteGroup) -> ActionContext:
     return ActionContext(group, group, Homomorphism.identity_on(group))
@@ -186,51 +221,77 @@ def alpha_action(g: Permutation, f: Mapping, ctx: ActionContext) -> Mapping:
     return Mapping(f.source_labels, f.target_labels, move(f.images))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeneralizedPermutant:
-    """A finite, alpha-closed set of maps Y -> X; closure is checked at construction."""
+    """A finite, alpha-closed set of maps Y -> X; closure is checked at construction.
+
+    The members are held as their sorted codes (``ActionContext.map_code``),
+    with a set beside them, so ``size``, ``representative`` and membership
+    need no labeled objects; the ``Mapping`` members are built on first
+    access to ``members``.  Equality compares the context and the codes.
+    """
 
     context: ActionContext
-    members: tuple[Mapping, ...]
+    codes: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(set(self.members)) != len(self.members):
+    def __init__(self, context: ActionContext, members: Iterable[Mapping]):
+        self.__dict__["context"] = context
+        self.__post_init__(tuple(members))
+
+    def __post_init__(self, members: tuple[Mapping, ...]):
+        if len(set(members)) != len(members):
             raise ValueError("duplicate members")
-        for f in self.members:
+        for f in members:
             self.context._check_mapping(f)
-        images = {f.images for f in self.members}
-        for f in self.members:
+        images = {f.images for f in members}
+        for f in members:
             for g, move in zip(self.context.G.generators, self.context.moves):
                 moved = move(f.images)
                 if moved not in images:
                     moved = Mapping(f.source_labels, f.target_labels, moved)
                     raise ValueError(f"not alpha-closed: alpha({g}, {f}) = {moved} escapes")
-        object.__setattr__(self, "members", tuple(sorted(self.members, key=lambda m: m.images)))
+        codes = {self.context.map_code(h) for h in images}
+        members = tuple(sorted(members, key=lambda m: m.images))
+        self.__dict__.update(codes=tuple(sorted(codes)), _code_set=codes, members=members)
+
+    @classmethod
+    def _from_codes(cls, context: ActionContext, codes: set) -> "GeneralizedPermutant":
+        """The permutant of a set of codes that is alpha-closed by construction."""
+        h = cls.__new__(cls)
+        h.__dict__.update(context=context, codes=tuple(sorted(codes)), _code_set=codes)
+        return h
+
+    @cached_property
+    def members(self) -> tuple[Mapping, ...]:
+        ctx = self.context
+        return tuple(Mapping(ctx.y_labels, ctx.x_labels, ctx.map_images(c)) for c in self.codes)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.codes)
 
     def __iter__(self) -> Iterator[Mapping]:
         return iter(self.members)
 
     def __contains__(self, f: Mapping) -> bool:
-        return f in set(self.members)
+        ctx = self.context
+        return (
+            isinstance(f, Mapping)
+            and (f.source_labels, f.target_labels) == (ctx.y_labels, ctx.x_labels)
+            and ctx.map_code(f.images) in self._code_set
+        )
 
     def representative(self) -> Mapping:
-        if not self.members:
+        if not self.codes:
             raise ValueError("the empty permutant has no representative")
-        return self.members[0]
-
-
-def _permutant(ctx: ActionContext, images: Iterable[tuple[int, ...]]) -> GeneralizedPermutant:
-    members = tuple(Mapping(ctx.y_labels, ctx.x_labels, im) for im in images)
-    return GeneralizedPermutant(ctx, members)
+        ctx = self.context
+        return Mapping(ctx.y_labels, ctx.x_labels, ctx.map_images(self.codes[0]))
 
 
 def orbit(f: Mapping | str, ctx: ActionContext) -> GeneralizedPermutant:
     """The orbit of f under alpha, enumerated by closure over G's generators."""
-    return _permutant(ctx, closure((ctx.mapping(f).images,), ctx.moves))
+    images = closure((ctx.mapping(f).images,), ctx.moves)
+    return GeneralizedPermutant._from_codes(ctx, {ctx.map_code(h) for h in images})
 
 
 def all_orbits(
@@ -238,18 +299,31 @@ def all_orbits(
 ) -> tuple[list[GeneralizedPermutant], dict[int, int]]:
     """Partition the whole map space X^Y into orbits, with a size -> count census.
 
-    Orbits are listed by their lexicographically smallest member, smallest
-    first; that member is also each orbit's canonical representative.
+    The points are the codes 0 .. |X|^|Y| - 1 and each generator moves them
+    through its code table.  Orbits are listed by their smallest code, which
+    is their lexicographically smallest member, smallest first; that member is
+    also each orbit's canonical representative.  Closure is verified for all
+    orbits at once: every table must keep every code's orbit id.
     """
     total = ctx.map_space_size()
     if total > max_maps:
         raise CapExceededError(f"map space has {total} elements, over the cap {max_maps}")
-    points = product(range(ctx.G.degree), repeat=ctx.K.degree)
-    orbits = [_permutant(ctx, o) for o in orbit_partition(points, ctx.moves)]
+    tables = ctx.code_tables()
+    orbits = list(orbit_partition(range(total), [table.__getitem__ for table in tables]))
+    orbit_id = [0] * total
+    for i, o in enumerate(orbits):
+        for c in o:
+            orbit_id[c] = i
+    for g, table in zip(ctx.G.generators, tables):
+        if list(map(orbit_id.__getitem__, table)) != orbit_id:
+            c = next(c for c in range(total) if orbit_id[table[c]] != orbit_id[c])
+            f, moved = (Mapping(ctx.y_labels, ctx.x_labels, ctx.map_images(x)) for x in (c, table[c]))
+            raise ValueError(f"not alpha-closed: alpha({g}, {f}) = {moved} escapes")
+    permutants = [GeneralizedPermutant._from_codes(ctx, o) for o in orbits]
     census: dict[int, int] = {}
-    for o in orbits:
+    for o in permutants:
         census[o.size] = census.get(o.size, 0) + 1
-    return orbits, dict(sorted(census.items()))
+    return permutants, dict(sorted(census.items()))
 
 
 def is_generalized_permutant(

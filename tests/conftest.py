@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+from geneograph.graph import Graph, graph
 from geneograph.perm import Homomorphism, generate_group, parse_cycles
 from geneograph.permutant import ActionContext
 
@@ -22,3 +25,32 @@ def dihedral_edge_context() -> ActionContext:
 @pytest.fixture(scope="session")
 def c6c3() -> ActionContext:
     return dihedral_edge_context()
+
+
+def _ring(n: int, offset: int = 0) -> list[tuple[int, int]]:
+    return [(offset + i, offset + (i + 1) % n) for i in range(n)]
+
+
+def _prism(n: int) -> list[tuple[int, int]]:
+    return _ring(n) + _ring(n, n) + [(i, n + i) for i in range(n)]
+
+
+# The graphs whose automorphism groups the census benchmark asks for, as
+# (vertex count, edge list): cycles, complete graphs, the Petersen graph,
+# K3,3, the triangular and pentagonal prisms, and the cube.
+CENSUS_GRAPHS = {
+    **{f"C{n}": (n, _ring(n)) for n in (6, 7, 8, 9)},
+    **{f"K{n}": (n, list(combinations(range(n), 2))) for n in (5, 6, 7)},
+    "Petersen": (10, _ring(5) + [(i, i + 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]),
+    "K3,3": (6, [(i, 3 + j) for i in range(3) for j in range(3)]),
+    "prism3": (6, _prism(3)),
+    "cube": (8, _prism(4)),
+    "prism5": (10, _prism(5)),
+}
+
+
+def census_graph(name: str) -> Graph:
+    """A census graph with vertices v0, v1, ... and edges e1, e2, ... in list order."""
+    n, edges = CENSUS_GRAPHS[name]
+    vertices = [f"v{i}" for i in range(n)]
+    return graph(vertices, [(f"e{k + 1}", (vertices[u], vertices[v])) for k, (u, v) in enumerate(edges)])

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import test_properties
+from test_permutant import burnside_orbit_count
 from geneograph.cli import main as cli_main
 from geneograph.experiments import build_code_table, c6_c3_context, cycle_census
 from geneograph.fixtures import (
@@ -32,9 +33,11 @@ from geneograph.geneo import (
     verify_equivariance,
     verify_nonexpansive,
 )
+from geneograph.graph import cycle_graph, edge_automorphism_group
 from geneograph.perm import Homomorphism
 from geneograph.permutant import (
     all_orbits,
+    endo_context,
     is_permutant_measure,
     orbit,
     transposition_permutant,
@@ -205,3 +208,14 @@ def test_criterion_8_property_suites():
     assert elapsed < 60.0, f"property suites took {elapsed:.3f}s"
     report(8, f"action axioms, 1000-subset agreement, round-trips, metric axioms, "
               f"scaling patterns, stabilizer fixtures in {elapsed:.3f}s")
+
+
+def test_criterion_9_c7_edge_census():
+    ctx = endo_context(edge_automorphism_group(cycle_graph(7)))
+    start = time.perf_counter()
+    orbits, census = all_orbits(ctx)
+    elapsed = time.perf_counter() - start
+    assert len(orbits) == burnside_orbit_count(ctx) == 58999
+    assert sum(size * count for size, count in census.items()) == 7**7
+    assert elapsed < 5.0, f"C7 edge census took {elapsed:.3f}s"
+    report(9, f"58999 orbits over the 823543 maps of the C7 edge set, as Burnside counts, in {elapsed:.3f}s")

@@ -13,6 +13,8 @@ from geneograph.geneo import from_measure, from_permutant, identity_operator
 from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group, graph_document
 from geneograph.permutant import PermutantMeasure, endo_context, orbit, transposition_permutant
 
+from conftest import census_graph
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -291,12 +293,14 @@ def test_array_operator_is_validation_failure(tmp_path, capsys, command):
 
 MEASURE = ["measure", "check", "{doc}", "--context", "{ctx}"]
 VERIFY = ["geneo", "verify", "{doc}"]
+ORBITS = ["orbits", "--context", "{doc}"]
 APPLY = ["geneo", "apply", "{op}", "{doc}"]
 SPACE = ("source", "space")
 
 # (command, document, fragment of the error): a plain document, or (base, key
 # path, value) to overwrite one field of the F4 operator ("op") or the C6/C3
-# context ("ctx")
+# context ("ctx"), or to delete it if the value is MISSING
+MISSING = object()
 MALFORMED = {
     "measure-weight-null": (MEASURE, {"weights": [{"mapping": "aec", "weight": None}]}, "measure weight"),
     "measure-mapping-number": (MEASURE, {"weights": [{"mapping": 5, "weight": 1}]}, "mapping"),
@@ -332,6 +336,23 @@ MALFORMED = {
     "verify-homomorphism-number": (VERIFY, ("op", ("homomorphism",), 5), "homomorphism"),
     "verify-flags-number": (VERIFY, ("op", ("flags",), 5), "operator field 'flags'"),
     "orbits-T-number": (["orbits", "--context", "{doc}"], ("ctx", ("T",), 5), "homomorphism"),
+    **{
+        f"verify-without-{key}": (VERIFY, ("op", (key,), MISSING), f"operator field '{key}' is missing")
+        for key in ("coeffs", "source", "homomorphism")
+    },
+    "verify-space-without-domain": (
+        VERIFY, ("op", SPACE + ("domain",), MISSING), "space field 'domain' is missing"
+    ),
+    "verify-constraint-empty": (
+        VERIFY, ("op", SPACE + ("constraints",), [{}]), "constraint field 'coeffs' is missing"
+    ),
+    "orbits-group-without-labels": (
+        ORBITS, ("ctx", ("G", "labels"), MISSING), "group field 'labels' is missing"
+    ),
+    **{
+        f"orbits-without-{key}": (ORBITS, ("ctx", (key,), MISSING), f"context field '{key}' is missing")
+        for key in ("G", "K", "T")
+    },
 }
 
 
@@ -344,7 +365,10 @@ def test_malformed_document_is_validation_failure(tmp_path, ctx_file, f4_file, c
         target = doc
         for key in path[:-1]:
             target = target[key]
-        target[path[-1]] = value
+        if value is MISSING:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
     files = {"doc": write_json(tmp_path / "doc.json", doc), "ctx": ctx_file, "op": f4_file}
     code, out, err = run_cli(capsys, *[arg.format(**files) for arg in argv])
     assert code == 1
@@ -411,6 +435,36 @@ def test_golden_k4_transposition_operator(tmp_path, capsys):
         code, out, _ = run_cli(capsys, "geneo", command, str(op_path))
         assert code == 0
         assert sha256(out) == GOLDEN_K4_OPERATOR[command]
+
+
+# sha256 of stdout for orbit censuses and automorphism groups
+GOLDEN_SYMMETRY = {
+    ("orbits", "--context", "{k4_endo}"): "cc60287c7985df67dc642afd55edb5d52fce32ddcbe45fd5c0308dfeee6ddf6a",
+    ("orbits", "--full", "--context", "{c5_endo}"): "75b43142c4a35356297abdb85aa9bcfab14a8eee3896ef5663301fb6c9cf56bf",
+    ("orbits", "--full", "--context", "{c6c3}"): "85fa02b12c4cd820cc717a30e1971d073857a763e3c706ae41e4f9e788c4bef3",
+    ("aut", "{k7}", "--edges"): "28288afd4f6ce4f5bfa245e38d6d4b95cf32cc65bade2d17a9393992a2be378f",
+    ("aut", "{petersen}", "--edges"): "dd022ac0ce416332b9ae0a3b90c4ddc2c54d7f9dc24082787ed5b6746fdf0546",
+    ("aut", "{petersen}"): "d0226bb144207e2b41270dcfcb26e2fe0111889c3f536a93f7e5bcd84be0e884",
+}
+
+
+@pytest.fixture(scope="module")
+def symmetry_files(tmp_path_factory, ctx_file):
+    root = tmp_path_factory.mktemp("symmetry")
+    files = {"c6c3": ctx_file}
+    for name, g in (("k4_endo", complete_graph(4)), ("c5_endo", cycle_graph(5))):
+        ctx = endo_context(edge_automorphism_group(g))
+        files[name] = write_json(root / f"{name}.json", docs.context_to_json(ctx))
+    for name, g in (("k7", complete_graph(7)), ("petersen", census_graph("Petersen"))):
+        files[name] = write_json(root / f"{name}.json", graph_document(g))
+    return files
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_SYMMETRY))
+def test_golden_symmetry_output(capsys, symmetry_files, argv):
+    code, out, _ = run_cli(capsys, *[arg.format(**symmetry_files) for arg in argv])
+    assert code == 0
+    assert sha256(out) == GOLDEN_SYMMETRY[argv]
 
 
 def test_usage_error_exit_code():

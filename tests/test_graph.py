@@ -13,7 +13,9 @@ from geneograph.graph import (
     subgraph_isomorphism_classes,
     vertex_automorphism_group,
 )
-from geneograph.perm import CapExceededError, compose, format_cycles, parse_cycles
+from geneograph.perm import CapExceededError, compose, format_cycles, generate_group, identity, parse_cycles
+
+from conftest import CENSUS_GRAPHS, census_graph
 
 # the graph of the first worked example: C4 plus the chord {B,D}
 FIG1 = graph(
@@ -143,6 +145,30 @@ def test_c6_edge_group_is_dihedral():
     alpha = parse_cycles("(a,b,c,d,e,f)", g.labels)
     beta = parse_cycles("(a,f)(b,e)(c,d)", g.labels)
     assert alpha in g and beta in g
+
+
+def reference_greedy_generators(elements):
+    """group_from_elements' greedy picks as first written: regenerate the
+    whole subgroup from the identity after every pick."""
+    elems = sorted(set(elements), key=lambda p: p.images)
+    gens, have = [], {identity(elems[0].n, elems[0].labels)}
+    for p in elems:
+        if p not in have:
+            gens.append(p)
+            have = set(generate_group(gens, max_size=len(elems)).elements)
+            if len(have) == len(elems):
+                break
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_GRAPHS))
+def test_groups_keep_the_reference_generators(name):
+    g = census_graph(name)
+    vgroup = vertex_automorphism_group(g)
+    egroup = edge_automorphism_group(g)
+    assert vgroup.generators == reference_greedy_generators(vgroup.elements)
+    assert egroup.generators == reference_greedy_generators(egroup.elements)
+    assert set(egroup.elements) == {induced_edge_permutation(g, vp) for vp in vgroup}
 
 
 def test_edgeless_graph_edge_group():

@@ -1,9 +1,13 @@
+import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from geneograph import io as docs, permutant
+from geneograph.cli import main as cli_main
 from geneograph.fixtures import (
     cube_context,
     cube_face_reflections,
@@ -15,7 +19,7 @@ from geneograph.fixtures import (
     symmetric_group,
 )
 from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group
-from geneograph.perm import CapExceededError, compose, format_cycles, parse_cycles
+from geneograph.perm import CapExceededError, compose, format_cycles, orbit_partition, parse_cycles
 from geneograph.permutant import (
     GeneralizedPermutant,
     Mapping,
@@ -231,6 +235,87 @@ def test_two_element_census_oracle():
 def test_all_orbits_cap(c6c3):
     with pytest.raises(CapExceededError):
         all_orbits(c6c3, max_maps=100)
+
+
+def reference_all_orbits(ctx):
+    """all_orbits as written on labeled maps: image tuples in lexicographic
+    order, each orbit a tuple of Mappings sorted by images."""
+    points = product(range(ctx.G.degree), repeat=ctx.K.degree)
+    orbits = [
+        tuple(Mapping(ctx.y_labels, ctx.x_labels, im) for im in sorted(o))
+        for o in orbit_partition(points, ctx.moves)
+    ]
+    census = {}
+    for o in orbits:
+        census[len(o)] = census.get(len(o), 0) + 1
+    return orbits, dict(sorted(census.items()))
+
+
+MULTI_CHARACTER_C4 = ("e1", "e2", "e3", "e4")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        dihedral_edge_context,
+        lambda: endo_context(edge_automorphism_group(cycle_graph(5))),
+        lambda: endo_context(edge_automorphism_group(cycle_graph(6))),
+        lambda: endo_context(edge_automorphism_group(complete_graph(4))),
+        lambda: endo_context(edge_automorphism_group(cycle_graph(4, edge_labels=MULTI_CHARACTER_C4))),
+    ],
+    ids=["c6c3", "c5-endo", "c6-endo", "k4-endo", "c4-endo-multichar"],
+)
+def test_all_orbits_matches_labeled_reference(build):
+    ctx = build()
+    orbits, census = all_orbits(ctx)
+    ref_orbits, ref_census = reference_all_orbits(ctx)
+    assert census == ref_census
+    assert [o.members for o in orbits] == ref_orbits
+    assert [o.representative() for o in orbits] == [o[0] for o in ref_orbits]
+    assert [o.size for o in orbits] == [len(o) for o in ref_orbits]
+
+
+def test_orbits_command_prints_labels_of_the_reference(tmp_path, capsys):
+    ctx = endo_context(edge_automorphism_group(cycle_graph(4, edge_labels=MULTI_CHARACTER_C4)))
+    path = tmp_path / "ctx.json"
+    path.write_text(json.dumps(docs.context_to_json(ctx)))
+    assert cli_main(["orbits", "--full", "--context", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    ref_orbits, _ = reference_all_orbits(ctx)
+    assert payload["orbits"] == [[docs.mapping_to_json(f) for f in o] for o in ref_orbits]
+    assert payload["orbits"][0][0] == ["e1", "e1", "e1", "e1"]
+
+
+def hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
+
+
+def test_orbit_from_codes_matches_public_constructor(c6c3):
+    maps = list(c6c3.all_mappings())
+    for o in all_orbits(c6c3)[0] + [orbit("aec", c6c3)]:
+        built = GeneralizedPermutant(c6c3, tuple(reversed(o.members)))
+        assert o == built and built == o
+        assert hash_or_error(o) == hash_or_error(built)
+        assert o.members == built.members and o.size == built.size
+        assert o.representative() == built.representative()
+        assert [f in o for f in maps] == [f in built for f in maps] == [f in set(o.members) for f in maps]
+
+
+def test_membership_needs_a_mapping_of_the_context(c6c3):
+    o = orbit("aec", c6c3)
+    f = c6c3.mapping("aec")
+    assert f in o
+    assert "aec" not in o
+    assert Mapping(("x", "y", "z"), f.target_labels, f.images) not in o
+
+
+def test_all_orbits_rejects_a_partition_that_is_not_closed(c6c3, monkeypatch):
+    monkeypatch.setattr(permutant, "orbit_partition", lambda points, moves: ({p} for p in points))
+    with pytest.raises(ValueError, match=r"not alpha-closed: alpha\(.*, aaa\) = .* escapes"):
+        all_orbits(c6c3)
 
 
 # permutant validation
