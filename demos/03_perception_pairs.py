@@ -3,7 +3,8 @@
 A perception pair is a space of measurements together with a symmetry group
 that preserves it under precomposition.  Whether a given space/group
 combination qualifies is decidable here: exhaustively for finite families,
-algebraically for linear constraints.
+and for linear constraints on the finitely many points that span the
+solution set, one of which is the witness when closure fails.
 """
 
 from geneograph import (

@@ -46,6 +46,13 @@ class ValidationFailure(Exception):
         self.payload = payload
 
 
+def _alpha_failure(payload: dict, witness) -> ValidationFailure:
+    """The failure of an alpha check: the payload followed by its witness (map, group element)."""
+    f, g = witness
+    witness_doc = {"mapping": docs.mapping_to_json(f), "generator": format_cycles(g)}
+    return ValidationFailure({**payload, "witness": witness_doc})
+
+
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -92,14 +99,7 @@ def cmd_permutant_check(args) -> dict:
     members = docs.permutant_members_from_json(doc, ctx)
     ok, witness = is_generalized_permutant(members, ctx)
     if not ok:
-        h, g = witness
-        raise ValidationFailure(
-            {
-                "ok": False,
-                "error": "not a generalized permutant",
-                "witness": {"mapping": docs.mapping_to_json(h), "generator": format_cycles(g)},
-            }
-        )
+        raise _alpha_failure({"ok": False, "error": "not a generalized permutant"}, witness)
     return {"ok": True, "size": len(set(members))}
 
 
@@ -109,14 +109,7 @@ def cmd_measure_check(args) -> dict:
     m = docs.measure_from_json(doc, ctx)
     ok, witness = is_permutant_measure(m)
     if not ok:
-        f, g = witness
-        raise ValidationFailure(
-            {
-                "ok": False,
-                "error": "not a permutant measure",
-                "witness": {"mapping": docs.mapping_to_json(f), "generator": format_cycles(g)},
-            }
-        )
+        raise _alpha_failure({"ok": False, "error": "not a permutant measure"}, witness)
     return {
         "ok": True,
         "support": len(m.support),
@@ -131,13 +124,7 @@ def cmd_geneo_build(args) -> dict:
         members = docs.permutant_members_from_json(doc, ctx)
         ok, witness = is_generalized_permutant(members, ctx)
         if not ok:
-            h, g = witness
-            raise ValidationFailure(
-                {
-                    "error": "not a generalized permutant",
-                    "witness": {"mapping": docs.mapping_to_json(h), "generator": format_cycles(g)},
-                }
-            )
+            raise _alpha_failure({"error": "not a generalized permutant"}, witness)
         op = from_permutant(GeneralizedPermutant(ctx, tuple(set(members))))
     else:
         doc = _load(args.measure)

@@ -62,7 +62,7 @@ def cube_reflection_measure(weight) -> PermutantMeasure:
 def symmetric_group(labels) -> FiniteGroup:
     labels = tuple(labels)
     elems = [Permutation(images, labels) for images in permutations(range(len(labels)))]
-    return group_from_elements(elems, verify=False)
+    return group_from_elements(elems)
 
 
 def setwise_stabilizer_context(x_labels, y_labels) -> ActionContext:
@@ -81,7 +81,7 @@ def setwise_stabilizer_context(x_labels, y_labels) -> ActionContext:
         p = Permutation(images, x_labels)
         if all(x_labels[p(pos)] in y_set for pos in y_positions):
             stabilizer.append(p)
-    G = group_from_elements(stabilizer, verify=False)
+    G = group_from_elements(stabilizer)
     K = symmetric_group(y_labels)
     table = {}
     for g in G:

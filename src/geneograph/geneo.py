@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Iterable, Sequence
 
-from .linalg import OPTIMAL, dot, matmul, matvec, rref, simplex_min, solution_subset
+from .linalg import OPTIMAL, dot, matmul, matvec, rref, simplex_min
 from .perception import (
     FunctionSpace,
     Measurement,
@@ -278,13 +278,9 @@ def diagonal_scaling(d: Sequence, pair: PerceptionPair) -> ScalingOutcome:
 
     closure_ok, detail = True, ""
     space = pair.space
-    if space.kind == "constrained" and space.equations:
-        scaled_sys = [
-            (tuple(c * s for c, s in zip(coeffs, scale)), rhs)
-            for coeffs, rhs in space.equations
-        ]
-        original = [(coeffs, rhs) for coeffs, rhs in space.equations]
-        if not solution_subset(scaled_sys, original, n):
+    if space.kind == "constrained":
+        # the scaled space is the affine hull of the scaled spanning points
+        if not all(space.solves([v / s for v, s in zip(p, scale)]) for p in space.spanning_points()):
             closure_ok = False
             detail = "scaled image leaves the constrained space"
     elif space.kind == "explicit":

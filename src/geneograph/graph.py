@@ -111,6 +111,9 @@ def parse_graph(document: Mapping) -> Graph:
     for k, doc in enumerate(edge_docs):
         if not isinstance(doc, Mapping):
             raise ValueError(f"edges[{k}] must be an object with 'label' and 'ends', got {doc!r}")
+        for key in ("label", "ends"):
+            if key not in doc:
+                raise ValueError(f"edges[{k}] field '{key}' is missing")
         ends = doc["ends"]
         if not isinstance(ends, (list, tuple)) or len(ends) != 2:
             raise ValueError(f"edge {doc.get('label')!r} must have exactly two ends")
@@ -209,7 +212,7 @@ def _automorphism_images(g: Graph, max_vertices: int) -> list[tuple[int, ...]]:
 def vertex_automorphism_group(g: Graph, max_vertices: int = DEFAULT_VERTEX_CAP) -> FiniteGroup:
     """The group of all adjacency-preserving vertex permutations."""
     autos = _automorphism_images(g, max_vertices)
-    return group_from_elements([Permutation(im, g.vertex_labels) for im in autos], verify=False)
+    return group_from_elements([Permutation(im, g.vertex_labels) for im in autos])
 
 
 def induced_edge_permutation(g: Graph, vp: Permutation) -> Permutation:
@@ -240,7 +243,7 @@ def edge_automorphism_group(g: Graph, max_vertices: int = DEFAULT_VERTEX_CAP) ->
         tuple([edge_index[vp[u], vp[v]] for u, v in g.edges])
         for vp in _automorphism_images(g, max_vertices)
     }
-    return group_from_elements([Permutation(im, g.edge_labels) for im in induced], verify=False)
+    return group_from_elements([Permutation(im, g.edge_labels) for im in induced])
 
 
 def subgraph_isomorphism_classes(n: int) -> list[list[tuple[int, ...]]]:

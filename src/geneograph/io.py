@@ -86,11 +86,14 @@ def _array(value, field: str) -> list:
 
 
 def _rational(value, field: str) -> Fraction:
-    """as_fraction, with its TypeError for a non-number turned into a ValueError naming the field."""
+    """as_fraction, with its TypeError for a non-number and its ZeroDivisionError
+    for a zero denominator ("1/0") turned into a ValueError naming the field."""
     try:
         return as_fraction(value)
     except TypeError as exc:
         raise ValueError(f"{field}: {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"{field}: {value!r} has a zero denominator") from None
 
 
 def group_from_json(doc: MappingABC) -> FiniteGroup:
@@ -98,16 +101,14 @@ def group_from_json(doc: MappingABC) -> FiniteGroup:
     labels = tuple(_strings(_get(doc, "group", "labels"), "group field 'labels'"))
     gens = [parse_cycles(t, labels) for t in _strings(doc.get("generators", []), "group field 'generators'")]
     texts = _strings(doc["elements"], "group field 'elements'") if "elements" in doc else None
-    if gens:
-        group = generate_group(gens)
-    elif texts is not None:
-        group = group_from_elements([parse_cycles(text, labels) for text in texts])
-    else:
-        group = generate_group([], labels=labels)
-    if texts is not None:
-        stated = {parse_cycles(text, labels) for text in texts}
-        if stated != set(group.elements):
-            raise ValueError("stated elements do not match the closure of the generators")
+    if texts is None:
+        return generate_group(gens, labels=labels)
+    group = generate_group(gens) if gens else None
+    stated = [parse_cycles(text, labels) for text in texts]
+    if group is None:
+        return group_from_elements(stated)
+    if set(stated) != set(group.elements):
+        raise ValueError("stated elements do not match the closure of the generators")
     return group
 
 

@@ -6,8 +6,10 @@ Fractions cross the API; inside, rref and the simplex keep each row as a
 positive integer multiple of its rational row and pivot fraction-free (Bareiss,
 Math. Comp. 22, 1968, with a gcd division in place of his exact one).  A
 positive row scale keeps every sign, zero and ratio, so Bland's rule picks the
-pivots it picks on fractions, and the decomposition and constraint-closure
-code get reproducible witnesses.
+pivots it picks on fractions, and the decomposition gets reproducible
+measures.  The canonical rref fixes ``solve_affine``'s particular solution and
+nullspace basis, whose points the constraint-closure checks test and report as
+witnesses.
 """
 
 from __future__ import annotations
@@ -110,35 +112,6 @@ def solve_affine(
             vec[col] = -row[free]
         basis.append(vec)
     return particular, basis
-
-
-def same_solution_set(
-    sys1: Sequence[tuple[Sequence[Fraction], Fraction]],
-    sys2: Sequence[tuple[Sequence[Fraction], Fraction]],
-    n_vars: int,
-) -> bool:
-    """Whether two consistent systems define the same affine solution set.
-
-    Empty (inconsistent) solution sets compare equal to each other.
-    """
-    feas1 = solve_affine(sys1, n_vars) is not None
-    feas2 = solve_affine(sys2, n_vars) is not None
-    if not feas1 or not feas2:
-        return feas1 == feas2
-    aug = lambda sys: [list(c) + [r] for c, r in sys]
-    return rref(aug(sys1)) == rref(aug(sys2))
-
-
-def solution_subset(
-    sys1: Sequence[tuple[Sequence[Fraction], Fraction]],
-    sys2: Sequence[tuple[Sequence[Fraction], Fraction]],
-    n_vars: int,
-) -> bool:
-    """Whether every solution of sys1 also solves sys2."""
-    if solve_affine(sys1, n_vars) is None:
-        return True
-    aug = lambda sys: [list(c) + [r] for c, r in sys]
-    return rref(aug(sys1)) == rref(aug(sys1) + aug(sys2))
 
 
 # -- simplex ------------------------------------------------------------------

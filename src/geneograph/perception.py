@@ -2,9 +2,10 @@
 finite-sample pseudometrics attached to them.
 
 All comparisons are exact rational.  Suprema over function spaces are only
-computed against explicit finite samples; constrained spaces are handled
-algebraically where a finite certificate exists (linear constraints, norm
-balls).
+computed against explicit finite samples.  Closure of a linearly constrained
+space is decided on finitely many points: the spanning points of its affine
+solution set, which also name the witness when closure fails; norm balls are
+permutation-invariant and play no part.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import dot, same_solution_set, solve_affine
+from .linalg import dot, solve_affine
 from .perm import DomainMismatchError, FiniteGroup, Permutation
 
 Equation = tuple[tuple[Fraction, ...], Fraction]
@@ -131,9 +132,8 @@ class FunctionSpace:
             return False
         if self.members is not None:
             return any(phi.values == m.values for m in self.members)
-        for coeffs, rhs in self.equations:
-            if dot(coeffs, phi.values) != rhs:
-                return False
+        if not self.solves(phi.values):
+            return False
         if self.ball is not None:
             norm, radius = self.ball
             if norm == "sup" and max((abs(v) for v in phi.values), default=Fraction(0)) > radius:
@@ -143,6 +143,20 @@ class FunctionSpace:
             if norm == "l2" and dot(phi.values, phi.values) > radius * radius:
                 return False
         return True
+
+    def solves(self, values: Sequence[Fraction]) -> bool:
+        """Whether a coordinate vector satisfies every linear equation of the space."""
+        return all(dot(coeffs, values) == rhs for coeffs, rhs in self.equations)
+
+    def spanning_points(self) -> list[tuple[Fraction, ...]]:
+        """Points whose affine hull is the solution set of the equations, none
+        if they are inconsistent: the particular solution of ``solve_affine``,
+        then that solution plus each nullspace basis vector."""
+        solved = solve_affine(self.equations, self.dim)
+        if solved is None:
+            return []
+        particular, basis = solved
+        return [tuple(particular)] + [tuple(p + v for p, v in zip(particular, vec)) for vec in basis]
 
 
 def full_space(domain: Sequence[str]) -> FunctionSpace:
@@ -182,10 +196,14 @@ def verify_perception_pair(
 ) -> tuple[bool, tuple[Measurement, Permutation] | None]:
     """Check closure of the space under precomposition with every group element.
 
-    Explicit spaces are checked exhaustively; linearly constrained spaces by
-    comparing the permuted constraint system with the original (norm balls are
-    permutation-invariant); the full space is trivially closed.  On failure
-    returns a witness (phi, g) with phi o g outside the space.
+    Explicit spaces are checked exhaustively.  A linearly constrained space is
+    closed under g exactly when g keeps its spanning points inside the
+    equations: the particular solution of ``solve_affine``, and that solution
+    plus each nullspace basis vector (phi -> phi o g is linear, and an affine
+    set with all its spanning points moved inside it is moved onto itself).
+    Norm balls are permutation-invariant, and the full space is trivially
+    closed.  On failure returns the first witness (phi, g), in group order and
+    then spanning-point order, with phi o g outside the space.
     """
     _check_group_acts(space, group)
     if space.kind == "full":
@@ -198,29 +216,11 @@ def verify_perception_pair(
                 if g.pullback(m.values) not in values:
                     return False, (m, g)
         return True, None
-    # constrained: (phi o g) satisfies (a o g).psi = c, so the permuted system
-    # must define the same affine set; a ball is unaffected by permutations.
-    n = space.dim
-    sys0 = [(coeffs, rhs) for coeffs, rhs in space.equations]
-    solved = solve_affine(sys0, n)
-    if solved is None:
-        return True, None  # empty space, vacuously closed
-    particular, basis = solved
+    spanning = space.spanning_points()  # none for an empty space, vacuously closed
     for g in group:
-        moved = [(g.pullback(coeffs), rhs) for coeffs, rhs in space.equations]
-        if same_solution_set(sys0, moved, n):
-            continue
-        # one of the candidates below must escape the equation system (the ball
-        # part is permutation-invariant, so it plays no role in closure)
-        candidates = [particular] + [
-            [p + v for p, v in zip(particular, vec)] for vec in basis
-        ]
-        for cand in candidates:
-            phi = Measurement(tuple(cand), space.domain)
-            values = phi.pullback(g).values
-            if any(dot(coeffs, values) != rhs for coeffs, rhs in sys0):
-                return False, (phi, g)
-        raise AssertionError("no witness found for an unclosed constrained space")
+        for point in spanning:
+            if not space.solves(g.pullback(point)):
+                return False, (Measurement(point, space.domain), g)
     return True, None
 
 

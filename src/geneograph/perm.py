@@ -338,15 +338,15 @@ def trivial_group(labels: Sequence[str]) -> FiniteGroup:
     return generate_group([], labels=tuple(labels))
 
 
-def group_from_elements(elements: Iterable[Permutation], verify: bool = True) -> FiniteGroup:
+def group_from_elements(elements: Iterable[Permutation]) -> FiniteGroup:
     """Wrap an explicit element set as a FiniteGroup, with a small greedy generating set.
 
     Each element, in order, that lies outside the subgroup generated so far
-    becomes a generator; one closure, seeded with that subgroup, grows it.
-
-    With verify=True the elements are checked to form a group (contain the
-    identity, closed under composition and inverse); pass verify=False when the
-    set is a group by construction, e.g. the image of a group homomorphism.
+    becomes a generator; one closure, seeded with that subgroup, grows it,
+    capped at the number of elements.  The elements form a group exactly when
+    that closure ends at them.  Only when it does not are they scanned for the
+    first element whose inverse is missing, then for the first product that
+    leaves the set, to name it.
     """
     elems = sorted(set(elements), key=lambda p: p.images)
     if not elems:
@@ -354,10 +354,25 @@ def group_from_elements(elements: Iterable[Permutation], verify: bool = True) ->
     n = elems[0].n
     lab = elems[0].labels
     ident = identity(n, lab)
-    member = frozenset(elems)
-    if ident not in member:
+    if ident not in elems:
         raise ValueError("element set lacks the identity")
-    if verify:
+    gens: list[Permutation] = []
+    moves = []
+    have = {ident.images}
+    # an element of another degree or labeling fails the test below, and the
+    # scans then decide as compose does
+    try:
+        for p in elems:
+            if p.images not in have and p.n == n:
+                gens.append(p)
+                moves.append(_left_multiplication(p.images))
+                have = closure(have, moves, len(elems))
+                if len(have) == len(elems):
+                    break
+    except CapExceededError:
+        pass
+    if have != {p.images for p in elems} or any(p.labels != lab for p in elems):
+        member = frozenset(elems)
         for p in elems:
             if p.inverse() not in member:
                 raise ValueError(f"element set not closed under inverse at {p}")
@@ -365,16 +380,6 @@ def group_from_elements(elements: Iterable[Permutation], verify: bool = True) ->
             for q in elems:
                 if compose(p, q) not in member:
                     raise ValueError(f"element set not closed under composition at {p}, {q}")
-    gens: list[Permutation] = []
-    moves = []
-    have = {ident.images}
-    for p in elems:
-        if p.images not in have:
-            gens.append(p)
-            moves.append(_left_multiplication(p.images))
-            have = closure(have, moves, len(elems))
-            if len(have) == len(elems):
-                break
     return FiniteGroup(tuple(elems), tuple(gens), ident)
 
 

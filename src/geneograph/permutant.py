@@ -223,7 +223,8 @@ def alpha_action(g: Permutation, f: Mapping, ctx: ActionContext) -> Mapping:
 
 @dataclass(frozen=True, init=False)
 class GeneralizedPermutant:
-    """A finite, alpha-closed set of maps Y -> X; closure is checked at construction.
+    """A finite, alpha-closed set of maps Y -> X; closure is checked at
+    construction by ``is_generalized_permutant``, whose witness the error names.
 
     The members are held as their sorted codes (``ActionContext.map_code``),
     with a set beside them, so ``size``, ``representative`` and membership
@@ -241,16 +242,12 @@ class GeneralizedPermutant:
     def __post_init__(self, members: tuple[Mapping, ...]):
         if len(set(members)) != len(members):
             raise ValueError("duplicate members")
-        for f in members:
-            self.context._check_mapping(f)
-        images = {f.images for f in members}
-        for f in members:
-            for g, move in zip(self.context.G.generators, self.context.moves):
-                moved = move(f.images)
-                if moved not in images:
-                    moved = Mapping(f.source_labels, f.target_labels, moved)
-                    raise ValueError(f"not alpha-closed: alpha({g}, {f}) = {moved} escapes")
-        codes = {self.context.map_code(h) for h in images}
+        ok, witness = is_generalized_permutant(members, self.context)
+        if not ok:
+            f, g = witness
+            moved = alpha_action(g, f, self.context)
+            raise ValueError(f"not alpha-closed: alpha({g}, {f}) = {moved} escapes")
+        codes = {self.context.map_code(f.images) for f in members}
         members = tuple(sorted(members, key=lambda m: m.images))
         self.__dict__.update(codes=tuple(sorted(codes)), _code_set=codes, members=members)
 
@@ -332,27 +329,23 @@ def is_generalized_permutant(
     """Whether a set of maps is alpha-closed; on failure, a witness (h, g) with
     alpha(g, h) outside the set.
 
-    Two equivalent characterizations are evaluated (closure under every group
-    element, and equality with the union of members' orbits) and must agree.
+    Certified on the generators: a set that every generator's move keeps is
+    closed under the whole group, as every element is a word in the
+    generators.  Only on failure are the members, in image order, and all
+    group elements scanned, so the witness is the first member h, and for it
+    the first element g of G, whose move leaves the set.
     """
-    mset = set(members)
-    for f in mset:
+    members = list(members)
+    for f in members:
         ctx._check_mapping(f)
-    images = {f.images for f in mset}
-    witness = next(
-        (
-            (h, g)
-            for h in sorted(mset, key=lambda m: m.images)
-            for g, move in ctx.element_moves.items()
-            if move(h.images) not in images
-        ),
-        None,
-    )
-    closed = witness is None
-    assert closed == (closure(images, ctx.moves) == images), (
-        "closure and union-of-orbits checks disagree"
-    )
-    return closed, witness
+    images = {f.images for f in members}
+    if all(move(h) in images for h in images for move in ctx.moves):
+        return True, None
+    for h in sorted(set(members), key=lambda m: m.images):
+        for g, move in ctx.element_moves.items():
+            if move(h.images) not in images:
+                return False, (h, g)
+    return True, None
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,11 @@ def write_json(path, payload):
     return str(path)
 
 
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 @pytest.fixture(scope="module")
 def ctx_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("ctx") / "c6c3.json"
@@ -221,7 +226,7 @@ def test_geneo_decompose(tmp_path, f4_file, capsys):
     payload = json.loads(out)
     assert payload["weights"]  # nonempty support
     # rebuild through the library and compare coefficient tables
-    op = docs.operator_from_json(json.loads(open(f4_file).read()))
+    op = docs.operator_from_json(read_json(f4_file))
     ctx = docs.context_from_json(payload["context"])
     measure = docs.measure_from_json(payload, ctx)
     from geneograph.geneo import from_measure
@@ -257,7 +262,7 @@ def test_malformed_json_is_validation_failure(tmp_path, capsys):
 
 
 def test_bad_cycle_text_in_group_doc(tmp_path, ctx_file, capsys):
-    doc = json.load(open(ctx_file))
+    doc = read_json(ctx_file)
     doc["G"]["generators"] = ["(a,zz)"]
     path = write_json(tmp_path / "bad_ctx.json", doc)
     code, out, _ = run_cli(capsys, "orbits", "--context", path)
@@ -272,8 +277,18 @@ def test_graph_with_string_edges_is_validation_failure(tmp_path, capsys):
     assert json.loads(out)["error"].startswith("edges[0] must be an object")
 
 
+@pytest.mark.parametrize("edge, field", [({"label": "p"}, "ends"), ({"ends": ["B", "C"]}, "label")])
+def test_graph_edge_without_field_is_validation_failure(tmp_path, capsys, edge, field):
+    doc = {"vertices": ["A", "B", "C"], "edges": [{"label": "q", "ends": ["A", "B"]}, edge]}
+    path = write_json(tmp_path / "g.json", doc)
+    code, out, err = run_cli(capsys, "aut", path)
+    assert code == 1
+    assert json.loads(out) == {"error": f"edges[1] field '{field}' is missing"}
+    assert "Traceback" not in err
+
+
 def test_numeric_group_generator_is_validation_failure(tmp_path, ctx_file, capsys):
-    doc = json.load(open(ctx_file))
+    doc = read_json(ctx_file)
     doc["G"]["generators"] = [5]
     path = write_json(tmp_path / "bad_ctx.json", doc)
     code, out, err = run_cli(capsys, "orbits", "--context", path)
@@ -313,6 +328,30 @@ MALFORMED = {
     ),
     "permutant-member-number": (
         ["permutant", "check", "{doc}", "--context", "{ctx}"], {"members": [5]}, "mapping"
+    ),
+    "measure-weight-zero-denominator": (
+        MEASURE, {"weights": [{"mapping": "aec", "weight": "1/0"}]}, "measure weight: '1/0' has a zero denominator"
+    ),
+    "build-measure-weight-zero-denominator": (
+        ["geneo", "build", "--measure", "{doc}", "--context", "{ctx}"],
+        {"weights": [{"mapping": "aec", "weight": "1/0"}]},
+        "measure weight: '1/0' has a zero denominator",
+    ),
+    "apply-entry-zero-denominator": (
+        APPLY, ["1/0", 0, 0, 0, 0, 0], "measurement entry: '1/0' has a zero denominator"
+    ),
+    **{
+        f"{command}-coeff-zero-denominator": (
+            ["geneo", command, "{doc}"],
+            ("op", ("coeffs",), [["1/0"] * 6] * 6),
+            "operator field 'coeffs': '1/0' has a zero denominator",
+        )
+        for command in ("verify", "decompose")
+    },
+    "verify-rhs-zero-denominator": (
+        VERIFY,
+        ("op", SPACE + ("constraints",), [{"coeffs": [1, 0, 0, 0, 0, 0], "rhs": "1/0"}]),
+        "constraint field 'rhs': '1/0' has a zero denominator",
     ),
     "apply-entry-null": (APPLY, [None, 0, 0, 0, 0, 0], "measurement entry"),
     "apply-entry-true": (APPLY, [True, 0, 0, 0, 0, 0], "measurement entry"),
@@ -361,7 +400,7 @@ def test_malformed_document_is_validation_failure(tmp_path, ctx_file, f4_file, c
     argv, doc, fragment = MALFORMED[case]
     if isinstance(doc, tuple):
         base, path, value = doc
-        doc = json.load(open(f4_file if base == "op" else ctx_file))
+        doc = read_json(f4_file if base == "op" else ctx_file)
         target = doc
         for key in path[:-1]:
             target = target[key]

@@ -42,6 +42,14 @@ def test_loop_rejected():
         parse_graph({"vertices": ["A", "B"], "edges": [{"label": "p", "ends": ["A", "A"]}]})
 
 
+@pytest.mark.parametrize("field", ["label", "ends"])
+def test_edge_without_field_names_it(field):
+    edge = {"label": "p", "ends": ["A", "B"]}
+    del edge[field]
+    with pytest.raises(ValueError, match=rf"^edges\[0\] field '{field}' is missing$"):
+        parse_graph({"vertices": ["A", "B"], "edges": [edge]})
+
+
 def test_duplicate_edge_rejected():
     with pytest.raises(ValueError, match="duplicate edge"):
         graph("AB", [("p", ("A", "B")), ("q", ("B", "A"))])
