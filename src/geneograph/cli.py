@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import io as docs
-from .experiments import analyze_code_table, build_code_table, cycle_census
+from .experiments import analyze_code_table, build_code_table, c6_c3_context
 from .geneo import (
     apply,
     decompose_to_measure,
@@ -76,8 +76,8 @@ def cmd_aut(args) -> dict:
     return docs.group_to_json(group)
 
 
-def cmd_orbits(args) -> dict:
-    ctx = _context(args)
+def _orbit_census(ctx, full: bool) -> dict:
+    """The orbit census of a context's map space, with canonical representatives."""
     orbits, census = all_orbits(ctx)
     form = docs.images_to_json(ctx.x_labels)
     reps: dict[int, list] = {}
@@ -88,9 +88,13 @@ def cmd_orbits(args) -> dict:
         "census": {str(size): count for size, count in census.items()},
         "representatives": {str(s): sorted(v) for s, v in sorted(reps.items())},
     }
-    if args.full:
+    if full:
         payload["orbits"] = [[form(ctx.map_images(c)) for c in o.codes] for o in orbits]
     return payload
+
+
+def cmd_orbits(args) -> dict:
+    return _orbit_census(_context(args), args.full)
 
 
 def cmd_permutant_check(args) -> dict:
@@ -209,14 +213,7 @@ def cmd_codes(args):
 
 
 def cmd_census(args) -> dict:
-    report = cycle_census()
-    return {
-        "total": report.total,
-        "census": {str(size): count for size, count in report.census.items()},
-        "representatives": {
-            str(size): list(names) for size, names in report.representatives.items()
-        },
-    }
+    return _orbit_census(c6_c3_context(), full=False)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -41,7 +41,6 @@ from .permutant import (
     GeneralizedPermutant,
     Mapping,
     PermutantMeasure,
-    alpha_move,
     endo_context,
     is_permutant_measure,
 )
@@ -276,23 +275,15 @@ def diagonal_scaling(d: Sequence, pair: PerceptionPair) -> ScalingOutcome:
         if len({scale[i] for i in orb}) > 1
     )
 
-    closure_ok, detail = True, ""
-    space = pair.space
-    if space.kind == "constrained":
-        # the scaled space is the affine hull of the scaled spanning points
-        if not all(space.solves([v / s for v, s in zip(p, scale)]) for p in space.spanning_points()):
-            closure_ok = False
-            detail = "scaled image leaves the constrained space"
-    elif space.kind == "explicit":
-        assert space.members is not None
-        values = {m.values for m in space.members}
-        for m in space.members:
-            image = tuple(v / s for v, s in zip(m.values, scale))
-            if image not in values:
-                closure_ok = False
-                detail = f"image of {tuple(map(str, m.values))} leaves the explicit family"
-                break
     # norm balls shrink under division by d_i >= 1, so they never obstruct
+    escaped = pair.space.escape(lambda values: tuple(v / s for v, s in zip(values, scale)))
+    closure_ok, detail = escaped is None, ""
+    if escaped is not None:
+        detail = (
+            f"image of {tuple(map(str, escaped.values))} leaves the explicit family"
+            if pair.space.kind == "explicit"
+            else "scaled image leaves the constrained space"
+        )
 
     if violated or not closure_ok:
         if violated:
@@ -415,9 +406,7 @@ def check_closure(
 DEFAULT_DECOMPOSE_CAP = 5040
 
 
-def decompose_to_measure(
-    op: LinearOperator, max_perms: int = DEFAULT_DECOMPOSE_CAP
-) -> PermutantMeasure:
+def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
     """Recover a permutant measure mu with sum |mu| <= 1 whose operator equals op.
 
     Only endo-operators with the identity homomorphism and a transitive group
@@ -435,16 +424,17 @@ def decompose_to_measure(
         raise ValueError("decomposition requires the identity homomorphism")
     group = op.source.group
     n = group.degree
-    if math.factorial(n) > max_perms:
-        raise CapExceededError(f"{n}! permutations exceed the decomposition cap {max_perms}")
+    if math.factorial(n) > DEFAULT_DECOMPOSE_CAP:
+        raise CapExceededError(f"{n}! permutations exceed the decomposition cap {DEFAULT_DECOMPOSE_CAP}")
     if len(group.coordinate_orbits()) != 1:
         raise ValueError("the group must act transitively on the domain")
     ok, witness = verify_equivariance(op)
     if not ok:
         raise ValueError(f"operator is not equivariant (witness {witness})")
 
-    moves = [alpha_move(g.images, g.inverse().images) for g in group.generators]
-    orbits = [sorted(o) for o in orbit_partition(permutations(range(n)), moves)]
+    # conjugation h -> g o h o g^-1 is alpha with T the identity
+    ctx = endo_context(group)
+    orbits = [sorted(o) for o in orbit_partition(permutations(range(n)), ctx.moves)]
     m = len(orbits)
 
     # reconstruction equations over one weight per conjugation orbit.  As op is
@@ -528,7 +518,7 @@ def decompose_to_measure(
     for i, w in weights.items():
         for h in orbits[i]:
             measure_weights[Mapping(labels, labels, h)] = w
-    result = PermutantMeasure(endo_context(group), measure_weights)
+    result = PermutantMeasure(ctx, measure_weights)
     rebuilt = from_measure(result)
     assert rebuilt.coeffs == op.coeffs, "reconstructed operator must match exactly"
     return result

@@ -96,7 +96,8 @@ def graph(vertices: Sequence[str], edges: Sequence[tuple[str, tuple[str, str]]])
 
 
 def parse_graph(document: Mapping) -> Graph:
-    """Validate a graph JSON document {"vertices": [...], "edges": [{"label", "ends"}]}.
+    """Validate a graph JSON document {"vertices": [...], "edges": [{"label", "ends"}]}:
+    two arrays, vertex names and edge labels strings.
 
     Raises ValueError naming the first malformed field.
     """
@@ -105,6 +106,9 @@ def parse_graph(document: Mapping) -> Graph:
         edge_docs = list(document["edges"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"graph document needs 'vertices' and 'edges': {exc}") from exc
+    for key in ("vertices", "edges"):
+        if not isinstance(document[key], (list, tuple)):
+            raise ValueError(f"graph field '{key}' must be an array")
     if not all(isinstance(v, str) for v in vertices):
         raise ValueError("vertices must be strings")
     edges = []
@@ -119,7 +123,9 @@ def parse_graph(document: Mapping) -> Graph:
             raise ValueError(f"edge {doc.get('label')!r} must have exactly two ends")
         if not all(isinstance(end, str) for end in ends):
             raise ValueError(f"edges[{k}].ends must be vertex names, got {ends!r}")
-        edges.append((str(doc["label"]), (ends[0], ends[1])))
+        if not isinstance(doc["label"], str):
+            raise ValueError(f"edges[{k}] field 'label' must be a string")
+        edges.append((doc["label"], (ends[0], ends[1])))
     return graph(vertices, edges)
 
 

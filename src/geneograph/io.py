@@ -166,11 +166,8 @@ def mapping_from_json(doc, ctx: ActionContext) -> Mapping:
     return mapping_from_labels(_strings(doc, "a mapping in label form"), ctx.y_labels, ctx.x_labels)
 
 
-def permutant_to_json(h: GeneralizedPermutant, include_context: bool = True) -> dict:
-    doc: dict = {"members": [mapping_to_json(f) for f in h.members]}
-    if include_context:
-        doc["context"] = context_to_json(h.context)
-    return doc
+def permutant_to_json(h: GeneralizedPermutant) -> dict:
+    return {"members": [mapping_to_json(f) for f in h.members], "context": context_to_json(h.context)}
 
 
 def permutant_members_from_json(doc, ctx: ActionContext) -> list[Mapping]:
@@ -178,16 +175,14 @@ def permutant_members_from_json(doc, ctx: ActionContext) -> list[Mapping]:
     return [mapping_from_json(m, ctx) for m in _array(members, "permutant field 'members'")]
 
 
-def measure_to_json(m: PermutantMeasure, include_context: bool = True) -> dict:
-    doc: dict = {
+def measure_to_json(m: PermutantMeasure) -> dict:
+    return {
         "weights": [
             {"mapping": mapping_to_json(f), "weight": fraction_to_json(m.weight(f))}
             for f in m.support
-        ]
+        ],
+        "context": context_to_json(m.context),
     }
-    if include_context:
-        doc["context"] = context_to_json(m.context)
-    return doc
 
 
 def measure_from_json(doc: MappingABC, ctx: ActionContext) -> PermutantMeasure:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 from .linalg import dot, solve_affine
 from .perm import DomainMismatchError, FiniteGroup, Permutation
@@ -89,7 +90,8 @@ class FunctionSpace:
 
     Three kinds: the full space R^n (no constraints), a linearly constrained
     space (equations a.phi = c, optionally intersected with a norm ball), and
-    an explicit finite family.
+    an explicit finite family.  ``escape`` decides whether a linear map
+    keeps the space, for perception pairs and diagonal scalings alike.
     """
 
     domain: tuple[str, ...]
@@ -148,15 +150,28 @@ class FunctionSpace:
         """Whether a coordinate vector satisfies every linear equation of the space."""
         return all(dot(coeffs, values) == rhs for coeffs, rhs in self.equations)
 
-    def spanning_points(self) -> list[tuple[Fraction, ...]]:
+    @cached_property
+    def spanning_points(self) -> tuple[tuple[Fraction, ...], ...]:
         """Points whose affine hull is the solution set of the equations, none
         if they are inconsistent: the particular solution of ``solve_affine``,
         then that solution plus each nullspace basis vector."""
         solved = solve_affine(self.equations, self.dim)
         if solved is None:
-            return []
+            return ()
         particular, basis = solved
-        return [tuple(particular)] + [tuple(p + v for p, v in zip(particular, vec)) for vec in basis]
+        return (tuple(particular),) + tuple(tuple(p + v for p, v in zip(particular, vec)) for vec in basis)
+
+    def escape(self, move: Callable[[Sequence[Fraction]], Sequence[Fraction]]) -> Measurement | None:
+        """The first explicit member, or else the first spanning point, that
+        the linear map ``move`` takes out of the space; None if it keeps the
+        space (an affine set maps onto the hull of its spanning points'
+        images).  Norm balls are not tested: the maps applied here,
+        permutations and divisions by factors >= 1, keep them."""
+        if self.members is not None:
+            values = {m.values for m in self.members}
+            return next((m for m in self.members if tuple(move(m.values)) not in values), None)
+        point = next((p for p in self.spanning_points if not self.solves(move(p))), None)
+        return None if point is None else Measurement(point, self.domain)
 
 
 def full_space(domain: Sequence[str]) -> FunctionSpace:
@@ -196,31 +211,20 @@ def verify_perception_pair(
 ) -> tuple[bool, tuple[Measurement, Permutation] | None]:
     """Check closure of the space under precomposition with every group element.
 
-    Explicit spaces are checked exhaustively.  A linearly constrained space is
-    closed under g exactly when g keeps its spanning points inside the
-    equations: the particular solution of ``solve_affine``, and that solution
-    plus each nullspace basis vector (phi -> phi o g is linear, and an affine
-    set with all its spanning points moved inside it is moved onto itself).
-    Norm balls are permutation-invariant, and the full space is trivially
-    closed.  On failure returns the first witness (phi, g), in group order and
-    then spanning-point order, with phi o g outside the space.
+    Each element g, in group order, asks ``FunctionSpace.escape`` whether the
+    linear map phi -> phi o g takes a point out of the space: an explicit
+    member, or a spanning point of a constrained space's equations.  Norm
+    balls are permutation-invariant, and the full space is trivially closed.
+    On failure returns the first witness (phi, g), in group order and then
+    point order, with phi o g outside the space.
     """
     _check_group_acts(space, group)
     if space.kind == "full":
         return True, None
-    if space.kind == "explicit":
-        assert space.members is not None
-        values = {m.values for m in space.members}
-        for g in group:
-            for m in space.members:
-                if g.pullback(m.values) not in values:
-                    return False, (m, g)
-        return True, None
-    spanning = space.spanning_points()  # none for an empty space, vacuously closed
     for g in group:
-        for point in spanning:
-            if not space.solves(g.pullback(point)):
-                return False, (Measurement(point, space.domain), g)
+        phi = space.escape(g.pullback)
+        if phi is not None:
+            return False, (phi, g)
     return True, None
 
 

@@ -302,13 +302,12 @@ class FiniteGroup:
 def generate_group(
     generators: Iterable[Permutation],
     *,
-    domain_size: int | None = None,
     labels: Sequence[str] | None = None,
     max_size: int | None = None,
 ) -> FiniteGroup:
     """Smallest group containing the generators, by breadth-first closure.
 
-    For an empty generator list, domain_size or labels must be given.  Raises
+    For an empty generator list, labels must be given.  Raises
     CapExceededError if the closure grows past the cap (default 10!,
     overridable via the GENEO_MAX_GROUP environment variable).
     """
@@ -321,13 +320,10 @@ def generate_group(
             if g.n != n:
                 raise DomainMismatchError("generators act on different domain sizes")
             lab = _merge_labels(gens[0], g)
+    elif labels is not None:
+        n, lab = len(labels), tuple(labels)
     else:
-        if labels is not None:
-            n, lab = len(labels), tuple(labels)
-        elif domain_size is not None:
-            n, lab = domain_size, None
-        else:
-            raise ValueError("empty generator list needs domain_size or labels")
+        raise ValueError("empty generator list needs labels")
     ident = identity(n, lab)
     elements = closure((ident.images,), [_left_multiplication(g.images) for g in gens], cap)
     ordered = tuple(Permutation(images, lab) for images in sorted(elements))

@@ -8,6 +8,10 @@ order of image tuples.  ``all_orbits`` partitions these codes with one lookup
 table per generator of G, and a ``GeneralizedPermutant`` holds the codes of
 its members; labeled ``Mapping`` objects are built only when asked for.
 
+The action is built from G's generators alone, and permutants and measures
+share one invariance test, a set of maps being tested as its indicator
+weighting; the move of any other element is built only on request.
+
 A classical permutant (bijections of X closed under conjugation by G) is the
 special case where source and target coincide and T is the identity; no
 separate representation is used for it.
@@ -119,20 +123,13 @@ def parse_mapping(text: str, source_labels: Sequence[str], target_labels: Sequen
     return mapping_from_labels(list(text), source_labels, target_labels)
 
 
-def alpha_move(
-    g_images: Sequence[int], tg_inv_images: Sequence[int]
-) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """The move h -> g o h o t on image tuples, for t = T(g^-1) given by its images."""
-    return lambda h: tuple([g_images[h[y]] for y in tg_inv_images])
-
-
 @dataclass(frozen=True)
 class ActionContext:
     """The data (G, K, T) of the action (g, f) -> g o f o T(g^-1) on maps Y -> X.
 
     G acts on the target set X, K on the source set Y, and T : G -> K is a
-    verified homomorphism.  Each element's move on image tuples is built once
-    here: ``moves`` holds those of G's generators, in generator order.
+    verified homomorphism.  Only the generators' moves on image tuples are
+    built here, in ``moves`` in generator order; ``move`` builds any element's.
     """
 
     G: FiniteGroup
@@ -142,11 +139,12 @@ class ActionContext:
     def __post_init__(self):
         if self.T.source != self.G or self.T.target != self.K:
             raise ValueError("homomorphism must map the acting group G into K")
-        element_moves = {
-            g: alpha_move(g.images, self.T(g.inverse()).images) for g in self.G.elements
-        }
-        object.__setattr__(self, "element_moves", element_moves)
-        object.__setattr__(self, "moves", tuple(element_moves[g] for g in self.G.generators))
+        object.__setattr__(self, "moves", tuple(map(self.move, self.G.generators)))
+
+    def move(self, g: Permutation) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+        """The move h -> g o h o T(g^-1) of an element g of G on image tuples."""
+        g_images, t = g.images, self.T(g.inverse()).images
+        return lambda h: tuple([g_images[h[y]] for y in t])
 
     @property
     def x_labels(self) -> tuple[str, ...]:
@@ -214,11 +212,16 @@ def endo_context(group: FiniteGroup) -> ActionContext:
 
 def alpha_action(g: Permutation, f: Mapping, ctx: ActionContext) -> Mapping:
     """The left action alpha(g, f) = g o f o T(g^-1)."""
-    move = ctx.element_moves.get(g)
-    if move is None:
+    if g not in ctx.G:
         raise ValueError(f"{g} is not in the acting group")
     ctx._check_mapping(f)
-    return Mapping(f.source_labels, f.target_labels, move(f.images))
+    return Mapping(f.source_labels, f.target_labels, ctx.move(g)(f.images))
+
+
+def _escape_error(f: Mapping, g: Permutation, ctx: ActionContext) -> ValueError:
+    """The error for a set of maps that holds f but not alpha(g, f)."""
+    moved = Mapping(f.source_labels, f.target_labels, ctx.move(g)(f.images))
+    return ValueError(f"not alpha-closed: alpha({g}, {f}) = {moved} escapes")
 
 
 @dataclass(frozen=True, init=False)
@@ -244,9 +247,7 @@ class GeneralizedPermutant:
             raise ValueError("duplicate members")
         ok, witness = is_generalized_permutant(members, self.context)
         if not ok:
-            f, g = witness
-            moved = alpha_action(g, f, self.context)
-            raise ValueError(f"not alpha-closed: alpha({g}, {f}) = {moved} escapes")
+            raise _escape_error(*witness, self.context)
         codes = {self.context.map_code(f.images) for f in members}
         members = tuple(sorted(members, key=lambda m: m.images))
         self.__dict__.update(codes=tuple(sorted(codes)), _code_set=codes, members=members)
@@ -314,8 +315,7 @@ def all_orbits(
     for g, table in zip(ctx.G.generators, tables):
         if list(map(orbit_id.__getitem__, table)) != orbit_id:
             c = next(c for c in range(total) if orbit_id[table[c]] != orbit_id[c])
-            f, moved = (Mapping(ctx.y_labels, ctx.x_labels, ctx.map_images(x)) for x in (c, table[c]))
-            raise ValueError(f"not alpha-closed: alpha({g}, {f}) = {moved} escapes")
+            raise _escape_error(Mapping(ctx.y_labels, ctx.x_labels, ctx.map_images(c)), g, ctx)
     permutants = [GeneralizedPermutant._from_codes(ctx, o) for o in orbits]
     census: dict[int, int] = {}
     for o in permutants:
@@ -323,29 +323,35 @@ def all_orbits(
     return permutants, dict(sorted(census.items()))
 
 
+def _invariance_witness(
+    weights: MappingABC[tuple[int, ...], object], ctx: ActionContext
+) -> tuple[Mapping, Permutation] | None:
+    """None if alpha keeps a weighting of image tuples (absent tuples weigh
+    0), else the witness (f, g): the first point f in image order, and for it
+    the first element g of G, whose move changes the weight.  Certified on the
+    generators, as every element is a word in them; the moves of all elements
+    are built only to name a witness."""
+    if all(weights.get(move(h), 0) == w for h, w in weights.items() for move in ctx.moves):
+        return None
+    moves = [(g, ctx.move(g)) for g in ctx.G]
+    for h in sorted(weights):
+        for g, move in moves:
+            if weights.get(move(h), 0) != weights[h]:
+                return Mapping(ctx.y_labels, ctx.x_labels, h), g
+    return None
+
+
 def is_generalized_permutant(
     members: Iterable[Mapping], ctx: ActionContext
 ) -> tuple[bool, tuple[Mapping, Permutation] | None]:
     """Whether a set of maps is alpha-closed; on failure, a witness (h, g) with
-    alpha(g, h) outside the set.
-
-    Certified on the generators: a set that every generator's move keeps is
-    closed under the whole group, as every element is a word in the
-    generators.  Only on failure are the members, in image order, and all
-    group elements scanned, so the witness is the first member h, and for it
-    the first element g of G, whose move leaves the set.
-    """
+    alpha(g, h) outside the set.  The set is tested as its indicator
+    weighting, 1 on each member, so h is the first member in image order."""
     members = list(members)
     for f in members:
         ctx._check_mapping(f)
-    images = {f.images for f in members}
-    if all(move(h) in images for h in images for move in ctx.moves):
-        return True, None
-    for h in sorted(set(members), key=lambda m: m.images):
-        for g, move in ctx.element_moves.items():
-            if move(h.images) not in images:
-                return False, (h, g)
-    return True, None
+    witness = _invariance_witness(dict.fromkeys((f.images for f in members), 1), ctx)
+    return witness is None, witness
 
 
 @dataclass(frozen=True)
@@ -394,24 +400,11 @@ def is_permutant_measure(
     m: PermutantMeasure,
 ) -> tuple[bool, tuple[Mapping, Permutation] | None]:
     """Atom-level alpha-invariance of the weights; sufficient since the measure
-    is atomic and every subset of the finite map space is measurable.
-
-    Certified on the generators: if every generator's move keeps the weight
-    of every support point, the support is closed under the moves and the
-    weights are constant along each orbit.  Only on failure are the support
-    and all group elements scanned in order, so the witness (f, g) is the
-    first support map f, and for it the first element g of G, that changes
-    the weight.
-    """
-    weights = {f.images: w for f, w in m.weights.items()}
-    moves = m.context.moves
-    if all(weights.get(move(f), 0) == w for f, w in weights.items() for move in moves):
-        return True, None
-    for f in m.support:
-        for g, move in m.context.element_moves.items():
-            if weights.get(move(f.images), 0) != weights[f.images]:
-                return False, (f, g)
-    return True, None
+    is atomic and every subset of the finite map space is measurable.  On
+    failure, the witness (f, g) is the first support map f, and for it the
+    first element g of G, whose move changes the weight."""
+    witness = _invariance_witness({f.images: w for f, w in m.weights.items()}, m.context)
+    return witness is None, witness
 
 
 def transposition_permutant(n: int, model: str = "edge") -> GeneralizedPermutant:

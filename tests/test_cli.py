@@ -11,6 +11,7 @@ from geneograph.cli import main
 from geneograph.experiments import c6_c3_context
 from geneograph.geneo import from_measure, from_permutant, identity_operator
 from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group, graph_document
+from geneograph.perception import PerceptionPair, full_space
 from geneograph.permutant import PermutantMeasure, endo_context, orbit, transposition_permutant
 
 from conftest import census_graph
@@ -247,6 +248,15 @@ def test_geneo_decompose_failure(tmp_path, ctx_file, capsys):
     assert "endo" in json.loads(out)["error"]
 
 
+def test_geneo_decompose_over_cap(tmp_path, capsys):
+    group = edge_automorphism_group(cycle_graph(8))
+    op = identity_operator(PerceptionPair(full_space(group.labels), group))
+    path = write_json(tmp_path / "c8_identity.json", docs.operator_to_json(op))
+    code, out, err = run_cli(capsys, "geneo", "decompose", path)
+    assert code == 1
+    assert out == '{"error":"8! permutations exceed the decomposition cap 5040"}\n'
+
+
 def test_missing_file_is_validation_failure(capsys):
     code, out, _ = run_cli(capsys, "aut", "/nonexistent/graph.json")
     assert code == 1
@@ -310,6 +320,8 @@ MEASURE = ["measure", "check", "{doc}", "--context", "{ctx}"]
 VERIFY = ["geneo", "verify", "{doc}"]
 ORBITS = ["orbits", "--context", "{doc}"]
 APPLY = ["geneo", "apply", "{op}", "{doc}"]
+AUT = ["aut", "{doc}"]
+EDGE_AB = {"label": "p", "ends": ["A", "B"]}
 SPACE = ("source", "space")
 
 # (command, document, fragment of the error): a plain document, or (base, key
@@ -391,6 +403,19 @@ MALFORMED = {
     **{
         f"orbits-without-{key}": (ORBITS, ("ctx", (key,), MISSING), f"context field '{key}' is missing")
         for key in ("G", "K", "T")
+    },
+    "aut-vertices-string": (
+        AUT, {"vertices": "AB", "edges": [{"label": None, "ends": ["A", "B"]}]}, "graph field 'vertices' must be an array"
+    ),
+    "aut-vertices-object": (
+        AUT, {"vertices": {"A": 0, "B": 1}, "edges": [EDGE_AB]}, "graph field 'vertices' must be an array"
+    ),
+    "aut-edges-object": (AUT, {"vertices": ["A", "B"], "edges": {}}, "graph field 'edges' must be an array"),
+    **{
+        f"aut-label-{name}": (
+            AUT, {"vertices": ["A", "B"], "edges": [{**EDGE_AB, "label": label}]}, "edges[0] field 'label' must be a string"
+        )
+        for name, label in (("null", None), ("number", 7), ("array", ["p"]))
     },
 }
 

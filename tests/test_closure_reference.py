@@ -5,7 +5,8 @@ kept inline here as the reference.
   the constraint system and its permuted copy for every group element, and
   only then looks for a spanning point that escapes.  Diagonal scaling's
   reference asks whether the scaled system's solutions solve the original
-  system, again by comparing echelon forms.
+  system, again by comparing echelon forms.  On explicit families both
+  references loop over the members themselves, each in its own copy.
 - Groups from element lists: the reference scans every element for its
   inverse and every pair for its product before the greedy generator search.
 - Generalized permutants: the reference scans every member against every
@@ -95,6 +96,36 @@ def ref_verify_constrained(space, group):
     return True, None
 
 
+def ref_verify_explicit(space, group):
+    values = {m.values for m in space.members}
+    for g in group:
+        for m in space.members:
+            if g.pullback(m.values) not in values:
+                return False, (m, g)
+    return True, None
+
+
+def ref_scaling_explicit(scale, pair):
+    """(accepted, violated orbits, closure_ok, detail) of diagonal_scaling on an explicit family."""
+    violated = tuple(
+        tuple(orb) for orb in pair.group.coordinate_orbits() if len({scale[i] for i in orb}) > 1
+    )
+    closure_ok, detail = True, ""
+    values = {m.values for m in pair.space.members}
+    for m in pair.space.members:
+        image = tuple(v / s for v, s in zip(m.values, scale))
+        if image not in values:
+            closure_ok = False
+            detail = f"image of {tuple(map(str, m.values))} leaves the explicit family"
+            break
+    if violated:
+        names = ["{" + ",".join(pair.space.domain[i] for i in orb) + "}" for orb in violated]
+        detail = (detail + "; " if detail else "") + (
+            "scaling is not constant on coordinate orbit(s) " + ", ".join(names)
+        )
+    return not violated and closure_ok, violated, closure_ok, detail
+
+
 def ref_scaling_closes(space, scale):
     scaled = [(tuple(c * s for c, s in zip(coeffs, scale)), rhs) for coeffs, rhs in space.equations]
     return ref_solution_subset(scaled, list(space.equations), space.dim)
@@ -133,8 +164,8 @@ def ref_is_generalized_permutant(members, ctx):
         (
             (h, g)
             for h in sorted(mset, key=lambda m: m.images)
-            for g, move in ctx.element_moves.items()
-            if move(h.images) not in images
+            for g in ctx.G.elements
+            if tuple(g.images[h.images[y]] for y in ctx.T(g.inverse()).images) not in images
         ),
         None,
     )
@@ -223,6 +254,56 @@ def test_diagonal_scaling_closure_matches_reference():
         assert outcome.detail == ("" if expected else "scaled image leaves the constrained space")
         verdicts[expected] += 1
     assert min(verdicts.values()) >= 200, verdicts
+
+
+def random_explicit_space(rng, n, group, scale):
+    """A few random members, some closed up under the group, under division
+    by the scale, or both, with a closing member sometimes dropped again;
+    members are occasionally repeated or carry no domain labels."""
+    domain = LABELS[:n]
+    members = []
+    for _ in range(rng.randint(1, 3)):
+        row = random_row(rng, n)
+        if rng.random() < 0.5:
+            orbit = sorted({g.pullback(row) for g in group})
+            members += [tuple(v / s ** k for v, s in zip(p, scale)) for p in orbit for k in range(3)]
+        else:
+            members.append(row)
+        if rng.random() < 0.3:
+            members.append(tuple(v / s for v, s in zip(members[-1], scale)))
+    rng.shuffle(members)
+    if len(members) > 1 and rng.random() < 0.3:
+        members.pop(rng.randrange(len(members)))
+    if rng.random() < 0.2:
+        members.append(rng.choice(members))
+    labeled = tuple(Measurement(m, None if rng.random() < 0.2 else domain) for m in members)
+    return FunctionSpace(domain, members=labeled)
+
+
+def test_explicit_families_match_reference():
+    rng = random.Random(20260422)
+    perception, scaling = {True: 0, False: 0}, {True: 0, False: 0}
+    for _ in range(600):
+        n = rng.randint(2, 4)
+        group = random_group(rng, n)
+        scale = [
+            Fraction(1) if rng.random() < 0.6 else Fraction(rng.choice((2, 3, Fraction(3, 2)))) for _ in range(n)
+        ]
+        space = random_explicit_space(rng, n, group, scale)
+        expected = ref_verify_explicit(space, group)
+        assert verify_perception_pair(space, group) == expected, (space, group.generators)
+        perception[expected[0]] += 1
+        # a space the group does not keep is no perception pair with it
+        acting = group if expected[0] and rng.random() >= 0.5 else trivial_group(space.domain)
+        pair = PerceptionPair(space, acting)
+        outcome = diagonal_scaling(scale, pair)
+        accepted, violated, closure_ok, detail = ref_scaling_explicit(scale, pair)
+        assert (outcome.accepted, outcome.violated_orbits, outcome.closure_ok, outcome.detail) == (
+            accepted, violated, closure_ok, detail
+        ), (space, scale)
+        assert (outcome.operator is not None) == accepted
+        scaling[closure_ok] += 1
+    assert min(perception.values()) >= 100 and min(scaling.values()) >= 100, (perception, scaling)
 
 
 def random_element_set(rng, n):

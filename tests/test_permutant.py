@@ -106,7 +106,7 @@ def test_alpha_matches_label_oracle_everywhere(c6c3):
 def test_alpha_rejects_outside_group(c6c3):
     stray = parse_cycles("(a,b)", EDGES6)
     assert stray not in c6c3.G
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\(a,b\) is not in the acting group$"):
         alpha_action(stray, c6c3.mapping("aec"), c6c3)
 
 
