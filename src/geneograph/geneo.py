@@ -14,9 +14,9 @@ and the LP to the fraction-free integer rows of `linalg`.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from typing import Callable, Iterable, Sequence
 
@@ -52,16 +52,14 @@ Witness = tuple[int, Permutation]
 class LinearOperator:
     """A linear map between measurement spaces, with its equivariance data.
 
-    The flags is_geo / is_geneo start unknown (None) and are filled in by the
-    constructors after verification.
+    The verdicts is_geo / is_geneo are worked out from the table and the
+    homomorphism on first access, so no constructor or document can state them.
     """
 
     coeffs: tuple[tuple[Fraction, ...], ...]
     source: PerceptionPair
     target: PerceptionPair
     hom: Homomorphism
-    is_geo: bool | None = None
-    is_geneo: bool | None = None
 
     def __post_init__(self):
         if len(self.coeffs) != self.target.space.dim:
@@ -79,6 +77,14 @@ class LinearOperator:
     @property
     def n_out(self) -> int:
         return self.target.space.dim
+
+    @cached_property
+    def is_geo(self) -> bool:
+        return verify_equivariance(self)[0]
+
+    @cached_property
+    def is_geneo(self) -> bool:
+        return self.is_geo and verify_nonexpansive(self)
 
 
 @dataclass(frozen=True)
@@ -109,19 +115,16 @@ def apply(op: Operator, phi: Measurement) -> Measurement:
     return Measurement(matvec(op.coeffs, phi.values), op.target.domain)
 
 
-def verify_equivariance(
-    op: LinearOperator, spot_checks: int = 0, seed: int | None = None
-) -> tuple[bool, Witness | None]:
+def verify_equivariance(op: LinearOperator) -> tuple[bool, Witness | None]:
     """Exact equivariance check F(phi o g) = F(phi) o T(g) on the coefficient
     table, for every generator g of the source group.
 
     For the standard basis vector e_i, e_i o g = e_{g^-1(i)}, so the check on
     e_i reads coeffs[y][g^-1(i)] == coeffs[T(g)(y)][i] for every row y.
-    Linearity extends it to every measurement, and the generators to the whole
-    group.  Optional randomized spot checks over the full group add
-    redundancy.  The witness on failure is (basis index, generator): the first
-    failing index i for the first failing generator, or (-1, g) for a failed
-    spot check.
+    Linearity extends it to every measurement, and, as the generators generate
+    the group and T is a verified homomorphism, to every element.  The witness
+    on failure is (basis index, generator): the first failing index i for the
+    first failing generator.
     """
     c = op.coeffs
     rows = range(op.n_out)
@@ -131,19 +134,6 @@ def verify_equivariance(
         for i, j in enumerate(g_inv):
             if any(c[y][j] != c[tg[y]][i] for y in rows):
                 return False, (i, g)
-    if spot_checks:
-        rng = random.Random(seed)
-        elements = op.source.group.elements
-        for _ in range(spot_checks):
-            g = rng.choice(elements)
-            phi = Measurement(
-                tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(op.n_in)),
-                op.source.domain,
-            )
-            lhs = apply(op, phi.pullback(g))
-            rhs = apply(op, phi).pullback(op.hom(g))
-            if lhs.values != rhs.values:
-                return False, (-1, g)
     return True, None
 
 
@@ -160,11 +150,6 @@ def verify_nonexpansive(op: LinearOperator) -> bool:
     return operator_sup_norm(op) <= 1
 
 
-def _verified(op: LinearOperator) -> LinearOperator:
-    geo, _ = verify_equivariance(op)
-    return replace(op, is_geo=geo, is_geneo=geo and verify_nonexpansive(op))
-
-
 def _map_table(maps: Iterable[tuple], n_rows: int, n_cols: int) -> list[list[int]]:
     """The table of integer-weighted maps (images, w): entry [y][x] sums w over the maps with y -> x."""
     table = [[0] * n_cols for _ in range(n_rows)]
@@ -178,12 +163,12 @@ def _map_operator(
     ctx: ActionContext, maps: Iterable[tuple], denominator: int,
     source: FunctionSpace | None, target: FunctionSpace | None,
 ) -> LinearOperator:
-    """The verified operator phi -> sum_f w(f) / denominator phi o f, on the full spaces by default."""
+    """The operator phi -> sum_f w(f) / denominator phi o f, on the full spaces by default."""
     table = _map_table(maps, ctx.K.degree, ctx.G.degree)
     coeffs = tuple(tuple(Fraction(c, denominator) for c in row) for row in table)
     source_pair = PerceptionPair(source or full_space(ctx.x_labels), ctx.G)
     target_pair = PerceptionPair(target or full_space(ctx.y_labels), ctx.K)
-    return _verified(LinearOperator(coeffs, source_pair, target_pair, ctx.T))
+    return LinearOperator(coeffs, source_pair, target_pair, ctx.T)
 
 
 def from_permutant(
@@ -193,8 +178,8 @@ def from_permutant(
 ) -> LinearOperator:
     """The averaging operator F(phi) = (1/|H|) sum_{h in H} phi o h.
 
-    Equivariant and non-expansive by construction; both properties are still
-    verified and recorded in the flags.
+    Equivariant and non-expansive by construction; both verdicts are still
+    checked on the table.
     """
     if h.size == 0:
         raise ValueError("cannot build an operator from the empty permutant")
@@ -211,8 +196,8 @@ def from_measure(
     """The weighted operator F(phi) = sum_f phi o f mu(f) for a validated
     permutant measure.
 
-    Always a GEO; flagged a GENEO exactly when the sup-norm operator norm is at
-    most 1, which the condition sum |mu| <= 1 guarantees.
+    Always a GEO; a GENEO exactly when the sup-norm operator norm is at most
+    1, which the condition sum |mu| <= 1 guarantees.
     """
     ok, witness = is_permutant_measure(m)
     if not ok:
@@ -226,10 +211,10 @@ def from_measure(
 
 
 def _diagonal_operator(pair: PerceptionPair, diagonal: Sequence[Fraction]) -> LinearOperator:
-    """The verified endo-operator phi -> (d_1 phi^1, ..., d_n phi^n) under the identity."""
+    """The endo-operator phi -> (d_1 phi^1, ..., d_n phi^n) under the identity."""
     n = len(diagonal)
     coeffs = tuple(tuple(d if i == j else Fraction(0) for j in range(n)) for i, d in enumerate(diagonal))
-    return _verified(LinearOperator(coeffs, pair, pair, Homomorphism.identity_on(pair.group)))
+    return LinearOperator(coeffs, pair, pair, Homomorphism.identity_on(pair.group))
 
 
 def identity_operator(pair: PerceptionPair) -> LinearOperator:
@@ -328,7 +313,7 @@ def convex_combination(ops: Sequence[LinearOperator], weights: Sequence) -> Line
         tuple(dot(lam, entries) for entries in zip(*rows))
         for rows in zip(*(op.coeffs for op in ops))
     )
-    return _verified(LinearOperator(coeffs, ops[0].source, ops[0].target, ops[0].hom))
+    return LinearOperator(coeffs, ops[0].source, ops[0].target, ops[0].hom)
 
 
 def compose_operators(f2: LinearOperator, f1: LinearOperator) -> LinearOperator:
@@ -336,7 +321,7 @@ def compose_operators(f2: LinearOperator, f1: LinearOperator) -> LinearOperator:
     if f1.target != f2.source:
         raise DomainMismatchError("target pair of the first operator must be the source of the second")
     coeffs = matmul(f2.coeffs, f1.coeffs, f1.n_in)
-    return _verified(LinearOperator(coeffs, f1.source, f2.target, f1.hom.then(f2.hom)))
+    return LinearOperator(coeffs, f1.source, f2.target, f1.hom.then(f2.hom))
 
 
 def _pointwise(kind: str, f1: Operator, f2: Operator) -> NonlinearOperator:

@@ -28,7 +28,8 @@ class Graph:
     """A simple graph: labeled vertices, labeled edges, implicit incidence map.
 
     Edges are stored as sorted index pairs in input order; no loops or
-    duplicate edges.
+    duplicate edges.  Every label must be written back unchanged by cycle
+    notation: nonempty, without whitespace, commas or parentheses.
     """
 
     vertex_labels: tuple[str, ...]
@@ -36,6 +37,9 @@ class Graph:
     edge_labels: tuple[str, ...]
 
     def __post_init__(self):
+        for label in self.vertex_labels + self.edge_labels:
+            if not label or any(ch.isspace() or ch in ",()" for ch in label):
+                raise ValueError(f"label {label!r} cannot be written in cycle notation")
         n = len(self.vertex_labels)
         if len(set(self.vertex_labels)) != n:
             raise ValueError("duplicate vertex labels")
@@ -185,12 +189,12 @@ def cycle_graph(
     return Graph(vertices, pairs, labels)
 
 
-def _automorphism_images(g: Graph, max_vertices: int) -> list[tuple[int, ...]]:
+def _automorphism_images(g: Graph) -> list[tuple[int, ...]]:
     """Image tuples of all adjacency-preserving vertex permutations, in
     lexicographic order, by backtracking with degree pruning."""
     n = g.n_vertices
-    if n > max_vertices:
-        raise CapExceededError(f"{n} vertices exceeds the automorphism-search cap {max_vertices}")
+    if n > DEFAULT_VERTEX_CAP:
+        raise CapExceededError(f"{n} vertices exceeds the automorphism-search cap {DEFAULT_VERTEX_CAP}")
     adj = g.adjacency()
     deg = g.degrees()
     images = [-1] * n
@@ -215,9 +219,9 @@ def _automorphism_images(g: Graph, max_vertices: int) -> list[tuple[int, ...]]:
     return found
 
 
-def vertex_automorphism_group(g: Graph, max_vertices: int = DEFAULT_VERTEX_CAP) -> FiniteGroup:
+def vertex_automorphism_group(g: Graph) -> FiniteGroup:
     """The group of all adjacency-preserving vertex permutations."""
-    autos = _automorphism_images(g, max_vertices)
+    autos = _automorphism_images(g)
     return group_from_elements([Permutation(im, g.vertex_labels) for im in autos])
 
 
@@ -239,7 +243,7 @@ def induced_edge_permutation(g: Graph, vp: Permutation) -> Permutation:
     return Permutation(tuple(images), g.edge_labels)
 
 
-def edge_automorphism_group(g: Graph, max_vertices: int = DEFAULT_VERTEX_CAP) -> FiniteGroup:
+def edge_automorphism_group(g: Graph) -> FiniteGroup:
     """Image of the vertex automorphism group on the edge set, de-duplicated."""
     if g.n_edges == 0:
         return trivial_group(())
@@ -247,7 +251,7 @@ def edge_automorphism_group(g: Graph, max_vertices: int = DEFAULT_VERTEX_CAP) ->
     edge_index.update({(v, u): i for (u, v), i in edge_index.items()})
     induced = {
         tuple([edge_index[vp[u], vp[v]] for u, v in g.edges])
-        for vp in _automorphism_images(g, max_vertices)
+        for vp in _automorphism_images(g)
     }
     return group_from_elements([Permutation(im, g.edge_labels) for im in induced])
 

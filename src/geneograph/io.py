@@ -26,6 +26,7 @@ from .perm import (
     generate_group,
     group_from_elements,
     parse_cycles,
+    trivial_group,
 )
 from .permutant import (
     ActionContext,
@@ -102,7 +103,7 @@ def group_from_json(doc: MappingABC) -> FiniteGroup:
     gens = [parse_cycles(t, labels) for t in _strings(doc.get("generators", []), "group field 'generators'")]
     texts = _strings(doc["elements"], "group field 'elements'") if "elements" in doc else None
     if texts is None:
-        return generate_group(gens, labels=labels)
+        return generate_group(gens) if gens else trivial_group(labels)
     group = generate_group(gens) if gens else None
     stated = [parse_cycles(text, labels) for text in texts]
     if group is None:
@@ -267,8 +268,6 @@ def operator_from_json(doc: MappingABC) -> LinearOperator:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("operator field 'coeffs' must be an array of arrays")
     coeffs = tuple(tuple(_rational(c, "operator field 'coeffs'") for c in row) for row in rows)
-    flags = doc.get("flags", {})
-    _require_object(flags, "operator field 'flags'")
-    return LinearOperator(
-        coeffs, source, target, hom, flags.get("is_geo"), flags.get("is_geneo")
-    )
+    # the flags are written for readers; the verdicts come from the table
+    _require_object(doc.get("flags", {}), "operator field 'flags'")
+    return LinearOperator(coeffs, source, target, hom)

@@ -107,17 +107,17 @@ def identity(n: int, labels: tuple[str, ...] | None = None) -> Permutation:
     return Permutation(tuple(range(n)), labels)
 
 
-def _merge_labels(p: Permutation, q: Permutation) -> tuple[str, ...] | None:
-    if p.labels is not None and q.labels is not None and p.labels != q.labels:
-        raise DomainMismatchError(f"label sets differ: {p.labels} vs {q.labels}")
-    return p.labels if p.labels is not None else q.labels
+def _merge_labels(a: tuple[str, ...] | None, b: tuple[str, ...] | None) -> tuple[str, ...] | None:
+    if a is not None and b is not None and a != b:
+        raise DomainMismatchError(f"label sets differ: {a} vs {b}")
+    return a if a is not None else b
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """(p o q)(x) = p(q(x))."""
     if p.n != q.n:
         raise DomainMismatchError(f"domain sizes differ: {p.n} vs {q.n}")
-    labels = _merge_labels(p, q)
+    labels = _merge_labels(p.labels, q.labels)
     return Permutation(tuple(p.images[qi] for qi in q.images), labels)
 
 
@@ -299,39 +299,32 @@ class FiniteGroup:
         return [sorted(o) for o in orbit_partition(range(self.degree), moves)]
 
 
-def generate_group(
-    generators: Iterable[Permutation],
-    *,
-    labels: Sequence[str] | None = None,
-    max_size: int | None = None,
-) -> FiniteGroup:
+def generate_group(generators: Iterable[Permutation]) -> FiniteGroup:
     """Smallest group containing the generators, by breadth-first closure.
 
-    For an empty generator list, labels must be given.  Raises
-    CapExceededError if the closure grows past the cap (default 10!,
-    overridable via the GENEO_MAX_GROUP environment variable).
+    The generators must act on one domain size, and those that carry labels
+    must agree on them; the group takes their labels.  Use trivial_group for
+    the group with no generators.  Raises CapExceededError if the closure
+    grows past group_cap() (10!, or the GENEO_MAX_GROUP environment variable).
     """
     gens = list(generators)
-    cap = max_size if max_size is not None else group_cap()
-    if gens:
-        n = gens[0].n
-        lab = gens[0].labels
-        for g in gens[1:]:
-            if g.n != n:
-                raise DomainMismatchError("generators act on different domain sizes")
-            lab = _merge_labels(gens[0], g)
-    elif labels is not None:
-        n, lab = len(labels), tuple(labels)
-    else:
-        raise ValueError("empty generator list needs labels")
+    if not gens:
+        raise ValueError("empty generator list: use trivial_group(labels)")
+    n, lab = gens[0].n, None
+    for g in gens:
+        if g.n != n:
+            raise DomainMismatchError("generators act on different domain sizes")
+        lab = _merge_labels(lab, g.labels)
     ident = identity(n, lab)
-    elements = closure((ident.images,), [_left_multiplication(g.images) for g in gens], cap)
+    elements = closure((ident.images,), [_left_multiplication(g.images) for g in gens], group_cap())
     ordered = tuple(Permutation(images, lab) for images in sorted(elements))
     return FiniteGroup(ordered, tuple(gens), ident)
 
 
 def trivial_group(labels: Sequence[str]) -> FiniteGroup:
-    return generate_group([], labels=tuple(labels))
+    """The one-element group on the given labels, with no generators."""
+    ident = identity(len(labels), tuple(labels))
+    return FiniteGroup((ident,), (), ident)
 
 
 def group_from_elements(elements: Iterable[Permutation]) -> FiniteGroup:

@@ -292,20 +292,19 @@ def orbit(f: Mapping | str, ctx: ActionContext) -> GeneralizedPermutant:
     return GeneralizedPermutant._from_codes(ctx, {ctx.map_code(h) for h in images})
 
 
-def all_orbits(
-    ctx: ActionContext, max_maps: int = DEFAULT_MAP_SPACE_CAP
-) -> tuple[list[GeneralizedPermutant], dict[int, int]]:
+def all_orbits(ctx: ActionContext) -> tuple[list[GeneralizedPermutant], dict[int, int]]:
     """Partition the whole map space X^Y into orbits, with a size -> count census.
 
     The points are the codes 0 .. |X|^|Y| - 1 and each generator moves them
     through its code table.  Orbits are listed by their smallest code, which
     is their lexicographically smallest member, smallest first; that member is
     also each orbit's canonical representative.  Closure is verified for all
-    orbits at once: every table must keep every code's orbit id.
+    orbits at once: every table must keep every code's orbit id.  Raises
+    CapExceededError for a map space over DEFAULT_MAP_SPACE_CAP elements.
     """
     total = ctx.map_space_size()
-    if total > max_maps:
-        raise CapExceededError(f"map space has {total} elements, over the cap {max_maps}")
+    if total > DEFAULT_MAP_SPACE_CAP:
+        raise CapExceededError(f"map space has {total} elements, over the cap {DEFAULT_MAP_SPACE_CAP}")
     tables = ctx.code_tables()
     orbits = list(orbit_partition(range(total), [table.__getitem__ for table in tables]))
     orbit_id = [0] * total

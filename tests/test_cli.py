@@ -196,9 +196,12 @@ def test_geneo_verify(f4_file, capsys):
     assert payload == {"equivariant": True, "nonexpansive": True, "operator_norm": 1}
 
 
-def test_geneo_verify_with_seeded_spot_checks(f4_file, capsys):
-    code, out, _ = run_cli(capsys, "--seed", "11", "geneo", "verify", f4_file)
-    assert code == 0
+def test_seed_flag_is_usage_error(f4_file, capsys):
+    # every verdict is exact, so there is nothing left to seed
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "11", "geneo", "verify", f4_file])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_geneo_verify_rejects_expansive(tmp_path, capsys):
@@ -417,6 +420,18 @@ MALFORMED = {
         )
         for name, label in (("null", None), ("number", 7), ("array", ["p"]))
     },
+    # labels that cycle notation cannot write back
+    "aut-vertex-comma": (
+        AUT, {"vertices": ["A,B", "C"], "edges": [{"label": "p", "ends": ["A,B", "C"]}]}, "label 'A,B'"
+    ),
+    "aut-vertex-empty": (
+        AUT, {"vertices": ["", "C"], "edges": [{"label": "p", "ends": ["", "C"]}]}, "label ''"
+    ),
+    "aut-vertex-space": (
+        AUT, {"vertices": ["A B", "C"], "edges": [{"label": "p", "ends": ["A B", "C"]}]}, "label 'A B'"
+    ),
+    "aut-label-close-paren": (AUT, {"vertices": ["A", "B"], "edges": [{**EDGE_AB, "label": "x)"}]}, "label 'x)'"),
+    "aut-label-open-paren": (AUT, {"vertices": ["A", "B"], "edges": [{**EDGE_AB, "label": "(y"}]}, "label '(y'"),
 }
 
 

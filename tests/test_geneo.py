@@ -84,6 +84,13 @@ def test_f4_is_flagged_geneo(f4):
     assert f4.is_geo and f4.is_geneo
 
 
+def test_verdicts_follow_the_table(f4):
+    # a copy with a doubled table keeps equivariance but has norm 2
+    doubled = replace(f4, coeffs=tuple(tuple(2 * c for c in row) for row in f4.coeffs))
+    assert operator_sup_norm(doubled) == 2
+    assert doubled.is_geo is True and doubled.is_geneo is False
+
+
 def test_singleton_identity_permutant_gives_identity_operator():
     group = edge_automorphism_group(complete_graph(4))
     ctx = endo_context(group)
@@ -176,7 +183,7 @@ def test_apply_domain_mismatch(f4):
 
 
 def test_f4_equivariant(f4):
-    ok, witness = verify_equivariance(f4, spot_checks=25, seed=7)
+    ok, witness = verify_equivariance(f4)
     assert ok and witness is None
 
 
@@ -234,7 +241,7 @@ def test_equivariance_witness_matches_basis_vector_check(name):
     assert len(witnesses) > 3
 
 
-def test_equivariance_check_applies_only_for_spot_checks(f4, monkeypatch):
+def test_equivariance_check_reads_only_the_table(f4, monkeypatch):
     import geneograph.geneo as geneo_module
 
     calls = []
@@ -242,8 +249,6 @@ def test_equivariance_check_applies_only_for_spot_checks(f4, monkeypatch):
     monkeypatch.setattr(geneo_module, "apply", lambda op, phi: calls.append(1) or real_apply(op, phi))
     assert verify_equivariance(f4) == (True, None)
     assert calls == []
-    assert verify_equivariance(f4, spot_checks=3, seed=1) == (True, None)
-    assert len(calls) == 6
 
 
 def test_identity_operator_equivariant(k4_pair):

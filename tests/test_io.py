@@ -92,6 +92,15 @@ def test_operator_roundtrip_preserves_everything():
     assert rebuilt.is_geo is True and rebuilt.is_geneo is True
 
 
+def test_loaded_operator_ignores_claimed_flags():
+    doc = through_json(docs.operator_to_json(from_permutant(transposition_permutant(4, model="edge"))))
+    doc["coeffs"][0][0] = "1/2"
+    assert doc["flags"] == {"is_geo": True, "is_geneo": True}
+    loaded = docs.operator_from_json(doc)
+    assert loaded.is_geo is False and loaded.is_geneo is False
+    assert docs.operator_to_json(loaded)["flags"] == {"is_geo": False, "is_geneo": False}
+
+
 def test_operator_roundtrip_with_constrained_pair():
     labels = ("p", "q", "r", "s", "t", "u")
     pair = PerceptionPair(

@@ -14,6 +14,7 @@ from geneograph.perm import (
     compose,
     format_cycles,
     generate_group,
+    group_cap,
     group_from_elements,
     identity,
     inverse,
@@ -157,18 +158,28 @@ def test_symmetric_group_from_transpositions():
     assert g.order == 24
 
 
-def test_group_cap():
-    gens = [perm("(A,B)", ABCD), perm("(B,C)", ABCD), perm("(C,D)", ABCD)]
-    with pytest.raises(CapExceededError):
-        generate_group(gens, max_size=10)
+def test_group_cap(monkeypatch):
+    # the cap is 10! unless GENEO_MAX_GROUP names a positive integer
+    monkeypatch.delenv("GENEO_MAX_GROUP", raising=False)
+    assert group_cap() == math.factorial(10)
+    monkeypatch.setenv("GENEO_MAX_GROUP", "")
+    assert group_cap() == math.factorial(10)
+    monkeypatch.setenv("GENEO_MAX_GROUP", "10")
+    assert group_cap() == 10
+    for bad in ("0", "-5", "abc"):
+        monkeypatch.setenv("GENEO_MAX_GROUP", bad)
+        with pytest.raises(ValueError, match="GENEO_MAX_GROUP must be a positive integer"):
+            group_cap()
 
 
-def test_group_cap_boundary():
+def test_group_cap_boundary(monkeypatch):
     # the cap is checked on every insertion, and S4 has exactly 24 elements
     gens = [perm("(A,B)", ABCD), perm("(B,C)", ABCD), perm("(C,D)", ABCD)]
-    assert generate_group(gens, max_size=24).order == 24
+    monkeypatch.setenv("GENEO_MAX_GROUP", "24")
+    assert generate_group(gens).order == 24
+    monkeypatch.setenv("GENEO_MAX_GROUP", "23")
     with pytest.raises(CapExceededError) as exc:
-        generate_group(gens, max_size=23)
+        generate_group(gens)
     assert str(exc.value) == "group closure exceeded cap 23"
 
 
@@ -177,6 +188,16 @@ def test_group_cap_env(monkeypatch):
     monkeypatch.setenv("GENEO_MAX_GROUP", "10")
     with pytest.raises(CapExceededError):
         generate_group(gens)
+
+
+def test_generators_agree_on_labels():
+    # an unlabeled generator takes the labels of the others, which must agree
+    xy, pq = ("x", "y"), ("p", "q")
+    assert generate_group([Permutation((0, 1)), Permutation((1, 0), xy)]).labels == xy
+    with pytest.raises(DomainMismatchError, match="label sets differ"):
+        generate_group([Permutation((0, 1)), Permutation((1, 0), xy), Permutation((1, 0), pq)])
+    with pytest.raises(ValueError, match="trivial_group"):
+        generate_group([])
 
 
 def test_generated_groups_satisfy_axioms():

@@ -232,9 +232,11 @@ def test_two_element_census_oracle():
     }
 
 
-def test_all_orbits_cap(c6c3):
-    with pytest.raises(CapExceededError):
-        all_orbits(c6c3, max_maps=100)
+def test_all_orbits_cap():
+    # the C8 edge endo-context has 8^8 maps, over the 10^6 cap
+    ctx = endo_context(edge_automorphism_group(cycle_graph(8)))
+    with pytest.raises(CapExceededError, match="map space has 16777216 elements, over the cap 1000000"):
+        all_orbits(ctx)
 
 
 def reference_all_orbits(ctx):
