@@ -3,18 +3,21 @@ hexagon's edges, and the dimension-reducing operators two of those orbits
 define.
 """
 
-from geneograph import from_permutant, apply, measurement, orbit
-from geneograph.experiments import c6_c3_context, cycle_census, orbit_operator_table
+from geneograph import all_orbits, apply, measurement
+from geneograph.experiments import c6_c3_context, orbit_operator_table
 
-report = cycle_census()
-print("total maps:", report.total)
-print("census:", report.census)
-for size, names in report.representatives.items():
-    print(f"  orbits of size {size:2d}: {', '.join(names)}")
+ctx = c6_c3_context()
+orbits, census = all_orbits(ctx)
+print("total maps:", ctx.map_space_size())
+print("census:", census)
+names: dict[int, list[str]] = {}
+for o in orbits:
+    names.setdefault(o.size, []).append(o.representative().compact())
+for size, reps in sorted(names.items()):
+    print(f"  orbits of size {size:2d}: {', '.join(sorted(reps))}")
 
 # Every orbit is a permutant, so every orbit defines an averaging operator
 # from hexagon edge weights down to triangle edge weights.
-ctx = c6_c3_context()
 op, rows = orbit_operator_table("aec", ctx)
 print('\noperator of orbit("aec") has coefficient rows:')
 for label, row in zip(ctx.y_labels, op.coeffs):

@@ -3,7 +3,7 @@ graphs, built from generalized permutants and permutant measures."""
 
 from .geneo import (
     LinearOperator,
-    NonlinearOperator,
+    PointwiseOperator,
     apply,
     compose_operators,
     convex_combination,

@@ -16,6 +16,7 @@ import csv
 import io as stringio
 import json
 import sys
+from itertools import takewhile
 
 from . import io as docs
 from .experiments import analyze_code_table, build_code_table, c6_c3_context
@@ -291,6 +292,14 @@ def _emit(payload, pretty: bool) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads the token after an unknown flag as the subcommand and names
+    # that token; so parse the leading flags alone, before a subcommand that
+    # takes no arguments, and name the ones left unknown
+    head = list(takewhile(lambda a: a.startswith("-") and a != "--", argv))
+    unknown = parser.parse_known_args([*head, "census-c6c3"])[1] if head else []
+    if unknown:
+        parser.error("unrecognized arguments: " + " ".join(unknown))
     args = parser.parse_args(argv)
     if args.command == "codes" and args.analyze and args.format == "csv":
         parser.error("--analyze reports JSON findings; drop --format csv")

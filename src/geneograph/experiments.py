@@ -1,6 +1,7 @@
 """The two flagship analyses: signature codes of complete-graph subgraphs under
-the transposition-averaging operator, and the orbit census of maps between the
-edge sets of the 6-cycle and the 3-cycle.
+the transposition-averaging operator, and the action context of maps between
+the edge sets of the 6-cycle and the 3-cycle, whose orbit census is
+`all_orbits(c6_c3_context())` (the `census-c6c3` command prints it).
 """
 
 from __future__ import annotations
@@ -13,34 +14,8 @@ from math import comb
 from .geneo import LinearOperator, from_permutant
 from .graph import cycle_graph, edge_automorphism_group, subgraph_isomorphism_classes
 from .linalg import matvec
-from .perception import Measurement
 from .perm import Homomorphism, parse_cycles
-from .permutant import (
-    ActionContext,
-    GeneralizedPermutant,
-    all_orbits,
-    orbit,
-    transposition_permutant,
-)
-
-
-def reversal(phi: Measurement) -> Measurement:
-    """The coordinate-reversed vector (phi^m, ..., phi^1)."""
-    return Measurement(phi.values[::-1], phi.domain)
-
-
-def complement(phi: Measurement) -> Measurement:
-    """1 - phi coordinatewise, for 0/1 vectors."""
-    if any(v not in (0, 1) for v in phi.values):
-        raise ValueError("complement is defined for 0/1 vectors only")
-    return Measurement(tuple(Fraction(1) - v for v in phi.values), phi.domain)
-
-
-def code_equivalent(c1: Measurement, c2: Measurement) -> bool:
-    """Whether one code is a permutation of the other (multiset equality)."""
-    if len(c1) != len(c2):
-        raise ValueError(f"code lengths differ: {len(c1)} vs {len(c2)}")
-    return sorted(c1.values) == sorted(c2.values)
+from .permutant import ActionContext, orbit, transposition_permutant
 
 
 @dataclass(frozen=True)
@@ -156,7 +131,7 @@ def analyze_code_table(table: CodeTable) -> CodeFindings:
     )
 
 
-# -- the cycle-graph census ----------------------------------------------------
+# -- the cycle-graph action ----------------------------------------------------
 
 C6_EDGES = ("a", "b", "c", "d", "e", "f")
 C3_EDGES = ("g", "h", "i")
@@ -174,30 +149,6 @@ def c6_c3_context() -> ActionContext:
     delta = parse_cycles("(g,i)", C3_EDGES)
     hom = Homomorphism.from_generator_images(g6, g3, [(alpha, gamma), (beta, delta)])
     return ActionContext(g6, g3, hom)
-
-
-@dataclass(frozen=True)
-class CensusReport:
-    total: int
-    census: dict[int, int]
-    orbits: tuple[GeneralizedPermutant, ...]
-    representatives: dict[int, tuple[str, ...]]
-
-
-def cycle_census(ctx: ActionContext | None = None) -> CensusReport:
-    """Partition all 216 maps between the two edge sets into orbits and report
-    the size census with canonical representatives."""
-    ctx = ctx or c6_c3_context()
-    orbits, census = all_orbits(ctx)
-    reps: dict[int, list[str]] = {}
-    for o in orbits:
-        reps.setdefault(o.size, []).append(o.representative().compact())
-    return CensusReport(
-        ctx.map_space_size(),
-        census,
-        tuple(orbits),
-        {size: tuple(sorted(names)) for size, names in sorted(reps.items())},
-    )
 
 
 def orbit_operator_table(

@@ -1,14 +1,15 @@
-"""Linear operators between spaces of measurements: construction from
-permutants and permutant measures, equivariance / non-expansivity checks,
-combinators, and the decomposition of an equivariant endo-operator back to a
-permutant measure.
+"""Operators between spaces of measurements: construction from permutants and
+permutant measures, exact equivariance / non-expansivity checks, combinators
+(pointwise min/max of GENEOs kept as the kind and the operands, GENEOs by
+construction), and the decomposition of an equivariant endo-operator back to
+a permutant measure.
 
-Operators store dense exact-rational coefficient tables; rows are indexed by
-the target set Y, columns by the source set X, so F(phi)(y) = sum_x
-coeffs[y][x] phi(x).  Products of tables and vectors go through the kernel in
-`linalg`.  Tables built from maps are counted in int and divided once per
-cell; the decomposition drops repeated equations and leaves the elimination
-and the LP to the fraction-free integer rows of `linalg`.
+Linear operators store dense exact-rational coefficient tables; rows are
+indexed by the target set Y, columns by the source set X, so F(phi)(y) =
+sum_x coeffs[y][x] phi(x).  Products of tables and vectors go through the
+kernel in `linalg`.  Tables built from maps are counted in int and divided
+once per cell; the decomposition drops repeated equations and leaves the
+elimination and the LP to the fraction-free integer rows of `linalg`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .linalg import OPTIMAL, dot, matmul, matvec, rref, simplex_min
 from .perception import (
@@ -88,30 +89,58 @@ class LinearOperator:
 
 
 @dataclass(frozen=True)
-class NonlinearOperator:
-    """A pointwise-defined operator carrying the same equivariance contract as a
-    linear one; only checkable by sampling."""
+class PointwiseOperator:
+    """The coordinatewise min or max of GENEOs that share source, target and
+    homomorphism T.
 
-    fn: Callable[[Measurement], Measurement]
-    source: PerceptionPair
-    target: PerceptionPair
-    hom: Homomorphism
-    description: str = ""
+    Each operand is checked to be a GENEO on construction, and the rejection
+    names its witness.  The pointwise min or max of T-equivariant sup-norm
+    1-Lipschitz maps is again both (Bergomi, Frosini, Giorgi, Quercioli,
+    Nat. Mach. Intell. 1, 2019), so is_geo and is_geneo hold by construction.
+    """
+
+    kind: str
+    operands: tuple[Operator, ...]
+
+    is_geo = True
+    is_geneo = True
+
+    source = property(lambda self: self.operands[0].source)
+    target = property(lambda self: self.operands[0].target)
+    hom = property(lambda self: self.operands[0].hom)
+
+    def __post_init__(self):
+        if self.kind not in ("min", "max") or not self.operands:
+            raise ValueError("a pointwise operator needs kind 'min' or 'max' and at least one operand")
+        _require_same_signature(self.operands)
+        for k, op in enumerate(self.operands):
+            if isinstance(op, PointwiseOperator):
+                continue
+            ok, witness = verify_equivariance(op)
+            if not ok:
+                i, g = witness
+                raise ValueError(f"operand {k} is not equivariant: basis index {i} fails under generator {g}")
+            norm = operator_sup_norm(op)
+            if norm > 1:
+                raise ValueError(f"operand {k} is not non-expansive: operator norm {norm} > 1")
 
 
-Operator = LinearOperator | NonlinearOperator
+Operator = LinearOperator | PointwiseOperator
 
 
 def apply(op: Operator, phi: Measurement) -> Measurement:
-    """Evaluate an operator on a measurement (exact matrix-vector product)."""
+    """Evaluate an operator on a measurement: an exact matrix-vector product,
+    or the coordinatewise min or max of the operands' values."""
     if len(phi) != op.source.space.dim:
         raise DomainMismatchError(
             f"measurement length {len(phi)} does not match source dimension {op.source.space.dim}"
         )
     if phi.domain is not None and phi.domain != op.source.domain:
         raise DomainMismatchError(f"measurement domain {phi.domain} is not {op.source.domain}")
-    if isinstance(op, NonlinearOperator):
-        return op.fn(phi)
+    if isinstance(op, PointwiseOperator):
+        pick = min if op.kind == "min" else max
+        values = zip(*(apply(f, phi).values for f in op.operands))
+        return Measurement(tuple(pick(column) for column in values), op.target.domain)
     return Measurement(matvec(op.coeffs, phi.values), op.target.domain)
 
 
@@ -324,47 +353,12 @@ def compose_operators(f2: LinearOperator, f1: LinearOperator) -> LinearOperator:
     return LinearOperator(coeffs, f1.source, f2.target, f1.hom.then(f2.hom))
 
 
-def _pointwise(kind: str, f1: Operator, f2: Operator) -> NonlinearOperator:
-    _require_same_signature([f1, f2])
-    pick = min if kind == "min" else max
-
-    def fn(phi: Measurement) -> Measurement:
-        a, b = apply(f1, phi), apply(f2, phi)
-        return Measurement(tuple(pick(x, y) for x, y in zip(a.values, b.values)), a.domain)
-
-    return NonlinearOperator(fn, f1.source, f1.target, f1.hom, f"pointwise {kind}")
+def pointwise_min(f1: Operator, f2: Operator) -> PointwiseOperator:
+    return PointwiseOperator("min", (f1, f2))
 
 
-def pointwise_min(f1: Operator, f2: Operator) -> NonlinearOperator:
-    return _pointwise("min", f1, f2)
-
-
-def pointwise_max(f1: Operator, f2: Operator) -> NonlinearOperator:
-    return _pointwise("max", f1, f2)
-
-
-def sampled_equivariance(
-    op: Operator, sample: Iterable[Measurement]
-) -> tuple[bool, tuple[Measurement, Permutation] | None]:
-    """Equivariance on a finite sample against every generator; the only
-    certificate available for nonlinear operators."""
-    gens = op.source.group.generators
-    for phi in sample:
-        for g in gens:
-            lhs = apply(op, phi.pullback(g))
-            rhs = apply(op, phi).pullback(op.hom(g))
-            if lhs.values != rhs.values:
-                return False, (phi, g)
-    return True, None
-
-
-def sampled_nonexpansivity(
-    op: Operator, pairs: Iterable[tuple[Measurement, Measurement]]
-) -> tuple[bool, tuple[Measurement, Measurement] | None]:
-    for phi1, phi2 in pairs:
-        if sup_distance(apply(op, phi1), apply(op, phi2)) > sup_distance(phi1, phi2):
-            return False, (phi1, phi2)
-    return True, None
+def pointwise_max(f1: Operator, f2: Operator) -> PointwiseOperator:
+    return PointwiseOperator("max", (f1, f2))
 
 
 def geneo_distance(f1: Operator, f2: Operator, sample: FunctionSpace) -> Fraction:
@@ -374,16 +368,6 @@ def geneo_distance(f1: Operator, f2: Operator, sample: FunctionSpace) -> Fractio
     if sample.kind != "explicit" or not sample.members:
         raise ValueError("operator distance needs a nonempty explicit sample")
     return max(sup_distance(apply(f1, phi), apply(f2, phi)) for phi in sample.members)
-
-
-def check_closure(
-    op: Operator, sample: Iterable[Measurement]
-) -> tuple[bool, Measurement | None]:
-    """Whether op maps each sampled measurement into its target space."""
-    for phi in sample:
-        if not op.target.space.contains(apply(op, phi)):
-            return False, phi
-    return True, None
 
 
 # -- representation: operator -> permutant measure ----------------------------

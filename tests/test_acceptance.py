@@ -17,7 +17,7 @@ import pytest
 import test_properties
 from test_permutant import burnside_orbit_count
 from geneograph.cli import main as cli_main
-from geneograph.experiments import build_code_table, c6_c3_context, cycle_census
+from geneograph.experiments import build_code_table, c6_c3_context
 from geneograph.fixtures import (
     cube_context,
     cube_face_reflections,

@@ -204,6 +204,20 @@ def test_seed_flag_is_usage_error(f4_file, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--seed", "11"], "--seed"), (["--seed=11"], "--seed=11"), (["--pretty", "--seed", "11"], "--seed")],
+)
+def test_unknown_flag_before_subcommand_is_named(flags, named, f4_file, capsys):
+    # argparse alone would read "11" as the subcommand and name it instead
+    with pytest.raises(SystemExit) as exc:
+        main([*flags, "geneo", "verify", f4_file])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"geneograph: error: unrecognized arguments: {named}\n")
+
+
 def test_geneo_verify_rejects_expansive(tmp_path, capsys):
     op = identity_operator(
         from_permutant(transposition_permutant(4, model="edge")).source

@@ -20,7 +20,7 @@ DEMO_DIGESTS = {
     "02_graph_automorphisms.py": "be8dcc4bf7d43fbdd0a3ba5eae9a20236d2cd9c9eb1eb1249d77bcded460d091",
     "03_perception_pairs.py": "ecb9426c6934ed2755331689823406a8b38c2e0b22d246228d44b07c8c35f116",
     "04_orbits_and_permutants.py": "5e74b00a80ff19db9114dbaf1606ccab612a7e00669f0c9217aa9e3028ff1770",
-    "05_operators.py": "6aa88b0095b5c53d2e34ab7e3e0b249367de6c3499f10c54de6bc37504c692a9",
+    "05_operators.py": "09722844c8016f40c220fe43c7c88b832daf85ac69db0666682ef318e79d3859",
     "06_subgraph_codes.py": "667e85e26f5b9a0713ff5bc33717c340fc16cf4565568d370394b2eac1f06efa",
     "07_cycle_census.py": "272cb8b534955bab7afefaa1579e41aad25c76680661fdcec046f999d517224d",
     "08_measures_and_decomposition.py": "2f60cc6ffb0e086d74bfec0be7f11c1205b75a40e4d128ffa0bfd4542508d2d7",

@@ -9,50 +9,15 @@ from geneograph.experiments import (
     analyze_code_table,
     build_code_table,
     c6_c3_context,
-    code_equivalent,
-    complement,
-    cycle_census,
     orbit_operator_table,
-    reversal,
 )
-from geneograph.perception import measurement
-from geneograph.permutant import orbit
+from geneograph.permutant import all_orbits, orbit
 
 KNOWN_SIZE_6 = ("aaa", "abc", "ace", "add", "afb")
 KNOWN_SIZE_12 = (
     "aab", "aac", "aad", "aae", "aaf", "abd", "acb", "acd",
     "adb", "adc", "baa", "bad", "bca", "bce", "bdb",
 )
-
-
-# vector helpers
-
-
-def test_reversal():
-    assert reversal(measurement([1, 1, 1, 0, 0, 0])).values == (0, 0, 0, 1, 1, 1)
-    pal = measurement([1, 0, 0, 1])
-    assert reversal(pal).values == pal.values
-    phi = measurement([3, 1, 4, 1, 5])
-    assert reversal(reversal(phi)) == phi
-
-
-def test_complement():
-    assert complement(measurement([1, 1, 1, 0, 0, 0])).values == (0, 0, 0, 1, 1, 1)
-    zeros = measurement([0, 0, 0])
-    assert complement(zeros).values == (1, 1, 1)
-    assert complement(complement(zeros)) == zeros
-    with pytest.raises(ValueError):
-        complement(measurement(["1/2", 0]))
-
-
-def test_code_equivalent():
-    c1 = measurement(["4/6", "4/6", "4/6", "2/6", "2/6", "2/6"])
-    c2 = measurement(["2/6", "2/6", "2/6", "4/6", "4/6", "4/6"])
-    assert code_equivalent(c1, c2)
-    assert code_equivalent(c1, c1)
-    assert not code_equivalent(measurement([1, 0, 0, 0, 0, 0]), measurement([1, 1, 0, 0, 0, 0]))
-    with pytest.raises(ValueError):
-        code_equivalent(measurement([1]), measurement([1, 0]))
 
 
 # code tables
@@ -113,8 +78,8 @@ def test_k4_findings():
     star = table.row_for((0, 0, 0, 1, 1, 1)).class_id
     assert {pair.class_a, pair.class_b} == {triangle, star}
     # the two classes are each other's complements, reversals included
-    assert complement(measurement(pair.representative_a)).values in {
-        v for v in (r.vector for r in table.rows if r.class_id == pair.class_b)
+    assert tuple(1 - v for v in pair.representative_a) in {
+        r.vector for r in table.rows if r.class_id == pair.class_b
     }
 
 
@@ -144,27 +109,35 @@ def test_context_matches_presentation_built_groups(c6c3):
     assert ctx.T.table == c6c3.T.table
 
 
+def census_representatives(orbits):
+    reps = {}
+    for o in orbits:
+        reps.setdefault(o.size, []).append(o.representative().compact())
+    return {size: tuple(sorted(names)) for size, names in reps.items()}
+
+
 def test_census_counts():
-    report = cycle_census()
-    assert report.total == 216
-    assert report.census == {2: 1, 4: 1, 6: 5, 12: 15}
-    assert len(report.orbits) == 22
+    ctx = c6_c3_context()
+    orbits, census = all_orbits(ctx)
+    assert ctx.map_space_size() == 216
+    assert census == {2: 1, 4: 1, 6: 5, 12: 15}
+    assert len(orbits) == 22
 
 
 def test_census_representatives():
-    report = cycle_census()
-    assert report.representatives[2] == ("aec",)
-    assert report.representatives[4] == ("bfd",)
-    assert report.representatives[6] == KNOWN_SIZE_6
-    assert report.representatives[12] == KNOWN_SIZE_12
+    reps = census_representatives(all_orbits(c6_c3_context())[0])
+    assert reps[2] == ("aec",)
+    assert reps[4] == ("bfd",)
+    assert reps[6] == KNOWN_SIZE_6
+    assert reps[12] == KNOWN_SIZE_12
 
 
 def test_census_orbits_match_known_functions():
     ctx = c6_c3_context()
-    report = cycle_census(ctx)
-    mine6 = {frozenset(o.members) for o in report.orbits if o.size == 6}
+    orbits, _ = all_orbits(ctx)
+    mine6 = {frozenset(o.members) for o in orbits if o.size == 6}
     assert mine6 == {frozenset(orbit(p, ctx).members) for p in KNOWN_SIZE_6}
-    mine12 = {frozenset(o.members) for o in report.orbits if o.size == 12}
+    mine12 = {frozenset(o.members) for o in orbits if o.size == 12}
     assert mine12 == {frozenset(orbit(p, ctx).members) for p in KNOWN_SIZE_12}
 
 

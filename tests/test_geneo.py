@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -8,8 +9,8 @@ import pytest
 from geneograph.fixtures import cube_reflection_measure
 from geneograph.geneo import (
     LinearOperator,
+    PointwiseOperator,
     apply,
-    check_closure,
     compose_operators,
     convex_combination,
     decompose_to_measure,
@@ -21,8 +22,6 @@ from geneograph.geneo import (
     operator_sup_norm,
     pointwise_max,
     pointwise_min,
-    sampled_equivariance,
-    sampled_nonexpansivity,
     verify_equivariance,
     verify_nonexpansive,
     zero_operator,
@@ -36,8 +35,9 @@ from geneograph.perception import (
     explicit_space,
     full_space,
     measurement,
+    sup_distance,
 )
-from geneograph.perm import Homomorphism, generate_group, parse_cycles, trivial_group
+from geneograph.perm import DomainMismatchError, Homomorphism, generate_group, parse_cycles, trivial_group
 from geneograph.permutant import (
     PermutantMeasure,
     all_orbits,
@@ -395,13 +395,61 @@ def test_pointwise_min_of_equal_operators(f4):
 
 
 def test_pointwise_combinators_pass_sampled_checks(f4, k4_pair):
+    # reference: equivariance on every 0/1 vector against every generator, and
+    # 1-Lipschitz on every pair of them, evaluated on the outputs of apply
     ident = identity_operator(k4_pair)
     sample = [measurement(bits, EDGE_LABELS) for bits in product((0, 1), repeat=6)]
-    for op in (pointwise_min(f4, ident), pointwise_max(f4, ident)):
-        ok, _ = sampled_equivariance(op, sample)
-        assert ok
-        ok, _ = sampled_nonexpansivity(op, zip(sample, reversed(sample)))
-        assert ok
+    for op, pick in ((pointwise_min(f4, ident), min), (pointwise_max(f4, ident), max)):
+        assert op.is_geo and op.is_geneo
+        out = {}
+        for phi in sample:
+            out[phi] = apply(op, phi)
+            a, b = apply(f4, phi).values, apply(ident, phi).values
+            assert out[phi].values == tuple(map(pick, a, b))
+            for g in op.source.group.generators:
+                assert apply(op, phi.pullback(g)).values == out[phi].pullback(op.hom(g)).values
+        for phi1 in sample:
+            for phi2 in sample:
+                assert sup_distance(out[phi1], out[phi2]) <= sup_distance(phi1, phi2)
+
+
+def test_pointwise_operands_share_a_signature(f4, c6c3):
+    other = from_permutant(orbit("aec", c6c3))
+    with pytest.raises(DomainMismatchError):
+        pointwise_max(f4, other)
+
+
+def test_pointwise_rejects_non_equivariant_operand(f4, k4_pair):
+    # keeps the first edge's weight only: not equivariant, norm 1
+    first_edge = replace(identity_operator(k4_pair), coeffs=tuple(
+        tuple(Fraction(int(x == y == 0)) for x in range(6)) for y in range(6)
+    ))
+    ok, (i, g) = verify_equivariance(first_edge)
+    assert not ok and operator_sup_norm(first_edge) == 1
+    message = f"operand 1 is not equivariant: basis index {i} fails under generator {g}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pointwise_min(f4, first_edge)
+
+
+def test_pointwise_rejects_expansive_operand(f4, k4_pair):
+    ident = identity_operator(k4_pair)
+    doubled = replace(ident, coeffs=tuple(tuple(2 * c for c in row) for row in ident.coeffs))
+    assert verify_equivariance(doubled)[0]
+    with pytest.raises(ValueError, match=re.escape("operand 0 is not non-expansive: operator norm 2 > 1")):
+        pointwise_max(doubled, f4)
+
+
+def test_pointwise_nests_and_checks_its_kind(f4, k4_pair):
+    ident = identity_operator(k4_pair)
+    nested = pointwise_max(pointwise_min(f4, ident), zero_operator(k4_pair))
+    assert nested.is_geneo and nested.hom == f4.hom
+    phi = measurement([1, -1, 0, 2, 0, 0], EDGE_LABELS)
+    assert apply(nested, phi).values == tuple(
+        max(min(a, b), 0) for a, b in zip(apply(f4, phi).values, phi.values)
+    )
+    for kind, operands in (("mean", (f4, ident)), ("min", ())):
+        with pytest.raises(ValueError, match="kind 'min' or 'max' and at least one operand"):
+            PointwiseOperator(kind, operands)
 
 
 # operator distance
@@ -417,25 +465,6 @@ def test_geneo_distance_f4_vs_zero(f4):
     zero = zero_operator(f4.source)
     assert geneo_distance(f4, zero, sample) == 1
     assert geneo_distance(zero, f4, sample) == 1
-
-
-# closure of constrained targets
-
-
-def test_closure_check(f4):
-    sample = [measurement(bits, EDGE_LABELS) for bits in product((0, 1), repeat=6)]
-    wide = from_permutant(
-        transposition_permutant(4, model="edge"),
-        target_space=constrained_space(EDGE_LABELS, ball=("sup", 1)),
-    )
-    ok, _ = check_closure(wide, sample)
-    assert ok
-    narrow = from_permutant(
-        transposition_permutant(4, model="edge"),
-        target_space=constrained_space(EDGE_LABELS, ball=("sup", "1/2")),
-    )
-    ok, witness = check_closure(narrow, sample)
-    assert not ok and witness is not None
 
 
 # decomposition

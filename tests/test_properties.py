@@ -5,8 +5,8 @@
 Covers the action axioms, orbit-size divisibility, the permutant ==
 union-of-orbits agreement on randomized subsets, parse/format round-trips,
 metric axioms, the diagonal-scaling if-and-only-if patterns, the
-subset-stabilizer fixtures, and the exact measure -> operator -> measure
-round trip.
+subset-stabilizer fixtures, the exact measure -> operator -> measure
+round trip, and the GENEO axioms for pointwise min/max on the C6/C3 context.
 """
 
 import random
@@ -22,7 +22,15 @@ from geneograph.fixtures import (
     small_image_permutant,
     symmetric_group,
 )
-from geneograph.geneo import decompose_to_measure, diagonal_scaling, from_measure
+from geneograph.experiments import c6_c3_context
+from geneograph.geneo import (
+    apply,
+    decompose_to_measure,
+    diagonal_scaling,
+    from_measure,
+    pointwise_max,
+    pointwise_min,
+)
 from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group
 from geneograph.perception import (
     PerceptionPair,
@@ -207,6 +215,40 @@ def prop_measure_decomposition_roundtrip(name, data):
     assert from_measure(recovered).coeffs == op.coeffs
 
 
+C6C3 = c6_c3_context()
+C6C3_ORBITS = all_orbits(C6C3)[0]
+
+
+def _c6c3_geneo(data):
+    """from_measure on up to three orbits of the C6/C3 context, total variation <= 1."""
+    chosen = data.draw(st.lists(st.integers(0, len(C6C3_ORBITS) - 1), min_size=1, max_size=3, unique=True))
+    parts = data.draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(chosen), max_size=len(chosen)))
+    total = sum(map(abs, parts)) + data.draw(st.integers(0, 2))
+    weights = {}
+    for i, part in zip(chosen, parts):
+        o = C6C3_ORBITS[i]
+        weights.update(dict.fromkeys(o.members, Fraction(part, total * o.size)))
+    return from_measure(PermutantMeasure(C6C3, weights))
+
+
+def _c6_weights():
+    return st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=6, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([pointwise_min, pointwise_max]), _c6_weights(), _c6_weights())
+def prop_pointwise_geneo_on_c6_c3(data, combine, xs, ys):
+    """Pointwise min/max of two GENEOs from the C6 edges to the C3 edges
+    (T is not the identity) commutes with every generator and is 1-Lipschitz."""
+    op = combine(_c6c3_geneo(data), _c6c3_geneo(data))
+    assert op.is_geo and op.is_geneo
+    phi, psi = measurement(xs, C6C3.x_labels), measurement(ys, C6C3.x_labels)
+    out = apply(op, phi)
+    for g in C6C3.G.generators:
+        assert apply(op, phi.pullback(g)).values == out.pullback(C6C3.T(g)).values
+    assert sup_distance(out, apply(op, psi)) <= sup_distance(phi, psi)
+
+
 # -- pytest wrappers -------------------------------------------------------------
 
 
@@ -248,3 +290,7 @@ def test_sup_distance_is_a_metric():
 
 def test_measure_decomposition_roundtrip():
     prop_measure_decomposition_roundtrip()
+
+
+def test_pointwise_geneo_on_c6_c3():
+    prop_pointwise_geneo_on_c6_c3()
