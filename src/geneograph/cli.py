@@ -7,12 +7,16 @@ Identical inputs produce byte-identical output, and every verdict is exact:
 no check samples.  The GENEO_MAX_GROUP environment variable overrides the
 default group-closure size cap; a value that is not a positive integer is a
 usage error.
+
+The argument parser is built once per process, on the first call of main,
+and reused by every later call: it holds nothing a request supplies.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io as stringio
 import json
 import sys
@@ -56,7 +60,10 @@ def _alpha_failure(payload: dict, witness) -> ValidationFailure:
 
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _context(args, doc=None):
@@ -280,6 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def _emit(payload, pretty: bool) -> None:
     if isinstance(payload, str):
         sys.stdout.write(payload)
@@ -291,7 +303,7 @@ def _emit(payload, pretty: bool) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse reads the token after an unknown flag as the subcommand and names
     # that token; so parse the leading flags alone, before a subcommand that

@@ -399,7 +399,8 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
         raise ValueError("the group must act transitively on the domain")
     ok, witness = verify_equivariance(op)
     if not ok:
-        raise ValueError(f"operator is not equivariant (witness {witness})")
+        i, g = witness
+        raise ValueError(f"operator is not equivariant: basis index {i} fails under generator {g}")
 
     # conjugation h -> g o h o g^-1 is alpha with T the identity
     ctx = endo_context(group)

@@ -8,6 +8,7 @@ All emitters order their output deterministically.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Callable, Mapping as MappingABC, Sequence
 
@@ -22,6 +23,7 @@ from .perception import (
 from .perm import (
     FiniteGroup,
     Homomorphism,
+    Permutation,
     format_cycles,
     generate_group,
     group_from_elements,
@@ -97,15 +99,30 @@ def _rational(value, field: str) -> Fraction:
         raise ValueError(f"{field}: {value!r} has a zero denominator") from None
 
 
+_CycleReader = Callable[[str, tuple[str, ...]], Permutation]
+
+
+def _cycle_reader() -> _CycleReader:
+    """parse_cycles for one document: each distinct (text, labels) pair is
+    parsed once, so a homomorphism table and a repeated group reuse the
+    permutations read before them.  Each document gets a fresh reader, so
+    nothing read outlives it."""
+    return functools.cache(parse_cycles)
+
+
 def group_from_json(doc: MappingABC) -> FiniteGroup:
+    return _group_from_json(doc, _cycle_reader())
+
+
+def _group_from_json(doc: MappingABC, parse: _CycleReader) -> FiniteGroup:
     _require_object(doc, "a group document")
     labels = tuple(_strings(_get(doc, "group", "labels"), "group field 'labels'"))
-    gens = [parse_cycles(t, labels) for t in _strings(doc.get("generators", []), "group field 'generators'")]
+    gens = [parse(t, labels) for t in _strings(doc.get("generators", []), "group field 'generators'")]
     texts = _strings(doc["elements"], "group field 'elements'") if "elements" in doc else None
     if texts is None:
         return generate_group(gens) if gens else trivial_group(labels)
     group = generate_group(gens) if gens else None
-    stated = [parse_cycles(text, labels) for text in texts]
+    stated = [parse(text, labels) for text in texts]
     if group is None:
         return group_from_elements(stated)
     if set(stated) != set(group.elements):
@@ -118,15 +135,16 @@ def homomorphism_to_json(t: Homomorphism) -> list:
 
 
 def homomorphism_from_json(doc, source: FiniteGroup, target: FiniteGroup) -> Homomorphism:
+    return _homomorphism_from_json(doc, source, target, _cycle_reader())
+
+
+def _homomorphism_from_json(doc, source: FiniteGroup, target: FiniteGroup, parse: _CycleReader) -> Homomorphism:
     if not isinstance(doc, list) or not all(
         isinstance(pair, list) and len(pair) == 2 and all(isinstance(p, str) for p in pair)
         for pair in doc
     ):
         raise ValueError("a homomorphism must be an array of [element, image] cycle-string pairs")
-    pairs = [
-        (parse_cycles(src, source.labels), parse_cycles(dst, target.labels))
-        for src, dst in doc
-    ]
+    pairs = [(parse(src, source.labels), parse(dst, target.labels)) for src, dst in doc]
     if len(pairs) == source.order and {p for p, _ in pairs} == set(source.elements):
         return Homomorphism(source, target, dict(pairs))
     return Homomorphism.from_generator_images(source, target, pairs)
@@ -142,9 +160,10 @@ def context_to_json(ctx: ActionContext) -> dict:
 
 def context_from_json(doc: MappingABC) -> ActionContext:
     _require_object(doc, "a context document")
-    g = group_from_json(_get(doc, "context", "G"))
-    k = group_from_json(_get(doc, "context", "K"))
-    return ActionContext(g, k, homomorphism_from_json(_get(doc, "context", "T"), g, k))
+    parse = _cycle_reader()
+    g = _group_from_json(_get(doc, "context", "G"), parse)
+    k = _group_from_json(_get(doc, "context", "K"), parse)
+    return ActionContext(g, k, _homomorphism_from_json(_get(doc, "context", "T"), g, k, parse))
 
 
 def mapping_to_json(f: Mapping):
@@ -244,9 +263,13 @@ def pair_to_json(pair: PerceptionPair) -> dict:
 
 
 def pair_from_json(doc: MappingABC) -> PerceptionPair:
+    return _pair_from_json(doc, _cycle_reader())
+
+
+def _pair_from_json(doc: MappingABC, parse: _CycleReader) -> PerceptionPair:
     _require_object(doc, "a perception pair document")
     space, group = (_get(doc, "perception pair", key) for key in ("space", "group"))
-    return PerceptionPair(space_from_json(space), group_from_json(group))
+    return PerceptionPair(space_from_json(space), _group_from_json(group, parse))
 
 
 def operator_to_json(op: LinearOperator) -> dict:
@@ -261,9 +284,10 @@ def operator_to_json(op: LinearOperator) -> dict:
 
 def operator_from_json(doc: MappingABC) -> LinearOperator:
     _require_object(doc, "an operator document")
-    source = pair_from_json(_get(doc, "operator", "source"))
-    target = pair_from_json(_get(doc, "operator", "target"))
-    hom = homomorphism_from_json(_get(doc, "operator", "homomorphism"), source.group, target.group)
+    parse = _cycle_reader()
+    source = _pair_from_json(_get(doc, "operator", "source"), parse)
+    target = _pair_from_json(_get(doc, "operator", "target"), parse)
+    hom = _homomorphism_from_json(_get(doc, "operator", "homomorphism"), source.group, target.group, parse)
     rows = _get(doc, "operator", "coeffs")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("operator field 'coeffs' must be an array of arrays")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-import re
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -125,14 +124,20 @@ def inverse(p: Permutation) -> Permutation:
     return p.inverse()
 
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
 def parse_cycles(text: str, labels: Sequence[str]) -> Permutation:
     """Parse a disjoint-cycle product like "(A,C)(B,D)" over the given labels.
 
+    The grammar: parenthesised cycles with only whitespace around and between
+    them, each naming at least two labels separated by commas or whitespace;
+    a label holding a comma, a parenthesis or whitespace can never be named.
     The literal token "id" parses to the identity.  Raises CycleParseError on
-    unknown labels, a label repeated anywhere in the product, or stray text.
+    a duplicate in the labels, then on stray text anywhere in the product,
+    then cycle by cycle on too few elements, unknown labels, or a label
+    repeated anywhere in the product.
+
+    One scan splits the text into cycle bodies, and one label index reads
+    their names.  tests/test_perm.py keeps a regular-expression parser of
+    the same grammar as the reference for its results and error texts.
     """
     labels = tuple(labels)
     index = {lab: i for i, lab in enumerate(labels)}
@@ -141,29 +146,33 @@ def parse_cycles(text: str, labels: Sequence[str]) -> Permutation:
     stripped = text.strip()
     if stripped == "id":
         return identity(len(labels), labels)
-    if _CYCLE_RE.sub("", stripped).strip():
+    bodies = []
+    end = 0
+    while (start := stripped.find("(", end)) >= 0:
+        close = stripped.find(")", start)
+        body = stripped[start + 1 : close]
+        if close < 0 or "(" in body or stripped[end:start].strip():
+            raise CycleParseError(f"malformed cycle product: {text!r}")
+        bodies.append(body)
+        end = close + 1
+    if not bodies or end < len(stripped):
         raise CycleParseError(f"malformed cycle product: {text!r}")
     images = list(range(len(labels)))
     used: set[int] = set()
-    matched_any = False
-    for m in _CYCLE_RE.finditer(stripped):
-        matched_any = True
-        names = [tok for tok in re.split(r"[,\s]+", m.group(1).strip()) if tok]
+    for body in bodies:
+        names = body.replace(",", " ").split()
         if len(names) < 2:
-            raise CycleParseError(f"cycle needs at least two elements: ({m.group(1)})")
-        idxs = []
-        for name in names:
-            if name not in index:
-                raise CycleParseError(f"unknown label {name!r} (domain {labels})")
-            idxs.append(index[name])
+            raise CycleParseError(f"cycle needs at least two elements: ({body})")
+        try:
+            idxs = [index[name] for name in names]
+        except KeyError as exc:
+            raise CycleParseError(f"unknown label {exc.args[0]!r} (domain {labels})") from None
         for i in idxs:
             if i in used:
                 raise CycleParseError(f"label {labels[i]!r} repeated in {text!r}")
             used.add(i)
         for a, b in zip(idxs, idxs[1:] + idxs[:1]):
             images[a] = b
-    if not matched_any:
-        raise CycleParseError(f"malformed cycle product: {text!r}")
     return Permutation(tuple(images), labels)
 
 
@@ -374,7 +383,8 @@ def group_from_elements(elements: Iterable[Permutation]) -> FiniteGroup:
 
 @dataclass
 class Homomorphism:
-    """A group homomorphism as a full table, verified at construction.
+    """A group homomorphism as a full table, verified at construction
+    (except by identity_on, whose table cannot fail).
 
     The table must cover the source group, land in the target group and map
     the identity to the identity.  Multiplicativity is certified on the
@@ -418,7 +428,12 @@ class Homomorphism:
 
     @classmethod
     def identity_on(cls, group: FiniteGroup) -> "Homomorphism":
-        return cls(group, group, {g: g for g in group.elements})
+        """The identity of a group: a homomorphism by construction, so its
+        table is built directly and skips the check an outside table gets."""
+        hom = cls.__new__(cls)
+        hom.source = hom.target = group
+        hom.table = {g: g for g in group.elements}
+        return hom
 
     @classmethod
     def from_generator_images(

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import geneograph
 from geneograph import io as docs
 from geneograph.cli import main
 from geneograph.experiments import c6_c3_context
@@ -265,6 +268,17 @@ def test_geneo_decompose_failure(tmp_path, ctx_file, capsys):
     assert "endo" in json.loads(out)["error"]
 
 
+def test_geneo_decompose_names_its_witness(tmp_path, capsys):
+    group = edge_automorphism_group(complete_graph(4))
+    doc = docs.operator_to_json(identity_operator(PerceptionPair(full_space(group.labels), group)))
+    doc["coeffs"][1][1] = 0
+    code, out, err = run_cli(capsys, "geneo", "decompose", write_json(tmp_path / "k4_zeroed.json", doc))
+    message = "operator is not equivariant: basis index 1 fails under generator (q,r)(s,t)"
+    assert code == 1
+    assert json.loads(out) == {"error": message}
+    assert err == f"error: {message}\n"
+
+
 def test_geneo_decompose_over_cap(tmp_path, capsys):
     group = edge_automorphism_group(cycle_graph(8))
     op = identity_operator(PerceptionPair(full_space(group.labels), group))
@@ -286,6 +300,15 @@ def test_malformed_json_is_validation_failure(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "aut", str(path))
     assert code == 1
     assert "error" in json.loads(out)
+
+
+def test_deeply_nested_json_is_validation_failure(tmp_path, capsys):
+    # valid JSON, nested past the decoder's recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, _ = run_cli(capsys, "aut", str(path))
+    assert code == 1
+    assert json.loads(out) == {"error": f"{path}: JSON nested too deeply to read"}
 
 
 def test_bad_cycle_text_in_group_doc(tmp_path, ctx_file, capsys):
@@ -600,3 +623,30 @@ def test_console_entry_point_subprocess():
     assert json.loads(proc.stdout)["total"] == 216
 
 
+def test_reused_parser_matches_fresh_processes(f4_file, ctx_file, capsys):
+    # one parser serves every call in a process: each call must print and exit
+    # as a fresh interpreter does, whatever the calls before it were
+    requests = [
+        ["codes"],  # usage error: --n is required
+        ["--seed", "11", "census-c6c3"],
+        ["codes", "--n", "4", "--analyze", "--format", "csv"],
+        ["--pretty", "codes", "--n", "3", "--analyze"],
+        ["codes", "--n", "3", "--analyze"],
+        ["codes", "--n", "3", "--format", "csv"],
+        ["codes", "--n", "3"],
+        ["census-c6c3"],
+        ["orbits", "--context", ctx_file],
+        ["geneo", "verify", f4_file],
+        ["geneo", "decompose", f4_file],
+        ["aut", "/nonexistent/graph.json"],
+    ]
+    src = str(Path(geneograph.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in requests:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "geneograph.cli", *argv], capture_output=True, env=env)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()), argv

@@ -1,8 +1,9 @@
 import math
 import random
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from geneograph.perm import (
     CapExceededError,
@@ -21,6 +22,7 @@ from geneograph.perm import (
     parse_cycles,
     trivial_group,
 )
+from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group
 
 ABCD = ("A", "B", "C", "D")
 EDGES6 = ("a", "b", "c", "d", "e", "f")
@@ -123,6 +125,78 @@ def test_format_canonical():
     # fixed points omitted, cycles sorted by smallest moved index
     q = perm("(B,D)", ABCD)
     assert format_cycles(q) == "(B,D)"
+
+
+_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def regex_parse_cycles(text, labels):
+    """The regular-expression parser that parse_cycles replaced: the reference
+    for its grammar, its results and its error texts."""
+    labels = tuple(labels)
+    index = {lab: i for i, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        raise CycleParseError(f"duplicate labels in domain: {labels}")
+    stripped = text.strip()
+    if stripped == "id":
+        return identity(len(labels), labels)
+    if _CYCLE_RE.sub("", stripped).strip():
+        raise CycleParseError(f"malformed cycle product: {text!r}")
+    images = list(range(len(labels)))
+    used: set[int] = set()
+    matched_any = False
+    for m in _CYCLE_RE.finditer(stripped):
+        matched_any = True
+        names = [tok for tok in re.split(r"[,\s]+", m.group(1).strip()) if tok]
+        if len(names) < 2:
+            raise CycleParseError(f"cycle needs at least two elements: ({m.group(1)})")
+        idxs = []
+        for name in names:
+            if name not in index:
+                raise CycleParseError(f"unknown label {name!r} (domain {labels})")
+            idxs.append(index[name])
+        for i in idxs:
+            if i in used:
+                raise CycleParseError(f"label {labels[i]!r} repeated in {text!r}")
+            used.add(i)
+        for a, b in zip(idxs, idxs[1:] + idxs[:1]):
+            images[a] = b
+    if not matched_any:
+        raise CycleParseError(f"malformed cycle product: {text!r}")
+    return Permutation(tuple(images), labels)
+
+
+def parse_outcome(parse, text, labels):
+    try:
+        return parse(text, labels)
+    except CycleParseError as exc:
+        return str(exc)
+
+
+LABEL_SETS = [
+    ABCD,
+    ("a", "bb", "ccc", "id"),  # multi-character labels, one of them the identity token
+    ("p", "q", "p"),  # a duplicate label
+    ("x", "A B", "(x", "a,b", "y)", ""),  # labels no cycle text can name
+]
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_parse_matches_regex_reference(data):
+    labels = data.draw(st.sampled_from(LABEL_SETS))
+    # names joined by separators ("" glues two names into one unknown label),
+    # mostly in cycles, with stray brackets, commas and names between them
+    name = st.sampled_from([*labels, "id", "zz"])
+    sep = st.sampled_from([",", " ", ", ", "\t", "\n", "\xa0", ""])
+    gap = st.sampled_from(["", " ", "\n", "\xa0"])
+    cycle = st.lists(st.tuples(sep, name), min_size=1, max_size=4).map(
+        lambda run: "(" + "".join(s + n for s, n in run) + ")"
+    )
+    item = st.one_of(cycle, cycle, cycle, st.sampled_from(["(", ")", ",", "id", "zz"]))
+    text = "".join(data.draw(st.lists(st.tuples(gap, item).map("".join), min_size=1, max_size=4)))
+    text += data.draw(gap)
+    assert parse_outcome(parse_cycles, text, labels) == parse_outcome(regex_parse_cycles, text, labels)
 
 
 @given(perms(6))
@@ -373,6 +447,12 @@ def test_valid_homomorphism_table_does_no_pairwise_work(monkeypatch):
     with pytest.raises(ValueError, match="not multiplicative"):
         Homomorphism(s4, s4, table)
     assert calls
+
+
+@pytest.mark.parametrize("graph", [cycle_graph(6), complete_graph(4), complete_graph(7)], ids=["C6", "K4", "K7"])
+def test_identity_on_equals_the_checked_identity_table(graph):
+    group = edge_automorphism_group(graph)
+    assert Homomorphism.identity_on(group) == Homomorphism(group, group, {x: x for x in group.elements})
 
 
 def test_homomorphism_identity_and_composition():
