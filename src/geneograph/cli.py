@@ -292,14 +292,12 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _emit(payload, pretty: bool) -> None:
+def _render(payload, pretty: bool) -> str:
     if isinstance(payload, str):
-        sys.stdout.write(payload)
-        return
+        return payload
     if pretty:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def main(argv=None) -> int:
@@ -319,18 +317,23 @@ def main(argv=None) -> int:
         group_cap()
     except ValueError as exc:
         parser.error(str(exc))
+    # the payload is rendered inside the try: a number too long to print is
+    # a failure like any other
+    failure = None
     try:
-        payload = args.fn(args)
-    except ValidationFailure as exc:
-        _emit(exc.payload, args.pretty)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        try:
+            payload = args.fn(args)
+        except ValidationFailure as exc:
+            payload, failure = exc.payload, exc
+        text = _render(payload, args.pretty)
     except (ValueError, KeyError, OSError, CapExceededError) as exc:
-        _emit({"error": str(exc)}, args.pretty)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _emit(payload, args.pretty)
-    return 0
+        failure = exc
+        text = _render({"error": str(exc)}, args.pretty)
+    sys.stdout.write(text)
+    if failure is None:
+        return 0
+    print(f"error: {failure}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

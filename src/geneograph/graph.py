@@ -229,7 +229,7 @@ def induced_edge_permutation(g: Graph, vp: Permutation) -> Permutation:
     """The edge permutation e={u,v} -> {vp(u), vp(v)} induced by a vertex automorphism."""
     if vp.n != g.n_vertices:
         raise ValueError("permutation size does not match the vertex count")
-    if vp.labels is not None and vp.labels != g.vertex_labels:
+    if vp.labels != g.vertex_labels:
         raise ValueError("permutation labels do not match the graph's vertices")
     edge_index = {pair: i for i, pair in enumerate(g.edges)}
     images = []

@@ -134,10 +134,6 @@ def homomorphism_to_json(t: Homomorphism) -> list:
     return [[format_cycles(g), format_cycles(t(g))] for g in t.source.elements]
 
 
-def homomorphism_from_json(doc, source: FiniteGroup, target: FiniteGroup) -> Homomorphism:
-    return _homomorphism_from_json(doc, source, target, _cycle_reader())
-
-
 def _homomorphism_from_json(doc, source: FiniteGroup, target: FiniteGroup, parse: _CycleReader) -> Homomorphism:
     if not isinstance(doc, list) or not all(
         isinstance(pair, list) and len(pair) == 2 and all(isinstance(p, str) for p in pair)
@@ -260,10 +256,6 @@ def space_from_json(doc: MappingABC) -> FunctionSpace:
 
 def pair_to_json(pair: PerceptionPair) -> dict:
     return {"space": space_to_json(pair.space), "group": group_to_json(pair.group)}
-
-
-def pair_from_json(doc: MappingABC) -> PerceptionPair:
-    return _pair_from_json(doc, _cycle_reader())
 
 
 def _pair_from_json(doc: MappingABC, parse: _CycleReader) -> PerceptionPair:

@@ -10,6 +10,7 @@ permutation-invariant and play no part.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,7 +25,12 @@ BALL_NORMS = ("sup", "l1", "l2")
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints, "p/q" strings, and floats (via their decimal repr) to Fraction."""
+    """Coerce ints, "p/q" strings, and floats (via their decimal repr) to Fraction.
+
+    A decimal string whose exponent exceeds sys.get_int_max_str_digits() in
+    magnitude is rejected before Fraction builds the power of ten: its value
+    has too many digits to print, and building it can take seconds.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -32,6 +38,11 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        exponent = x.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+        # interpreters older than 3.10.7 have no digit limit; use its default
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+        if limit and exponent.isdecimal() and int(exponent) > limit:
+            raise ValueError(f"decimal exponent of {x!r} exceeds {limit} in magnitude")
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(repr(x))
@@ -200,7 +211,7 @@ def _check_group_acts(space: FunctionSpace, group: FiniteGroup) -> None:
         raise DomainMismatchError(
             f"group degree {group.degree} does not match space dimension {space.dim}"
         )
-    if group.identity.labels is not None and group.labels != space.domain:
+    if group.labels != space.domain:
         raise DomainMismatchError(
             f"group labels {group.labels} do not match space domain {space.domain}"
         )
@@ -211,17 +222,19 @@ def verify_perception_pair(
 ) -> tuple[bool, tuple[Measurement, Permutation] | None]:
     """Check closure of the space under precomposition with every group element.
 
-    Each element g, in group order, asks ``FunctionSpace.escape`` whether the
-    linear map phi -> phi o g takes a point out of the space: an explicit
-    member, or a spanning point of a constrained space's equations.  Norm
-    balls are permutation-invariant, and the full space is trivially closed.
-    On failure returns the first witness (phi, g), in group order and then
-    point order, with phi o g outside the space.
+    Closure under the generators is closure under the group, as every element
+    is a word in them.  Each generator g, in order, asks
+    ``FunctionSpace.escape`` whether the linear map phi -> phi o g takes a
+    point out of the space: an explicit member, or a spanning point of a
+    constrained space's equations.  Norm balls are permutation-invariant, and
+    the full space is trivially closed.  On failure returns the first witness
+    (phi, g), in generator order and then point order, with phi o g outside
+    the space.
     """
     _check_group_acts(space, group)
     if space.kind == "full":
         return True, None
-    for g in group:
+    for g in group.generators:
         phi = space.escape(g.pullback)
         if phi is not None:
             return False, (phi, g)

@@ -35,10 +35,6 @@ class CapExceededError(RuntimeError):
     """An enumeration grew past its configured size cap."""
 
 
-def default_labels(n: int) -> tuple[str, ...]:
-    return tuple(str(i) for i in range(n))
-
-
 @dataclass(frozen=True)
 class Permutation:
     """A bijection of {0..n-1}; ``images[i]`` is the image of element i.
@@ -48,13 +44,13 @@ class Permutation:
     """
 
     images: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...]
 
     def __post_init__(self):
         n = len(self.images)
         if sorted(self.images) != list(range(n)):
             raise ValueError(f"not a bijection of 0..{n - 1}: {self.images}")
-        if self.labels is not None and len(self.labels) != n:
+        if len(self.labels) != n:
             raise ValueError("label count does not match domain size")
 
     @property
@@ -69,9 +65,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(im == i for i, im in enumerate(self.images))
-
-    def effective_labels(self) -> tuple[str, ...]:
-        return self.labels if self.labels is not None else default_labels(self.n)
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
@@ -102,22 +95,21 @@ class Permutation:
         return out
 
 
-def identity(n: int, labels: tuple[str, ...] | None = None) -> Permutation:
+def identity(n: int, labels: tuple[str, ...]) -> Permutation:
     return Permutation(tuple(range(n)), labels)
 
 
-def _merge_labels(a: tuple[str, ...] | None, b: tuple[str, ...] | None) -> tuple[str, ...] | None:
-    if a is not None and b is not None and a != b:
-        raise DomainMismatchError(f"label sets differ: {a} vs {b}")
-    return a if a is not None else b
+def _require_labels(p: Permutation, labels: tuple[str, ...]) -> None:
+    if p.labels != labels:
+        raise DomainMismatchError(f"label sets differ: {labels} vs {p.labels}")
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """(p o q)(x) = p(q(x))."""
     if p.n != q.n:
         raise DomainMismatchError(f"domain sizes differ: {p.n} vs {q.n}")
-    labels = _merge_labels(p.labels, q.labels)
-    return Permutation(tuple(p.images[qi] for qi in q.images), labels)
+    _require_labels(q, p.labels)
+    return Permutation(tuple(p.images[qi] for qi in q.images), p.labels)
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -178,8 +170,7 @@ def parse_cycles(text: str, labels: Sequence[str]) -> Permutation:
 
 def format_cycles(p: Permutation) -> str:
     """Inverse of parse_cycles: disjoint cycles, fixed points omitted, identity as "id"."""
-    labels = p.effective_labels()
-    cycles = p.cycles()
+    labels, cycles = p.labels, p.cycles()
     if not cycles:
         return "id"
     return "".join("(" + ",".join(labels[i] for i in cyc) + ")" for cyc in cycles)
@@ -269,8 +260,9 @@ class FiniteGroup:
 
     Invariant: ``generators`` generate ``elements``.  The only builders,
     ``generate_group`` and ``group_from_elements``, guarantee it, and the
-    homomorphism, equivariance and measure-invariance checks rely on it to
-    certify a property of the whole group on the generators alone.
+    homomorphism, equivariance, closure and invariance checks rely on it to
+    decide a property of the whole group on the generators alone, and to name
+    a generator as the witness when it fails.
     """
 
     elements: tuple[Permutation, ...]
@@ -290,7 +282,7 @@ class FiniteGroup:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return self.identity.effective_labels()
+        return self.identity.labels
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements)
@@ -311,19 +303,19 @@ class FiniteGroup:
 def generate_group(generators: Iterable[Permutation]) -> FiniteGroup:
     """Smallest group containing the generators, by breadth-first closure.
 
-    The generators must act on one domain size, and those that carry labels
-    must agree on them; the group takes their labels.  Use trivial_group for
-    the group with no generators.  Raises CapExceededError if the closure
-    grows past group_cap() (10!, or the GENEO_MAX_GROUP environment variable).
+    The generators must act on one labeled domain, which the group takes.
+    Use trivial_group for the group with no generators.  Raises
+    CapExceededError if the closure grows past group_cap() (10!, or the
+    GENEO_MAX_GROUP environment variable).
     """
     gens = list(generators)
     if not gens:
         raise ValueError("empty generator list: use trivial_group(labels)")
-    n, lab = gens[0].n, None
+    n, lab = gens[0].n, gens[0].labels
     for g in gens:
         if g.n != n:
             raise DomainMismatchError("generators act on different domain sizes")
-        lab = _merge_labels(lab, g.labels)
+        _require_labels(g, lab)
     ident = identity(n, lab)
     elements = closure((ident.images,), [_left_multiplication(g.images) for g in gens], group_cap())
     ordered = tuple(Permutation(images, lab) for images in sorted(elements))
@@ -339,29 +331,31 @@ def trivial_group(labels: Sequence[str]) -> FiniteGroup:
 def group_from_elements(elements: Iterable[Permutation]) -> FiniteGroup:
     """Wrap an explicit element set as a FiniteGroup, with a small greedy generating set.
 
-    Each element, in order, that lies outside the subgroup generated so far
-    becomes a generator; one closure, seeded with that subgroup, grows it,
-    capped at the number of elements.  The elements form a group exactly when
-    that closure ends at them.  Only when it does not are they scanned for the
-    first element whose inverse is missing, then for the first product that
-    leaves the set, to name it.
+    The elements must share one labeled domain.  Each element, in order, that
+    lies outside the subgroup generated so far becomes a generator; one
+    closure, seeded with that subgroup, grows it, capped at the number of
+    elements.  The elements form a group exactly when that closure ends at
+    them.  When it does not, some greedy generator s takes some element p out
+    of the set, as a set that holds the identity and is closed under every s
+    holds the closure; the error names the first such p in element order and,
+    for it, the first such s.
     """
     elems = sorted(set(elements), key=lambda p: p.images)
     if not elems:
         raise ValueError("a group needs at least the identity")
-    n = elems[0].n
     lab = elems[0].labels
-    ident = identity(n, lab)
+    for p in elems:
+        _require_labels(p, lab)
+    ident = identity(len(lab), lab)
     if ident not in elems:
         raise ValueError("element set lacks the identity")
     gens: list[Permutation] = []
     moves = []
     have = {ident.images}
-    # an element of another degree or labeling fails the test below, and the
-    # scans then decide as compose does
+    members = {p.images for p in elems}
     try:
         for p in elems:
-            if p.images not in have and p.n == n:
+            if p.images not in have:
                 gens.append(p)
                 moves.append(_left_multiplication(p.images))
                 have = closure(have, moves, len(elems))
@@ -369,15 +363,9 @@ def group_from_elements(elements: Iterable[Permutation]) -> FiniteGroup:
                     break
     except CapExceededError:
         pass
-    if have != {p.images for p in elems} or any(p.labels != lab for p in elems):
-        member = frozenset(elems)
-        for p in elems:
-            if p.inverse() not in member:
-                raise ValueError(f"element set not closed under inverse at {p}")
-        for p in elems:
-            for q in elems:
-                if compose(p, q) not in member:
-                    raise ValueError(f"element set not closed under composition at {p}, {q}")
+    if have != members:
+        p, s = next((p, s) for p in elems for s, move in zip(gens, moves) if move(p.images) not in members)
+        raise ValueError(f"element set not closed under composition at {s}, {p}")
     return FiniteGroup(tuple(elems), tuple(gens), ident)
 
 
@@ -387,11 +375,11 @@ class Homomorphism:
     (except by identity_on, whose table cannot fail).
 
     The table must cover the source group, land in the target group and map
-    the identity to the identity.  Multiplicativity is certified on the
+    the identity to the identity.  Multiplicativity is decided on the
     generators: phi(a o s) = phi(a) o phi(s) for every element a and generator
     s implies it for all pairs, as every element is a positive word in the
-    generators.  Only when that fails are all pairs scanned in element order,
-    to name the first pair (a, b) that breaks it.
+    generators.  A failure names the first a in element order and, for it,
+    the first generator s that breaks it.
     """
 
     source: FiniteGroup
@@ -407,18 +395,12 @@ class Homomorphism:
         if self.table[self.source.identity] != self.target.identity:
             raise ValueError("homomorphism must map identity to identity")
         images = {a.images: v.images for a, v in self.table.items()}
-        if all(
-            images[tuple([a[i] for i in s])] == tuple([image[i] for i in images[s]])
-            for s in (g.images for g in self.source.generators)
-            for a, image in images.items()
-        ):
-            return
+        gens = [(s, s.images, images[s.images]) for s in self.source.generators]
         for a in self.source.elements:
-            for b in self.source.elements:
-                if self.table[compose(a, b)] != compose(self.table[a], self.table[b]):
-                    raise ValueError(
-                        f"not multiplicative at ({format_cycles(a)}, {format_cycles(b)})"
-                    )
+            a_images, image = a.images, images[a.images]
+            for s, s_images, s_image in gens:
+                if images[tuple([a_images[i] for i in s_images])] != tuple([image[i] for i in s_image]):
+                    raise ValueError(f"not multiplicative at ({format_cycles(a)}, {format_cycles(s)})")
 
     def __call__(self, g: Permutation) -> Permutation:
         return self.table[g]

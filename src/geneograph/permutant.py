@@ -96,8 +96,7 @@ class Mapping:
 
 
 def mapping_from_permutation(p: Permutation) -> Mapping:
-    labels = p.effective_labels()
-    return Mapping(labels, labels, p.images)
+    return Mapping(p.labels, p.labels, p.images)
 
 
 def mapping_from_labels(
@@ -327,15 +326,12 @@ def _invariance_witness(
 ) -> tuple[Mapping, Permutation] | None:
     """None if alpha keeps a weighting of image tuples (absent tuples weigh
     0), else the witness (f, g): the first point f in image order, and for it
-    the first element g of G, whose move changes the weight.  Certified on the
-    generators, as every element is a word in them; the moves of all elements
-    are built only to name a witness."""
-    if all(weights.get(move(h), 0) == w for h, w in weights.items() for move in ctx.moves):
-        return None
-    moves = [(g, ctx.move(g)) for g in ctx.G]
+    the first generator g of G whose move changes the weight.  Decided on the
+    generators, as every element of G is a word in them."""
     for h in sorted(weights):
-        for g, move in moves:
-            if weights.get(move(h), 0) != weights[h]:
+        w = weights[h]
+        for g, move in zip(ctx.G.generators, ctx.moves):
+            if weights.get(move(h), 0) != w:
                 return Mapping(ctx.y_labels, ctx.x_labels, h), g
     return None
 
@@ -344,8 +340,9 @@ def is_generalized_permutant(
     members: Iterable[Mapping], ctx: ActionContext
 ) -> tuple[bool, tuple[Mapping, Permutation] | None]:
     """Whether a set of maps is alpha-closed; on failure, a witness (h, g) with
-    alpha(g, h) outside the set.  The set is tested as its indicator
-    weighting, 1 on each member, so h is the first member in image order."""
+    g a generator of G and alpha(g, h) outside the set.  The set is tested as
+    its indicator weighting, 1 on each member, so h is the first member, in
+    image order, that a generator moves out, and g the first such generator."""
     members = list(members)
     for f in members:
         ctx._check_mapping(f)
@@ -400,8 +397,8 @@ def is_permutant_measure(
 ) -> tuple[bool, tuple[Mapping, Permutation] | None]:
     """Atom-level alpha-invariance of the weights; sufficient since the measure
     is atomic and every subset of the finite map space is measurable.  On
-    failure, the witness (f, g) is the first support map f, and for it the
-    first element g of G, whose move changes the weight."""
+    failure, the witness (f, g) is the first support map f, in image order,
+    whose weight a generator's move changes, and the first such generator g."""
     witness = _invariance_witness({f.images: w for f, w in m.weights.items()}, m.context)
     return witness is None, witness
 

@@ -15,6 +15,7 @@ from geneograph.experiments import c6_c3_context
 from geneograph.geneo import from_measure, from_permutant, identity_operator
 from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group, graph_document
 from geneograph.perception import PerceptionPair, full_space
+from geneograph.perm import trivial_group
 from geneograph.permutant import PermutantMeasure, endo_context, orbit, transposition_permutant
 
 from conftest import census_graph
@@ -154,6 +155,47 @@ def test_permutant_check_rejects_partial_orbit(tmp_path, ctx_file, capsys):
     assert payload["ok"] is False
     assert payload["witness"]["mapping"] == "aec"
     assert "error" in err
+
+
+def test_alpha_witness_names_a_context_generator(tmp_path, capsys):
+    # K4 edge endo-context: the witness is a generator the context lists,
+    # not another element of G
+    ctx = docs.context_to_json(endo_context(edge_automorphism_group(complete_graph(4))))
+    assert ctx["G"]["generators"] == ["(q,r)(s,t)", "(q,s)(r,t)", "(p,q)(s,u)"]
+    ctx_path = write_json(tmp_path / "k4.json", ctx)
+    members = ["puuuuu", "qqqsqq", "rrrrtr", "sqssss", "ttrttt"]
+    documents = {
+        "permutant": {"members": members},
+        "measure": {"weights": [{"mapping": m, "weight": 1} for m in members]},
+    }
+    for command, doc in documents.items():
+        path = write_json(tmp_path / f"{command}.json", doc)
+        code, out, _ = run_cli(capsys, command, "check", path, "--context", ctx_path)
+        assert code == 1
+        assert json.loads(out)["witness"] == {"mapping": "qqqsqq", "generator": "(p,q)(s,u)"}
+
+
+def test_huge_numbers_fail_with_a_json_error(tmp_path, capsys):
+    # an exponent past the interpreter's digit limit is rejected as it is
+    # read; a result with too many digits to print is a failure, not a crash
+    op = docs.operator_to_json(from_permutant(orbit("aec", c6_c3_context())))
+    op_path = write_json(tmp_path / "op.json", op)
+    for value in ("1e5000", "1e10000000"):
+        phi = write_json(tmp_path / "phi.json", [value, 0, 0, 0, 0, 0])
+        code, out, err = run_cli(capsys, "geneo", "apply", op_path, phi)
+        assert code == 1
+        assert "exceeds 4300" in json.loads(out)["error"] and "error" in err
+    pair = PerceptionPair(full_space(("a",)), trivial_group(("a",)))
+    scaled = {**docs.operator_to_json(identity_operator(pair)), "coeffs": [["1e4300"]]}
+    scaled_path = write_json(tmp_path / "scaled.json", scaled)
+    # the image, and the norm in verify's failure payload, have 4,301 digits
+    for argv in (
+        ("geneo", "apply", scaled_path, write_json(tmp_path / "one.json", [1])),
+        ("geneo", "verify", scaled_path),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "Exceeds the limit" in json.loads(out)["error"] and "error" in err
 
 
 def test_measure_check(tmp_path, ctx_file, capsys):

@@ -12,8 +12,10 @@ kept inline here as the reference.
 - Generalized permutants: the reference scans every member against every
   group element.
 
-Verdicts, witnesses and messages must agree on seeded random inputs that
-cover both verdicts.
+These whole-group references give the verdict.  The witness is checked
+against a second reference that scans in generator order: it must name a
+generator that really fails, and the same one.  Verdicts, witnesses and
+messages must agree on seeded random inputs that cover both verdicts.
 """
 
 import random
@@ -105,6 +107,39 @@ def ref_verify_explicit(space, group):
     return True, None
 
 
+def ref_pair_witness(space, group):
+    """The first generator, in generator order, and for it the first explicit
+    member or spanning point of the equations, that precomposition takes out
+    of the space; None if there is none."""
+    if space.members is not None:
+        values = {m.values for m in space.members}
+        points = space.members
+    else:
+        solved = solve_affine(list(space.equations), space.dim)
+        points = []
+        if solved is not None:
+            particular, basis = solved
+            spanning = [particular] + [[p + v for p, v in zip(particular, vec)] for vec in basis]
+            points = [Measurement(tuple(p), space.domain) for p in spanning]
+
+    def escapes(moved):
+        if space.members is not None:
+            return moved not in values
+        return any(sum(a * v for a, v in zip(c, moved)) != r for c, r in space.equations)
+
+    return next(((phi, g) for g in group.generators for phi in points if escapes(g.pullback(phi.values))), None)
+
+
+def check_pair_witness(space, group, verdict, got):
+    """The library's result against the verdict of a whole-group reference and
+    the witness of the generator-order reference."""
+    ok, witness = got
+    assert ok == verdict, (space, group.generators)
+    assert witness == (None if ok else ref_pair_witness(space, group)), (space, group.generators)
+    if not ok:
+        assert witness[1] in group.generators
+
+
 def ref_scaling_explicit(scale, pair):
     """(accepted, violated orbits, closure_ok, detail) of diagonal_scaling on an explicit family."""
     violated = tuple(
@@ -157,6 +192,26 @@ def ref_group_from_elements(elements):
     return tuple(elems), tuple(gens)
 
 
+def ref_greedy_witness(elements):
+    """The elements' greedy generators, each element outside the closure so
+    far in element order, until the closure reaches the set's size; then the
+    first element p, in element order, and for it the first of those
+    generators s with s o p outside the set."""
+    elems = sorted(set(elements), key=lambda p: p.images)
+    member = frozenset(elems)
+    gens, have = [], {identity(elems[0].n, elems[0].labels)}
+    for p in elems:
+        if p not in have:
+            gens.append(p)
+            frontier = list(have)
+            while frontier:
+                frontier = [x for x in {compose(s, y) for s in gens for y in frontier} if x not in have]
+                have.update(frontier)
+            if len(have) >= len(elems):
+                break
+    return next((s, p) for p in elems for s in gens if compose(s, p) not in member)
+
+
 def ref_is_generalized_permutant(members, ctx):
     mset = set(members)
     images = {f.images for f in mset}
@@ -170,6 +225,21 @@ def ref_is_generalized_permutant(members, ctx):
         None,
     )
     return witness is None, witness
+
+
+def ref_permutant_witness(members, ctx):
+    """The first member in image order, and for it the first generator of G,
+    whose move takes it out of the set; None if there is none."""
+    images = {f.images for f in members}
+    return next(
+        (
+            (h, g)
+            for h in sorted(set(members), key=lambda m: m.images)
+            for g in ctx.G.generators
+            if tuple(g.images[h.images[y]] for y in ctx.T(g.inverse()).images) not in images
+        ),
+        None,
+    )
 
 
 # -- random inputs -----------------------------------------------------------------
@@ -230,9 +300,9 @@ def test_perception_pair_matches_reference():
         n = rng.randint(2, 5)
         group = random_group(rng, n)
         space = random_constrained_space(rng, n, group)
-        expected = ref_verify_constrained(space, group)
-        assert verify_perception_pair(space, group) == expected, (space, group.generators)
-        verdicts[expected[0]] += 1
+        verdict = ref_verify_constrained(space, group)[0]
+        check_pair_witness(space, group, verdict, verify_perception_pair(space, group))
+        verdicts[verdict] += 1
     assert min(verdicts.values()) >= 200, verdicts
 
 
@@ -290,11 +360,11 @@ def test_explicit_families_match_reference():
             Fraction(1) if rng.random() < 0.6 else Fraction(rng.choice((2, 3, Fraction(3, 2)))) for _ in range(n)
         ]
         space = random_explicit_space(rng, n, group, scale)
-        expected = ref_verify_explicit(space, group)
-        assert verify_perception_pair(space, group) == expected, (space, group.generators)
-        perception[expected[0]] += 1
+        verdict = ref_verify_explicit(space, group)[0]
+        check_pair_witness(space, group, verdict, verify_perception_pair(space, group))
+        perception[verdict] += 1
         # a space the group does not keep is no perception pair with it
-        acting = group if expected[0] and rng.random() >= 0.5 else trivial_group(space.domain)
+        acting = group if verdict and rng.random() >= 0.5 else trivial_group(space.domain)
         pair = PerceptionPair(space, acting)
         outcome = diagonal_scaling(scale, pair)
         accepted, violated, closure_ok, detail = ref_scaling_explicit(scale, pair)
@@ -342,6 +412,11 @@ def test_group_from_elements_matches_reference():
         rng.shuffle(elems)
         expected = outcome(ref_group_from_elements, elems)
         got = outcome(lambda e: (lambda g: (g.elements, g.generators))(group_from_elements(e)), elems)
+        if isinstance(expected, str) and "not closed" in expected:
+            # not a group: the witness is a greedy generator that takes an element out
+            s, p = ref_greedy_witness(elems)
+            assert compose(s, p) not in set(elems)
+            expected = f"element set not closed under composition at {s}, {p}"
         assert got == expected, elems
         verdicts[not isinstance(expected, str)] += 1
     assert min(verdicts.values()) >= 150, verdicts
@@ -362,14 +437,16 @@ def test_is_generalized_permutant_matches_reference(ctx):
                 subset |= {alpha_action(g, f, ctx) for g in ctx.G}
         if subset and rng.random() < 0.3:
             subset.discard(rng.choice(sorted(subset, key=lambda m: m.images)))
-        expected = ref_is_generalized_permutant(subset, ctx)
-        assert is_generalized_permutant(subset, ctx) == expected
-        ok, witness = expected
+        ok = ref_is_generalized_permutant(subset, ctx)[0]
+        witness = None if ok else ref_permutant_witness(subset, ctx)
+        assert is_generalized_permutant(subset, ctx) == (ok, witness)
         if ok:
             assert GeneralizedPermutant(ctx, subset).size == len(subset)
         else:
             h, g = witness
+            assert g in ctx.G.generators
             moved = alpha_action(g, h, ctx)
+            assert moved not in subset
             message = f"not alpha-closed: alpha({g}, {h}) = {moved} escapes"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 GeneralizedPermutant(ctx, subset)

@@ -2,8 +2,8 @@
 
 A deterministic sweep walks each valid document below field by field (every
 object key, and the first three entries of every array).  Every field in turn
-is replaced by null, true, 5, "x", "1/0", [] or {}, or deleted, and one
-subcommand runs on the result through ``cli.main``.  A Hypothesis test then
+is replaced by null, true, 5, "x", "1/0", "1e5000", "1e10000000", [] or {},
+or deleted, and one subcommand runs on the result through ``cli.main``.  A Hypothesis test then
 feeds every subcommand that reads a file arbitrary JSON: a whole document, or
 a valid document with one field replaced.  Whatever the input, the command
 must exit with 0, 1 or 2 and print JSON, and no exception may escape it.
@@ -49,7 +49,7 @@ COMMANDS = {
     "context": ["orbits", "--context", "{doc}"],
     "graph": ["aut", "{doc}"],
 }
-VALUES = (None, True, 5, "x", "1/0", [], {})
+VALUES = (None, True, 5, "x", "1/0", "1e5000", "1e10000000", [], {})
 DELETE = object()
 
 

@@ -9,6 +9,7 @@ from geneograph.perception import (
     FunctionSpace,
     Measurement,
     PerceptionPair,
+    as_fraction,
     aut_pseudodistance,
     constrained_space,
     explicit_space,
@@ -29,6 +30,15 @@ def binary_vectors(n, domain=None):
 
 def rationals():
     return st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+def test_as_fraction_rejects_exponents_past_the_digit_limit():
+    # the power of ten is never built: 1e10000000 took seconds to read
+    assert as_fraction("1e4300") == 10**4300
+    assert as_fraction("-2.5E-3") == Fraction(-1, 400)
+    for text in ("1e5000", "1e10000000", "1E-4301", " 3.5e+10_000 "):
+        with pytest.raises(ValueError, match="exponent .* exceeds 4300"):
+            as_fraction(text)
 
 
 # sup distance

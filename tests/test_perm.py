@@ -67,7 +67,7 @@ def test_compose_order_convention():
 
 def test_compose_domain_mismatch():
     with pytest.raises(DomainMismatchError):
-        compose(identity(3), identity(4))
+        compose(identity(3, ABCD[:3]), identity(4, ABCD))
     with pytest.raises(DomainMismatchError):
         compose(identity(4, ABCD), identity(4, EDGES6[:4]))
 
@@ -201,8 +201,7 @@ def test_parse_matches_regex_reference(data):
 
 @given(perms(6))
 def test_parse_format_roundtrip(p):
-    labels = p.effective_labels()
-    assert parse_cycles(format_cycles(p), labels) == p
+    assert parse_cycles(format_cycles(p), p.labels) == p
 
 
 # group generation
@@ -265,11 +264,10 @@ def test_group_cap_env(monkeypatch):
 
 
 def test_generators_agree_on_labels():
-    # an unlabeled generator takes the labels of the others, which must agree
+    # the generators' labels must agree
     xy, pq = ("x", "y"), ("p", "q")
-    assert generate_group([Permutation((0, 1)), Permutation((1, 0), xy)]).labels == xy
     with pytest.raises(DomainMismatchError, match="label sets differ"):
-        generate_group([Permutation((0, 1)), Permutation((1, 0), xy), Permutation((1, 0), pq)])
+        generate_group([Permutation((0, 1), xy), Permutation((1, 0), xy), Permutation((1, 0), pq)])
     with pytest.raises(ValueError, match="trivial_group"):
         generate_group([])
 
@@ -298,6 +296,20 @@ def test_group_from_elements_rejects_non_groups():
         group_from_elements([perm("(A,B)", ABCD)])  # no identity
     with pytest.raises(ValueError):
         group_from_elements([identity(4, ABCD), perm("(A,B,C)", ABCD)])  # not closed
+
+
+def test_group_from_elements_rejects_mixed_domains():
+    with pytest.raises(DomainMismatchError, match="label sets differ"):
+        group_from_elements([identity(4, ABCD), identity(4, EDGES6[:4])])
+    with pytest.raises(DomainMismatchError, match="label sets differ"):
+        group_from_elements([identity(4, ABCD), identity(3, ABCD[:3])])
+
+
+def test_group_from_elements_names_a_greedy_generator():
+    # (A,B) is the first greedy generator; (A,B) o (B,C) = (A,C,B) is missing
+    elems = [identity(4, ABCD), perm("(A,B)", ABCD), perm("(B,C)", ABCD)]
+    with pytest.raises(ValueError, match=r"^element set not closed under composition at \(A,B\), \(B,C\)$"):
+        group_from_elements(elems)
 
 
 def test_group_from_elements_finds_generators():
@@ -359,6 +371,16 @@ def exhaustive_rejection(source, table):
     return None
 
 
+def generator_witness(source, table):
+    """The G x generators scan, elements in element order and then generators
+    in generator order: the first pair (a, s) that breaks multiplicativity."""
+    for a in source:
+        for s in source.generators:
+            if table[compose(a, s)] != compose(table[a], table[s]):
+                return a, s
+    return None
+
+
 def sign_table(source, c2):
     swap = c2.generators[0]
     return {g: swap if sum(len(c) - 1 for c in g.cycles()) % 2 else c2.identity for g in source}
@@ -395,7 +417,8 @@ def hom_check_cases(name):
 @pytest.mark.parametrize("name", ["D5", "S4"])
 def test_homomorphism_check_matches_exhaustive_scan(name):
     # seeded random tables and homomorphisms with one entry changed: the
-    # generator-level check must give the verdict and the text of the full scan
+    # generator-level check must give the verdict of the full scan, and name
+    # the first element and generator that break multiplicativity
     rng = random.Random(name)
     rejections = set()
     for source, target, homs in hom_check_cases(name):
@@ -412,14 +435,16 @@ def test_homomorphism_check_matches_exhaustive_scan(name):
                 table[a] = rng.choice([k for k in target if k != table[a]])
                 tables.append(table)
         for table in tables:
-            expected = exhaustive_rejection(source, table)
-            if expected is None:
+            if exhaustive_rejection(source, table) is None:
                 assert Homomorphism(source, target, table).table == table
             else:
                 with pytest.raises(ValueError) as exc:
                     Homomorphism(source, target, table)
-                assert str(exc.value) == expected
-                rejections.add(expected)
+                a, s = generator_witness(source, table)
+                assert s in source.generators
+                assert table[compose(a, s)] != compose(table[a], table[s])
+                assert str(exc.value) == f"not multiplicative at ({format_cycles(a)}, {format_cycles(s)})"
+                rejections.add(str(exc.value))
         for hom in homs:
             assert exhaustive_rejection(source, hom) is None
     assert len(rejections) > 5
@@ -446,7 +471,7 @@ def test_valid_homomorphism_table_does_no_pairwise_work(monkeypatch):
     table[perm("(A,B)", ABCD)] = s4.identity
     with pytest.raises(ValueError, match="not multiplicative"):
         Homomorphism(s4, s4, table)
-    assert calls
+    assert calls == []
 
 
 @pytest.mark.parametrize("graph", [cycle_graph(6), complete_graph(4), complete_graph(7)], ids=["C6", "K4", "K7"])

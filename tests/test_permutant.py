@@ -433,6 +433,16 @@ def full_scan_witness(m):
     return True, None
 
 
+def generator_scan_witness(m):
+    """The first support map, and for it the first generator of G in
+    generator order, whose move changes the weight; None if there is none."""
+    for f in m.support:
+        for g in m.context.G.generators:
+            if m.weight(alpha_action(g, f, m.context)) != m.weight(f):
+                return f, g
+    return None
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -444,7 +454,8 @@ def full_scan_witness(m):
 )
 def test_measure_witness_matches_full_scan(build):
     # invariant measures on a few orbits, then one weight changed, one member
-    # dropped, or one stray map added: the witness is that of the full scan
+    # dropped, or one stray map added: the verdict is that of the full scan,
+    # and the witness that of the scan over the generators
     ctx = build()
     rng = random.Random(len(ctx.x_labels) * 100 + len(ctx.y_labels))
 
@@ -466,9 +477,14 @@ def test_measure_witness_matches_full_scan(build):
         stray[random_map()] = Fraction(-1, 2)
         for w in (weights, changed, dropped, stray):
             m = PermutantMeasure(ctx, w)
-            result = is_permutant_measure(m)
-            assert result == full_scan_witness(m)
-            witnesses.add(result[1])
+            ok, witness = is_permutant_measure(m)
+            assert ok == full_scan_witness(m)[0]
+            assert witness == (None if ok else generator_scan_witness(m))
+            if not ok:
+                f, g = witness
+                assert g in ctx.G.generators
+                assert m.weight(alpha_action(g, f, ctx)) != m.weight(f)
+            witnesses.add(witness)
         assert is_permutant_measure(PermutantMeasure(ctx, weights)) == (True, None)
     assert len(witnesses) > 3
 
