@@ -8,8 +8,9 @@ Linear operators store dense exact-rational coefficient tables; rows are
 indexed by the target set Y, columns by the source set X, so F(phi)(y) =
 sum_x coeffs[y][x] phi(x).  Products of tables and vectors go through the
 kernel in `linalg`.  Tables built from maps are counted in int and divided
-once per cell; the decomposition drops repeated equations and leaves the
-elimination and the LP to the fraction-free integer rows of `linalg`.
+once per cell.  The decomposition writes one equation per orbital and one LP
+column pair per distinct orbit column, and leaves the elimination and the LP to
+the fraction-free integer rows of `linalg`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .linalg import OPTIMAL, dot, matmul, matvec, rref, simplex_min
+from .linalg import OPTIMAL, _as_rows, dot, matmul, matvec, rref, simplex_min
 from .perception import (
     FunctionSpace,
     Measurement,
@@ -44,6 +45,7 @@ from .permutant import (
     PermutantMeasure,
     endo_context,
     is_permutant_measure,
+    orbitals,
 )
 
 Witness = tuple[int, Permutation]
@@ -382,10 +384,13 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
     are handled.  The weights returned feed from_measure directly, i.e. they
     sit on each bijection f with coeffs[y][x] = sum_{f(y)=x} mu(f); composing
     with inversion of the support yields the h^-1 form of the representation
-    identity.  Among measures the exact LP solver reaches, the total variation
-    is minimized first and the support then greedily pruned in canonical orbit
-    order, so the result is deterministic.  Raises ValueError if op is not
-    equivariant, the group is not transitive, or no such measure exists.
+    identity.  The unknowns are one weight per conjugation orbit of the
+    bijections, constrained by one equation per orbital, and orbits with equal
+    columns share one LP column.  Among measures the exact LP solver reaches,
+    the total variation is minimized first and the support then greedily pruned
+    in canonical orbit order, so the result is deterministic.  Raises
+    ValueError if op is not equivariant, the group is not transitive, or no
+    such measure exists.
     """
     if op.source.domain != op.target.domain or op.source.group != op.target.group:
         raise ValueError("decomposition handles only endo-operators on a single pair")
@@ -404,49 +409,53 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
 
     # conjugation h -> g o h o g^-1 is alpha with T the identity
     ctx = endo_context(group)
-    orbits = [sorted(o) for o in orbit_partition(permutations(range(n)), ctx.moves)]
-    m = len(orbits)
+    orbits = list(orbit_partition(permutations(range(n)), ctx.moves))
 
-    # reconstruction equations over one weight per conjugation orbit.  As op is
-    # equivariant, equation (y, x) repeats at (g.y, g.x); one copy of each keeps
-    # the row space, hence the reduced rows (49 rows -> 4 on the 7-cycle's edges)
-    tables = [_map_table(((h, 1) for h in o), n, n) for o in orbits]
-    raw = dict.fromkeys(tuple(t[y][x] for t in tables) + (op.coeffs[y][x],) for y in range(n) for x in range(n))
-    reduced = rref(list(raw))
+    # One equation per orbital W: op and every orbit's count table t_O are
+    # constant on W, so the rows at the orbitals' smallest pairs span the row
+    # space of all n^2 equations, and rref gives the same reduced rows (4 on the
+    # 7-cycle's edges).  t_O on W is |O| k / |W|, where k counts the y with
+    # (y, h(y)) in W, for any h in O.  Orbits of equal size and counts give
+    # equal LP columns; Bland's rule never lets a later copy into the basis, so
+    # the first in canonical order stands for them all (112 of 387 on C7).
+    pair_orbits = orbitals(ctx)
+    orbital_of = {p: w for w, o in enumerate(pair_orbits) for p in o}
+    first_orbit: dict[tuple[int, tuple[int, ...]], int] = {}
+    for i, o in enumerate(orbits):
+        counts = [0] * len(pair_orbits)
+        for y, x in enumerate(next(iter(o))):
+            counts[orbital_of[y, x]] += 1
+        first_orbit.setdefault((len(o), tuple(counts)), i)
+    sizes = [size for size, _ in first_orbit]
+    orbit_index = list(first_orbit.values())
+    m = len(sizes)
+    equations = []
+    for w, pair_orbit in enumerate(pair_orbits):
+        y, x = pair_orbit[0]
+        equations.append([size * counts[w] // len(pair_orbit) for size, counts in first_orbit] + [op.coeffs[y][x]])
+    reduced = rref(equations)
     if any(next(i for i, v in enumerate(r) if v != 0) == m for r in reduced):
         raise ValueError("no permutant measure reproduces this operator")
-    eq_rows = [r[:-1] for r in reduced]
-    eq_rhs = [r[-1] for r in reduced]
 
-    sizes = [Fraction(len(o)) for o in orbits]
-
-    def lp(zeroed: set[int], bound: Fraction | None):
-        """Solve for orbit weights w (as u - v, u,v >= 0) with the given orbits
-        pinned to zero; minimize total variation, or with `bound` just test
-        feasibility of total variation <= bound.  Returns (value, weights)."""
+    def lp(zeroed: set[int], bound: int | None):
+        """Solve for column weights w (as u - v, u,v >= 0) with the given
+        columns pinned to zero; minimize total variation, or with `bound` just
+        test feasibility of total variation <= bound.  Returns (value, weights).
+        Each equation goes in as the integer row the simplex would scale it to."""
         active = [i for i in range(m) if i not in zeroed]
-        lhs = []
-        for row in eq_rows:
-            r = []
-            for i in active:
-                r.extend([row[i], -row[i]])
-            if bound is not None:
-                r.append(Fraction(0))
-            lhs.append(r)
-        rhs_all = list(eq_rhs)
+        slack = [0] if bound is not None else []
+        lhs, rhs = [], []
+        for *ints, b in _as_rows([[row[i] for i in active] + [row[-1]] for row in reduced]):
+            lhs.append([c for a in ints for c in (a, -a)] + slack)
+            rhs.append(b)
+        budget = [sizes[i] for i in active for _ in (0, 1)]
         if bound is not None:
-            budget = []
-            for i in active:
-                budget.extend([sizes[i], sizes[i]])
-            budget.append(Fraction(1))  # slack
-            lhs.append(budget)
-            rhs_all.append(bound)
-            costs = [Fraction(0)] * (2 * len(active) + 1)
+            lhs.append(budget + [1])  # slack
+            rhs.append(bound)
+            costs = [0] * (2 * len(active) + 1)
         else:
-            costs = []
-            for i in active:
-                costs.extend([sizes[i], sizes[i]])
-        status, value, sol = simplex_min(costs, lhs, rhs_all)
+            costs = budget
+        status, value, sol = simplex_min(costs, lhs, rhs)
         if status != OPTIMAL:
             return None
         weights = {}
@@ -467,12 +476,12 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
         )
 
     # prune the support greedily in canonical orbit order; the current LP
-    # solution certifies that orbits absent from it can be pinned for free
+    # solution certifies that columns absent from it can be pinned for free
     zeroed = {i for i in range(m) if i not in weights}
     for i in range(m):
         if i in zeroed:
             continue
-        res = lp(zeroed | {i}, Fraction(1))
+        res = lp(zeroed | {i}, 1)
         if res is not None:
             zeroed.add(i)
             weights = res[1]
@@ -486,7 +495,7 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
     labels = group.labels
     measure_weights: dict[Mapping, Fraction] = {}
     for i, w in weights.items():
-        for h in orbits[i]:
+        for h in sorted(orbits[orbit_index[i]]):
             measure_weights[Mapping(labels, labels, h)] = w
     result = PermutantMeasure(ctx, measure_weights)
     rebuilt = from_measure(result)

@@ -1,6 +1,6 @@
 """Mappings between labeled finite sets, the action (g, f) -> g o f o T(g^-1),
-orbit enumeration, and validation of generalized permutants and permutant
-measures.
+orbit enumeration, the orbitals of G on Y x X, and validation of generalized
+permutants and permutant measures.
 
 Inside, a map Y -> X is an integer: its image tuple h read as a base-|X|
 numeral, sum h[y] * |X|^(|Y|-1-y), so that numeric order is lexicographic
@@ -319,6 +319,23 @@ def all_orbits(ctx: ActionContext) -> tuple[list[GeneralizedPermutant], dict[int
     for o in permutants:
         census[o.size] = census.get(o.size, 0) + 1
     return permutants, dict(sorted(census.items()))
+
+
+def orbitals(ctx: ActionContext) -> list[tuple[tuple[int, int], ...]]:
+    """The orbitals: the orbits of G on the pairs Y x X under
+    (y, x) -> (T(g)(y), g(x)), each sorted and listed by its smallest pair.
+
+    A table indexed [y][x] is T-equivariant exactly when it is constant on
+    every orbital, so the orbitals' indicators are a basis of the equivariant
+    tables (the orbit basis of Maron, Ben-Hamu, Shamir and Lipman, ICLR 2019).
+    The count table of an alpha-invariant set of maps is one such table.
+    """
+    moves = []
+    for g in ctx.G.generators:
+        t, images = ctx.T(g).images, g.images
+        moves.append(lambda p, t=t, images=images: (t[p[0]], images[p[1]]))
+    pairs = product(range(ctx.K.degree), range(ctx.G.degree))
+    return [tuple(sorted(o)) for o in orbit_partition(pairs, moves)]
 
 
 def _invariance_witness(

@@ -578,6 +578,24 @@ def test_decompose_succeeds_on_random_measure_operators():
             assert rebuilt.coeffs == op.coeffs
 
 
+def test_decompose_lp_takes_one_integer_column_pair_per_distinct_orbit_column(monkeypatch):
+    import geneograph.geneo as geneo_module
+
+    group = edge_automorphism_group(cycle_graph(7))
+    op = identity_operator(PerceptionPair(full_space(group.labels), group))
+    lps, tables = [], []
+    real_simplex, real_table = geneo_module.simplex_min, geneo_module._map_table
+    monkeypatch.setattr(geneo_module, "simplex_min", lambda *args: lps.append(args) or real_simplex(*args))
+    monkeypatch.setattr(geneo_module, "_map_table", lambda *args: tables.append(1) or real_table(*args))
+    decompose_to_measure(op)
+    # 387 conjugation orbits, 112 distinct (size, orbital counts), 4 orbitals
+    costs, lhs, rhs = lps[0]
+    assert len(costs) == 224 and len(lhs) == 4
+    entries = [x for c, a, b in lps for x in [*c, *b, *(v for row in a for v in row)]]
+    assert all(type(x) is int for x in entries)
+    assert len(tables) == 1  # the final from_measure rebuild
+
+
 def test_decompose_expansive_operator_fails(k4_pair):
     doubled = LinearOperator(
         tuple(

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +32,7 @@ from geneograph.permutant import (
     mapping_from_labels,
     measure_on_orbit,
     orbit,
+    orbitals,
     parse_mapping,
     transposition_permutant,
     uniform_measure,
@@ -318,6 +319,46 @@ def test_all_orbits_rejects_a_partition_that_is_not_closed(c6c3, monkeypatch):
     monkeypatch.setattr(permutant, "orbit_partition", lambda points, moves: ({p} for p in points))
     with pytest.raises(ValueError, match=r"not alpha-closed: alpha\(.*, aaa\) = .* escapes"):
         all_orbits(c6c3)
+
+
+# orbitals
+
+
+ORBITAL_CONTEXTS = {
+    "c6c3": (dihedral_edge_context, 2),
+    "c7-endo": (lambda: endo_context(edge_automorphism_group(cycle_graph(7))), 4),
+    "k4-endo": (lambda: endo_context(edge_automorphism_group(complete_graph(4))), 3),
+    "k5-endo": (lambda: endo_context(edge_automorphism_group(complete_graph(5))), 3),
+    "stabilizer": (lambda: setwise_stabilizer_context("ABCD", "AB"), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(ORBITAL_CONTEXTS))
+def test_orbitals_partition_the_pairs_into_orbits(name):
+    build, count = ORBITAL_CONTEXTS[name]
+    ctx = build()
+    found = orbitals(ctx)
+    assert len(found) == count
+    pairs = [p for o in found for p in o]
+    assert sorted(pairs) == list(product(range(ctx.K.degree), range(ctx.G.degree)))
+    assert all(list(o) == sorted(o) for o in found)
+    assert [o[0] for o in found] == sorted(o[0] for o in found)
+    for o in found:
+        y, x = o[0]
+        assert set(o) == {(ctx.T(g)(y), g(x)) for g in ctx.G.elements}
+
+
+def test_c7_conjugation_orbit_tables_are_constant_on_orbitals():
+    ctx = endo_context(edge_automorphism_group(cycle_graph(7)))
+    found = orbitals(ctx)
+    orbits = list(orbit_partition(permutations(range(7)), ctx.moves))
+    assert len(orbits) == 387
+    for o in orbits:
+        table = [[0] * 7 for _ in range(7)]
+        for h in o:
+            for y, x in enumerate(h):
+                table[y][x] += 1
+        assert all(len({table[y][x] for y, x in pairs}) == 1 for pairs in found)
 
 
 # permutant validation
