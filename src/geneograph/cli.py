@@ -20,6 +20,7 @@ import functools
 import io as stringio
 import json
 import sys
+from fractions import Fraction
 from itertools import takewhile
 
 from . import io as docs
@@ -202,6 +203,9 @@ def cmd_codes(args):
                 [_vector_string(row.vector), " ".join(map(str, row.scaled_code)), row.class_id]
             )
         return out.getvalue()
+    # every code is k/|H| with 0 <= k <= |H|: render those |H|+1 values once
+    size = table.permutant_size
+    code_text = [docs.fraction_to_json(Fraction(k, size)) for k in range(size + 1)]
     return {
         "n": table.n,
         "edge_labels": list(table.edge_labels),
@@ -210,7 +214,7 @@ def cmd_codes(args):
         "rows": [
             {
                 "vector": _vector_string(row.vector),
-                "code": [docs.fraction_to_json(c) for c in row.code],
+                "code": [code_text[k] for k in row.scaled_code],
                 "scaled_code": list(row.scaled_code),
                 "class": row.class_id,
             }

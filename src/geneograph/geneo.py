@@ -9,8 +9,9 @@ indexed by the target set Y, columns by the source set X, so F(phi)(y) =
 sum_x coeffs[y][x] phi(x).  Products of tables and vectors go through the
 kernel in `linalg`.  Tables built from maps are counted in int and divided
 once per cell.  The decomposition writes one equation per orbital and one LP
-column pair per distinct orbit column, and leaves the elimination and the LP to
-the fraction-free integer rows of `linalg`.
+column pair per distinct orbit column, computes those from the group once per
+generator set, and leaves the elimination and the LP to the fraction-free
+integer rows of `linalg`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterable, Sequence
 
@@ -43,9 +44,10 @@ from .permutant import (
     GeneralizedPermutant,
     Mapping,
     PermutantMeasure,
+    _alpha_move,
+    _pair_orbits,
     endo_context,
     is_permutant_measure,
-    orbitals,
 )
 
 Witness = tuple[int, Permutation]
@@ -375,6 +377,40 @@ def geneo_distance(f1: Operator, f2: Operator, sample: FunctionSpace) -> Fractio
 # -- representation: operator -> permutant measure ----------------------------
 
 DEFAULT_DECOMPOSE_CAP = 5040
+# generator sets whose decomposition data stays in memory; the least recently used goes first
+_REMEMBERED_GROUPS = 8
+
+Orbital = tuple[tuple[int, int], ...]
+# an LP column: orbit size, orbital counts, and the first such orbit's sorted members
+OrbitColumn = tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+
+@lru_cache(maxsize=_REMEMBERED_GROUPS)
+def _orbit_columns(
+    n: int, generators: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[Orbital, ...], tuple[OrbitColumn, ...]]:
+    """The group-only data of a decomposition over the group of degree n with
+    these generator images: the orbitals, and the distinct columns of the
+    conjugation orbits of the n! bijections in canonical orbit order.  The
+    column of orbit O is (|O|, k), where k[W] counts the y with (y, h(y)) in
+    orbital W, for any h in O.  Orbits with equal columns give equal LP
+    columns; Bland's rule never lets a later copy into the basis, so the first
+    in canonical order stands for them all (112 of 387 on C7).  Labels play no
+    part, so relabeled copies of a group share one entry.
+    """
+    pair_orbits = tuple(_pair_orbits(n, n, [(g, g) for g in generators]))
+    orbital_of = {p: w for w, o in enumerate(pair_orbits) for p in o}
+    # conjugation h -> g o h o g^-1 is alpha with T the identity
+    moves = [_alpha_move(g, tuple(sorted(range(n), key=g.__getitem__))) for g in generators]
+    first_orbit: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
+    for o in orbit_partition(permutations(range(n)), moves):
+        counts = [0] * len(pair_orbits)
+        for y, x in enumerate(next(iter(o))):
+            counts[orbital_of[y, x]] += 1
+        key = (len(o), tuple(counts))
+        if key not in first_orbit:
+            first_orbit[key] = tuple(sorted(o))
+    return pair_orbits, tuple((size, counts, members) for (size, counts), members in first_orbit.items())
 
 
 def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
@@ -386,7 +422,10 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
     with inversion of the support yields the h^-1 form of the representation
     identity.  The unknowns are one weight per conjugation orbit of the
     bijections, constrained by one equation per orbital, and orbits with equal
-    columns share one LP column.  Among measures the exact LP solver reaches,
+    columns share one LP column.  These orbits, orbitals and columns depend
+    only on the group, so they are computed once per generator set and process
+    (for the last 8 sets used) and reused across calls and relabelings; every
+    check on op runs on each call.  Among measures the exact LP solver reaches,
     the total variation is minimized first and the support then greedily pruned
     in canonical orbit order, so the result is deterministic.  Raises
     ValueError if op is not equivariant, the group is not transitive, or no
@@ -407,32 +446,17 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
         i, g = witness
         raise ValueError(f"operator is not equivariant: basis index {i} fails under generator {g}")
 
-    # conjugation h -> g o h o g^-1 is alpha with T the identity
-    ctx = endo_context(group)
-    orbits = list(orbit_partition(permutations(range(n)), ctx.moves))
-
     # One equation per orbital W: op and every orbit's count table t_O are
     # constant on W, so the rows at the orbitals' smallest pairs span the row
     # space of all n^2 equations, and rref gives the same reduced rows (4 on the
-    # 7-cycle's edges).  t_O on W is |O| k / |W|, where k counts the y with
-    # (y, h(y)) in W, for any h in O.  Orbits of equal size and counts give
-    # equal LP columns; Bland's rule never lets a later copy into the basis, so
-    # the first in canonical order stands for them all (112 of 387 on C7).
-    pair_orbits = orbitals(ctx)
-    orbital_of = {p: w for w, o in enumerate(pair_orbits) for p in o}
-    first_orbit: dict[tuple[int, tuple[int, ...]], int] = {}
-    for i, o in enumerate(orbits):
-        counts = [0] * len(pair_orbits)
-        for y, x in enumerate(next(iter(o))):
-            counts[orbital_of[y, x]] += 1
-        first_orbit.setdefault((len(o), tuple(counts)), i)
-    sizes = [size for size, _ in first_orbit]
-    orbit_index = list(first_orbit.values())
-    m = len(sizes)
+    # 7-cycle's edges).  t_O on W is |O| k[W] / |W|.
+    pair_orbits, columns = _orbit_columns(n, tuple(g.images for g in group.generators))
+    sizes = [size for size, _, _ in columns]
+    m = len(columns)
     equations = []
     for w, pair_orbit in enumerate(pair_orbits):
         y, x = pair_orbit[0]
-        equations.append([size * counts[w] // len(pair_orbit) for size, counts in first_orbit] + [op.coeffs[y][x]])
+        equations.append([size * counts[w] // len(pair_orbit) for size, counts, _ in columns] + [op.coeffs[y][x]])
     reduced = rref(equations)
     if any(next(i for i, v in enumerate(r) if v != 0) == m for r in reduced):
         raise ValueError("no permutant measure reproduces this operator")
@@ -495,9 +519,9 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
     labels = group.labels
     measure_weights: dict[Mapping, Fraction] = {}
     for i, w in weights.items():
-        for h in sorted(orbits[orbit_index[i]]):
+        for h in columns[i][2]:
             measure_weights[Mapping(labels, labels, h)] = w
-    result = PermutantMeasure(ctx, measure_weights)
+    result = PermutantMeasure(endo_context(group), measure_weights)
     rebuilt = from_measure(result)
     assert rebuilt.coeffs == op.coeffs, "reconstructed operator must match exactly"
     return result

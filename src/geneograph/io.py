@@ -89,11 +89,13 @@ def _array(value, field: str) -> list:
 
 
 def _rational(value, field: str) -> Fraction:
-    """as_fraction, with its TypeError for a non-number and its ZeroDivisionError
-    for a zero denominator ("1/0") turned into a ValueError naming the field."""
+    """as_fraction, with every error it raises turned into a ValueError naming
+    the field: a non-number, a zero denominator ("1/0"), text that is no
+    number ("nan", "inf", "abc", also the float inf of a JSON 1e400) and a
+    decimal exponent past the digit limit."""
     try:
         return as_fraction(value)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{field}: {exc}") from None
     except ZeroDivisionError:
         raise ValueError(f"{field}: {value!r} has a zero denominator") from None
@@ -234,6 +236,8 @@ def space_from_json(doc: MappingABC) -> FunctionSpace:
     _require_object(doc, "a space document")
     domain = tuple(_strings(_get(doc, "space", "domain"), "space field 'domain'"))
     kind = doc.get("kind", "full")
+    if kind not in ("full", "constrained", "explicit"):
+        raise ValueError(f"space field 'kind' must be 'full', 'constrained' or 'explicit', got {kind!r}")
     if kind == "explicit":
         members = _array(_get(doc, "space", "members"), "space field 'members'")
         return FunctionSpace(domain, members=tuple(measurement_from_json(vals, domain) for vals in members))

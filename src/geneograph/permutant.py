@@ -142,8 +142,7 @@ class ActionContext:
 
     def move(self, g: Permutation) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
         """The move h -> g o h o T(g^-1) of an element g of G on image tuples."""
-        g_images, t = g.images, self.T(g.inverse()).images
-        return lambda h: tuple([g_images[h[y]] for y in t])
+        return _alpha_move(g.images, self.T(g.inverse()).images)
 
     @property
     def x_labels(self) -> tuple[str, ...]:
@@ -330,12 +329,24 @@ def orbitals(ctx: ActionContext) -> list[tuple[tuple[int, int], ...]]:
     tables (the orbit basis of Maron, Ben-Hamu, Shamir and Lipman, ICLR 2019).
     The count table of an alpha-invariant set of maps is one such table.
     """
-    moves = []
-    for g in ctx.G.generators:
-        t, images = ctx.T(g).images, g.images
-        moves.append(lambda p, t=t, images=images: (t[p[0]], images[p[1]]))
-    pairs = product(range(ctx.K.degree), range(ctx.G.degree))
-    return [tuple(sorted(o)) for o in orbit_partition(pairs, moves)]
+    generators = [(ctx.T(g).images, g.images) for g in ctx.G.generators]
+    return _pair_orbits(ctx.K.degree, ctx.G.degree, generators)
+
+
+def _alpha_move(
+    g_images: tuple[int, ...], t_images: tuple[int, ...]
+) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The move h -> g o h o t on image tuples: alpha(g, .) when t is T(g^-1)."""
+    return lambda h: tuple([g_images[h[y]] for y in t_images])
+
+
+def _pair_orbits(
+    ny: int, nx: int, generators: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]
+) -> list[tuple[tuple[int, int], ...]]:
+    """The orbits of the pairs Y x X under (y, x) -> (t[y], g[x]) for the
+    image pairs (t, g) of the generators, each sorted, by smallest pair."""
+    moves = [lambda p, t=t, g=g: (t[p[0]], g[p[1]]) for t, g in generators]
+    return [tuple(sorted(o)) for o in orbit_partition(product(range(ny), range(nx)), moves)]
 
 
 def _invariance_witness(

@@ -175,6 +175,17 @@ def test_alpha_witness_names_a_context_generator(tmp_path, capsys):
         assert json.loads(out)["witness"] == {"mapping": "qqqsqq", "generator": "(p,q)(s,u)"}
 
 
+def test_json_number_past_the_float_range_names_its_field(tmp_path, capsys):
+    # json reads 1e400 as the float inf, which has no exact value
+    op = docs.operator_to_json(from_permutant(orbit("aec", c6_c3_context())))
+    op_path = write_json(tmp_path / "op.json", op)
+    phi = tmp_path / "phi.json"
+    phi.write_text("[1e400, 0, 0, 0, 0, 0]")
+    code, out, err = run_cli(capsys, "geneo", "apply", op_path, str(phi))
+    assert code == 1
+    assert json.loads(out) == {"error": "measurement entry: Invalid literal for Fraction: 'inf'"}
+
+
 def test_huge_numbers_fail_with_a_json_error(tmp_path, capsys):
     # an exponent past the interpreter's digit limit is rejected as it is
     # read; a result with too many digits to print is a failure, not a crash
@@ -410,6 +421,14 @@ SPACE = ("source", "space")
 # path, value) to overwrite one field of the F4 operator ("op") or the C6/C3
 # context ("ctx"), or to delete it if the value is MISSING
 MISSING = object()
+SPACE_KINDS = "'full', 'constrained' or 'explicit'"
+REJECTED_NUMBERS = (
+    ("nan", "nan", "Invalid literal for Fraction: 'nan'"),
+    ("inf", "inf", "Invalid literal for Fraction: 'inf'"),
+    ("word", "abc", "Invalid literal for Fraction: 'abc'"),
+    ("float-inf", float("inf"), "Invalid literal for Fraction: 'inf'"),
+    ("huge-exponent", "1e5000", "decimal exponent of '1e5000' exceeds 4300"),
+)
 MALFORMED = {
     "measure-weight-null": (MEASURE, {"weights": [{"mapping": "aec", "weight": None}]}, "measure weight"),
     "measure-mapping-number": (MEASURE, {"weights": [{"mapping": 5, "weight": 1}]}, "mapping"),
@@ -465,6 +484,30 @@ MALFORMED = {
     "verify-ball-without-norm": (VERIFY, ("op", SPACE + ("ball",), {"radius": 1}), "ball field 'norm'"),
     "verify-members-number": (
         VERIFY, ("op", SPACE, {"kind": "explicit", "domain": list("pqrstu"), "members": 5}), "space field 'members'"
+    ),
+    **{
+        f"{command}-space-kind-{name}": (
+            ["geneo", command, "{doc}"], ("op", SPACE + ("kind",), kind), f"space field 'kind' must be {SPACE_KINDS}"
+        )
+        for command in ("verify", "decompose")
+        for name, kind in (("bogus", "bogus"), ("number", 5), ("null", None))
+    },
+    # every number as_fraction rejects names its field; a float inf is what
+    # the JSON number 1e400 reads as
+    **{
+        f"apply-entry-{name}": (APPLY, [value, 0, 0, 0, 0, 0], f"measurement entry: {message}")
+        for name, value, message in REJECTED_NUMBERS
+    },
+    **{
+        f"verify-coeff-{name}": (
+            VERIFY, ("op", ("coeffs",), [[value] * 6] * 6), f"operator field 'coeffs': {message}"
+        )
+        for name, value, message in REJECTED_NUMBERS
+    },
+    "verify-radius-nan": (
+        VERIFY,
+        ("op", SPACE + ("ball",), {"norm": "sup", "radius": "nan"}),
+        "ball field 'radius': Invalid literal for Fraction: 'nan'",
     ),
     "verify-homomorphism-number": (VERIFY, ("op", ("homomorphism",), 5), "homomorphism"),
     "verify-flags-number": (VERIFY, ("op", ("flags",), 5), "operator field 'flags'"),

@@ -1,6 +1,9 @@
 """The decomposition against its earlier, slower form, kept inline here as the
 reference.
 
+Every comparison runs twice: cold, with the memo of group-only data emptied
+first, and warm, on the data the cold run left in it.
+
 The reference sorts every conjugation orbit, counts one dense n x n table per
 orbit, keeps one copy of each of the n^2 equations, and gives the LP a column
 pair for every orbit, with rational rows.  The library writes one equation per
@@ -14,19 +17,21 @@ from itertools import permutations
 
 import pytest
 
+import geneograph.geneo as geneo_module
 from geneograph.geneo import (
     LinearOperator,
     _map_table,
+    _orbit_columns,
     decompose_to_measure,
     from_measure,
     from_permutant,
     identity_operator,
     zero_operator,
 )
-from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group
+from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group, induced_edge_permutation
 from geneograph.linalg import OPTIMAL, rref, simplex_min
 from geneograph.perception import PerceptionPair, full_space
-from geneograph.perm import Homomorphism, generate_group, orbit_partition, parse_cycles
+from geneograph.perm import Homomorphism, Permutation, generate_group, orbit_partition, parse_cycles
 from geneograph.permutant import Mapping, PermutantMeasure, endo_context, transposition_permutant
 
 
@@ -111,15 +116,34 @@ def ref_decompose(op):
     return {Mapping(labels, labels, h): w for i, w in weights.items() for h in orbits[i]}
 
 
+@pytest.fixture(autouse=True)
+def empty_memo():
+    """Each test starts, and leaves, with the memo of group-only data empty."""
+    _orbit_columns.cache_clear()
+    yield
+    _orbit_columns.cache_clear()
+
+
+def outcome(op):
+    """The weights decompose_to_measure returns, in order, or its error text."""
+    try:
+        return list(decompose_to_measure(op).weights.items())
+    except ValueError as exc:
+        return str(exc)
+
+
 def check_against_reference(op):
+    """The decomposition matches the reference cold, on an empty memo, and
+    warm, on the group data the cold call left in it."""
     try:
         expected = list(ref_decompose(op).items())
     except ValueError as exc:
-        with pytest.raises(ValueError) as info:
-            decompose_to_measure(op)
-        assert str(info.value) == str(exc)
-        return
-    assert list(decompose_to_measure(op).weights.items()) == expected
+        expected = str(exc)
+    _orbit_columns.cache_clear()
+    assert outcome(op) == expected
+    hits = _orbit_columns.cache_info().hits
+    assert outcome(op) == expected
+    assert _orbit_columns.cache_info().hits == hits + 1
 
 
 # -- inputs ---------------------------------------------------------------------
@@ -190,3 +214,40 @@ def test_operator_without_representing_measure_matches_reference():
     with pytest.raises(ValueError, match="total variation"):
         decompose_to_measure(wide)
     check_against_reference(wide)
+
+
+# -- the memo of group-only data --------------------------------------------------
+
+
+def k4_rotation_group():
+    """A4, the rotations of the tetrahedron, acting on the six edges of K4."""
+    k4 = complete_graph(4)
+    rotations = [parse_cycles(text, k4.vertex_labels) for text in ("(A,B,C)", "(A,B)(C,D)")]
+    return generate_group([induced_edge_permutation(k4, r) for r in rotations])
+
+
+def test_groups_of_one_degree_and_order_keep_their_own_data():
+    # the C6 edge group and A4 on K4's edges: both transitive of degree 6 and
+    # order 12, so only the generator images tell their data apart
+    groups = [EDGE_GROUPS["C6"](), k4_rotation_group()]
+    assert [(g.degree, g.order, len(g.coordinate_orbits())) for g in groups] == [(6, 12, 1)] * 2
+    rngs = [random.Random(f"alternate-{i}") for i in range(2)]
+    for variation in (Fraction(1), Fraction(1, 2), Fraction(3, 4)):
+        for group, rng in zip(groups, rngs):
+            op = seeded_measure_operator(group, rng, variation)
+            assert list(decompose_to_measure(op).weights.items()) == list(ref_decompose(op).items())
+    assert _orbit_columns.cache_info().misses == 2
+
+
+def test_relabeled_group_reuses_the_bijection_orbits(monkeypatch):
+    group = EDGE_GROUPS["C6"]()
+    labels = tuple(f"e{i}" for i in range(group.degree))
+    relabeled = generate_group([Permutation(g.images, labels) for g in group.generators])
+    passes = []
+    real = geneo_module.orbit_partition
+    monkeypatch.setattr(geneo_module, "orbit_partition", lambda points, moves: passes.append(1) or real(points, moves))
+    first = decompose_to_measure(identity_operator(pair_of(group)))
+    second = decompose_to_measure(identity_operator(pair_of(relabeled)))
+    assert len(passes) == 1
+    assert [(f.images, w) for f, w in second.weights.items()] == [(f.images, w) for f, w in first.weights.items()]
+    assert all(f.source_labels == labels for f in second.weights)

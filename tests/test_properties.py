@@ -6,7 +6,9 @@ Covers the action axioms, orbit-size divisibility, the permutant ==
 union-of-orbits agreement on randomized subsets, parse/format round-trips,
 metric axioms, the diagonal-scaling if-and-only-if patterns, the
 subset-stabilizer fixtures, the exact measure -> operator -> measure
-round trip, and the GENEO axioms for pointwise min/max on the C6/C3 context.
+round trip, the decomposition of any combination of orbital indicators (exact
+or stopped by total variation), and the GENEO axioms for pointwise min/max on
+the C6/C3 context.
 """
 
 import random
@@ -24,6 +26,7 @@ from geneograph.fixtures import (
 )
 from geneograph.experiments import c6_c3_context
 from geneograph.geneo import (
+    LinearOperator,
     apply,
     decompose_to_measure,
     diagonal_scaling,
@@ -35,10 +38,11 @@ from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_grou
 from geneograph.perception import (
     PerceptionPair,
     constrained_space,
+    full_space,
     measurement,
     sup_distance,
 )
-from geneograph.perm import Permutation, compose, format_cycles, generate_group, parse_cycles
+from geneograph.perm import Homomorphism, Permutation, compose, format_cycles, generate_group, parse_cycles
 from geneograph.permutant import (
     Mapping,
     PermutantMeasure,
@@ -48,6 +52,7 @@ from geneograph.permutant import (
     is_generalized_permutant,
     is_permutant_measure,
     orbit,
+    orbitals,
     parse_mapping,
 )
 
@@ -215,6 +220,42 @@ def prop_measure_decomposition_roundtrip(name, data):
     assert from_measure(recovered).coeffs == op.coeffs
 
 
+@lru_cache(maxsize=None)
+def edge_endo_pair(name):
+    """The edge group of a graph as a perception pair on the full space, with
+    its orbitals."""
+    group = edge_automorphism_group(ROUNDTRIP_GRAPHS[name]())
+    return PerceptionPair(full_space(group.labels), group), orbitals(endo_context(group))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ROUNDTRIP_GRAPHS)), st.data())
+def prop_orbital_combinations_decompose_or_exceed_variation(name, data):
+    """A rational combination of the orbital indicators is an equivariant
+    table; for a transitive group with T the identity, decompose_to_measure
+    rebuilds it exactly or stops at the total-variation check, and never finds
+    that no permutant measure reproduces it."""
+    pair, found = edge_endo_pair(name)
+    n = pair.group.degree
+    weights = data.draw(st.lists(st.fractions(-1, 1, max_denominator=6), min_size=len(found), max_size=len(found)))
+    # each orbital adds at most 1/share to a row's absolute sum, so both
+    # outcomes are common (about half each)
+    share = data.draw(st.integers(1, len(found)))
+    coeffs = [[Fraction(0)] * n for _ in range(n)]
+    for w, orbital in zip(weights, found):
+        for y, x in orbital:
+            coeffs[y][x] = w * n / (len(orbital) * share)
+    table = tuple(map(tuple, coeffs))
+    op = LinearOperator(table, pair, pair, Homomorphism.identity_on(pair.group))
+    try:
+        measure = decompose_to_measure(op)
+    except ValueError as exc:
+        assert str(exc).startswith("operator is not a GENEO of this form: any reproducing measure has total variation")
+        return
+    assert measure.total_variation() <= 1
+    assert from_measure(measure).coeffs == table
+
+
 C6C3 = c6_c3_context()
 C6C3_ORBITS = all_orbits(C6C3)[0]
 
@@ -294,3 +335,7 @@ def test_measure_decomposition_roundtrip():
 
 def test_pointwise_geneo_on_c6_c3():
     prop_pointwise_geneo_on_c6_c3()
+
+
+def test_orbital_combinations_decompose_or_exceed_variation():
+    prop_orbital_combinations_decompose_or_exceed_variation()
