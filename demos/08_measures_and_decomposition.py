@@ -9,13 +9,13 @@ measures are the economical way to build these operators.
 from fractions import Fraction
 
 from geneograph import apply, decompose_to_measure, from_measure, from_permutant, measurement
-from geneograph.fixtures import (
+from geneograph.experiments import (
     cube_face_reflections,
     cube_reflection_measure,
     cube_rotation_group,
+    transposition_permutant,
 )
 from geneograph.geneo import identity_operator
-from geneograph.permutant import transposition_permutant
 
 group = cube_rotation_group()
 print("cube rotation group order:", group.order)

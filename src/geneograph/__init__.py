@@ -1,6 +1,7 @@
 """Group-equivariant non-expansive operators on vertex- and edge-weighted
 graphs, built from generalized permutants and permutant measures."""
 
+from .experiments import transposition_permutant
 from .geneo import (
     LinearOperator,
     PointwiseOperator,
@@ -63,7 +64,6 @@ from .permutant import (
     is_permutant_measure,
     orbit,
     parse_mapping,
-    transposition_permutant,
 )
 
 __version__ = "0.1.0"

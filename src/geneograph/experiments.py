@@ -1,7 +1,12 @@
-"""The two flagship analyses: signature codes of complete-graph subgraphs under
-the transposition-averaging operator, and the action context of maps between
-the edge sets of the 6-cycle and the 3-cycle, whose orbit census is
-`all_orbits(c6_c3_context())` (the `census-c6c3` command prints it).
+"""The paper's worked constructions and the two flagship analyses.
+
+The constructions sit on top of the library's layers: the transposition
+permutant of K_n, the cube-rotation group with its three face reflections and
+their permutant measure, and the action context of maps between the edge sets
+of the 6-cycle and the 3-cycle.  The analyses are the signature codes of
+complete-graph subgraphs under the transposition-averaging operator, and the
+orbit census of the C6/C3 context, which is `all_orbits(c6_c3_context())` (the
+`census-c6c3` command prints it).
 """
 
 from __future__ import annotations
@@ -12,16 +17,56 @@ from itertools import product
 from math import comb
 
 from .geneo import LinearOperator, from_permutant
-from .graph import cycle_graph, edge_automorphism_group, subgraph_isomorphism_classes
+from .graph import (
+    complete_graph,
+    cycle_graph,
+    edge_automorphism_group,
+    induced_edge_permutation,
+    subgraph_isomorphism_classes,
+    vertex_automorphism_group,
+)
 from .linalg import matvec
-from .perm import Homomorphism, parse_cycles
-from .permutant import ActionContext, orbit, transposition_permutant
+from .perm import FiniteGroup, Homomorphism, Permutation, generate_group, parse_cycles
+from .permutant import (
+    ActionContext,
+    GeneralizedPermutant,
+    Mapping,
+    PermutantMeasure,
+    endo_context,
+    mapping_from_permutation,
+    orbit,
+)
 
+
+def transposition_permutant(n: int, model: str = "edge") -> GeneralizedPermutant:
+    """The permutant of all vertex transpositions of K_n, or of the edge
+    permutations they induce (model="edge")."""
+    if not 2 <= n <= 6:
+        raise ValueError(f"transposition permutant supports 2 <= n <= 6, got {n}")
+    if model not in ("vertex", "edge"):
+        raise ValueError(f"model must be 'vertex' or 'edge', got {model!r}")
+    kn = complete_graph(n)
+    swaps = [
+        parse_cycles(f"({kn.vertex_labels[i]},{kn.vertex_labels[j]})", kn.vertex_labels)
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    if model == "vertex":
+        ctx = endo_context(vertex_automorphism_group(kn))
+        members = {mapping_from_permutation(p) for p in swaps}
+    else:
+        ctx = endo_context(edge_automorphism_group(kn))
+        members = {mapping_from_permutation(induced_edge_permutation(kn, p)) for p in swaps}
+    return GeneralizedPermutant(ctx, tuple(members))
+
+
+# -- the subgraph codes ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class CodeRow:
+    """One 0/1 edge vector with its code times |H| and its isomorphism class."""
+
     vector: tuple[int, ...]
-    code: tuple[Fraction, ...]
     scaled_code: tuple[int, ...]
     class_id: int
 
@@ -32,7 +77,6 @@ class CodeTable:
 
     n: int
     edge_labels: tuple[str, ...]
-    operator: LinearOperator
     permutant_size: int
     rows: tuple[CodeRow, ...]
     class_count: int
@@ -55,15 +99,13 @@ def build_code_table(n: int) -> CodeTable:
     labels = op.source.domain
     size = permutant.size
     assert size == comb(n, 2)
-    # scaled codes are products with the integer count table |H| coeffs; codes are k/|H|, 0 <= k <= |H|
+    # scaled codes are products with the integer count table |H| coeffs; the
+    # codes themselves are scaled_code / |H|
     counts = [[int(c * size) for c in row] for row in op.coeffs]
-    fractions = [Fraction(k, size) for k in range(size + 1)]
-    rows = []
-    for vec in product((0, 1), repeat=len(labels)):
-        scaled = matvec(counts, vec, 0)
-        code = tuple([fractions[s] for s in scaled])
-        rows.append(CodeRow(vec, code, scaled, class_of[vec]))
-    return CodeTable(n, labels, op, size, tuple(rows), len(classes))
+    rows = tuple(
+        CodeRow(vec, matvec(counts, vec, 0), class_of[vec]) for vec in product((0, 1), repeat=len(labels))
+    )
+    return CodeTable(n, labels, size, rows, len(classes))
 
 
 @dataclass(frozen=True)
@@ -159,3 +201,41 @@ def orbit_operator_table(
     op = from_permutant(orbit(rep, ctx))
     rows = tuple((bits, matvec(op.coeffs, bits)) for bits in product((0, 1), repeat=op.n_in))
     return op, rows
+
+
+# -- the cube rotations ----------------------------------------------------------
+
+CUBE_LABELS = tuple("ABCDEFGH")
+CUBE_COORDS = tuple(product((-1, 1), repeat=3))
+_COORD_INDEX = {c: i for i, c in enumerate(CUBE_COORDS)}
+
+
+def _coordinate_map(fn) -> Permutation:
+    images = tuple(_COORD_INDEX[fn(c)] for c in CUBE_COORDS)
+    return Permutation(images, CUBE_LABELS)
+
+
+def cube_rotation_group() -> FiniteGroup:
+    """Orientation-preserving isometries of the cube, acting on its 8 vertices."""
+    quarter_z = _coordinate_map(lambda c: (-c[1], c[0], c[2]))
+    quarter_x = _coordinate_map(lambda c: (c[0], -c[2], c[1]))
+    return generate_group([quarter_z, quarter_x])
+
+
+def cube_context() -> ActionContext:
+    return endo_context(cube_rotation_group())
+
+
+def cube_face_reflections() -> tuple[Mapping, ...]:
+    """The three orthogonal symmetries through planes parallel to the faces."""
+    flips = (
+        lambda c: (-c[0], c[1], c[2]),
+        lambda c: (c[0], -c[1], c[2]),
+        lambda c: (c[0], c[1], -c[2]),
+    )
+    return tuple(mapping_from_permutation(_coordinate_map(fn)) for fn in flips)
+
+
+def cube_reflection_measure(weight) -> PermutantMeasure:
+    """Equal weight on the three face reflections, zero elsewhere."""
+    return PermutantMeasure(cube_context(), {h: weight for h in cube_face_reflections()})

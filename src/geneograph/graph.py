@@ -133,16 +133,6 @@ def parse_graph(document: Mapping) -> Graph:
     return graph(vertices, edges)
 
 
-def graph_document(g: Graph) -> dict:
-    return {
-        "vertices": list(g.vertex_labels),
-        "edges": [
-            {"label": lab, "ends": [g.vertex_labels[u], g.vertex_labels[v]]}
-            for lab, (u, v) in zip(g.edge_labels, g.edges)
-        ],
-    }
-
-
 def _edge_name_run(m: int) -> tuple[str, ...]:
     if m <= 26:
         return tuple(string.ascii_lowercase[:m])

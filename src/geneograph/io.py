@@ -32,7 +32,6 @@ from .perm import (
 )
 from .permutant import (
     ActionContext,
-    GeneralizedPermutant,
     Mapping,
     PermutantMeasure,
     mapping_from_labels,
@@ -112,10 +111,6 @@ def _cycle_reader() -> _CycleReader:
     return functools.cache(parse_cycles)
 
 
-def group_from_json(doc: MappingABC) -> FiniteGroup:
-    return _group_from_json(doc, _cycle_reader())
-
-
 def _group_from_json(doc: MappingABC, parse: _CycleReader) -> FiniteGroup:
     _require_object(doc, "a group document")
     labels = tuple(_strings(_get(doc, "group", "labels"), "group field 'labels'"))
@@ -184,10 +179,6 @@ def mapping_from_json(doc, ctx: ActionContext) -> Mapping:
     return mapping_from_labels(_strings(doc, "a mapping in label form"), ctx.y_labels, ctx.x_labels)
 
 
-def permutant_to_json(h: GeneralizedPermutant) -> dict:
-    return {"members": [mapping_to_json(f) for f in h.members], "context": context_to_json(h.context)}
-
-
 def permutant_members_from_json(doc, ctx: ActionContext) -> list[Mapping]:
     members = _get(doc, "permutant", "members") if isinstance(doc, MappingABC) else doc
     return [mapping_from_json(m, ctx) for m in _array(members, "permutant field 'members'")]
@@ -214,7 +205,10 @@ def measure_from_json(doc: MappingABC, ctx: ActionContext) -> PermutantMeasure:
     else:
         raise ValueError("measure field 'weights' must be an object or an array of objects")
     for key, value in items:
-        weights[mapping_from_json(key, ctx)] = _rational(value, "measure weight")
+        f = mapping_from_json(key, ctx)
+        if f in weights:
+            raise ValueError(f"measure names the map {str(f)!r} twice")
+        weights[f] = _rational(value, "measure weight")
     return PermutantMeasure(ctx, weights)
 
 
@@ -232,12 +226,29 @@ def space_to_json(space: FunctionSpace) -> dict:
     return doc
 
 
+# the fields each space kind reads; a document that states no kind is read as
+# "full" or "constrained" by the fields it has
+_SPACE_FIELDS = {"full": (), "constrained": ("constraints", "ball"), "explicit": ("members",)}
+
+
 def space_from_json(doc: MappingABC) -> FunctionSpace:
     _require_object(doc, "a space document")
     domain = tuple(_strings(_get(doc, "space", "domain"), "space field 'domain'"))
     kind = doc.get("kind", "full")
     if kind not in ("full", "constrained", "explicit"):
         raise ValueError(f"space field 'kind' must be 'full', 'constrained' or 'explicit', got {kind!r}")
+    space = _space_from_fields(doc, domain, kind)
+    if "kind" in doc:
+        # a stated kind must agree with the fields, checked after each field's own validation
+        extra = [key for key in ("constraints", "ball", "members") if key in doc and key not in _SPACE_FIELDS[kind]]
+        if extra:
+            raise ValueError(f"space field '{extra[0]}' does not belong to a space of kind {kind!r}")
+        if kind == "constrained" and space.kind != kind:
+            raise ValueError("a space of kind 'constrained' needs a nonempty field 'constraints' or a field 'ball'")
+    return space
+
+
+def _space_from_fields(doc: MappingABC, domain: tuple[str, ...], kind: str) -> FunctionSpace:
     if kind == "explicit":
         members = _array(_get(doc, "space", "members"), "space field 'members'")
         return FunctionSpace(domain, members=tuple(measurement_from_json(vals, domain) for vals in members))

@@ -193,4 +193,5 @@ def simplex_min(
     solution = [Fraction(0)] * n
     for r, bcol in enumerate(basis):
         solution[bcol] = Fraction(tableau[r][-1], tableau[r][bcol])
-    return OPTIMAL, dot(costs, solution), solution
+    # only the basic columns are nonzero
+    return OPTIMAL, sum((costs[b] * solution[b] for b in basis), Fraction(0)), solution

@@ -15,6 +15,10 @@ weighting; the move of any other element is built only on request.
 A classical permutant (bijections of X closed under conjugation by G) is the
 special case where source and target coincide and T is the identity; no
 separate representation is used for it.
+
+This layer rests on ``perm`` and ``perception`` alone.  Worked permutants
+built from graphs, such as the transposition permutant of K_n, live in
+``experiments``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping as MappingABC, Sequence
 
-from .graph import complete_graph, edge_automorphism_group, induced_edge_permutation, vertex_automorphism_group
 from .perception import as_fraction
 from .perm import (
     CapExceededError,
@@ -35,7 +38,6 @@ from .perm import (
     Permutation,
     closure,
     orbit_partition,
-    parse_cycles,
 )
 
 DEFAULT_MAP_SPACE_CAP = 10**6
@@ -60,14 +62,6 @@ class Mapping:
             if not 0 <= i < n:
                 raise ValueError(f"image index {i} out of range for target of size {n}")
 
-    @property
-    def source_size(self) -> int:
-        return len(self.source_labels)
-
-    @property
-    def target_size(self) -> int:
-        return len(self.target_labels)
-
     def __call__(self, y: int) -> int:
         return self.images[y]
 
@@ -80,9 +74,6 @@ class Mapping:
     def image_size(self) -> int:
         return len(set(self.images))
 
-    def is_bijection(self) -> bool:
-        return self.source_size == self.target_size and self.image_size() == self.source_size
-
     def compact(self) -> str:
         """Concatenated target labels in source order, e.g. "caf"; needs 1-char labels."""
         if any(len(lab) != 1 for lab in self.target_labels):
@@ -90,7 +81,7 @@ class Mapping:
         return "".join(self.target_labels[i] for i in self.images)
 
     def as_permutation(self) -> Permutation:
-        if self.source_labels != self.target_labels or not self.is_bijection():
+        if self.source_labels != self.target_labels or self.image_size() != len(self.images):
             raise ValueError(f"{self} is not a permutation of its source set")
         return Permutation(self.images, self.target_labels)
 
@@ -430,24 +421,3 @@ def is_permutant_measure(
     witness = _invariance_witness({f.images: w for f, w in m.weights.items()}, m.context)
     return witness is None, witness
 
-
-def transposition_permutant(n: int, model: str = "edge") -> GeneralizedPermutant:
-    """The permutant of all vertex transpositions of K_n, or of the edge
-    permutations they induce (model="edge")."""
-    if not 2 <= n <= 6:
-        raise ValueError(f"transposition permutant supports 2 <= n <= 6, got {n}")
-    if model not in ("vertex", "edge"):
-        raise ValueError(f"model must be 'vertex' or 'edge', got {model!r}")
-    kn = complete_graph(n)
-    swaps = [
-        parse_cycles(f"({kn.vertex_labels[i]},{kn.vertex_labels[j]})", kn.vertex_labels)
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
-    if model == "vertex":
-        ctx = endo_context(vertex_automorphism_group(kn))
-        members = {mapping_from_permutation(p) for p in swaps}
-    else:
-        ctx = endo_context(edge_automorphism_group(kn))
-        members = {mapping_from_permutation(induced_edge_permutation(kn, p)) for p in swaps}
-    return GeneralizedPermutant(ctx, tuple(members))

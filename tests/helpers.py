@@ -1,62 +1,16 @@
-"""Reusable worked configurations: the cube-rotation setup and subset-stabilizer
-contexts with their image-cardinality permutants and measures.
-
-These are small, fully explicit instances handy for demos and tests.
-"""
+"""Builders that only the tests use: the symmetric group, subset-stabilizer
+contexts with their image-cardinality permutants and measures, and the JSON
+forms of a graph, a permutant and a single group."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 
-from .perm import FiniteGroup, Homomorphism, Permutation, generate_group, group_from_elements
-from .permutant import (
-    ActionContext,
-    GeneralizedPermutant,
-    Mapping,
-    PermutantMeasure,
-    endo_context,
-)
-
-CUBE_LABELS = tuple("ABCDEFGH")
-CUBE_COORDS = tuple(product((-1, 1), repeat=3))
-_COORD_INDEX = {c: i for i, c in enumerate(CUBE_COORDS)}
-
-
-def _coordinate_map(fn) -> Permutation:
-    images = tuple(_COORD_INDEX[fn(c)] for c in CUBE_COORDS)
-    return Permutation(images, CUBE_LABELS)
-
-
-def cube_rotation_group() -> FiniteGroup:
-    """Orientation-preserving isometries of the cube, acting on its 8 vertices."""
-    quarter_z = _coordinate_map(lambda c: (-c[1], c[0], c[2]))
-    quarter_x = _coordinate_map(lambda c: (c[0], -c[2], c[1]))
-    return generate_group([quarter_z, quarter_x])
-
-
-def cube_context() -> ActionContext:
-    return endo_context(cube_rotation_group())
-
-
-def cube_face_reflections() -> tuple[Mapping, ...]:
-    """The three orthogonal symmetries through planes parallel to the faces."""
-    flips = (
-        lambda c: (-c[0], c[1], c[2]),
-        lambda c: (c[0], -c[1], c[2]),
-        lambda c: (c[0], c[1], -c[2]),
-    )
-    out = []
-    for fn in flips:
-        p = _coordinate_map(fn)
-        out.append(Mapping(CUBE_LABELS, CUBE_LABELS, p.images))
-    return tuple(out)
-
-
-def cube_reflection_measure(weight) -> PermutantMeasure:
-    """Equal weight on the three face reflections, zero elsewhere."""
-    ctx = cube_context()
-    return PermutantMeasure(ctx, {h: weight for h in cube_face_reflections()})
+from geneograph import io as docs
+from geneograph.graph import Graph
+from geneograph.perm import FiniteGroup, Homomorphism, Permutation, group_from_elements
+from geneograph.permutant import ActionContext, GeneralizedPermutant, PermutantMeasure
 
 
 def symmetric_group(labels) -> FiniteGroup:
@@ -104,3 +58,24 @@ def image_size_measure(ctx: ActionContext, m: int) -> PermutantMeasure:
         raise ValueError(f"no maps with image size {m}")
     w = Fraction(1, m * len(h_m))
     return PermutantMeasure(ctx, {f: w for f in h_m})
+
+
+def graph_document(g: Graph) -> dict:
+    """The graph document that `geneograph.graph.parse_graph` reads."""
+    return {
+        "vertices": list(g.vertex_labels),
+        "edges": [
+            {"label": lab, "ends": [g.vertex_labels[u], g.vertex_labels[v]]}
+            for lab, (u, v) in zip(g.edge_labels, g.edges)
+        ],
+    }
+
+
+def permutant_to_json(h: GeneralizedPermutant) -> dict:
+    """A permutant document with its context, as `permutant check` reads it."""
+    return {"members": [docs.mapping_to_json(f) for f in h.members], "context": docs.context_to_json(h.context)}
+
+
+def group_from_json(doc) -> FiniteGroup:
+    """One group document read on its own, with a fresh cycle reader."""
+    return docs._group_from_json(doc, docs._cycle_reader())

@@ -17,12 +17,14 @@ import pytest
 import test_properties
 from test_permutant import burnside_orbit_count
 from geneograph.cli import main as cli_main
-from geneograph.experiments import build_code_table, c6_c3_context
-from geneograph.fixtures import (
+from geneograph.experiments import (
+    build_code_table,
+    c6_c3_context,
     cube_context,
     cube_face_reflections,
     cube_reflection_measure,
     cube_rotation_group,
+    transposition_permutant,
 )
 from geneograph.geneo import (
     LinearOperator,
@@ -40,7 +42,6 @@ from geneograph.permutant import (
     endo_context,
     is_permutant_measure,
     orbit,
-    transposition_permutant,
 )
 
 KNOWN_SIZE_6 = ("aaa", "abc", "ace", "add", "afb")

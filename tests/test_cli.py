@@ -11,14 +11,15 @@ import pytest
 import geneograph
 from geneograph import io as docs
 from geneograph.cli import main
-from geneograph.experiments import c6_c3_context
+from geneograph.experiments import c6_c3_context, transposition_permutant
 from geneograph.geneo import from_measure, from_permutant, identity_operator
-from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group, graph_document
+from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group
 from geneograph.perception import PerceptionPair, full_space
 from geneograph.perm import trivial_group
-from geneograph.permutant import PermutantMeasure, endo_context, orbit, transposition_permutant
+from geneograph.permutant import PermutantMeasure, endo_context, orbit
 
 from conftest import census_graph
+from helpers import graph_document, permutant_to_json
 
 
 def run_cli(capsys, *argv):
@@ -554,6 +555,41 @@ MALFORMED = {
     ),
     "aut-label-close-paren": (AUT, {"vertices": ["A", "B"], "edges": [{**EDGE_AB, "label": "x)"}]}, "label 'x)'"),
     "aut-label-open-paren": (AUT, {"vertices": ["A", "B"], "edges": [{**EDGE_AB, "label": "(y"}]}, "label '(y'"),
+    # a measure that names one map twice; the orbit {aec, dbf} listed twice
+    # would otherwise keep only half of the written mass
+    **{
+        f"{name}-map-twice": (
+            argv,
+            {"weights": [{"mapping": m, "weight": "1/24"} for m in ("aec", "dbf", "aec", "dbf")]},
+            "measure names the map 'aec' twice",
+        )
+        for name, argv in (
+            ("measure", MEASURE),
+            ("build-measure", ["geneo", "build", "--measure", "{doc}", "--context", "{ctx}"]),
+        )
+    },
+    # a stated space kind must agree with the fields
+    **{
+        f"verify-{kind}-space-with-{field}": (
+            VERIFY, ("op", SPACE, {"kind": kind, "domain": list("pqrstu"), **fields}),
+            f"space field '{field}' does not belong to a space of kind '{kind}'",
+        )
+        for kind, field, fields in (
+            ("full", "constraints", {"constraints": [{"coeffs": [1] * 6, "rhs": 0}]}),
+            ("full", "ball", {"ball": {"norm": "sup", "radius": 1}}),
+            ("full", "members", {"members": [[0] * 6]}),
+            ("constrained", "members", {"constraints": [{"coeffs": [1] * 6, "rhs": 0}], "members": [[0] * 6]}),
+            ("explicit", "constraints", {"members": [[0] * 6], "constraints": [{"coeffs": [1] * 6, "rhs": 0}]}),
+            ("explicit", "ball", {"members": [[0] * 6], "ball": {"norm": "sup", "radius": 1}}),
+        )
+    },
+    **{
+        f"verify-constrained-space-{name}": (
+            VERIFY, ("op", SPACE, {"kind": "constrained", "domain": list("pqrstu"), **fields}),
+            "a space of kind 'constrained' needs a nonempty field 'constraints' or a field 'ball'",
+        )
+        for name, fields in (("bare", {}), ("without-constraints", {"constraints": []}))
+    },
 }
 
 
@@ -626,7 +662,7 @@ def test_golden_output(capsys, c7_operator_file, argv):
 
 def test_golden_k4_transposition_operator(tmp_path, capsys):
     h = transposition_permutant(4, model="edge")
-    h_path = write_json(tmp_path / "h.json", docs.permutant_to_json(h))
+    h_path = write_json(tmp_path / "h.json", permutant_to_json(h))
     code, built, _ = run_cli(capsys, "geneo", "build", "--permutant", h_path)
     assert code == 0
     assert sha256(built) == GOLDEN_K4_OPERATOR["build"]

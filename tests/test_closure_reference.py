@@ -25,7 +25,6 @@ from itertools import permutations
 
 import pytest
 
-from geneograph.fixtures import setwise_stabilizer_context, symmetric_group
 from geneograph.geneo import diagonal_scaling
 from geneograph.linalg import rref, solve_affine
 from geneograph.perception import (
@@ -52,6 +51,7 @@ from geneograph.permutant import (
 )
 
 from conftest import dihedral_edge_context
+from helpers import setwise_stabilizer_context, symmetric_group
 
 LABELS = tuple("ABCDE")
 

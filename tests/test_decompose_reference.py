@@ -28,11 +28,12 @@ from geneograph.geneo import (
     identity_operator,
     zero_operator,
 )
+from geneograph.experiments import transposition_permutant
 from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group, induced_edge_permutation
 from geneograph.linalg import OPTIMAL, rref, simplex_min
 from geneograph.perception import PerceptionPair, full_space
 from geneograph.perm import Homomorphism, Permutation, generate_group, orbit_partition, parse_cycles
-from geneograph.permutant import Mapping, PermutantMeasure, endo_context, transposition_permutant
+from geneograph.permutant import Mapping, PermutantMeasure, endo_context
 
 
 # -- the reference decomposition, as first written ------------------------------

@@ -10,7 +10,10 @@ from geneograph.experiments import (
     build_code_table,
     c6_c3_context,
     orbit_operator_table,
+    transposition_permutant,
 )
+from geneograph.geneo import apply, from_permutant
+from geneograph.perception import measurement
 from geneograph.permutant import all_orbits, orbit
 
 KNOWN_SIZE_6 = ("aaa", "abc", "ace", "add", "afb")
@@ -28,10 +31,10 @@ def test_k4_table_shape_and_known_rows():
     assert len(table.rows) == 64
     assert table.class_count == 11
     triangle = table.row_for((1, 1, 1, 0, 0, 0))
-    assert triangle.code == tuple(Fraction(x, 6) for x in (4, 4, 4, 2, 2, 2))
+    assert table.permutant_size == 6
     assert triangle.scaled_code == (4, 4, 4, 2, 2, 2)
     star = table.row_for((0, 0, 0, 1, 1, 1))
-    assert star.code == tuple(Fraction(x, 6) for x in (2, 2, 2, 4, 4, 4))
+    assert star.scaled_code == (2, 2, 2, 4, 4, 4)
 
 
 def test_k3_table_shape():
@@ -47,14 +50,15 @@ def test_k5_table_shape():
 
 
 def test_scaled_codes_are_integers():
+    # each code k/|H| is the transposition operator applied to the row's vector
     for n in (3, 4):
-        for row in build_code_table(n).rows:
+        table = build_code_table(n)
+        op = from_permutant(transposition_permutant(n))
+        assert table.permutant_size == n * (n - 1) // 2
+        for row in table.rows:
             assert all(isinstance(s, int) for s in row.scaled_code)
-            assert tuple(Fraction(s, comb_size(n)) for s in row.scaled_code) == row.code
-
-
-def comb_size(n):
-    return n * (n - 1) // 2
+            image = apply(op, measurement(row.vector, op.source.domain))
+            assert tuple(Fraction(s, table.permutant_size) for s in row.scaled_code) == image.values
 
 
 def test_table_range():

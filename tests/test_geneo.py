@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from geneograph.fixtures import cube_reflection_measure
+from geneograph.experiments import cube_reflection_measure, transposition_permutant
 from geneograph.geneo import (
     LinearOperator,
     PointwiseOperator,
@@ -44,11 +44,11 @@ from geneograph.permutant import (
     endo_context,
     mapping_from_permutation,
     orbit,
-    transposition_permutant,
     uniform_measure,
 )
 
 from conftest import dihedral_edge_context
+from helpers import symmetric_group
 
 EDGE_LABELS = ("p", "q", "r", "s", "t", "u")
 
@@ -537,7 +537,6 @@ def test_decompose_succeeds_on_random_measure_operators():
     # measure with total variation <= 1 must decompose and round-trip exactly
     import random
 
-    from geneograph.fixtures import symmetric_group
     from geneograph.permutant import Mapping, alpha_action
 
     rng = random.Random(424242)

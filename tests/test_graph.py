@@ -7,7 +7,6 @@ from geneograph.graph import (
     cycle_graph,
     edge_automorphism_group,
     graph,
-    graph_document,
     induced_edge_permutation,
     parse_graph,
     subgraph_isomorphism_classes,
@@ -16,6 +15,7 @@ from geneograph.graph import (
 from geneograph.perm import CapExceededError, compose, format_cycles, generate_group, identity, parse_cycles
 
 from conftest import CENSUS_GRAPHS, census_graph
+from helpers import graph_document
 
 # the graph of the first worked example: C4 plus the chord {B,D}
 FIG1 = graph(

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from geneograph import io as docs
-from geneograph.experiments import c6_c3_context
+from geneograph.experiments import c6_c3_context, transposition_permutant
 from geneograph.geneo import diagonal_scaling, from_permutant
 from geneograph.perception import (
     PerceptionPair,
@@ -14,7 +14,8 @@ from geneograph.perception import (
     measurement,
 )
 from geneograph.perm import generate_group, parse_cycles
-from geneograph.permutant import orbit, transposition_permutant, uniform_measure
+from geneograph.permutant import orbit, uniform_measure
+from helpers import group_from_json, permutant_to_json
 
 
 def through_json(payload):
@@ -39,7 +40,7 @@ def test_group_roundtrip():
         [parse_cycles("(A,C)", "ABCD"), parse_cycles("(B,D)", "ABCD")]
     )
     doc = through_json(docs.group_to_json(g))
-    assert docs.group_from_json(doc) == g
+    assert group_from_json(doc) == g
 
 
 def test_group_json_checks_stated_elements():
@@ -47,7 +48,7 @@ def test_group_json_checks_stated_elements():
     doc = docs.group_to_json(g)
     doc["elements"] = ["id"]
     with pytest.raises(ValueError, match="stated elements"):
-        docs.group_from_json(through_json(doc))
+        group_from_json(through_json(doc))
 
 
 def test_context_roundtrip():
@@ -60,7 +61,7 @@ def test_context_roundtrip():
 def test_permutant_and_measure_roundtrip():
     ctx = c6_c3_context()
     h = orbit("bfd", ctx)
-    doc = through_json(docs.permutant_to_json(h))
+    doc = through_json(permutant_to_json(h))
     rebuilt_ctx = docs.context_from_json(doc["context"])
     members = docs.permutant_members_from_json(doc, rebuilt_ctx)
     assert {m.images for m in members} == {m.images for m in h.members}

@@ -8,15 +8,12 @@ from hypothesis import given, strategies as st
 
 from geneograph import io as docs, permutant
 from geneograph.cli import main as cli_main
-from geneograph.fixtures import (
+from geneograph.experiments import (
     cube_context,
     cube_face_reflections,
     cube_reflection_measure,
     cube_rotation_group,
-    image_size_measure,
-    setwise_stabilizer_context,
-    small_image_permutant,
-    symmetric_group,
+    transposition_permutant,
 )
 from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group
 from geneograph.perm import CapExceededError, compose, format_cycles, orbit_partition, parse_cycles
@@ -34,11 +31,11 @@ from geneograph.permutant import (
     orbit,
     orbitals,
     parse_mapping,
-    transposition_permutant,
     uniform_measure,
 )
 
 from conftest import EDGES3, EDGES6, dihedral_edge_context
+from helpers import image_size_measure, setwise_stabilizer_context, small_image_permutant, symmetric_group
 
 
 def label_oracle_alpha(ctx, g, f):

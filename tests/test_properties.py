@@ -18,12 +18,6 @@ from itertools import permutations, product
 
 from hypothesis import given, settings, strategies as st
 
-from geneograph.fixtures import (
-    image_size_measure,
-    setwise_stabilizer_context,
-    small_image_permutant,
-    symmetric_group,
-)
 from geneograph.experiments import c6_c3_context
 from geneograph.geneo import (
     LinearOperator,
@@ -57,6 +51,7 @@ from geneograph.permutant import (
 )
 
 from conftest import EDGES3, EDGES6, dihedral_edge_context
+from helpers import image_size_measure, setwise_stabilizer_context, small_image_permutant, symmetric_group
 
 CTX = dihedral_edge_context()
 ALL_MAPS = list(CTX.all_mappings())
