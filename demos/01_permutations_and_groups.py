@@ -24,8 +24,8 @@ print("reflection    :", reflection)
 print("rotation^2    :", format_cycles(compose(rotation, rotation)))
 print("inverse       :", format_cycles(inverse(rotation)))
 
-# Groups are generated by breadth-first closure and stored in full, in a
-# canonical element order, so every later enumeration is reproducible.
+# Groups are closed coset by coset from their generators and stored in full,
+# in a canonical element order, so every later enumeration is reproducible.
 hexagon_group = generate_group([rotation, reflection])
 print("\nedge symmetries of the hexagon:", hexagon_group.order, "elements")
 for p in hexagon_group:

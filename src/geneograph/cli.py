@@ -60,9 +60,22 @@ def _alpha_failure(payload: dict, witness) -> ValidationFailure:
 
 
 def _load(path: str):
+    """Read a JSON document; an object that repeats a key is rejected, naming
+    the key, where plain json.load would keep only its last value."""
+
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise ValueError(f"{path}: JSON object repeats the key {key!r}")
+                seen.add(key)
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
 

@@ -238,6 +238,9 @@ def space_from_json(doc: MappingABC) -> FunctionSpace:
     if kind not in ("full", "constrained", "explicit"):
         raise ValueError(f"space field 'kind' must be 'full', 'constrained' or 'explicit', got {kind!r}")
     space = _space_from_fields(doc, domain, kind)
+    if "kind" not in doc and "members" in doc:
+        # read by its fields, the space would be full and drop its members
+        raise ValueError("space field 'members' needs the field 'kind' set to 'explicit'")
     if "kind" in doc:
         # a stated kind must agree with the fields, checked after each field's own validation
         extra = [key for key in ("constraints", "ball", "members") if key in doc and key not in _SPACE_FIELDS[kind]]

@@ -4,11 +4,14 @@ Everything here is deliberately explicit and desk-scale: groups are stored as
 full element lists (canonically ordered), and homomorphisms as full tables
 verified at construction.  No Schreier-Sims machinery.
 
-``closure`` is the single breadth-first search that every enumeration uses:
-group closure, homomorphism extension, coordinate orbits, orbits of the alpha
-action, subgraph isomorphism classes and conjugation orbits.  It works on
-plain hashable points (integer image tuples or map codes); labeled objects
-are built only for results.
+``closure`` is the breadth-first search behind homomorphism extension and
+every orbit enumeration: coordinate orbits, orbits of the alpha action,
+subgraph isomorphism classes and conjugation orbits.  It works on plain
+hashable points (integer image tuples or map codes); labeled objects are built
+only for results.  Groups are closed coset by coset instead (Dimino's
+algorithm, as in G. Butler, *Fundamental Algorithms for Permutation Groups*,
+LNCS 559, 1991): ``generate_group`` and ``group_from_elements`` extend a
+closed subgroup by one generator at a time in ``_extend_by_cosets``.
 """
 
 from __future__ import annotations
@@ -75,24 +78,6 @@ class Permutation:
     def pullback(self, values: Sequence) -> tuple:
         """Precompose a coordinate vector: (values o self)[i] = values[self(i)]."""
         return tuple(values[im] for im in self.images)
-
-    def cycles(self, include_fixed: bool = False) -> list[list[int]]:
-        """Disjoint cycles, each starting at its smallest index, sorted by that index."""
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            cur = self.images[start]
-            while cur != start:
-                cyc.append(cur)
-                seen[cur] = True
-                cur = self.images[cur]
-            if len(cyc) > 1 or include_fixed:
-                out.append(cyc)
-        return out
 
 
 def identity(n: int, labels: tuple[str, ...]) -> Permutation:
@@ -169,11 +154,21 @@ def parse_cycles(text: str, labels: Sequence[str]) -> Permutation:
 
 
 def format_cycles(p: Permutation) -> str:
-    """Inverse of parse_cycles: disjoint cycles, fixed points omitted, identity as "id"."""
-    labels, cycles = p.labels, p.cycles()
-    if not cycles:
-        return "id"
-    return "".join("(" + ",".join(labels[i] for i in cyc) + ")" for cyc in cycles)
+    """Inverse of parse_cycles: disjoint cycles, each from its smallest index
+    and in order of that index, fixed points omitted, identity as "id"."""
+    images, labels = p.images, p.labels
+    seen = [False] * len(images)
+    cycles = []
+    for start, image in enumerate(images):
+        if image == start or seen[start]:
+            continue
+        names = [labels[start]]
+        while image != start:
+            seen[image] = True
+            names.append(labels[image])
+            image = images[image]
+        cycles.append("(" + ",".join(names) + ")")
+    return "".join(cycles) or "id"
 
 
 def closure(
@@ -185,8 +180,9 @@ def closure(
     breadth-first search.
 
     Points are plain hashable values such as integer image tuples.  The cap,
-    used by group closures, is checked on every insertion: CapExceededError is
-    raised as soon as the set holds more than cap points.
+    which bounds a homomorphism's graph by the order of its source group, is
+    checked on every insertion: CapExceededError is raised as soon as the set
+    holds more than cap points.
     """
     limit = math.inf if cap is None else cap
     found: set = set()
@@ -231,6 +227,32 @@ def orbit_partition(
 def _left_multiplication(a: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     """The move p -> a o p on image tuples."""
     return lambda p: tuple([a[i] for i in p])
+
+
+def _extend_by_cosets(
+    elements: list[tuple[int, ...]], found: set, generators: Sequence[tuple[int, ...]], cap: int
+) -> None:
+    """Grow a closed subgroup H, listed in ``elements`` and held in ``found``,
+    in place to the group that the generators generate; they include H's own.
+
+    Each new element x = t o r, for a generator t and a coset leader r, brings
+    its whole left coset x o H, and x becomes a leader.  As t o (r o H) is again
+    a left coset, the leaders, from the identity on, reach every coset.  Raises
+    CapExceededError, before composing it, when a coset would take the group
+    past cap elements.
+    """
+    subgroup = elements[:]
+    leaders = [tuple(range(len(subgroup[0])))]
+    for r in leaders:
+        for t in generators:
+            x = tuple([t[i] for i in r])
+            if x not in found:
+                if len(elements) + len(subgroup) > cap:
+                    raise CapExceededError(f"group closure exceeded cap {cap}")
+                coset = [tuple([x[i] for i in h]) for h in subgroup]
+                elements += coset
+                found.update(coset)
+                leaders.append(x)
 
 
 def group_cap() -> int:
@@ -301,11 +323,12 @@ class FiniteGroup:
 
 
 def generate_group(generators: Iterable[Permutation]) -> FiniteGroup:
-    """Smallest group containing the generators, by breadth-first closure.
+    """Smallest group containing the generators, closed coset by coset.
 
     The generators must act on one labeled domain, which the group takes.
-    Use trivial_group for the group with no generators.  Raises
-    CapExceededError if the closure grows past group_cap() (10!, or the
+    Use trivial_group for the group with no generators.  Each generator in
+    turn that lies outside the group so far extends it by its cosets.  Raises
+    CapExceededError if the group grows past group_cap() (10!, or the
     GENEO_MAX_GROUP environment variable).
     """
     gens = list(generators)
@@ -317,7 +340,10 @@ def generate_group(generators: Iterable[Permutation]) -> FiniteGroup:
             raise DomainMismatchError("generators act on different domain sizes")
         _require_labels(g, lab)
     ident = identity(n, lab)
-    elements = closure((ident.images,), [_left_multiplication(g.images) for g in gens], group_cap())
+    elements, found, cap = [ident.images], {ident.images}, group_cap()
+    for i, g in enumerate(gens):
+        if g.images not in found:
+            _extend_by_cosets(elements, found, [s.images for s in gens[: i + 1]], cap)
     ordered = tuple(Permutation(images, lab) for images in sorted(elements))
     return FiniteGroup(ordered, tuple(gens), ident)
 
@@ -332,13 +358,13 @@ def group_from_elements(elements: Iterable[Permutation]) -> FiniteGroup:
     """Wrap an explicit element set as a FiniteGroup, with a small greedy generating set.
 
     The elements must share one labeled domain.  Each element, in order, that
-    lies outside the subgroup generated so far becomes a generator; one
-    closure, seeded with that subgroup, grows it, capped at the number of
-    elements.  The elements form a group exactly when that closure ends at
-    them.  When it does not, some greedy generator s takes some element p out
-    of the set, as a set that holds the identity and is closed under every s
-    holds the closure; the error names the first such p in element order and,
-    for it, the first such s.
+    lies outside the subgroup generated so far becomes a generator and extends
+    that subgroup by its cosets, capped at the number of elements.  The
+    elements form a group exactly when the last extension ends at them.  When
+    it does not, some greedy generator s takes some element p out of the set,
+    as a set that holds the identity and is closed under every s holds the
+    group they generate; the error names the first such p in element order
+    and, for it, the first such s.
     """
     elems = sorted(set(elements), key=lambda p: p.images)
     if not elems:
@@ -350,21 +376,21 @@ def group_from_elements(elements: Iterable[Permutation]) -> FiniteGroup:
     if ident not in elems:
         raise ValueError("element set lacks the identity")
     gens: list[Permutation] = []
-    moves = []
-    have = {ident.images}
+    have, found = [ident.images], {ident.images}
     members = {p.images for p in elems}
     try:
         for p in elems:
-            if p.images not in have:
+            if p.images not in found:
                 gens.append(p)
-                moves.append(_left_multiplication(p.images))
-                have = closure(have, moves, len(elems))
+                _extend_by_cosets(have, found, [s.images for s in gens], len(elems))
                 if len(have) == len(elems):
                     break
+        closed = found == members
     except CapExceededError:
-        pass
-    if have != members:
-        p, s = next((p, s) for p in elems for s, move in zip(gens, moves) if move(p.images) not in members)
+        # the generators make more elements than the set holds
+        closed = False
+    if not closed:
+        p, s = next((p, s) for p in elems for s in gens if tuple([s.images[i] for i in p.images]) not in members)
         raise ValueError(f"element set not closed under composition at {s}, {p}")
     return FiniteGroup(tuple(elems), tuple(gens), ident)
 

@@ -4,9 +4,11 @@ permutants and permutant measures.
 
 Inside, a map Y -> X is an integer: its image tuple h read as a base-|X|
 numeral, sum h[y] * |X|^(|Y|-1-y), so that numeric order is lexicographic
-order of image tuples.  ``all_orbits`` partitions these codes with one lookup
-table per generator of G, and a ``GeneralizedPermutant`` holds the codes of
-its members; labeled ``Mapping`` objects are built only when asked for.
+order of image tuples.  ``all_orbits`` labels every code with its orbit in
+one pass, a breadth-first search over one lookup table per generator of G
+from each code not yet labelled, and a ``GeneralizedPermutant`` holds the
+codes of its members in code order; labeled ``Mapping`` objects and the set
+of codes are built only when asked for.
 
 The action is built from G's generators alone, and permutants and measures
 share one invariance test, a set of maps being tested as its indicator
@@ -219,9 +221,10 @@ class GeneralizedPermutant:
     construction by ``is_generalized_permutant``, whose witness the error names.
 
     The members are held as their sorted codes (``ActionContext.map_code``),
-    with a set beside them, so ``size``, ``representative`` and membership
-    need no labeled objects; the ``Mapping`` members are built on first
-    access to ``members``.  Equality compares the context and the codes.
+    so ``size``, ``representative`` and membership need no labeled objects;
+    the set of codes is built on the first membership test and the
+    ``Mapping`` members on first access to ``members``.  Equality compares
+    the context and the codes.
     """
 
     context: ActionContext
@@ -242,11 +245,15 @@ class GeneralizedPermutant:
         self.__dict__.update(codes=tuple(sorted(codes)), _code_set=codes, members=members)
 
     @classmethod
-    def _from_codes(cls, context: ActionContext, codes: set) -> "GeneralizedPermutant":
-        """The permutant of a set of codes that is alpha-closed by construction."""
+    def _from_codes(cls, context: ActionContext, codes: Sequence[int]) -> "GeneralizedPermutant":
+        """The permutant of distinct codes, in code order, that are alpha-closed by construction."""
         h = cls.__new__(cls)
-        h.__dict__.update(context=context, codes=tuple(sorted(codes)), _code_set=codes)
+        h.__dict__.update(context=context, codes=tuple(codes))
         return h
+
+    @cached_property
+    def _code_set(self) -> frozenset:
+        return frozenset(self.codes)
 
     @cached_property
     def members(self) -> tuple[Mapping, ...]:
@@ -278,37 +285,56 @@ class GeneralizedPermutant:
 def orbit(f: Mapping | str, ctx: ActionContext) -> GeneralizedPermutant:
     """The orbit of f under alpha, enumerated by closure over G's generators."""
     images = closure((ctx.mapping(f).images,), ctx.moves)
-    return GeneralizedPermutant._from_codes(ctx, {ctx.map_code(h) for h in images})
+    return GeneralizedPermutant._from_codes(ctx, sorted(map(ctx.map_code, images)))
 
 
 def all_orbits(ctx: ActionContext) -> tuple[list[GeneralizedPermutant], dict[int, int]]:
     """Partition the whole map space X^Y into orbits, with a size -> count census.
 
     The points are the codes 0 .. |X|^|Y| - 1 and each generator moves them
-    through its code table.  Orbits are listed by their smallest code, which
-    is their lexicographically smallest member, smallest first; that member is
-    also each orbit's canonical representative.  Closure is verified for all
-    orbits at once: every table must keep every code's orbit id.  Raises
-    CapExceededError for a map space over DEFAULT_MAP_SPACE_CAP elements.
+    through its code table; ``_label_orbits`` gives every code its orbit id in
+    one pass.  Orbits are listed by their smallest code, which is their
+    lexicographically smallest member, smallest first; that member is also
+    each orbit's canonical representative, and each orbit lists its codes in
+    code order.  Closure is verified for all orbits at once: every table must
+    keep every code's orbit id.  Raises CapExceededError for a map space over
+    DEFAULT_MAP_SPACE_CAP elements.
     """
     total = ctx.map_space_size()
     if total > DEFAULT_MAP_SPACE_CAP:
         raise CapExceededError(f"map space has {total} elements, over the cap {DEFAULT_MAP_SPACE_CAP}")
     tables = ctx.code_tables()
-    orbits = list(orbit_partition(range(total), [table.__getitem__ for table in tables]))
-    orbit_id = [0] * total
-    for i, o in enumerate(orbits):
-        for c in o:
-            orbit_id[c] = i
+    orbit_id, orbits = _label_orbits(total, tables)
     for g, table in zip(ctx.G.generators, tables):
         if list(map(orbit_id.__getitem__, table)) != orbit_id:
             c = next(c for c in range(total) if orbit_id[table[c]] != orbit_id[c])
             raise _escape_error(Mapping(ctx.y_labels, ctx.x_labels, ctx.map_images(c)), g, ctx)
-    permutants = [GeneralizedPermutant._from_codes(ctx, o) for o in orbits]
     census: dict[int, int] = {}
-    for o in permutants:
-        census[o.size] = census.get(o.size, 0) + 1
-    return permutants, dict(sorted(census.items()))
+    for o in orbits:
+        census[len(o)] = census.get(len(o), 0) + 1
+    return [GeneralizedPermutant._from_codes(ctx, o) for o in orbits], dict(sorted(census.items()))
+
+
+def _label_orbits(total: int, tables: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """The orbit id of every code 0 .. total - 1 under the code tables, and
+    the orbits' codes in code order, numbered by smallest code: one
+    breadth-first search over the tables from each code not yet labelled."""
+    orbit_id = [-1] * total
+    orbits: list[list[int]] = []
+    for start in range(total):
+        if orbit_id[start] < 0:
+            i = len(orbits)
+            orbit_id[start] = i
+            frontier = [start]
+            for c in frontier:
+                for table in tables:
+                    d = table[c]
+                    if orbit_id[d] < 0:
+                        orbit_id[d] = i
+                        frontier.append(d)
+            frontier.sort()
+            orbits.append(frontier)
+    return orbit_id, orbits
 
 
 def orbitals(ctx: ActionContext) -> list[tuple[tuple[int, int], ...]]:

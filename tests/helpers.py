@@ -1,6 +1,7 @@
 """Builders that only the tests use: the symmetric group, subset-stabilizer
-contexts with their image-cardinality permutants and measures, and the JSON
-forms of a graph, a permutant and a single group."""
+contexts with their image-cardinality permutants and measures, the JSON
+forms of a graph, a permutant and a single group, and the cycles of a
+permutation."""
 
 from __future__ import annotations
 
@@ -79,3 +80,22 @@ def permutant_to_json(h: GeneralizedPermutant) -> dict:
 def group_from_json(doc) -> FiniteGroup:
     """One group document read on its own, with a fresh cycle reader."""
     return docs._group_from_json(doc, docs._cycle_reader())
+
+
+def cycles(p: Permutation, include_fixed: bool = False) -> list[list[int]]:
+    """Disjoint cycles of p, each starting at its smallest index, sorted by that index."""
+    seen = [False] * p.n
+    out = []
+    for start in range(p.n):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        cur = p.images[start]
+        while cur != start:
+            cyc.append(cur)
+            seen[cur] = True
+            cur = p.images[cur]
+        if len(cyc) > 1 or include_fixed:
+            out.append(cyc)
+    return out

@@ -1,5 +1,6 @@
 """Acceptance gate: one test per numbered criterion, every comparison exact,
-with the stated runtime budgets enforced.  Each test prints one line:
+with the stated runtime budgets enforced, and beside them a budget for the
+largest automorphism group of the census.  Each test prints one line:
 
     ACCEPTANCE <n>: PASS - <summary>
 
@@ -11,10 +12,12 @@ import json
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 import test_properties
+from helpers import graph_document
 from test_permutant import burnside_orbit_count
 from geneograph.cli import main as cli_main
 from geneograph.experiments import (
@@ -35,8 +38,8 @@ from geneograph.geneo import (
     verify_equivariance,
     verify_nonexpansive,
 )
-from geneograph.graph import cycle_graph, edge_automorphism_group
-from geneograph.perm import Homomorphism
+from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group, induced_edge_permutation
+from geneograph.perm import Homomorphism, Permutation, generate_group, parse_cycles
 from geneograph.permutant import (
     all_orbits,
     endo_context,
@@ -58,7 +61,7 @@ def run_cli(*argv):
     return code, buf.getvalue()
 
 
-def report(num: int, detail: str):
+def report(num: int | str, detail: str):
     print(f"ACCEPTANCE {num}: PASS - {detail}")
 
 
@@ -220,3 +223,26 @@ def test_criterion_9_c7_edge_census():
     assert sum(size * count for size, count in census.items()) == 7**7
     assert elapsed < 5.0, f"C7 edge census took {elapsed:.3f}s"
     report(9, f"58999 orbits over the 823543 maps of the C7 edge set, as Burnside counts, in {elapsed:.3f}s")
+
+
+def test_aut_k7_edge_group(tmp_path):
+    k7 = complete_graph(7)
+    path = tmp_path / "k7.json"
+    path.write_text(json.dumps(graph_document(k7)))
+    start = time.perf_counter()
+    code, out = run_cli("aut", str(path), "--edges")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    doc = json.loads(out)
+    # every vertex permutation of K7 is an automorphism; the edge group is S7 acting on the 21 edges
+    expected = {
+        induced_edge_permutation(k7, Permutation(images, k7.vertex_labels)).images
+        for images in permutations(range(7))
+    }
+    elements = [parse_cycles(text, k7.edge_labels) for text in doc["elements"]]
+    assert len(elements) == len(expected) == 5040
+    assert {p.images for p in elements} == expected
+    generators = [parse_cycles(text, k7.edge_labels) for text in doc["generators"]]
+    assert set(generate_group(generators).elements) == set(elements)
+    assert elapsed < 1.0, f"aut --edges on K7 took {elapsed:.3f}s"
+    report("aut K7", f"the 5040 edge automorphisms of K7, with {len(generators)} generators, in {elapsed:.3f}s")

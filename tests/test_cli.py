@@ -418,9 +418,15 @@ AUT = ["aut", "{doc}"]
 EDGE_AB = {"label": "p", "ends": ["A", "B"]}
 SPACE = ("source", "space")
 
-# (command, document, fragment of the error): a plain document, or (base, key
-# path, value) to overwrite one field of the F4 operator ("op") or the C6/C3
-# context ("ctx"), or to delete it if the value is MISSING
+
+class RawJSON(str):
+    """Document text written as it stands, for what a dict cannot hold."""
+
+
+# (command, document, fragment of the error): a plain document, its text as a
+# RawJSON, or (base, key path, value) to overwrite one field of the F4
+# operator ("op") or the C6/C3 context ("ctx"), or to delete it if the value
+# is MISSING
 MISSING = object()
 SPACE_KINDS = "'full', 'constrained' or 'explicit'"
 REJECTED_NUMBERS = (
@@ -568,6 +574,25 @@ MALFORMED = {
             ("build-measure", ["geneo", "build", "--measure", "{doc}", "--context", "{ctx}"]),
         )
     },
+    # json.load would keep only the last weight of a repeated key
+    **{
+        f"{name}-object-key-twice": (
+            argv, RawJSON('{"weights": {"aec": "1/24", "dbf": "1/24", "aec": "1/12"}}'),
+            "JSON object repeats the key 'aec'",
+        )
+        for name, argv in (
+            ("measure", MEASURE),
+            ("build-measure", ["geneo", "build", "--measure", "{doc}", "--context", "{ctx}"]),
+        )
+    },
+    "verify-document-key-twice": (
+        VERIFY, RawJSON('{"coeffs": [], "coeffs": []}'), "JSON object repeats the key 'coeffs'"
+    ),
+    # without a kind the space would read as full and drop its members
+    "verify-kindless-space-with-members": (
+        VERIFY, ("op", SPACE, {"domain": list("pqrstu"), "members": [[0] * 6]}),
+        "space field 'members' needs the field 'kind' set to 'explicit'",
+    ),
     # a stated space kind must agree with the fields
     **{
         f"verify-{kind}-space-with-{field}": (
@@ -606,7 +631,12 @@ def test_malformed_document_is_validation_failure(tmp_path, ctx_file, f4_file, c
             del target[path[-1]]
         else:
             target[path[-1]] = value
-    files = {"doc": write_json(tmp_path / "doc.json", doc), "ctx": ctx_file, "op": f4_file}
+    doc_path = tmp_path / "doc.json"
+    if isinstance(doc, RawJSON):
+        doc_path.write_text(doc)
+    else:
+        write_json(doc_path, doc)
+    files = {"doc": str(doc_path), "ctx": ctx_file, "op": f4_file}
     code, out, err = run_cli(capsys, *[arg.format(**files) for arg in argv])
     assert code == 1
     payload = json.loads(out)
@@ -677,6 +707,7 @@ def test_golden_k4_transposition_operator(tmp_path, capsys):
 # sha256 of stdout for orbit censuses and automorphism groups
 GOLDEN_SYMMETRY = {
     ("orbits", "--context", "{k4_endo}"): "cc60287c7985df67dc642afd55edb5d52fce32ddcbe45fd5c0308dfeee6ddf6a",
+    ("orbits", "--context", "{c6_endo}"): "fe9e13d2c7031e4494a1054256ddeaeb299ddf38d0c9943b92c425ba862f6387",
     ("orbits", "--full", "--context", "{c5_endo}"): "75b43142c4a35356297abdb85aa9bcfab14a8eee3896ef5663301fb6c9cf56bf",
     ("orbits", "--full", "--context", "{c6c3}"): "85fa02b12c4cd820cc717a30e1971d073857a763e3c706ae41e4f9e788c4bef3",
     ("aut", "{k7}", "--edges"): "28288afd4f6ce4f5bfa245e38d6d4b95cf32cc65bade2d17a9393992a2be378f",
@@ -689,7 +720,7 @@ GOLDEN_SYMMETRY = {
 def symmetry_files(tmp_path_factory, ctx_file):
     root = tmp_path_factory.mktemp("symmetry")
     files = {"c6c3": ctx_file}
-    for name, g in (("k4_endo", complete_graph(4)), ("c5_endo", cycle_graph(5))):
+    for name, g in (("k4_endo", complete_graph(4)), ("c5_endo", cycle_graph(5)), ("c6_endo", cycle_graph(6))):
         ctx = endo_context(edge_automorphism_group(g))
         files[name] = write_json(root / f"{name}.json", docs.context_to_json(ctx))
     for name, g in (("k7", complete_graph(7)), ("petersen", census_graph("Petersen"))):

@@ -9,6 +9,9 @@ kept inline here as the reference.
   references loop over the members themselves, each in its own copy.
 - Groups from element lists: the reference scans every element for its
   inverse and every pair for its product before the greedy generator search.
+- Groups from generators: the reference is the breadth-first closure of the
+  identity under left multiplication by every generator, capped per
+  insertion, which both group builders used before they closed by cosets.
 - Generalized permutants: the reference scans every member against every
   group element.
 
@@ -35,10 +38,12 @@ from geneograph.perception import (
     verify_perception_pair,
 )
 from geneograph.perm import (
+    CapExceededError,
     Permutation,
     closure,
     compose,
     generate_group,
+    group_cap,
     group_from_elements,
     identity,
     trivial_group,
@@ -190,6 +195,14 @@ def ref_group_from_elements(elements):
             if len(have) == len(elems):
                 break
     return tuple(elems), tuple(gens)
+
+
+def ref_generate_group(gens):
+    """Elements and generators of the group the generators generate, by
+    breadth-first closure of the identity, capped at group_cap()."""
+    moves = [lambda p, a=g.images: tuple([a[i] for i in p]) for g in gens]
+    elements = closure((tuple(range(gens[0].n)),), moves, group_cap())
+    return tuple(Permutation(images, gens[0].labels) for images in sorted(elements)), tuple(gens)
 
 
 def ref_greedy_witness(elements):
@@ -420,6 +433,56 @@ def test_group_from_elements_matches_reference():
         assert got == expected, elems
         verdicts[not isinstance(expected, str)] += 1
     assert min(verdicts.values()) >= 150, verdicts
+
+
+def random_generators(rng, n):
+    """One to four generators on n points: random permutations, the
+    identity, a repeat, or a product of two earlier ones."""
+    labels = tuple("ABCDEF")[:n]
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.random()
+        if kind < 0.1:
+            gens.append(identity(n, labels))
+        elif kind < 0.3 and gens:
+            gens.append(compose(rng.choice(gens), rng.choice(gens)) if kind < 0.2 else rng.choice(gens))
+        else:
+            images = list(range(n))
+            rng.shuffle(images)
+            gens.append(Permutation(tuple(images), labels))
+    return gens
+
+
+def generated(gens):
+    group = generate_group(gens)
+    return group.elements, group.generators
+
+
+def group_outcome(build, gens):
+    try:
+        return build(gens)
+    except CapExceededError as exc:
+        return str(exc)
+
+
+def test_generate_group_matches_reference(monkeypatch):
+    rng = random.Random(20260423)
+    orders = set()
+    for _ in range(300):
+        gens = random_generators(rng, rng.randint(1, 6))
+        elements, generators = generated(gens)
+        assert (elements, generators) == ref_generate_group(gens), gens
+        order = len(elements)
+        orders.add(order)
+        # at the cap boundary: the group's own order passes, one less fails the same way
+        for cap in (order, order - 1):
+            if cap >= 1:
+                monkeypatch.setenv("GENEO_MAX_GROUP", str(cap))
+                got = group_outcome(generated, gens)
+                assert got == group_outcome(ref_generate_group, gens), (gens, cap)
+                assert (got == f"group closure exceeded cap {cap}") == (cap < order)
+        monkeypatch.delenv("GENEO_MAX_GROUP")
+    assert {1, 2, 6, 24, 120, 720} <= orders, sorted(orders)
 
 
 CONTEXTS = (dihedral_edge_context(), endo_context(symmetric_group("abc")), setwise_stabilizer_context("ABCD", "AB"))

@@ -24,6 +24,8 @@ from geneograph.perm import (
 )
 from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group
 
+from helpers import cycles
+
 ABCD = ("A", "B", "C", "D")
 EDGES6 = ("a", "b", "c", "d", "e", "f")
 
@@ -383,7 +385,7 @@ def generator_witness(source, table):
 
 def sign_table(source, c2):
     swap = c2.generators[0]
-    return {g: swap if sum(len(c) - 1 for c in g.cycles()) % 2 else c2.identity for g in source}
+    return {g: swap if sum(len(c) - 1 for c in cycles(g)) % 2 else c2.identity for g in source}
 
 
 def conjugation_table(source, c):

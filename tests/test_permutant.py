@@ -35,7 +35,7 @@ from geneograph.permutant import (
 )
 
 from conftest import EDGES3, EDGES6, dihedral_edge_context
-from helpers import image_size_measure, setwise_stabilizer_context, small_image_permutant, symmetric_group
+from helpers import cycles, image_size_measure, setwise_stabilizer_context, small_image_permutant, symmetric_group
 
 
 def label_oracle_alpha(ctx, g, f):
@@ -184,9 +184,9 @@ def burnside_orbit_count(ctx):
     # point anywhere on a cycle d of g with len(d) dividing len(c)
     total = 0
     for g in ctx.G:
-        g_lengths = [len(d) for d in g.cycles(include_fixed=True)]
+        g_lengths = [len(d) for d in cycles(g, include_fixed=True)]
         fixed = 1
-        for c in ctx.T(g).cycles(include_fixed=True):
+        for c in cycles(ctx.T(g), include_fixed=True):
             fixed *= sum(length for length in g_lengths if len(c) % length == 0)
         total += fixed
     assert total % ctx.G.order == 0
@@ -313,7 +313,11 @@ def test_membership_needs_a_mapping_of_the_context(c6c3):
 
 
 def test_all_orbits_rejects_a_partition_that_is_not_closed(c6c3, monkeypatch):
-    monkeypatch.setattr(permutant, "orbit_partition", lambda points, moves: ({p} for p in points))
+    def singletons(total, tables):
+        """Every code its own orbit."""
+        return list(range(total)), [[c] for c in range(total)]
+
+    monkeypatch.setattr(permutant, "_label_orbits", singletons)
     with pytest.raises(ValueError, match=r"not alpha-closed: alpha\(.*, aaa\) = .* escapes"):
         all_orbits(c6c3)
 
