@@ -207,14 +207,14 @@ def cmd_codes(args):
             ],
             "reversals_map_to_reversals": findings.reversals_map_to_reversals,
         }
+    # row i is the vector with integer code i: its m binary digits
+    digits = f"0{len(table.edge_labels)}b"
     if args.format == "csv":
         out = stringio.StringIO()
         writer = csv.writer(out)
         writer.writerow(["vector", "scaled_code", "class"])
-        for row in table.rows:
-            writer.writerow(
-                [_vector_string(row.vector), " ".join(map(str, row.scaled_code)), row.class_id]
-            )
+        for i, row in enumerate(table.rows):
+            writer.writerow([format(i, digits), " ".join(map(str, row.scaled_code)), row.class_id])
         return out.getvalue()
     # every code is k/|H| with 0 <= k <= |H|: render those |H|+1 values once
     size = table.permutant_size
@@ -226,12 +226,12 @@ def cmd_codes(args):
         "classes": table.class_count,
         "rows": [
             {
-                "vector": _vector_string(row.vector),
+                "vector": format(i, digits),
                 "code": [code_text[k] for k in row.scaled_code],
                 "scaled_code": list(row.scaled_code),
                 "class": row.class_id,
             }
-            for row in table.rows
+            for i, row in enumerate(table.rows)
         ],
     }
 

@@ -7,6 +7,11 @@ of the 6-cycle and the 3-cycle.  The analyses are the signature codes of
 complete-graph subgraphs under the transposition-averaging operator, and the
 orbit census of the C6/C3 context, which is `all_orbits(c6_c3_context())` (the
 `census-c6c3` command prints it).
+
+The subgraph codes work on the integer code of each 0/1 edge vector of K_n
+(bit m-1-i is edge i, so code order is lexicographic order): the classes come
+from the orbit labeller in ``perm`` that ``all_orbits`` also uses, and vector
+tuples are built only for the rows.
 """
 
 from __future__ import annotations
@@ -15,14 +20,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
+from operator import add
 
 from .geneo import LinearOperator, from_permutant
 from .graph import (
+    Graph,
+    _subgraph_orbits,
     complete_graph,
     cycle_graph,
     edge_automorphism_group,
     induced_edge_permutation,
-    subgraph_isomorphism_classes,
     vertex_automorphism_group,
 )
 from .linalg import matvec
@@ -46,18 +53,25 @@ def transposition_permutant(n: int, model: str = "edge") -> GeneralizedPermutant
     if model not in ("vertex", "edge"):
         raise ValueError(f"model must be 'vertex' or 'edge', got {model!r}")
     kn = complete_graph(n)
-    swaps = [
-        parse_cycles(f"({kn.vertex_labels[i]},{kn.vertex_labels[j]})", kn.vertex_labels)
-        for i in range(n)
-        for j in range(i + 1, n)
+    if model == "edge":
+        return _edge_transpositions(kn, edge_automorphism_group(kn))
+    members = {mapping_from_permutation(p) for p in _vertex_transpositions(kn)}
+    return GeneralizedPermutant(endo_context(vertex_automorphism_group(kn)), tuple(members))
+
+
+def _vertex_transpositions(kn: Graph) -> list[Permutation]:
+    labels = kn.vertex_labels
+    return [
+        parse_cycles(f"({labels[i]},{labels[j]})", labels)
+        for i in range(len(labels))
+        for j in range(i + 1, len(labels))
     ]
-    if model == "vertex":
-        ctx = endo_context(vertex_automorphism_group(kn))
-        members = {mapping_from_permutation(p) for p in swaps}
-    else:
-        ctx = endo_context(edge_automorphism_group(kn))
-        members = {mapping_from_permutation(induced_edge_permutation(kn, p)) for p in swaps}
-    return GeneralizedPermutant(ctx, tuple(members))
+
+
+def _edge_transpositions(kn: Graph, edge_group: FiniteGroup) -> GeneralizedPermutant:
+    """The edge model of the transposition permutant, on K_n's edge group."""
+    members = {mapping_from_permutation(induced_edge_permutation(kn, p)) for p in _vertex_transpositions(kn)}
+    return GeneralizedPermutant(endo_context(edge_group), tuple(members))
 
 
 # -- the subgraph codes ----------------------------------------------------------
@@ -82,29 +96,49 @@ class CodeTable:
     class_count: int
 
     def row_for(self, vector) -> CodeRow:
-        vector = tuple(int(v) for v in vector)
-        index = int("".join(map(str, vector)), 2) if vector else 0
+        """The row of a 0/1 vector over the edges, at its integer code.
+
+        Raises ValueError unless the vector has one entry per edge, each 0 or 1.
+        """
+        vector = tuple(vector)
+        m = len(self.edge_labels)
+        if len(vector) != m or not all(v in (0, 1) for v in vector):
+            raise ValueError(f"a vector of K_{self.n} has {m} entries, each 0 or 1; got {vector!r}")
+        index = 0
+        for v in vector:
+            index = 2 * index + int(v)
         return self.rows[index]
 
 
 def build_code_table(n: int) -> CodeTable:
     """Apply the transposition-averaging operator of K_n to every 0/1 edge
-    vector and join with the subgraph isomorphism classes."""
+    vector and join with the subgraph isomorphism classes.
+
+    Row i is the vector whose integer code is i: bit m-1-j of i is edge j, so
+    the rows come in ``product((0, 1), repeat=m)`` order, which is
+    lexicographic order.  The class ids come straight from the labeller on
+    those codes (``graph._subgraph_orbits``).  The scaled code of a vector is
+    the integer count table |H| * coeffs times it, so it is built by doubling
+    like the codes themselves: adding edge j to a vector adds column j.
+    """
     if not 3 <= n <= 5:
         raise ValueError(f"code tables support 3 <= n <= 5, got {n}")
-    permutant = transposition_permutant(n, model="edge")
+    kn = complete_graph(n)
+    edge_group = edge_automorphism_group(kn)
+    permutant = _edge_transpositions(kn, edge_group)
     op = from_permutant(permutant)
-    classes = subgraph_isomorphism_classes(n)
-    class_of = {vec: i for i, cls in enumerate(classes) for vec in cls}
+    class_id, classes = _subgraph_orbits(edge_group)
     labels = op.source.domain
     size = permutant.size
     assert size == comb(n, 2)
-    # scaled codes are products with the integer count table |H| coeffs; the
-    # codes themselves are scaled_code / |H|
+    # the codes themselves are scaled_code / |H|
     counts = [[int(c * size) for c in row] for row in op.coeffs]
-    rows = tuple(
-        CodeRow(vec, matvec(counts, vec, 0), class_of[vec]) for vec in product((0, 1), repeat=len(labels))
-    )
+    scaled = [(0,) * len(counts)]
+    for j in reversed(range(len(labels))):
+        column = [row[j] for row in counts]
+        scaled += [tuple(map(add, code, column)) for code in scaled]
+    vectors = product((0, 1), repeat=len(labels))
+    rows = tuple(map(CodeRow, vectors, scaled, class_id))
     return CodeTable(n, labels, size, rows, len(classes))
 
 
@@ -135,38 +169,40 @@ def analyze_code_table(table: CodeTable) -> CodeFindings:
     code of the complement is the complement of the code, exactly; (3) the
     full list of distinct class pairs with equivalent codes; (4) the code of
     the reversal is the reversal of the code, exactly.
+
+    Row i is the vector with integer code i (see ``build_code_table``), so
+    the complement of row i is row 2^m - 1 - i, which is ``rows[-1 - i]``,
+    and its reversal is the row at the m-bit reversal of i.
     """
     size = table.permutant_size
-    by_class: dict[int, list[CodeRow]] = {}
-    for row in table.rows:
-        by_class.setdefault(row.class_id, []).append(row)
-
+    rows = table.rows
+    m = len(table.edge_labels)
     # code = scaled_code / |H| exactly, so the statements hold for the codes
     # exactly when they hold for the integer scaled codes
-    finding1 = all(
-        sorted(row.scaled_code) == sorted(rows[0].scaled_code)
-        for rows in by_class.values()
-        for row in rows
-    )
+    first: dict[int, CodeRow] = {}
+    finding1 = True
+    for row in rows:
+        rep = first.setdefault(row.class_id, row)
+        finding1 = finding1 and sorted(row.scaled_code) == sorted(rep.scaled_code)
 
     finding2 = all(
-        table.row_for(tuple(1 - v for v in row.vector)).scaled_code
-        == tuple(size - s for s in row.scaled_code)
-        for row in table.rows
+        rows[-1 - i].scaled_code == tuple(size - s for s in row.scaled_code)
+        for i, row in enumerate(rows)
     )
 
-    reps = {cid: min(rows, key=lambda r: r.vector) for cid, rows in by_class.items()}
+    # the first row of a class in code order holds its smallest vector
     pairs = []
-    ids = sorted(reps)
+    ids = sorted(first)
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
-            if sorted(reps[a].scaled_code) == sorted(reps[b].scaled_code):
-                pairs.append(EquivalentPair(a, b, reps[a].vector, reps[b].vector))
+            if sorted(first[a].scaled_code) == sorted(first[b].scaled_code):
+                pairs.append(EquivalentPair(a, b, first[a].vector, first[b].vector))
 
-    finding4 = all(
-        table.row_for(tuple(reversed(row.vector))).scaled_code == row.scaled_code[::-1]
-        for row in table.rows
-    )
+    reversal = [0]
+    for bit in range(m):
+        mask = 1 << (m - 1 - bit)
+        reversal += [r | mask for r in reversal]
+    finding4 = all(rows[r].scaled_code == row.scaled_code[::-1] for r, row in zip(reversal, rows))
 
     return CodeFindings(
         table.n, table.class_count, finding1, finding2, tuple(pairs), finding4

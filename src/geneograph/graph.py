@@ -11,8 +11,8 @@ from .perm import (
     CapExceededError,
     FiniteGroup,
     Permutation,
+    _label_orbits,
     group_from_elements,
-    orbit_partition,
     trivial_group,
 )
 
@@ -251,11 +251,38 @@ def subgraph_isomorphism_classes(n: int) -> list[list[tuple[int, ...]]]:
 
     Classes are orbits under the edge automorphism group acting by
     precomposition; each class is sorted and the list is ordered by canonical
-    (lexicographically smallest) representative.
+    (lexicographically smallest) representative.  The work is done on the
+    integer codes of the vectors (see ``_subgraph_orbits``), whose order is
+    lexicographic order; the tuples are built only for the result.
     """
     if not 1 <= n <= 6:
         raise CapExceededError(f"subgraph enumeration supports n <= 6, got {n}")
-    kn = complete_graph(n)
-    moves = [gen.pullback for gen in edge_automorphism_group(kn).generators]
-    vectors = product((0, 1), repeat=kn.n_edges)
-    return [sorted(orbit) for orbit in orbit_partition(vectors, moves)]
+    edge_group = edge_automorphism_group(complete_graph(n))
+    _, classes = _subgraph_orbits(edge_group)
+    vectors = list(product((0, 1), repeat=edge_group.degree))
+    return [[vectors[c] for c in cls] for cls in classes]
+
+
+def _subgraph_orbits(edge_group: FiniteGroup) -> tuple[list[int], list[list[int]]]:
+    """The isomorphism classes of 0/1 edge vectors under an edge group acting
+    by precomposition, on integer codes: the class id of every code and each
+    class's codes in increasing order, classes numbered by smallest code.
+
+    The code of a vector v on m edges has bit m-1-i set exactly when v[i] = 1,
+    so code order is ``product((0, 1), repeat=m)`` order, which is
+    lexicographic order.  Precomposing with g moves the bit of edge j to the
+    bit of edge g^-1(j), so each generator's table over the 2^m codes is built
+    by doubling, one edge at a time from the last: t += [c | mask_j for c in t].
+    The tables go through ``perm._label_orbits``, the labeller of the
+    alpha-action census.
+    """
+    m = edge_group.degree
+    tables = []
+    for g in edge_group.generators:
+        inverse = g.inverse().images
+        table = [0]
+        for j in reversed(range(m)):
+            mask = 1 << (m - 1 - inverse[j])
+            table += [c | mask for c in table]
+        tables.append(table)
+    return _label_orbits(1 << m, tables)

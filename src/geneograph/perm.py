@@ -5,10 +5,15 @@ full element lists (canonically ordered), and homomorphisms as full tables
 verified at construction.  No Schreier-Sims machinery.
 
 ``closure`` is the breadth-first search behind homomorphism extension and
-every orbit enumeration: coordinate orbits, orbits of the alpha action,
-subgraph isomorphism classes and conjugation orbits.  It works on plain
+the orbit enumerations on hashable points: coordinate orbits, single orbits
+of the alpha action, orbitals and conjugation orbits.  It works on plain
 hashable points (integer image tuples or map codes); labeled objects are built
-only for results.  Groups are closed coset by coset instead (Dimino's
+only for results.  When the points are all the integers 0 .. N - 1 and each
+generator's move is a lookup table over them, ``_label_orbits`` labels every
+point with its orbit in one pass instead; it is the one labeller behind the
+alpha-action census (``permutant.all_orbits``, on map codes) and the subgraph
+isomorphism classes (``graph.subgraph_isomorphism_classes``, on the integer
+codes of 0/1 edge vectors).  Groups are closed coset by coset instead (Dimino's
 algorithm, as in G. Butler, *Fundamental Algorithms for Permutation Groups*,
 LNCS 559, 1991): ``generate_group`` and ``group_from_elements`` extend a
 closed subgroup by one generator at a time in ``_extend_by_cosets``.
@@ -222,6 +227,29 @@ def orbit_partition(
             orbit = closure((point,), moves)
             visited |= orbit
             yield orbit
+
+
+def _label_orbits(total: int, tables: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """The orbit id of every point 0 .. total - 1 under the lookup tables, one
+    per generator, and the orbits' points in increasing order, numbered by
+    smallest point: one breadth-first search over the tables from each point
+    not yet labelled."""
+    orbit_id = [-1] * total
+    orbits: list[list[int]] = []
+    for start in range(total):
+        if orbit_id[start] < 0:
+            i = len(orbits)
+            orbit_id[start] = i
+            frontier = [start]
+            for c in frontier:
+                for table in tables:
+                    d = table[c]
+                    if orbit_id[d] < 0:
+                        orbit_id[d] = i
+                        frontier.append(d)
+            frontier.sort()
+            orbits.append(frontier)
+    return orbit_id, orbits
 
 
 def _left_multiplication(a: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:

@@ -6,7 +6,8 @@ Inside, a map Y -> X is an integer: its image tuple h read as a base-|X|
 numeral, sum h[y] * |X|^(|Y|-1-y), so that numeric order is lexicographic
 order of image tuples.  ``all_orbits`` labels every code with its orbit in
 one pass, a breadth-first search over one lookup table per generator of G
-from each code not yet labelled, and a ``GeneralizedPermutant`` holds the
+from each code not yet labelled (``perm._label_orbits``, the labeller the
+subgraph isomorphism classes share), and a ``GeneralizedPermutant`` holds the
 codes of its members in code order; labeled ``Mapping`` objects and the set
 of codes are built only when asked for.
 
@@ -38,6 +39,7 @@ from .perm import (
     FiniteGroup,
     Homomorphism,
     Permutation,
+    _label_orbits,
     closure,
     orbit_partition,
 )
@@ -122,6 +124,8 @@ class ActionContext:
     G acts on the target set X, K on the source set Y, and T : G -> K is a
     verified homomorphism.  Only the generators' moves on image tuples are
     built here, in ``moves`` in generator order; ``move`` builds any element's.
+    The place values of map codes are computed once, for decoding and for the
+    code tables.
     """
 
     G: FiniteGroup
@@ -132,6 +136,9 @@ class ActionContext:
         if self.T.source != self.G or self.T.target != self.K:
             raise ValueError("homomorphism must map the acting group G into K")
         object.__setattr__(self, "moves", tuple(map(self.move, self.G.generators)))
+        # the place value |X|^(|Y|-1-y) of source point y in a map code
+        nx, ny = self.G.degree, self.K.degree
+        object.__setattr__(self, "_places", tuple(nx ** (ny - 1 - y) for y in range(ny)))
 
     def move(self, g: Permutation) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
         """The move h -> g o h o T(g^-1) of an element g of G on image tuples."""
@@ -177,20 +184,19 @@ class ActionContext:
 
     def map_images(self, code: int) -> tuple[int, ...]:
         """The image tuple of a map code."""
-        nx, ny = self.G.degree, self.K.degree
-        return tuple(code // nx ** (ny - 1 - y) % nx for y in range(ny))
+        nx = self.G.degree
+        return tuple([code // place % nx for place in self._places])
 
     def code_tables(self) -> list[list[int]]:
         """Each generator's move h -> g o h o T(g^-1) as a table indexed by map
         code.  As (g o h o T(g^-1))[T(g)(z)] = g(h[z]), source point z adds
         g(h[z]) * |X|^(|Y|-1-T(g)(z)) to the code of the moved map."""
-        nx, ny = self.G.degree, self.K.degree
         tables = []
         for g in self.G.generators:
             t = self.T(g).images
             table = [0]
-            for z in range(ny):
-                place = nx ** (ny - 1 - t[z])
+            for z in range(self.K.degree):
+                place = self._places[t[z]]
                 digits = [x * place for x in g.images]
                 table = [c + d for c in table for d in digits]
             tables.append(table)
@@ -292,8 +298,8 @@ def all_orbits(ctx: ActionContext) -> tuple[list[GeneralizedPermutant], dict[int
     """Partition the whole map space X^Y into orbits, with a size -> count census.
 
     The points are the codes 0 .. |X|^|Y| - 1 and each generator moves them
-    through its code table; ``_label_orbits`` gives every code its orbit id in
-    one pass.  Orbits are listed by their smallest code, which is their
+    through its code table; ``perm._label_orbits`` gives every code its orbit
+    id in one pass.  Orbits are listed by their smallest code, which is their
     lexicographically smallest member, smallest first; that member is also
     each orbit's canonical representative, and each orbit lists its codes in
     code order.  Closure is verified for all orbits at once: every table must
@@ -313,28 +319,6 @@ def all_orbits(ctx: ActionContext) -> tuple[list[GeneralizedPermutant], dict[int
     for o in orbits:
         census[len(o)] = census.get(len(o), 0) + 1
     return [GeneralizedPermutant._from_codes(ctx, o) for o in orbits], dict(sorted(census.items()))
-
-
-def _label_orbits(total: int, tables: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """The orbit id of every code 0 .. total - 1 under the code tables, and
-    the orbits' codes in code order, numbered by smallest code: one
-    breadth-first search over the tables from each code not yet labelled."""
-    orbit_id = [-1] * total
-    orbits: list[list[int]] = []
-    for start in range(total):
-        if orbit_id[start] < 0:
-            i = len(orbits)
-            orbit_id[start] = i
-            frontier = [start]
-            for c in frontier:
-                for table in tables:
-                    d = table[c]
-                    if orbit_id[d] < 0:
-                        orbit_id[d] = i
-                        frontier.append(d)
-            frontier.sort()
-            orbits.append(frontier)
-    return orbit_id, orbits
 
 
 def orbitals(ctx: ActionContext) -> list[tuple[tuple[int, int], ...]]:

@@ -1,6 +1,7 @@
 """Acceptance gate: one test per numbered criterion, every comparison exact,
-with the stated runtime budgets enforced, and beside them a budget for the
-largest automorphism group of the census.  Each test prints one line:
+with the stated runtime budgets enforced, and beside them budgets for the
+largest automorphism group of the census and for the subgraph isomorphism
+classes of K6.  Each test prints one line:
 
     ACCEPTANCE <n>: PASS - <summary>
 
@@ -38,7 +39,13 @@ from geneograph.geneo import (
     verify_equivariance,
     verify_nonexpansive,
 )
-from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group, induced_edge_permutation
+from geneograph.graph import (
+    complete_graph,
+    cycle_graph,
+    edge_automorphism_group,
+    induced_edge_permutation,
+    subgraph_isomorphism_classes,
+)
 from geneograph.perm import Homomorphism, Permutation, generate_group, parse_cycles
 from geneograph.permutant import (
     all_orbits,
@@ -246,3 +253,14 @@ def test_aut_k7_edge_group(tmp_path):
     assert set(generate_group(generators).elements) == set(elements)
     assert elapsed < 1.0, f"aut --edges on K7 took {elapsed:.3f}s"
     report("aut K7", f"the 5040 edge automorphisms of K7, with {len(generators)} generators, in {elapsed:.3f}s")
+
+
+def test_subgraph_classes_k6():
+    start = time.perf_counter()
+    classes = subgraph_isomorphism_classes(6)
+    elapsed = time.perf_counter() - start
+    # 156 graphs on six vertices (OEIS A000088), covering the 2^15 edge vectors once
+    assert len(classes) == 156
+    assert sum(map(len, classes)) == len({v for cls in classes for v in cls}) == 2**15
+    assert elapsed < 1.0, f"subgraph classes of K6 took {elapsed:.3f}s"
+    report("classes K6", f"the 32768 edge vectors of K6 in 156 isomorphism classes in {elapsed:.3f}s")

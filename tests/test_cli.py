@@ -655,6 +655,7 @@ GOLDEN = {
     ("codes", "--n", "4", "--format", "csv"): "f7281903056515c36b0e440719792a941b86ef198616a4149502fc3bdba9739d",
     ("codes", "--n", "4", "--analyze"): "cea702c93078394c51de76d625f48067ebde5c8f864fb56b68acf8ed218238aa",
     ("codes", "--n", "5"): "05cf0922182a3839830e1d0a65fd4f4eadbc8fa71a11f41d68f3ae25f5e444aa",
+    ("codes", "--n", "5", "--format", "csv"): "4f6c6e0c46fe11c711eaf696a42949ddf7126babca3c655b3185b31d0dbb2569",
     ("codes", "--n", "5", "--analyze"): "7b5e018076a519f71892a0798421ad4aec1399db0dca596e41645a587db6a60f",
     ("geneo", "decompose", "{c7_operator}"): "5ac3ccebb76c2f1b3670eec49fb4ad76ca289428addcefe8ee5ad9bbd3d68265",
 }

@@ -66,6 +66,22 @@ def test_table_range():
         build_code_table(6)
 
 
+@pytest.mark.parametrize("vector", [(1,), (0, 0, 0, 0, 0, 0, 1), (), (0, 0, 0, 0, 0, 2), (1, 0, 0, 0, 0, -1)])
+def test_row_for_rejects_a_vector_of_the_wrong_shape(vector):
+    # a short or long vector used to land silently on another row, and an
+    # entry outside 0/1 gave only int()'s own message
+    table = build_code_table(4)
+    with pytest.raises(ValueError, match=r"a vector of K_4 has 6 entries, each 0 or 1"):
+        table.row_for(vector)
+
+
+def test_row_for_indexes_rows_by_integer_code():
+    table = build_code_table(4)
+    for i, row in enumerate(table.rows):
+        assert table.row_for(row.vector) is row
+        assert row.vector == tuple(int(d) for d in format(i, "06b"))
+
+
 # findings
 
 
