@@ -17,6 +17,7 @@ tuples are built only for the rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -120,9 +121,17 @@ def build_code_table(n: int) -> CodeTable:
     those codes (``graph._subgraph_orbits``).  The scaled code of a vector is
     the integer count table |H| * coeffs times it, so it is built by doubling
     like the codes themselves: adding edge j to a vector adds column j.
+
+    Each table is built once per process and shared by every later call; it
+    holds only tuples in frozen dataclasses.
     """
     if not 3 <= n <= 5:
         raise ValueError(f"code tables support 3 <= n <= 5, got {n}")
+    return _code_table(n)
+
+
+@cache
+def _code_table(n: int) -> CodeTable:
     kn = complete_graph(n)
     edge_group = edge_automorphism_group(kn)
     permutant = _edge_transpositions(kn, edge_group)

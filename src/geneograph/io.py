@@ -4,6 +4,14 @@ Rationals serialize as plain integers when possible and "p/q" strings
 otherwise; permutations as cycle-product strings; mappings in the compact
 concatenated-label form whenever the target labels are single characters.
 All emitters order their output deterministically.
+
+Reading a group or a homomorphism builds and verifies it, so each reader
+remembers what it built, by the document's text, for the last
+``_REMEMBERED_DOCUMENTS`` documents: a process that reads the same documents
+again and again pays once.  A group's key holds the group cap whenever it
+closes generators, so a changed GENEO_MAX_GROUP takes effect.  Fields are
+validated before the lookup, so errors and their order are those of a first
+read, and a document that fails is never remembered.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from .perm import (
     Permutation,
     format_cycles,
     generate_group,
+    group_cap,
     group_from_elements,
     parse_cycles,
     trivial_group,
@@ -102,45 +111,79 @@ def _rational(value, field: str) -> Fraction:
 
 _CycleReader = Callable[[str, tuple[str, ...]], Permutation]
 
+# documents remembered by each reader below; past that many the oldest goes first
+_REMEMBERED_DOCUMENTS = 16
+_groups: dict[tuple, FiniteGroup] = {}
+_homomorphisms: dict[tuple, Homomorphism] = {}
+
+
+def _recall(memo: dict, key: tuple, read: Callable[[], object]):
+    """memo[key], read on a miss and remembered once the read succeeds."""
+    found = memo.get(key)
+    if found is None:
+        found = read()
+        if len(memo) >= _REMEMBERED_DOCUMENTS:
+            del memo[next(iter(memo))]
+        memo[key] = found
+    return found
+
 
 def _cycle_reader() -> _CycleReader:
     """parse_cycles for one document: each distinct (text, labels) pair is
     parsed once, so a homomorphism table and a repeated group reuse the
-    permutations read before them.  Each document gets a fresh reader, so
-    nothing read outlives it."""
+    permutations read before them.  Each document gets a fresh reader, so the
+    parsed permutations go with the document; only the groups and
+    homomorphisms remembered by ``_recall`` outlive it."""
     return functools.cache(parse_cycles)
 
 
-def _group_from_json(doc: MappingABC, parse: _CycleReader) -> FiniteGroup:
+def _group_from_json(doc: MappingABC, parse: _CycleReader) -> tuple[FiniteGroup, tuple]:
+    """The group a document states, and the key it is remembered by: its
+    labels, generator texts, element texts (None when it lists none) and, for a
+    closure of generators, the group cap."""
     _require_object(doc, "a group document")
     labels = tuple(_strings(_get(doc, "group", "labels"), "group field 'labels'"))
-    gens = [parse(t, labels) for t in _strings(doc.get("generators", []), "group field 'generators'")]
-    texts = _strings(doc["elements"], "group field 'elements'") if "elements" in doc else None
-    if texts is None:
-        return generate_group(gens) if gens else trivial_group(labels)
-    group = generate_group(gens) if gens else None
-    stated = [parse(text, labels) for text in texts]
-    if group is None:
-        return group_from_elements(stated)
-    if set(stated) != set(group.elements):
-        raise ValueError("stated elements do not match the closure of the generators")
-    return group
+    gen_texts = tuple(_strings(doc.get("generators", []), "group field 'generators'"))
+    gens = [parse(t, labels) for t in gen_texts]
+    texts = tuple(_strings(doc["elements"], "group field 'elements'")) if "elements" in doc else None
+    key = (labels, gen_texts, texts, group_cap() if gens else None)
+
+    def read() -> FiniteGroup:
+        if texts is None:
+            return generate_group(gens) if gens else trivial_group(labels)
+        group = generate_group(gens) if gens else None
+        stated = [parse(text, labels) for text in texts]
+        if group is None:
+            return group_from_elements(stated)
+        if set(stated) != set(group.elements):
+            raise ValueError("stated elements do not match the closure of the generators")
+        return group
+
+    return _recall(_groups, key, read), key
 
 
 def homomorphism_to_json(t: Homomorphism) -> list:
     return [[format_cycles(g), format_cycles(t(g))] for g in t.source.elements]
 
 
-def _homomorphism_from_json(doc, source: FiniteGroup, target: FiniteGroup, parse: _CycleReader) -> Homomorphism:
+def _homomorphism_from_json(
+    doc, source: FiniteGroup, target: FiniteGroup, group_keys: tuple, parse: _CycleReader
+) -> Homomorphism:
+    """The homomorphism a table of pairs states between two groups, remembered
+    by the groups' keys and the pair texts."""
     if not isinstance(doc, list) or not all(
         isinstance(pair, list) and len(pair) == 2 and all(isinstance(p, str) for p in pair)
         for pair in doc
     ):
         raise ValueError("a homomorphism must be an array of [element, image] cycle-string pairs")
-    pairs = [(parse(src, source.labels), parse(dst, target.labels)) for src, dst in doc]
-    if len(pairs) == source.order and {p for p, _ in pairs} == set(source.elements):
-        return Homomorphism(source, target, dict(pairs))
-    return Homomorphism.from_generator_images(source, target, pairs)
+
+    def read() -> Homomorphism:
+        pairs = [(parse(src, source.labels), parse(dst, target.labels)) for src, dst in doc]
+        if len(pairs) == source.order and {p for p, _ in pairs} == set(source.elements):
+            return Homomorphism(source, target, dict(pairs))
+        return Homomorphism.from_generator_images(source, target, pairs)
+
+    return _recall(_homomorphisms, (group_keys, tuple(map(tuple, doc))), read)
 
 
 def context_to_json(ctx: ActionContext) -> dict:
@@ -154,9 +197,9 @@ def context_to_json(ctx: ActionContext) -> dict:
 def context_from_json(doc: MappingABC) -> ActionContext:
     _require_object(doc, "a context document")
     parse = _cycle_reader()
-    g = _group_from_json(_get(doc, "context", "G"), parse)
-    k = _group_from_json(_get(doc, "context", "K"), parse)
-    return ActionContext(g, k, _homomorphism_from_json(_get(doc, "context", "T"), g, k, parse))
+    g, g_key = _group_from_json(_get(doc, "context", "G"), parse)
+    k, k_key = _group_from_json(_get(doc, "context", "K"), parse)
+    return ActionContext(g, k, _homomorphism_from_json(_get(doc, "context", "T"), g, k, (g_key, k_key), parse))
 
 
 def mapping_to_json(f: Mapping):
@@ -276,10 +319,13 @@ def pair_to_json(pair: PerceptionPair) -> dict:
     return {"space": space_to_json(pair.space), "group": group_to_json(pair.group)}
 
 
-def _pair_from_json(doc: MappingABC, parse: _CycleReader) -> PerceptionPair:
+def _pair_from_json(doc: MappingABC, parse: _CycleReader) -> tuple[PerceptionPair, tuple]:
+    """A perception pair, and the key its group is remembered by."""
     _require_object(doc, "a perception pair document")
-    space, group = (_get(doc, "perception pair", key) for key in ("space", "group"))
-    return PerceptionPair(space_from_json(space), _group_from_json(group, parse))
+    space_doc, group_doc = (_get(doc, "perception pair", key) for key in ("space", "group"))
+    space = space_from_json(space_doc)
+    group, key = _group_from_json(group_doc, parse)
+    return PerceptionPair(space, group), key
 
 
 def operator_to_json(op: LinearOperator) -> dict:
@@ -295,9 +341,11 @@ def operator_to_json(op: LinearOperator) -> dict:
 def operator_from_json(doc: MappingABC) -> LinearOperator:
     _require_object(doc, "an operator document")
     parse = _cycle_reader()
-    source = _pair_from_json(_get(doc, "operator", "source"), parse)
-    target = _pair_from_json(_get(doc, "operator", "target"), parse)
-    hom = _homomorphism_from_json(_get(doc, "operator", "homomorphism"), source.group, target.group, parse)
+    source, source_key = _pair_from_json(_get(doc, "operator", "source"), parse)
+    target, target_key = _pair_from_json(_get(doc, "operator", "target"), parse)
+    hom = _homomorphism_from_json(
+        _get(doc, "operator", "homomorphism"), source.group, target.group, (source_key, target_key), parse
+    )
     rows = _get(doc, "operator", "coeffs")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("operator field 'coeffs' must be an array of arrays")

@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Callable, Hashable, Iterable, Iterator, Mapping as MappingABC, Sequence
 
 DEFAULT_GROUP_CAP = math.factorial(10)
 
@@ -423,10 +424,11 @@ def group_from_elements(elements: Iterable[Permutation]) -> FiniteGroup:
     return FiniteGroup(tuple(elems), tuple(gens), ident)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Homomorphism:
     """A group homomorphism as a full table, verified at construction
-    (except by identity_on, whose table cannot fail).
+    (except by identity_on, whose table cannot fail).  The table is copied
+    into a read-only mapping, so a homomorphism never changes once built.
 
     The table must cover the source group, land in the target group and map
     the identity to the identity.  Multiplicativity is decided on the
@@ -438,9 +440,10 @@ class Homomorphism:
 
     source: FiniteGroup
     target: FiniteGroup
-    table: dict[Permutation, Permutation]
+    table: MappingABC[Permutation, Permutation]
 
     def __post_init__(self):
+        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
         if set(self.table) != set(self.source.elements):
             raise ValueError("homomorphism table must cover every source element")
         for v in self.table.values():
@@ -467,8 +470,9 @@ class Homomorphism:
         """The identity of a group: a homomorphism by construction, so its
         table is built directly and skips the check an outside table gets."""
         hom = cls.__new__(cls)
-        hom.source = hom.target = group
-        hom.table = {g: g for g in group.elements}
+        object.__setattr__(hom, "source", group)
+        object.__setattr__(hom, "target", group)
+        object.__setattr__(hom, "table", MappingProxyType({g: g for g in group.elements}))
         return hom
 
     @classmethod

@@ -79,7 +79,7 @@ def permutant_to_json(h: GeneralizedPermutant) -> dict:
 
 def group_from_json(doc) -> FiniteGroup:
     """One group document read on its own, with a fresh cycle reader."""
-    return docs._group_from_json(doc, docs._cycle_reader())
+    return docs._group_from_json(doc, docs._cycle_reader())[0]
 
 
 def cycles(p: Permutation, include_fixed: bool = False) -> list[list[int]]:

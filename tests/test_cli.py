@@ -11,7 +11,7 @@ import pytest
 import geneograph
 from geneograph import io as docs
 from geneograph.cli import main
-from geneograph.experiments import c6_c3_context, transposition_permutant
+from geneograph.experiments import _code_table, c6_c3_context, transposition_permutant
 from geneograph.geneo import from_measure, from_permutant, identity_operator
 from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group
 from geneograph.perception import PerceptionPair, full_space
@@ -734,6 +734,34 @@ def test_golden_symmetry_output(capsys, symmetry_files, argv):
     code, out, _ = run_cli(capsys, *[arg.format(**symmetry_files) for arg in argv])
     assert code == 0
     assert sha256(out) == GOLDEN_SYMMETRY[argv]
+
+
+@pytest.mark.parametrize("template", sorted(GOLDEN) + sorted(GOLDEN_SYMMETRY))
+def test_golden_output_again_from_the_memos(capsys, monkeypatch, c7_operator_file, symmetry_files, template):
+    """A second run in the same process prints the same bytes, and finds every
+    group, homomorphism and code table it reads already remembered."""
+    argv = [arg.format(c7_operator=c7_operator_file, **symmetry_files) for arg in template]
+    digest = {**GOLDEN, **GOLDEN_SYMMETRY}[template]
+    first = run_cli(capsys, *argv)
+    recalls, recall = [], docs._recall
+
+    def watched_recall(memo, key, read):
+        recalls.append(key in memo)
+        return recall(memo, key, read)
+
+    monkeypatch.setattr(docs, "_recall", watched_recall)
+    tables_before = _code_table.cache_info()
+    again = run_cli(capsys, *argv)
+    tables_after = _code_table.cache_info()
+    assert first == again
+    assert again[0] == 0 and sha256(again[1]) == digest
+    if argv[0] in ("orbits", "geneo"):
+        assert recalls and all(recalls)
+    else:
+        assert recalls == []
+    if argv[0] == "codes":
+        assert tables_after.hits == tables_before.hits + 1
+        assert tables_after.misses == tables_before.misses
 
 
 def test_usage_error_exit_code():

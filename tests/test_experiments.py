@@ -62,8 +62,14 @@ def test_scaled_codes_are_integers():
 
 
 def test_table_range():
-    with pytest.raises(ValueError):
-        build_code_table(6)
+    for n in (2, 6, 6):
+        with pytest.raises(ValueError, match=f"got {n}"):
+            build_code_table(n)
+
+
+def test_each_table_is_built_once():
+    assert build_code_table(4) is build_code_table(4)
+    assert build_code_table(3) is not build_code_table(4)
 
 
 @pytest.mark.parametrize("vector", [(1,), (0, 0, 0, 0, 0, 0, 1), (), (0, 0, 0, 0, 0, 2), (1, 0, 0, 0, 0, -1)])

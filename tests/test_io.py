@@ -13,8 +13,8 @@ from geneograph.perception import (
     full_space,
     measurement,
 )
-from geneograph.perm import generate_group, parse_cycles
-from geneograph.permutant import orbit, uniform_measure
+from geneograph.perm import CapExceededError, generate_group, parse_cycles
+from geneograph.permutant import endo_context, orbit, uniform_measure
 from helpers import group_from_json, permutant_to_json
 
 
@@ -112,3 +112,81 @@ def test_operator_roundtrip_with_constrained_pair():
     rebuilt = docs.operator_from_json(through_json(docs.operator_to_json(op)))
     assert rebuilt.coeffs == op.coeffs
     assert rebuilt.source.space.equations == pair.space.equations
+
+
+# -- the memo of group and homomorphism documents -------------------------------
+
+ABC = ("a", "b", "c")
+
+
+@pytest.fixture
+def empty_memos(monkeypatch):
+    """Fresh memos for one test, so earlier reads in the process do not count."""
+    monkeypatch.setattr(docs, "_groups", {})
+    monkeypatch.setattr(docs, "_homomorphisms", {})
+
+
+def rotation_context_doc(table_of_rotation) -> dict:
+    """An endo-context of the rotations of (a, b, c) whose T sends each
+    rotation r to table_of_rotation(r)."""
+    rot = generate_group([parse_cycles("(a,b,c)", ABC)])
+    doc = docs.context_to_json(endo_context(rot))
+    doc["T"] = [[g, table_of_rotation(g)] for g, _ in doc["T"]]
+    return doc
+
+
+def test_the_group_cap_is_part_of_the_key(empty_memos, monkeypatch):
+    s3 = generate_group([parse_cycles("(a,b,c)", ABC), parse_cycles("(a,b)", ABC)])
+    doc = through_json(docs.context_to_json(endo_context(s3)))
+    monkeypatch.delenv("GENEO_MAX_GROUP", raising=False)
+    first = docs.context_from_json(doc)
+    assert first.G == s3
+    monkeypatch.setenv("GENEO_MAX_GROUP", str(s3.order - 1))
+    with pytest.raises(CapExceededError, match=f"cap {s3.order - 1}"):
+        docs.context_from_json(doc)
+    monkeypatch.delenv("GENEO_MAX_GROUP")
+    assert docs.context_from_json(doc).G is first.G
+
+
+def test_a_failing_document_is_not_remembered(empty_memos):
+    group_doc = docs.group_to_json(generate_group([parse_cycles("(a,b)", ABC)]))
+    group_doc["elements"] = ["id"]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="stated elements do not match"):
+            group_from_json(group_doc)
+    assert docs._groups == {}
+    # the rotation by one step cannot go to the rotation by two steps and back
+    doc = rotation_context_doc(lambda g: "(a,c,b)" if g == "(a,b,c)" else g)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not multiplicative"):
+            docs.context_from_json(doc)
+    assert docs._homomorphisms == {}
+
+
+def test_the_memo_keeps_at_most_its_size_and_drops_the_oldest(empty_memos):
+    keys = []
+    for i in range(docs._REMEMBERED_DOCUMENTS + 3):
+        labels = [f"p{i}", f"q{i}"]
+        _, key = docs._group_from_json({"labels": labels, "generators": [f"(p{i},q{i})"]}, docs._cycle_reader())
+        keys.append(key)
+        assert len(docs._groups) == min(i + 1, docs._REMEMBERED_DOCUMENTS)
+    assert list(docs._groups) == keys[-docs._REMEMBERED_DOCUMENTS:]
+
+
+def test_different_tables_on_the_same_groups_are_distinct_entries(empty_memos):
+    inverse = {"id": "id", "(a,b,c)": "(a,c,b)", "(a,c,b)": "(a,b,c)"}
+    identity_ctx = docs.context_from_json(rotation_context_doc(lambda g: g))
+    inverse_ctx = docs.context_from_json(rotation_context_doc(inverse.__getitem__))
+    assert identity_ctx.G is inverse_ctx.G
+    assert identity_ctx.T.is_identity() and not inverse_ctx.T.is_identity()
+    assert {str(g): str(inverse_ctx.T(g)) for g in inverse_ctx.G} == inverse
+    assert len(docs._homomorphisms) == 2
+
+
+@pytest.mark.parametrize("field", ["generators", "elements"])
+def test_relabelings_with_the_same_texts_are_distinct_entries(empty_memos, field):
+    texts = {"generators": ["(a,b,c)"], "elements": ["id", "(a,b,c)", "(a,c,b)"]}[field]
+    groups = [group_from_json({"labels": list(labels), field: texts}) for labels in (ABC, ("b", "a", "c"))]
+    assert [g.labels for g in groups] == [ABC, ("b", "a", "c")]
+    assert groups[1].elements == generate_group([parse_cycles("(a,b,c)", ("b", "a", "c"))]).elements
+    assert len(docs._groups) == 2

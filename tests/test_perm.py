@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -496,3 +497,16 @@ def test_inconsistent_generator_images_rejected():
     # (A,B) has order 2 but a 3-cycle does not: no homomorphism sends one to the other
     with pytest.raises(ValueError):
         Homomorphism.from_generator_images(g, k, [(perm("(A,B)", ABCD), perm("(g,h,i)", ("g", "h", "i")))])
+
+
+def test_a_homomorphism_cannot_change_once_built():
+    g6, g3, t, alpha, *_ = d6_to_d3()
+    for hom in (t, Homomorphism.identity_on(g6)):
+        with pytest.raises(FrozenInstanceError):
+            hom.table = {}
+        with pytest.raises(TypeError):
+            hom.table[alpha] = alpha
+    table = dict(t.table)
+    built = Homomorphism(g6, g3, table)
+    table[alpha] = g3.identity
+    assert built.table == t.table and built(alpha) == t(alpha)
