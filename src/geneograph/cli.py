@@ -21,7 +21,7 @@ import io as stringio
 import json
 import sys
 from fractions import Fraction
-from itertools import takewhile
+from itertools import accumulate, takewhile
 
 from . import io as docs
 from .experiments import analyze_code_table, build_code_table, c6_c3_context
@@ -38,7 +38,7 @@ from .graph import edge_automorphism_group, parse_graph, vertex_automorphism_gro
 from .perm import CapExceededError, format_cycles, group_cap
 from .permutant import (
     GeneralizedPermutant,
-    all_orbits,
+    _partition,
     is_generalized_permutant,
     is_permutant_measure,
 )
@@ -99,19 +99,23 @@ def cmd_aut(args) -> dict:
 
 
 def _orbit_census(ctx, full: bool) -> dict:
-    """The orbit census of a context's map space, with canonical representatives."""
-    orbits, census = all_orbits(ctx)
-    form = docs.images_to_json(ctx.x_labels)
+    """The orbit census of a context's map space, with canonical
+    representatives: the first code of each orbit of the partition."""
+    codes, sizes = _partition(ctx)
+    form = docs.map_code_to_json(ctx)
+    starts = list(accumulate(sizes, initial=0))
     reps: dict[int, list] = {}
-    for o in orbits:
-        reps.setdefault(o.size, []).append(form(ctx.map_images(o.codes[0])))
+    for start, size in zip(starts, sizes):
+        reps.setdefault(size, []).append(form(codes[start]))
     payload = {
         "total": ctx.map_space_size(),
-        "census": {str(size): count for size, count in census.items()},
-        "representatives": {str(s): sorted(v) for s, v in sorted(reps.items())},
+        "census": {str(s): len(reps[s]) for s in sorted(reps)},
+        "representatives": {str(s): sorted(reps[s]) for s in sorted(reps)},
     }
     if full:
-        payload["orbits"] = [[form(ctx.map_images(c)) for c in o.codes] for o in orbits]
+        payload["orbits"] = [
+            [form(c) for c in codes[start : start + size]] for start, size in zip(starts, sizes)
+        ]
     return payload
 
 

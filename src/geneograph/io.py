@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Mapping as MappingABC, Sequence
 
 from .geneo import LinearOperator
@@ -208,12 +209,18 @@ def mapping_to_json(f: Mapping):
     return [f.target_labels[i] for i in f.images]
 
 
-def images_to_json(target_labels: Sequence[str]) -> Callable[[Sequence[int]], str | list]:
-    """mapping_to_json for image tuples into fixed target labels, with the
-    compact or list form decided once."""
-    if all(len(lab) == 1 for lab in target_labels):
-        return lambda images: "".join([target_labels[i] for i in images])
-    return lambda images: [target_labels[i] for i in images]
+def map_code_to_json(ctx: ActionContext) -> Callable[[int], str | list]:
+    """mapping_to_json for the maps of a context given by their codes, with
+    the compact or list form decided once.  A code's high and low base-|X|
+    digits are each looked up in a table of every digit string of that length
+    in code order, so formatting a map is two lookups and one concatenation."""
+    labels, nx, ny = ctx.x_labels, ctx.G.degree, ctx.K.degree
+    form = "".join if all(len(lab) == 1 for lab in labels) else list
+    low_digits = ny // 2
+    high = [form(t) for t in product(labels, repeat=ny - low_digits)]
+    low = [form(t) for t in product(labels, repeat=low_digits)]
+    place = nx**low_digits
+    return lambda code: high[code // place] + low[code % place]
 
 
 def mapping_from_json(doc, ctx: ActionContext) -> Mapping:

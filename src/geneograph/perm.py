@@ -11,9 +11,12 @@ hashable points (integer image tuples or map codes); labeled objects are built
 only for results.  When the points are all the integers 0 .. N - 1 and each
 generator's move is a lookup table over them, ``_label_orbits`` labels every
 point with its orbit in one pass instead; it is the one labeller behind the
-alpha-action census (``permutant.all_orbits``, on map codes) and the subgraph
-isomorphism classes (``graph.subgraph_isomorphism_classes``, on the integer
-codes of 0/1 edge vectors).  Groups are closed coset by coset instead (Dimino's
+alpha-action census (``permutant.all_orbits``, on map codes; the process
+remembers each partition by its integer structure, so relabeled copies of a
+context share it, at most 8 partitions at 4 bytes per map, and the map-space
+cap is checked on every call) and the subgraph isomorphism classes
+(``graph.subgraph_isomorphism_classes``, on the integer codes of 0/1 edge
+vectors).  Groups are closed coset by coset instead (Dimino's
 algorithm, as in G. Butler, *Fundamental Algorithms for Permutation Groups*,
 LNCS 559, 1991): ``generate_group`` and ``group_from_elements`` extend a
 closed subgroup by one generator at a time in ``_extend_by_cosets``.

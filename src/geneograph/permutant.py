@@ -4,12 +4,20 @@ permutants and permutant measures.
 
 Inside, a map Y -> X is an integer: its image tuple h read as a base-|X|
 numeral, sum h[y] * |X|^(|Y|-1-y), so that numeric order is lexicographic
-order of image tuples.  ``all_orbits`` labels every code with its orbit in
+order of image tuples.  ``_partition`` labels every code with its orbit in
 one pass, a breadth-first search over one lookup table per generator of G
 from each code not yet labelled (``perm._label_orbits``, the labeller the
-subgraph isomorphism classes share), and a ``GeneralizedPermutant`` holds the
-codes of its members in code order; labeled ``Mapping`` objects and the set
-of codes are built only when asked for.
+subgraph isomorphism classes share), and checks that every table keeps every
+orbit.  The partition depends on |X|, |Y| and the generators' images under g
+and T alone, not on labels, so it is remembered per process by that integer
+structure and relabeled copies of a context share it: the last
+``_REMEMBERED_PARTITIONS`` = 8 partitions, the least recently used dropped
+first, each as its codes in orbit order in one ``array('i')`` beside the
+orbit sizes (4 bytes per map).  The map-space cap is checked on every call,
+and a partition that fails the closure check raises its witness and is never
+remembered.  ``all_orbits`` builds on it, and a ``GeneralizedPermutant``
+holds the codes of its members in code order; labeled ``Mapping`` objects and
+the set of codes are built only when asked for.
 
 The action is built from G's generators alone, and permutants and measures
 share one invariance test, a set of maps being tested as its indicator
@@ -26,10 +34,12 @@ built from graphs, such as the transposition permutant of K_n, live in
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable, Iterable, Iterator, Mapping as MappingABC, Sequence
 
 from .perception import as_fraction
@@ -45,6 +55,8 @@ from .perm import (
 )
 
 DEFAULT_MAP_SPACE_CAP = 10**6
+# orbit partitions of map spaces kept in memory; the least recently used goes first
+_REMEMBERED_PARTITIONS = 8
 
 
 @dataclass(frozen=True)
@@ -124,8 +136,7 @@ class ActionContext:
     G acts on the target set X, K on the source set Y, and T : G -> K is a
     verified homomorphism.  Only the generators' moves on image tuples are
     built here, in ``moves`` in generator order; ``move`` builds any element's.
-    The place values of map codes are computed once, for decoding and for the
-    code tables.
+    The place values of map codes are computed once, for decoding.
     """
 
     G: FiniteGroup
@@ -186,21 +197,6 @@ class ActionContext:
         """The image tuple of a map code."""
         nx = self.G.degree
         return tuple([code // place % nx for place in self._places])
-
-    def code_tables(self) -> list[list[int]]:
-        """Each generator's move h -> g o h o T(g^-1) as a table indexed by map
-        code.  As (g o h o T(g^-1))[T(g)(z)] = g(h[z]), source point z adds
-        g(h[z]) * |X|^(|Y|-1-T(g)(z)) to the code of the moved map."""
-        tables = []
-        for g in self.G.generators:
-            t = self.T(g).images
-            table = [0]
-            for z in range(self.K.degree):
-                place = self._places[t[z]]
-                digits = [x * place for x in g.images]
-                table = [c + d for c in table for d in digits]
-            tables.append(table)
-        return tables
 
 
 def endo_context(group: FiniteGroup) -> ActionContext:
@@ -297,28 +293,75 @@ def orbit(f: Mapping | str, ctx: ActionContext) -> GeneralizedPermutant:
 def all_orbits(ctx: ActionContext) -> tuple[list[GeneralizedPermutant], dict[int, int]]:
     """Partition the whole map space X^Y into orbits, with a size -> count census.
 
-    The points are the codes 0 .. |X|^|Y| - 1 and each generator moves them
-    through its code table; ``perm._label_orbits`` gives every code its orbit
-    id in one pass.  Orbits are listed by their smallest code, which is their
-    lexicographically smallest member, smallest first; that member is also
-    each orbit's canonical representative, and each orbit lists its codes in
-    code order.  Closure is verified for all orbits at once: every table must
-    keep every code's orbit id.  Raises CapExceededError for a map space over
+    Orbits are listed by their smallest code, which is their lexicographically
+    smallest member, smallest first; that member is also each orbit's
+    canonical representative, and each orbit lists its codes in code order.
+    The partition comes from ``_partition``, which verifies closure for all
+    orbits at once.  Raises CapExceededError for a map space over
     DEFAULT_MAP_SPACE_CAP elements.
+    """
+    codes, sizes = _partition(ctx)
+    orbits = [
+        GeneralizedPermutant._from_codes(ctx, codes[start : start + size])
+        for start, size in zip(accumulate(sizes, initial=0), sizes)
+    ]
+    return orbits, dict(sorted(Counter(sizes).items()))
+
+
+def _partition(ctx: ActionContext) -> tuple[array, array]:
+    """The alpha-orbits of the map space as (codes, sizes): every code in
+    orbit order, each orbit in code order and the orbits by smallest code, and
+    the orbit sizes in the same order, so that an orbit's first code, its
+    canonical representative, sits at the sum of the sizes before it.
+
+    Raises CapExceededError for a map space over DEFAULT_MAP_SPACE_CAP
+    elements, and the witness of a partition that some generator's table does
+    not keep.  The arrays are shared by every caller with the same integer
+    structure and must not be changed.
     """
     total = ctx.map_space_size()
     if total > DEFAULT_MAP_SPACE_CAP:
         raise CapExceededError(f"map space has {total} elements, over the cap {DEFAULT_MAP_SPACE_CAP}")
-    tables = ctx.code_tables()
-    orbit_id, orbits = _label_orbits(total, tables)
-    for g, table in zip(ctx.G.generators, tables):
+    generators = tuple((g.images, ctx.T(g).images) for g in ctx.G.generators)
+    try:
+        return _code_partition(ctx.G.degree, ctx.K.degree, generators)
+    except _OpenPartition as exc:
+        c, i = exc.args
+        f = Mapping(ctx.y_labels, ctx.x_labels, ctx.map_images(c))
+        raise _escape_error(f, ctx.G.generators[i], ctx) from None
+
+
+class _OpenPartition(Exception):
+    """A partition that the table of generator i moves code c out of: (c, i)."""
+
+
+@lru_cache(maxsize=_REMEMBERED_PARTITIONS)
+def _code_partition(
+    nx: int, ny: int, generators: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+) -> tuple[array, array]:
+    """``_partition`` for maps from ny points to nx points under the
+    generators' image pairs (g, T(g)).  Each generator's move h -> g o h o
+    T(g^-1) becomes a table indexed by map code: as (g o h o T(g^-1))[T(g)(z)]
+    = g(h[z]), source point z adds g(h[z]) * |X|^(|Y|-1-T(g)(z)) to the code
+    of the moved map.  ``perm._label_orbits`` labels the codes, and closure is
+    checked for all orbits at once: every table must keep every code's orbit
+    id."""
+    tables = []
+    for g, t in generators:
+        table = [0]
+        for z in range(ny):
+            place = nx ** (ny - 1 - t[z])
+            digits = [x * place for x in g]
+            table = [c + d for c in table for d in digits]
+        tables.append(table)
+    orbit_id, orbits = _label_orbits(nx**ny, tables)
+    for i, table in enumerate(tables):
         if list(map(orbit_id.__getitem__, table)) != orbit_id:
-            c = next(c for c in range(total) if orbit_id[table[c]] != orbit_id[c])
-            raise _escape_error(Mapping(ctx.y_labels, ctx.x_labels, ctx.map_images(c)), g, ctx)
-    census: dict[int, int] = {}
+            raise _OpenPartition(next(c for c, d in enumerate(table) if orbit_id[d] != orbit_id[c]), i)
+    codes = array("i")
     for o in orbits:
-        census[len(o)] = census.get(len(o), 0) + 1
-    return [GeneralizedPermutant._from_codes(ctx, o) for o in orbits], dict(sorted(census.items()))
+        codes.fromlist(o)
+    return codes, array("i", map(len, orbits))
 
 
 def orbitals(ctx: ActionContext) -> list[tuple[tuple[int, int], ...]]:

@@ -1,7 +1,9 @@
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 
+from geneograph import permutant
 from geneograph.graph import Graph, graph
 from geneograph.perm import Homomorphism, generate_group, parse_cycles
 from geneograph.permutant import ActionContext
@@ -25,6 +27,16 @@ def dihedral_edge_context() -> ActionContext:
 @pytest.fixture(scope="session")
 def c6c3() -> ActionContext:
     return dihedral_edge_context()
+
+
+@pytest.fixture
+def empty_partition_memo(monkeypatch):
+    """A fresh orbit-partition memo for one test, so partitions remembered
+    earlier in the process do not count; the process's memo returns after it."""
+    memo = permutant._code_partition
+    fresh = lru_cache(maxsize=memo.cache_parameters()["maxsize"])(memo.__wrapped__)
+    monkeypatch.setattr(permutant, "_code_partition", fresh)
+    return fresh
 
 
 def _ring(n: int, offset: int = 0) -> list[tuple[int, int]]:

@@ -1,7 +1,8 @@
 """Acceptance gate: one test per numbered criterion, every comparison exact,
 with the stated runtime budgets enforced, and beside them budgets for the
 largest automorphism group of the census and for the subgraph isomorphism
-classes of K6.  Each test prints one line:
+classes of K6, and a relabeled C6 edge census that must reuse the partition of
+a cold one (at most a quarter of its time).  Each test prints one line:
 
     ACCEPTANCE <n>: PASS - <summary>
 
@@ -20,6 +21,7 @@ import pytest
 import test_properties
 from helpers import graph_document
 from test_permutant import burnside_orbit_count
+from geneograph import io as docs
 from geneograph.cli import main as cli_main
 from geneograph.experiments import (
     build_code_table,
@@ -221,7 +223,7 @@ def test_criterion_8_property_suites():
               f"scaling patterns, stabilizer fixtures in {elapsed:.3f}s")
 
 
-def test_criterion_9_c7_edge_census():
+def test_criterion_9_c7_edge_census(empty_partition_memo):
     ctx = endo_context(edge_automorphism_group(cycle_graph(7)))
     start = time.perf_counter()
     orbits, census = all_orbits(ctx)
@@ -230,6 +232,32 @@ def test_criterion_9_c7_edge_census():
     assert sum(size * count for size, count in census.items()) == 7**7
     assert elapsed < 5.0, f"C7 edge census took {elapsed:.3f}s"
     report(9, f"58999 orbits over the 823543 maps of the C7 edge set, as Burnside counts, in {elapsed:.3f}s")
+
+
+def test_orbits_reuse(tmp_path, empty_partition_memo):
+    paths = []
+    for i, labels in enumerate(("abcdef", "uvwxyz")):
+        ctx = endo_context(edge_automorphism_group(cycle_graph(6, edge_labels=labels)))
+        paths.append(tmp_path / f"c6-{i}.json")
+        paths[-1].write_text(json.dumps(docs.context_to_json(ctx)))
+    times, outs = [], []
+    for path in paths:
+        start = time.perf_counter()
+        code, out = run_cli("orbits", "--context", str(path))
+        times.append(time.perf_counter() - start)
+        assert code == 0
+        outs.append(json.loads(out))
+    cold, warm = times
+    assert outs[0]["census"] == outs[1]["census"]
+    assert sum(outs[0]["census"].values()) == 4003
+    # the renaming keeps label order, so it keeps the sorted order of representatives
+    rename = str.maketrans("abcdef", "uvwxyz")
+    assert outs[1]["representatives"] == {
+        size: [rep.translate(rename) for rep in reps] for size, reps in outs[0]["representatives"].items()
+    }
+    assert empty_partition_memo.cache_info().hits == 1
+    assert warm <= cold / 4, f"relabeled C6 orbits took {warm:.4f}s after a cold {cold:.4f}s"
+    report("orbits reuse", f"a relabeled C6 edge census in {warm:.4f}s after a cold {cold:.4f}s")
 
 
 def test_aut_k7_edge_group(tmp_path):

@@ -9,14 +9,14 @@ from pathlib import Path
 import pytest
 
 import geneograph
-from geneograph import io as docs
+from geneograph import io as docs, permutant
 from geneograph.cli import main
 from geneograph.experiments import _code_table, c6_c3_context, transposition_permutant
 from geneograph.geneo import from_measure, from_permutant, identity_operator
 from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group
 from geneograph.perception import PerceptionPair, full_space
-from geneograph.perm import trivial_group
-from geneograph.permutant import PermutantMeasure, endo_context, orbit
+from geneograph.perm import Homomorphism, trivial_group
+from geneograph.permutant import ActionContext, PermutantMeasure, all_orbits, endo_context, orbit
 
 from conftest import census_graph
 from helpers import graph_document, permutant_to_json
@@ -739,7 +739,8 @@ def test_golden_symmetry_output(capsys, symmetry_files, argv):
 @pytest.mark.parametrize("template", sorted(GOLDEN) + sorted(GOLDEN_SYMMETRY))
 def test_golden_output_again_from_the_memos(capsys, monkeypatch, c7_operator_file, symmetry_files, template):
     """A second run in the same process prints the same bytes, and finds every
-    group, homomorphism and code table it reads already remembered."""
+    group, homomorphism, code table and orbit partition it reads already
+    remembered."""
     argv = [arg.format(c7_operator=c7_operator_file, **symmetry_files) for arg in template]
     digest = {**GOLDEN, **GOLDEN_SYMMETRY}[template]
     first = run_cli(capsys, *argv)
@@ -751,8 +752,10 @@ def test_golden_output_again_from_the_memos(capsys, monkeypatch, c7_operator_fil
 
     monkeypatch.setattr(docs, "_recall", watched_recall)
     tables_before = _code_table.cache_info()
+    partitions_before = permutant._code_partition.cache_info()
     again = run_cli(capsys, *argv)
     tables_after = _code_table.cache_info()
+    partitions_after = permutant._code_partition.cache_info()
     assert first == again
     assert again[0] == 0 and sha256(again[1]) == digest
     if argv[0] in ("orbits", "geneo"):
@@ -762,6 +765,77 @@ def test_golden_output_again_from_the_memos(capsys, monkeypatch, c7_operator_fil
     if argv[0] == "codes":
         assert tables_after.hits == tables_before.hits + 1
         assert tables_after.misses == tables_before.misses
+    if argv[0] in ("orbits", "census-c6c3"):
+        assert partitions_after.hits == partitions_before.hits + 1
+        assert partitions_after.misses == partitions_before.misses
+    else:
+        assert partitions_after == partitions_before
+
+
+# -- orbit censuses against the formatter of image tuples ------------------------
+
+
+def trivial_context(x_labels, y_labels) -> ActionContext:
+    g, k = trivial_group(x_labels), trivial_group(y_labels)
+    return ActionContext(g, k, Homomorphism.from_generator_images(g, k, []))
+
+
+CENSUS_CONTEXTS = {
+    "c6c3": c6_c3_context,
+    "c5-endo": lambda: endo_context(edge_automorphism_group(cycle_graph(5))),
+    "k4-endo": lambda: endo_context(edge_automorphism_group(complete_graph(4))),
+    "empty-x": lambda: trivial_context((), ("p", "q")),
+    "empty-y": lambda: trivial_context(("a", "b"), ()),
+    "multi-character": lambda: endo_context(
+        edge_automorphism_group(cycle_graph(4, edge_labels=("e1", "e2", "e3", "e4")))
+    ),
+}
+
+
+def reference_form(target_labels):
+    """Image tuple -> compact string or label list, the form decided once."""
+    if all(len(lab) == 1 for lab in target_labels):
+        return lambda images: "".join([target_labels[i] for i in images])
+    return lambda images: [target_labels[i] for i in images]
+
+
+def reference_census(ctx, full: bool) -> dict:
+    """The orbit census payload, every map decoded to its image tuple."""
+    orbits, census = all_orbits(ctx)
+    form = reference_form(ctx.x_labels)
+    reps: dict[int, list] = {}
+    for o in orbits:
+        reps.setdefault(o.size, []).append(form(ctx.map_images(o.codes[0])))
+    payload = {
+        "total": ctx.map_space_size(),
+        "census": {str(size): count for size, count in census.items()},
+        "representatives": {str(s): sorted(v) for s, v in sorted(reps.items())},
+    }
+    if full:
+        payload["orbits"] = [[form(ctx.map_images(c)) for c in o.codes] for o in orbits]
+    return payload
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_CONTEXTS))
+def test_map_codes_print_as_their_image_tuples(name):
+    ctx = CENSUS_CONTEXTS[name]()
+    form, reference = docs.map_code_to_json(ctx), reference_form(ctx.x_labels)
+    codes = range(ctx.map_space_size())
+    assert [form(c) for c in codes] == [reference(ctx.map_images(c)) for c in codes]
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["census", "full"])
+@pytest.mark.parametrize("name", sorted(CENSUS_CONTEXTS))
+def test_orbit_census_prints_the_reference(tmp_path, capsys, name, full):
+    ctx = CENSUS_CONTEXTS[name]()
+    path = write_json(tmp_path / "ctx.json", docs.context_to_json(ctx))
+    code, out, err = run_cli(capsys, "orbits", *(["--full"] if full else []), "--context", path)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(reference_census(ctx, full), separators=(",", ":")) + "\n"
+    if name == "empty-x" and full:
+        assert out == '{"total":0,"census":{},"representatives":{},"orbits":[]}\n'
+    if name == "empty-y":
+        assert '"representatives":{"1":[""]}' in out
 
 
 def test_usage_error_exit_code():

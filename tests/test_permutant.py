@@ -16,8 +16,17 @@ from geneograph.experiments import (
     transposition_permutant,
 )
 from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group
-from geneograph.perm import CapExceededError, compose, format_cycles, orbit_partition, parse_cycles
+from geneograph.perm import (
+    CapExceededError,
+    Homomorphism,
+    compose,
+    format_cycles,
+    generate_group,
+    orbit_partition,
+    parse_cycles,
+)
 from geneograph.permutant import (
+    ActionContext,
     GeneralizedPermutant,
     Mapping,
     PermutantMeasure,
@@ -312,7 +321,7 @@ def test_membership_needs_a_mapping_of_the_context(c6c3):
     assert Mapping(("x", "y", "z"), f.target_labels, f.images) not in o
 
 
-def test_all_orbits_rejects_a_partition_that_is_not_closed(c6c3, monkeypatch):
+def test_all_orbits_rejects_a_partition_that_is_not_closed(c6c3, monkeypatch, empty_partition_memo):
     def singletons(total, tables):
         """Every code its own orbit."""
         return list(range(total)), [[c] for c in range(total)]
@@ -320,6 +329,93 @@ def test_all_orbits_rejects_a_partition_that_is_not_closed(c6c3, monkeypatch):
     monkeypatch.setattr(permutant, "_label_orbits", singletons)
     with pytest.raises(ValueError, match=r"not alpha-closed: alpha\(.*, aaa\) = .* escapes"):
         all_orbits(c6c3)
+
+
+# the partition memo
+
+
+def orbits_output(ctx, tmp_path, capsys, *flags) -> str:
+    path = tmp_path / "ctx.json"
+    path.write_text(json.dumps(docs.context_to_json(ctx)))
+    assert cli_main(["orbits", *flags, "--context", str(path)]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [(), ("--full",)], ids=["census", "full"])
+def test_relabeled_contexts_share_one_partition(tmp_path, capsys, empty_partition_memo, flags):
+    first, second = (
+        endo_context(edge_automorphism_group(cycle_graph(5, edge_labels=labels)))
+        for labels in ("abcde", ("e1", "e2", "e3", "e4", "e5"))
+    )
+    out_first = orbits_output(first, tmp_path, capsys, *flags)
+    out_second = orbits_output(second, tmp_path, capsys, *flags)
+    info = empty_partition_memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert "e1" in out_second and "e1" not in out_first
+    empty_partition_memo.cache_clear()
+    assert orbits_output(second, tmp_path, capsys, *flags) == out_second
+    assert empty_partition_memo.cache_info().misses == 1
+
+
+def test_the_same_group_under_another_homomorphism_is_another_entry(c6c3, empty_partition_memo):
+    endo = endo_context(c6c3.G)
+    for ctx in (c6c3, endo, c6c3, endo):
+        all_orbits(ctx)
+    info = empty_partition_memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+    assert all_orbits(c6c3)[1] == {2: 1, 4: 1, 6: 5, 12: 15}
+    assert sum(all_orbits(endo)[1].values()) == burnside_orbit_count(endo)
+    # the same G, X and Y, with T the identity or the inversion of the rotations of three points
+    r = parse_cycles("(a,b,c)", ("a", "b", "c"))
+    rotations = generate_group([r])
+    inversion = Homomorphism.from_generator_images(rotations, rotations, [(r, r.inverse())])
+    fixed = [
+        [o.representative().compact() for o in all_orbits(ctx)[0] if o.size == 1]
+        for ctx in (endo_context(rotations), ActionContext(rotations, rotations, inversion))
+    ]
+    assert fixed == [["abc", "bca", "cab"], ["acb", "bac", "cba"]]
+    assert empty_partition_memo.cache_info().currsize == 4
+
+
+def test_a_partition_that_is_not_closed_is_never_remembered(c6c3, monkeypatch, empty_partition_memo):
+    calls = []
+
+    def singletons(total, tables):
+        calls.append(total)
+        return list(range(total)), [[c] for c in range(total)]
+
+    monkeypatch.setattr(permutant, "_label_orbits", singletons)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"not alpha-closed: alpha\(\(a,b,c,d,e,f\), aaa\) = bbb escapes"):
+            all_orbits(c6c3)
+    assert calls == [216, 216]
+    assert empty_partition_memo.cache_info().currsize == 0
+
+
+def test_the_memo_drops_the_least_recently_used_partition(empty_partition_memo):
+    contexts = [
+        setwise_stabilizer_context("abcd"[:nx], "abcd"[:ny]) for nx in (2, 3, 4) for ny in range(1, nx + 1)
+    ]
+    assert len(contexts) == permutant._REMEMBERED_PARTITIONS + 1
+    for ctx in contexts[:-1]:
+        all_orbits(ctx)
+    all_orbits(contexts[0])
+    all_orbits(contexts[-1])
+    info = empty_partition_memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 9, permutant._REMEMBERED_PARTITIONS)
+    all_orbits(contexts[0])
+    assert empty_partition_memo.cache_info().hits == 2
+    all_orbits(contexts[1])
+    assert empty_partition_memo.cache_info().misses == 10
+
+
+def test_the_cap_is_checked_before_the_memo(empty_partition_memo, monkeypatch):
+    ctx = endo_context(edge_automorphism_group(cycle_graph(5)))
+    all_orbits(ctx)
+    monkeypatch.setattr(permutant, "DEFAULT_MAP_SPACE_CAP", 5**5 - 1)
+    with pytest.raises(CapExceededError, match="map space has 3125 elements, over the cap 3124"):
+        all_orbits(ctx)
+    assert empty_partition_memo.cache_info().hits == 0
 
 
 # orbitals
