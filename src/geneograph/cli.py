@@ -34,7 +34,7 @@ from .geneo import (
     verify_equivariance,
     verify_nonexpansive,
 )
-from .graph import edge_automorphism_group, parse_graph, vertex_automorphism_group
+from .graph import _automorphism_group_images, parse_graph
 from .perm import CapExceededError, format_cycles, group_cap
 from .permutant import (
     GeneralizedPermutant,
@@ -93,9 +93,7 @@ def _vector_string(vec) -> str:
 
 
 def cmd_aut(args) -> dict:
-    g = parse_graph(_load(args.graph))
-    group = edge_automorphism_group(g) if args.edges else vertex_automorphism_group(g)
-    return docs.group_to_json(group)
+    return docs.group_images_to_json(*_automorphism_group_images(parse_graph(_load(args.graph)), args.edges))
 
 
 def _orbit_census(ctx, full: bool) -> dict:

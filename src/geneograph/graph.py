@@ -1,4 +1,7 @@
-"""Simple undirected graphs, automorphism groups, and induced edge permutations."""
+"""Simple undirected graphs, automorphism groups, and induced edge permutations.
+
+The automorphism search yields image tuples in lexicographic order, and the
+groups are checked and given greedy generators on those tuples."""
 
 from __future__ import annotations
 
@@ -11,9 +14,10 @@ from .perm import (
     CapExceededError,
     FiniteGroup,
     Permutation,
+    _group_images,
+    _group_of_images,
     _label_orbits,
-    group_from_elements,
-    trivial_group,
+    group_cap,
 )
 
 DEFAULT_VERTEX_CAP = 10
@@ -68,13 +72,6 @@ class Graph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def adjacency(self) -> list[list[bool]]:
-        n = self.n_vertices
-        adj = [[False] * n for _ in range(n)]
-        for u, v in self.edges:
-            adj[u][v] = adj[v][u] = True
-        return adj
 
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n_vertices
@@ -179,40 +176,59 @@ def cycle_graph(
     return Graph(vertices, pairs, labels)
 
 
-def _automorphism_images(g: Graph) -> list[tuple[int, ...]]:
-    """Image tuples of all adjacency-preserving vertex permutations, in
-    lexicographic order, by backtracking with degree pruning."""
+def vertex_automorphism_group(g: Graph) -> FiniteGroup:
+    """The group of all adjacency-preserving vertex permutations."""
+    return _group_of_images(*_automorphism_group_images(g, edges=False))
+
+
+def _automorphism_group_images(g: Graph, edges: bool) -> tuple[tuple[str, ...], list, list]:
+    """The labels, sorted element images and greedy generator images of the
+    vertex automorphism group, or of its image on the edges, de-duplicated.
+
+    The search backtracks with degree pruning on one adjacency bitmask per
+    vertex: v may go to an unused w of its degree exactly when w's neighbours
+    among the images taken so far are the images of v's earlier neighbours.
+    Candidates go in increasing order, so the images come out sorted.  Edge
+    ids are read from a flat table at u * n + v.  Raises CapExceededError
+    past 10 vertices or group_cap() automorphisms.
+    """
+    labels = g.edge_labels if edges else g.vertex_labels
+    if edges and not g.edges:
+        return labels, [()], []
     n = g.n_vertices
     if n > DEFAULT_VERTEX_CAP:
         raise CapExceededError(f"{n} vertices exceeds the automorphism-search cap {DEFAULT_VERTEX_CAP}")
-    adj = g.adjacency()
-    deg = g.degrees()
-    images = [-1] * n
-    used = [False] * n
-    found: list[tuple[int, ...]] = []
+    nbr = [0] * n
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    deg, cap = g.degrees(), group_cap()
+    candidates = [[w for w in range(n) if deg[w] == deg[v]] for v in range(n)]
+    earlier = [[u for u in range(v) if nbr[v] >> u & 1] for v in range(n)]
+    images, found = [-1] * n, []
 
-    def backtrack(v: int):
+    def backtrack(v: int, used: int):
         if v == n:
             found.append(tuple(images))
+            if len(found) > cap:
+                raise CapExceededError(f"automorphism search exceeded the group cap {cap} (GENEO_MAX_GROUP)")
             return
-        for w in range(n):
-            if used[w] or deg[w] != deg[v]:
-                continue
-            if all(adj[v][u] == adj[w][images[u]] for u in range(v)):
+        want = 0
+        for u in earlier[v]:
+            want |= 1 << images[u]
+        for w in candidates[v]:
+            if not used >> w & 1 and nbr[w] & used == want:
                 images[v] = w
-                used[w] = True
-                backtrack(v + 1)
-                used[w] = False
-        images[v] = -1
+                backtrack(v + 1, used | 1 << w)
 
-    backtrack(0)
-    return found
-
-
-def vertex_automorphism_group(g: Graph) -> FiniteGroup:
-    """The group of all adjacency-preserving vertex permutations."""
-    autos = _automorphism_images(g)
-    return group_from_elements([Permutation(im, g.vertex_labels) for im in autos])
+    backtrack(0, 0)
+    del backtrack  # the function refers to itself: let it go now, not at the next collection
+    if edges:
+        edge_id = [0] * (n * n)
+        for i, (u, v) in enumerate(g.edges):
+            edge_id[u * n + v] = edge_id[v * n + u] = i
+        found = {tuple([edge_id[vp[u] * n + vp[v]] for u, v in g.edges]) for vp in found}
+    return labels, *_group_images(found, labels)
 
 
 def induced_edge_permutation(g: Graph, vp: Permutation) -> Permutation:
@@ -235,15 +251,7 @@ def induced_edge_permutation(g: Graph, vp: Permutation) -> Permutation:
 
 def edge_automorphism_group(g: Graph) -> FiniteGroup:
     """Image of the vertex automorphism group on the edge set, de-duplicated."""
-    if g.n_edges == 0:
-        return trivial_group(())
-    edge_index = {pair: i for i, pair in enumerate(g.edges)}
-    edge_index.update({(v, u): i for (u, v), i in edge_index.items()})
-    induced = {
-        tuple([edge_index[vp[u], vp[v]] for u, v in g.edges])
-        for vp in _automorphism_images(g)
-    }
-    return group_from_elements([Permutation(im, g.edge_labels) for im in induced])
+    return _group_of_images(*_automorphism_group_images(g, edges=True))
 
 
 def subgraph_isomorphism_classes(n: int) -> list[list[tuple[int, ...]]]:

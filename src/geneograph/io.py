@@ -33,7 +33,7 @@ from .perm import (
     FiniteGroup,
     Homomorphism,
     Permutation,
-    format_cycles,
+    _format_cycles,
     generate_group,
     group_cap,
     group_from_elements,
@@ -64,10 +64,15 @@ def measurement_from_json(doc, domain=None) -> Measurement:
 
 
 def group_to_json(g: FiniteGroup) -> dict:
+    return group_images_to_json(g.labels, [p.images for p in g.elements], [s.images for s in g.generators])
+
+
+def group_images_to_json(labels: tuple[str, ...], elements: Sequence, generators: Sequence) -> dict:
+    """group_to_json of a group given by the image tuples of its elements and generators."""
     return {
-        "labels": list(g.labels),
-        "generators": [format_cycles(p) for p in g.generators],
-        "elements": [format_cycles(p) for p in g.elements],
+        "labels": list(labels),
+        "generators": [_format_cycles(s, labels) for s in generators],
+        "elements": [_format_cycles(p, labels) for p in elements],
     }
 
 
@@ -164,7 +169,8 @@ def _group_from_json(doc: MappingABC, parse: _CycleReader) -> tuple[FiniteGroup,
 
 
 def homomorphism_to_json(t: Homomorphism) -> list:
-    return [[format_cycles(g), format_cycles(t(g))] for g in t.source.elements]
+    source, target, table = t.source.labels, t.target.labels, t.table
+    return [[_format_cycles(g.images, source), _format_cycles(table[g].images, target)] for g in t.source.elements]
 
 
 def _homomorphism_from_json(

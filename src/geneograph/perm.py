@@ -5,27 +5,25 @@ full element lists (canonically ordered), and homomorphisms as full tables
 verified at construction.  No Schreier-Sims machinery.
 
 ``closure`` is the breadth-first search behind homomorphism extension and
-the orbit enumerations on hashable points: coordinate orbits, single orbits
-of the alpha action, orbitals and conjugation orbits.  It works on plain
-hashable points (integer image tuples or map codes); labeled objects are built
-only for results.  When the points are all the integers 0 .. N - 1 and each
-generator's move is a lookup table over them, ``_label_orbits`` labels every
-point with its orbit in one pass instead; it is the one labeller behind the
-alpha-action census (``permutant.all_orbits``, on map codes; the process
-remembers each partition by its integer structure, so relabeled copies of a
-context share it, at most 8 partitions at 4 bytes per map, and the map-space
-cap is checked on every call) and the subgraph isomorphism classes
-(``graph.subgraph_isomorphism_classes``, on the integer codes of 0/1 edge
-vectors).  Groups are closed coset by coset instead (Dimino's
-algorithm, as in G. Butler, *Fundamental Algorithms for Permutation Groups*,
-LNCS 559, 1991): ``generate_group`` and ``group_from_elements`` extend a
-closed subgroup by one generator at a time in ``_extend_by_cosets``.
-"""
+the orbit enumerations on hashable points (integer image tuples or map
+codes): coordinate orbits, single orbits of the alpha action, orbitals and
+conjugation orbits.  When the points are the integers 0 .. N - 1 and each
+generator's move is a lookup table, ``_label_orbits`` labels every point with
+its orbit in one pass instead: the alpha-action census on map codes
+(``permutant.all_orbits``, remembered per process by integer structure) and
+the subgraph classes on edge-vector codes.  Groups are closed coset by coset
+(Dimino's algorithm, as in G. Butler, *Fundamental Algorithms for Permutation
+Groups*, LNCS 559, 1991) in ``_extend_by_cosets``: from generators by
+``generate_group``, and for an element set of image tuples by
+``_group_images``, which checks the set and picks greedy generators.  It is
+the core of ``group_from_elements`` and of the graph automorphism groups,
+which ``aut`` prints straight from image tuples with ``_format_cycles``."""
 
 from __future__ import annotations
 
 import math
 import os
+from operator import itemgetter
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Iterator, Mapping as MappingABC, Sequence
@@ -165,7 +163,11 @@ def parse_cycles(text: str, labels: Sequence[str]) -> Permutation:
 def format_cycles(p: Permutation) -> str:
     """Inverse of parse_cycles: disjoint cycles, each from its smallest index
     and in order of that index, fixed points omitted, identity as "id"."""
-    images, labels = p.images, p.labels
+    return _format_cycles(p.images, p.labels)
+
+
+def _format_cycles(images: Sequence[int], labels: Sequence[str]) -> str:
+    """format_cycles of the permutation with these images over these labels."""
     seen = [False] * len(images)
     cycles = []
     for start, image in enumerate(images):
@@ -261,9 +263,7 @@ def _left_multiplication(a: tuple[int, ...]) -> Callable[[tuple[int, ...]], tupl
     return lambda p: tuple([a[i] for i in p])
 
 
-def _extend_by_cosets(
-    elements: list[tuple[int, ...]], found: set, generators: Sequence[tuple[int, ...]], cap: int
-) -> None:
+def _extend_by_cosets(elements: list[tuple[int, ...]], found: set, generators: Sequence[tuple], cap: int) -> None:
     """Grow a closed subgroup H, listed in ``elements`` and held in ``found``,
     in place to the group that the generators generate; they include H's own.
 
@@ -271,17 +271,19 @@ def _extend_by_cosets(
     its whole left coset x o H, and x becomes a leader.  As t o (r o H) is again
     a left coset, the leaders, from the identity on, reach every coset.  Raises
     CapExceededError, before composing it, when a coset would take the group
-    past cap elements.
+    past cap elements.  Each x o h is read off x by one ``itemgetter(*h)``.
     """
-    subgroup = elements[:]
-    leaders = [tuple(range(len(subgroup[0])))]
+    if len(elements[0]) < 2:
+        return  # the identity is all there is, and itemgetter(i) returns no tuple
+    subgroup = [itemgetter(*h) for h in elements]
+    leaders = [tuple(range(len(elements[0])))]
     for r in leaders:
         for t in generators:
             x = tuple([t[i] for i in r])
             if x not in found:
                 if len(elements) + len(subgroup) > cap:
                     raise CapExceededError(f"group closure exceeded cap {cap}")
-                coset = [tuple([x[i] for i in h]) for h in subgroup]
+                coset = [h(x) for h in subgroup]
                 elements += coset
                 found.update(coset)
                 leaders.append(x)
@@ -312,11 +314,11 @@ class FiniteGroup:
     Elements are sorted lexicographically by image array so that every
     downstream enumeration (orbits, censuses, witnesses) is deterministic.
 
-    Invariant: ``generators`` generate ``elements``.  The only builders,
-    ``generate_group`` and ``group_from_elements``, guarantee it, and the
-    homomorphism, equivariance, closure and invariance checks rely on it to
-    decide a property of the whole group on the generators alone, and to name
-    a generator as the witness when it fails.
+    Invariant: ``generators`` generate ``elements``.  The builders below
+    guarantee it, the graph groups through ``_group_images``; the homomorphism,
+    equivariance, closure and invariance checks rely on it to decide a
+    property of the whole group on the generators alone, and to name a
+    generator as the witness when it fails.
     """
 
     elements: tuple[Permutation, ...]
@@ -376,45 +378,50 @@ def generate_group(generators: Iterable[Permutation]) -> FiniteGroup:
     for i, g in enumerate(gens):
         if g.images not in found:
             _extend_by_cosets(elements, found, [s.images for s in gens[: i + 1]], cap)
-    ordered = tuple(Permutation(images, lab) for images in sorted(elements))
-    return FiniteGroup(ordered, tuple(gens), ident)
+    return _group_of_images(lab, sorted(elements), [g.images for g in gens])
 
 
 def trivial_group(labels: Sequence[str]) -> FiniteGroup:
     """The one-element group on the given labels, with no generators."""
-    ident = identity(len(labels), tuple(labels))
-    return FiniteGroup((ident,), (), ident)
+    return _group_of_images(tuple(labels), [tuple(range(len(labels)))], [])
 
 
 def group_from_elements(elements: Iterable[Permutation]) -> FiniteGroup:
-    """Wrap an explicit element set as a FiniteGroup, with a small greedy generating set.
-
-    The elements must share one labeled domain.  Each element, in order, that
-    lies outside the subgroup generated so far becomes a generator and extends
-    that subgroup by its cosets, capped at the number of elements.  The
-    elements form a group exactly when the last extension ends at them.  When
-    it does not, some greedy generator s takes some element p out of the set,
-    as a set that holds the identity and is closed under every s holds the
-    group they generate; the error names the first such p in element order
-    and, for it, the first such s.
-    """
+    """Wrap an explicit element set of one labeled domain as a FiniteGroup,
+    with the small greedy generating set that ``_group_images`` picks."""
     elems = sorted(set(elements), key=lambda p: p.images)
-    if not elems:
-        raise ValueError("a group needs at least the identity")
-    lab = elems[0].labels
+    lab = elems[0].labels if elems else ()
     for p in elems:
         _require_labels(p, lab)
-    ident = identity(len(lab), lab)
-    if ident not in elems:
+    _, gens = _group_images([p.images for p in elems], lab)
+    return FiniteGroup(tuple(elems), tuple(Permutation(s, lab) for s in gens), elems[0])
+
+
+def _group_images(elements: Iterable[tuple[int, ...]], labels: tuple[str, ...]) -> tuple[list, list]:
+    """An explicit element set of image tuples over the labels, checked to be a
+    group: the elements in increasing order and a small greedy generating set.
+
+    Each element, in order, that lies outside the subgroup generated so far
+    becomes a generator and extends that subgroup by its cosets, capped at the
+    number of elements.  The elements form a group exactly when the last
+    extension ends at them.  When it does not, some greedy generator s takes
+    some element p out of the set, as a set that holds the identity and is
+    closed under every s holds the group they generate; the error names the
+    first such p in element order and, for it, the first such s.
+    """
+    members = set(elements)
+    elems = sorted(members)
+    if not elems:
+        raise ValueError("a group needs at least the identity")
+    ident = tuple(range(len(labels)))
+    if elems[0] != ident:  # the identity is the smallest permutation
         raise ValueError("element set lacks the identity")
-    gens: list[Permutation] = []
-    have, found = [ident.images], {ident.images}
-    members = {p.images for p in elems}
+    gens, have, found = [], [ident], {ident}
     try:
         for p in elems:
-            if p.images not in found:
+            if p not in found:
                 gens.append(p)
-                _extend_by_cosets(have, found, [s.images for s in gens], len(elems))
+                _extend_by_cosets(have, found, gens, len(elems))
                 if len(have) == len(elems):
                     break
         closed = found == members
@@ -422,9 +429,15 @@ def group_from_elements(elements: Iterable[Permutation]) -> FiniteGroup:
         # the generators make more elements than the set holds
         closed = False
     if not closed:
-        p, s = next((p, s) for p in elems for s in gens if tuple([s.images[i] for i in p.images]) not in members)
-        raise ValueError(f"element set not closed under composition at {s}, {p}")
-    return FiniteGroup(tuple(elems), tuple(gens), ident)
+        p, s = next((p, s) for p in elems for s in gens if tuple([s[i] for i in p]) not in members)
+        raise ValueError(f"element set not closed under composition at {Permutation(s, labels)}, {Permutation(p, labels)}")
+    return elems, gens
+
+
+def _group_of_images(labels: tuple[str, ...], elements: Sequence[tuple], generators: Sequence[tuple]) -> FiniteGroup:
+    """The FiniteGroup of ``_group_images``' result, every element a validated Permutation."""
+    ordered = tuple(Permutation(images, labels) for images in elements)
+    return FiniteGroup(ordered, tuple(Permutation(s, labels) for s in generators), ordered[0])
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from geneograph import io as docs, permutant
 from geneograph.cli import main
 from geneograph.experiments import _code_table, c6_c3_context, transposition_permutant
 from geneograph.geneo import from_measure, from_permutant, identity_operator
-from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group
+from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group, graph
 from geneograph.perception import PerceptionPair, full_space
 from geneograph.perm import Homomorphism, trivial_group
 from geneograph.permutant import ActionContext, PermutantMeasure, all_orbits, endo_context, orbit
@@ -119,6 +119,42 @@ def test_aut_command(tmp_path, capsys):
     assert sorted(payload["elements"]) == sorted(["id", "(A,C)", "(B,D)", "(A,C)(B,D)"])
     code, out, _ = run_cli(capsys, "aut", path, "--edges")
     assert json.loads(out)["labels"] == ["p", "q", "r", "s", "t"]
+
+
+@pytest.mark.parametrize(
+    "doc, edges, expected",
+    [
+        ({"vertices": ["A"], "edges": []}, False, {"labels": ["A"], "generators": [], "elements": ["id"]}),
+        ({"vertices": ["A"], "edges": []}, True, {"labels": [], "generators": [], "elements": ["id"]}),
+        (
+            {"vertices": ["A", "B"], "edges": [{"label": "p", "ends": ["A", "B"]}]},
+            True,
+            {"labels": ["p"], "generators": [], "elements": ["id"]},
+        ),
+        ({"vertices": ["A", "B", "C"], "edges": []}, True, {"labels": [], "generators": [], "elements": ["id"]}),
+    ],
+    ids=["one-vertex", "one-vertex-edges", "single-edge-edges", "edgeless-edges"],
+)
+def test_aut_on_groups_of_degree_at_most_one(tmp_path, capsys, doc, edges, expected):
+    path = write_json(tmp_path / "g.json", doc)
+    code, out, err = run_cli(capsys, "aut", path, *(["--edges"] if edges else []))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == expected
+
+
+@pytest.mark.parametrize("edges", [False, True])
+def test_aut_stops_at_the_group_cap(tmp_path, capsys, monkeypatch, edges):
+    path = write_json(tmp_path / "k7.json", graph_document(complete_graph(7)))
+    argv = ["aut", path, *(["--edges"] if edges else [])]
+    monkeypatch.delenv("GENEO_MAX_GROUP", raising=False)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(json.loads(out)["elements"]) == 5040
+    monkeypatch.setenv("GENEO_MAX_GROUP", "100")
+    code, out, err = run_cli(capsys, *argv)
+    message = "automorphism search exceeded the group cap 100 (GENEO_MAX_GROUP)"
+    assert code == 1
+    assert json.loads(out) == {"error": message}
+    assert err == f"error: {message}\n"
 
 
 def test_aut_k4_edges(tmp_path, capsys):
@@ -712,9 +748,19 @@ GOLDEN_SYMMETRY = {
     ("orbits", "--full", "--context", "{c5_endo}"): "75b43142c4a35356297abdb85aa9bcfab14a8eee3896ef5663301fb6c9cf56bf",
     ("orbits", "--full", "--context", "{c6c3}"): "85fa02b12c4cd820cc717a30e1971d073857a763e3c706ae41e4f9e788c4bef3",
     ("aut", "{k7}", "--edges"): "28288afd4f6ce4f5bfa245e38d6d4b95cf32cc65bade2d17a9393992a2be378f",
+    ("aut", "{k7}"): "a873f9ecf8f9cebddf663a700eb87b1f6d787ec4b0eb93e9e0403b52496f4466",
     ("aut", "{petersen}", "--edges"): "dd022ac0ce416332b9ae0a3b90c4ddc2c54d7f9dc24082787ed5b6746fdf0546",
     ("aut", "{petersen}"): "d0226bb144207e2b41270dcfcb26e2fe0111889c3f536a93f7e5bcd84be0e884",
+    ("aut", "{k5}", "--edges"): "b138e2f7607ee3ffd217c65439da5a345c727e474718403b8b4567137f1c93f3",
+    ("aut", "{k5}"): "098a1490eedf054ab0e96aedc9484ba099764617fcd9162634f5824289acb967",
+    ("aut", "{cube}", "--edges"): "00a3ac2433e6378fda63e51b9652d7959208a3ffe9eb194dd501328da3c95127",
+    ("aut", "{cube}"): "fdae14103a3fb1eb8b293b4a8c9557df3eef69ca0f3fa47a473a1910e50e2035",
+    ("aut", "{triangle_k2_point}", "--edges"): "8e97238f9b5f6cbe0312611705435730b825561cb3ecc690d3439522bbaad558",
+    ("aut", "{triangle_k2_point}"): "d69640467bb8703c271c6bb62d0e6ebc1e7b1d6b1da43638a718ea806dcac594",
 }
+
+# a triangle, a K2 component and an isolated vertex
+TRIANGLE_K2_POINT = graph("ABCDEF", [("x", ("A", "B")), ("y", ("B", "C")), ("z", ("A", "C")), ("w", ("D", "E"))])
 
 
 @pytest.fixture(scope="module")
@@ -724,7 +770,14 @@ def symmetry_files(tmp_path_factory, ctx_file):
     for name, g in (("k4_endo", complete_graph(4)), ("c5_endo", cycle_graph(5)), ("c6_endo", cycle_graph(6))):
         ctx = endo_context(edge_automorphism_group(g))
         files[name] = write_json(root / f"{name}.json", docs.context_to_json(ctx))
-    for name, g in (("k7", complete_graph(7)), ("petersen", census_graph("Petersen"))):
+    graphs = {
+        "k5": complete_graph(5),
+        "k7": complete_graph(7),
+        "petersen": census_graph("Petersen"),
+        "cube": census_graph("cube"),
+        "triangle_k2_point": TRIANGLE_K2_POINT,
+    }
+    for name, g in graphs.items():
         files[name] = write_json(root / f"{name}.json", graph_document(g))
     return files
 

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations, permutations
+
 import pytest
 
 from geneograph.graph import (
@@ -12,7 +15,7 @@ from geneograph.graph import (
     subgraph_isomorphism_classes,
     vertex_automorphism_group,
 )
-from geneograph.perm import CapExceededError, compose, format_cycles, generate_group, identity, parse_cycles
+from geneograph.perm import CapExceededError, Permutation, compose, format_cycles, generate_group, identity, parse_cycles
 
 from conftest import CENSUS_GRAPHS, census_graph
 from helpers import cycles, graph_document
@@ -178,6 +181,61 @@ def test_groups_keep_the_reference_generators(name):
     assert vgroup.generators == reference_greedy_generators(vgroup.elements)
     assert egroup.generators == reference_greedy_generators(egroup.elements)
     assert set(egroup.elements) == {induced_edge_permutation(g, vp) for vp in vgroup}
+
+
+def sweep_graphs(count=60, seed=2022):
+    """Seeded random graphs on at most 7 vertices: edgeless ones, ones with an
+    isolated vertex and a K2 component, and edge densities from sparse to
+    complete, so most degree sequences are irregular."""
+    rng = random.Random(seed)
+    out = [Graph(("A",), (), ()), Graph(tuple("ABC"), (), ()), Graph((), (), ())]
+    for k in range(count):
+        n = rng.randint(2, 7)
+        pairs = [pair for pair in combinations(range(n), 2) if rng.random() < rng.choice((0.2, 0.5, 0.8, 1.0))]
+        if k % 4 == 0:
+            # vertex 0 isolated, {1, 2} a K2 component
+            pairs = [(u, v) for u, v in pairs if u > 2] + ([(1, 2)] if n > 2 else [])
+        out.append(Graph(tuple(f"v{i}" for i in range(n)), tuple(pairs), tuple(f"e{j}" for j in range(len(pairs)))))
+    return out
+
+
+@pytest.mark.parametrize("g", sweep_graphs(), ids=lambda g: f"n{g.n_vertices}m{g.n_edges}")
+def test_automorphism_search_matches_brute_force(g):
+    n, edges = g.n_vertices, set(g.edges)
+    preserving = [
+        p for p in permutations(range(n)) if all(tuple(sorted((p[u], p[v]))) in edges for u, v in g.edges)
+    ]
+    vgroup = vertex_automorphism_group(g)
+    egroup = edge_automorphism_group(g)
+    assert [p.images for p in vgroup.elements] == preserving
+    assert vgroup.labels == g.vertex_labels
+    assert set(egroup.elements) == {induced_edge_permutation(g, Permutation(p, g.vertex_labels)) for p in preserving}
+    assert egroup.labels == g.edge_labels
+    assert [p.images for p in egroup.elements] == sorted(p.images for p in egroup.elements)
+    assert vgroup.generators == reference_greedy_generators(vgroup.elements)
+    assert egroup.generators == reference_greedy_generators(egroup.elements)
+
+
+def test_automorphism_search_stops_at_the_group_cap(monkeypatch):
+    # K5 has 120 vertex automorphisms; the search stops once it holds more than the cap
+    k5 = complete_graph(5)
+    monkeypatch.setenv("GENEO_MAX_GROUP", "120")
+    assert vertex_automorphism_group(k5).order == 120
+    assert edge_automorphism_group(k5).order == 120
+    monkeypatch.setenv("GENEO_MAX_GROUP", "119")
+    for build in (vertex_automorphism_group, edge_automorphism_group):
+        with pytest.raises(CapExceededError, match=r"^automorphism search exceeded the group cap 119 \(GENEO_MAX_GROUP\)$"):
+            build(k5)
+
+
+def test_small_graph_groups():
+    one = vertex_automorphism_group(Graph(("A",), (), ()))
+    assert [format_cycles(p) for p in one] == ["id"] and one.generators == ()
+    single = graph("AB", [("p", ("A", "B"))])
+    assert [format_cycles(p) for p in vertex_automorphism_group(single)] == ["id", "(A,B)"]
+    # both vertex automorphisms fix the one edge
+    edge = edge_automorphism_group(single)
+    assert edge.labels == ("p",) and [format_cycles(p) for p in edge] == ["id"] and edge.generators == ()
 
 
 def test_edgeless_graph_edge_group():

@@ -234,6 +234,24 @@ def test_symmetric_group_from_transpositions():
     assert g.order == 24
 
 
+def test_groups_on_one_label():
+    # on one point the identity is the only permutation; composing there by
+    # operator.itemgetter(i) would give an integer, not an image tuple
+    ident = identity(1, ("a",))
+    for group in (generate_group([ident]), generate_group([ident, ident]), group_from_elements([ident])):
+        assert group.elements == (ident,) and group.identity == ident
+        assert [format_cycles(p) for p in group] == ["id"]
+    assert generate_group([ident]).generators == (ident,)
+    assert group_from_elements([ident]).generators == ()
+
+
+def test_groups_on_no_labels():
+    ident = identity(0, ())
+    assert group_from_elements([ident]).elements == (ident,)
+    assert generate_group([ident]).elements == (ident,)
+    assert trivial_group(()).elements == (ident,)
+
+
 def test_group_cap(monkeypatch):
     # the cap is 10! unless GENEO_MAX_GROUP names a positive integer
     monkeypatch.delenv("GENEO_MAX_GROUP", raising=False)
