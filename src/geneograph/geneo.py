@@ -11,7 +11,9 @@ kernel in `linalg`.  Tables built from maps are counted in int and divided
 once per cell.  The decomposition writes one equation per orbital and one LP
 column pair per distinct orbit column, computes those from the group once per
 generator set, and leaves the elimination and the LP to the fraction-free
-integer rows of `linalg`.
+integer rows of `linalg`.  Its conjugation orbits are labelled by
+`perm._label_orbits` on the positions of the n! bijections in
+`permutations` order, one lookup table per generator.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .perm import (
     DomainMismatchError,
     Homomorphism,
     Permutation,
-    orbit_partition,
+    _label_orbits,
 )
 from .permutant import (
     ActionContext,
@@ -400,16 +402,19 @@ def _orbit_columns(
     """
     pair_orbits = tuple(_pair_orbits(n, n, [(g, g) for g in generators]))
     orbital_of = {p: w for w, o in enumerate(pair_orbits) for p in o}
-    # conjugation h -> g o h o g^-1 is alpha with T the identity
+    # conjugation h -> g o h o g^-1 is alpha with T the identity, on positions in permutations order
+    bijections = list(permutations(range(n)))
+    position = {h: i for i, h in enumerate(bijections)}
     moves = [_alpha_move(g, tuple(sorted(range(n), key=g.__getitem__))) for g in generators]
+    tables = [[position[move(h)] for h in bijections] for move in moves]
     first_orbit: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
-    for o in orbit_partition(permutations(range(n)), moves):
+    for o in _label_orbits(len(bijections), tables)[1]:
         counts = [0] * len(pair_orbits)
-        for y, x in enumerate(next(iter(o))):
+        for y, x in enumerate(bijections[o[0]]):
             counts[orbital_of[y, x]] += 1
         key = (len(o), tuple(counts))
         if key not in first_orbit:
-            first_orbit[key] = tuple(sorted(o))
+            first_orbit[key] = tuple(bijections[i] for i in o)
     return pair_orbits, tuple((size, counts, members) for (size, counts), members in first_orbit.items())
 
 

@@ -5,13 +5,16 @@ otherwise; permutations as cycle-product strings; mappings in the compact
 concatenated-label form whenever the target labels are single characters.
 All emitters order their output deterministically.
 
-Reading a group or a homomorphism builds and verifies it, so each reader
-remembers what it built, by the document's text, for the last
-``_REMEMBERED_DOCUMENTS`` documents: a process that reads the same documents
-again and again pays once.  A group's key holds the group cap whenever it
-closes generators, so a changed GENEO_MAX_GROUP takes effect.  Fields are
-validated before the lookup, so errors and their order are those of a first
-read, and a document that fails is never remembered.
+Reading a group or a homomorphism builds and verifies it, so each of the two
+readers, ``_read_group`` and ``_read_homomorphism``, is a
+``functools.lru_cache`` of ``_REMEMBERED_DOCUMENTS`` entries keyed by the
+document's text, the least recently used dropped first: a process that reads
+the same documents again and again pays once.  A group's key holds the group
+cap whenever it closes generators, so a changed GENEO_MAX_GROUP takes
+effect.  Fields are validated before the lookup, so errors and their order
+are those of a first read, and a document that fails is never remembered.
+A homomorphism table looks up the permutations that its groups' documents
+name instead of parsing them again.
 """
 
 from __future__ import annotations
@@ -115,57 +118,45 @@ def _rational(value, field: str) -> Fraction:
         raise ValueError(f"{field}: {value!r} has a zero denominator") from None
 
 
-_CycleReader = Callable[[str, tuple[str, ...]], Permutation]
-
-# documents remembered by each reader below; past that many the oldest goes first
+# documents remembered by each reader below; past that many the least recently used goes first
 _REMEMBERED_DOCUMENTS = 16
-_groups: dict[tuple, FiniteGroup] = {}
-_homomorphisms: dict[tuple, Homomorphism] = {}
 
 
-def _recall(memo: dict, key: tuple, read: Callable[[], object]):
-    """memo[key], read on a miss and remembered once the read succeeds."""
-    found = memo.get(key)
-    if found is None:
-        found = read()
-        if len(memo) >= _REMEMBERED_DOCUMENTS:
-            del memo[next(iter(memo))]
-        memo[key] = found
-    return found
-
-
-def _cycle_reader() -> _CycleReader:
-    """parse_cycles for one document: each distinct (text, labels) pair is
-    parsed once, so a homomorphism table and a repeated group reuse the
-    permutations read before them.  Each document gets a fresh reader, so the
-    parsed permutations go with the document; only the groups and
-    homomorphisms remembered by ``_recall`` outlive it."""
-    return functools.cache(parse_cycles)
-
-
-def _group_from_json(doc: MappingABC, parse: _CycleReader) -> tuple[FiniteGroup, tuple]:
+def _group_from_json(doc: MappingABC) -> tuple[FiniteGroup, tuple]:
     """The group a document states, and the key it is remembered by: its
     labels, generator texts, element texts (None when it lists none) and, for a
     closure of generators, the group cap."""
     _require_object(doc, "a group document")
     labels = tuple(_strings(_get(doc, "group", "labels"), "group field 'labels'"))
     gen_texts = tuple(_strings(doc.get("generators", []), "group field 'generators'"))
-    gens = [parse(t, labels) for t in gen_texts]
+    for text in gen_texts:
+        parse_cycles(text, labels)
     texts = tuple(_strings(doc["elements"], "group field 'elements'")) if "elements" in doc else None
-    key = (labels, gen_texts, texts, group_cap() if gens else None)
+    key = (labels, gen_texts, texts, group_cap() if gen_texts else None)
+    return _read_group(*key)[0], key
 
-    def read() -> FiniteGroup:
-        if texts is None:
-            return generate_group(gens) if gens else trivial_group(labels)
+
+@functools.lru_cache(maxsize=_REMEMBERED_DOCUMENTS)
+def _read_group(
+    labels: tuple[str, ...], gen_texts: tuple[str, ...], texts: tuple[str, ...] | None, cap: int | None
+) -> tuple[FiniteGroup, dict[str, Permutation]]:
+    """The group of ``_group_from_json``'s key, and the permutations that its
+    document names, by text, so that a homomorphism table on the group parses
+    only the texts that the group document does not name.  The cap is read
+    again by ``generate_group`` and serves only as part of the key.  Every
+    caller with the same key shares the result, which must not be changed."""
+    parse = functools.cache(parse_cycles)
+    gens = [parse(text, labels) for text in gen_texts]
+    if texts is None:
+        group = generate_group(gens) if gens else trivial_group(labels)
+    else:
         group = generate_group(gens) if gens else None
         stated = [parse(text, labels) for text in texts]
         if group is None:
-            return group_from_elements(stated)
-        if set(stated) != set(group.elements):
+            group = group_from_elements(stated)
+        elif set(stated) != set(group.elements):
             raise ValueError("stated elements do not match the closure of the generators")
-        return group
-
-    return _recall(_groups, key, read), key
+    return group, {text: parse(text, labels) for text in gen_texts + (texts or ())}
 
 
 def homomorphism_to_json(t: Homomorphism) -> list:
@@ -173,24 +164,31 @@ def homomorphism_to_json(t: Homomorphism) -> list:
     return [[_format_cycles(g.images, source), _format_cycles(table[g].images, target)] for g in t.source.elements]
 
 
-def _homomorphism_from_json(
-    doc, source: FiniteGroup, target: FiniteGroup, group_keys: tuple, parse: _CycleReader
-) -> Homomorphism:
-    """The homomorphism a table of pairs states between two groups, remembered
-    by the groups' keys and the pair texts."""
+def _homomorphism_from_json(doc, group_keys: tuple) -> Homomorphism:
+    """The homomorphism a table of pairs states between the two groups of
+    these keys, remembered by the keys and the pair texts."""
     if not isinstance(doc, list) or not all(
         isinstance(pair, list) and len(pair) == 2 and all(isinstance(p, str) for p in pair)
         for pair in doc
     ):
         raise ValueError("a homomorphism must be an array of [element, image] cycle-string pairs")
+    return _read_homomorphism(group_keys, tuple(map(tuple, doc)))
 
-    def read() -> Homomorphism:
-        pairs = [(parse(src, source.labels), parse(dst, target.labels)) for src, dst in doc]
-        if len(pairs) == source.order and {p for p, _ in pairs} == set(source.elements):
-            return Homomorphism(source, target, dict(pairs))
-        return Homomorphism.from_generator_images(source, target, pairs)
 
-    return _recall(_homomorphisms, (group_keys, tuple(map(tuple, doc))), read)
+@functools.lru_cache(maxsize=_REMEMBERED_DOCUMENTS)
+def _read_homomorphism(group_keys: tuple, pair_texts: tuple[tuple[str, str], ...]) -> Homomorphism:
+    """The homomorphism of ``_homomorphism_from_json``'s key, between the
+    groups that ``_read_group`` remembers by the two keys.  A text that a group
+    document names is looked up, and any other is parsed once."""
+    (source, source_named), (target, target_named) = (_read_group(*key) for key in group_keys)
+    parse = functools.cache(parse_cycles)
+    pairs = [
+        (source_named.get(src) or parse(src, source.labels), target_named.get(dst) or parse(dst, target.labels))
+        for src, dst in pair_texts
+    ]
+    if len(pairs) == source.order and {p for p, _ in pairs} == set(source.elements):
+        return Homomorphism(source, target, dict(pairs))
+    return Homomorphism.from_generator_images(source, target, pairs)
 
 
 def context_to_json(ctx: ActionContext) -> dict:
@@ -203,10 +201,9 @@ def context_to_json(ctx: ActionContext) -> dict:
 
 def context_from_json(doc: MappingABC) -> ActionContext:
     _require_object(doc, "a context document")
-    parse = _cycle_reader()
-    g, g_key = _group_from_json(_get(doc, "context", "G"), parse)
-    k, k_key = _group_from_json(_get(doc, "context", "K"), parse)
-    return ActionContext(g, k, _homomorphism_from_json(_get(doc, "context", "T"), g, k, (g_key, k_key), parse))
+    g, g_key = _group_from_json(_get(doc, "context", "G"))
+    k, k_key = _group_from_json(_get(doc, "context", "K"))
+    return ActionContext(g, k, _homomorphism_from_json(_get(doc, "context", "T"), (g_key, k_key)))
 
 
 def mapping_to_json(f: Mapping):
@@ -332,12 +329,12 @@ def pair_to_json(pair: PerceptionPair) -> dict:
     return {"space": space_to_json(pair.space), "group": group_to_json(pair.group)}
 
 
-def _pair_from_json(doc: MappingABC, parse: _CycleReader) -> tuple[PerceptionPair, tuple]:
+def _pair_from_json(doc: MappingABC) -> tuple[PerceptionPair, tuple]:
     """A perception pair, and the key its group is remembered by."""
     _require_object(doc, "a perception pair document")
     space_doc, group_doc = (_get(doc, "perception pair", key) for key in ("space", "group"))
     space = space_from_json(space_doc)
-    group, key = _group_from_json(group_doc, parse)
+    group, key = _group_from_json(group_doc)
     return PerceptionPair(space, group), key
 
 
@@ -353,12 +350,9 @@ def operator_to_json(op: LinearOperator) -> dict:
 
 def operator_from_json(doc: MappingABC) -> LinearOperator:
     _require_object(doc, "an operator document")
-    parse = _cycle_reader()
-    source, source_key = _pair_from_json(_get(doc, "operator", "source"), parse)
-    target, target_key = _pair_from_json(_get(doc, "operator", "target"), parse)
-    hom = _homomorphism_from_json(
-        _get(doc, "operator", "homomorphism"), source.group, target.group, (source_key, target_key), parse
-    )
+    source, source_key = _pair_from_json(_get(doc, "operator", "source"))
+    target, target_key = _pair_from_json(_get(doc, "operator", "target"))
+    hom = _homomorphism_from_json(_get(doc, "operator", "homomorphism"), (source_key, target_key))
     rows = _get(doc, "operator", "coeffs")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("operator field 'coeffs' must be an array of arrays")

@@ -4,14 +4,15 @@ Everything here is deliberately explicit and desk-scale: groups are stored as
 full element lists (canonically ordered), and homomorphisms as full tables
 verified at construction.  No Schreier-Sims machinery.
 
-``closure`` is the breadth-first search behind homomorphism extension and
-the orbit enumerations on hashable points (integer image tuples or map
-codes): coordinate orbits, single orbits of the alpha action, orbitals and
-conjugation orbits.  When the points are the integers 0 .. N - 1 and each
-generator's move is a lookup table, ``_label_orbits`` labels every point with
-its orbit in one pass instead: the alpha-action census on map codes
-(``permutant.all_orbits``, remembered per process by integer structure) and
-the subgraph classes on edge-vector codes.  Groups are closed coset by coset
+``closure`` is the breadth-first search on hashable points (integer image
+tuples) behind homomorphism extension and the single orbits of the alpha
+action.  Every split of a whole space into orbits numbers its points from 0,
+makes each generator's move a lookup table, and labels every point with its
+orbit in one pass of ``_label_orbits``: the coordinate orbits of a group,
+the alpha-action census on map codes (``permutant.all_orbits``, remembered
+per process by integer structure), the orbitals on pair codes, the
+conjugation orbits of the bijections by their positions, and the subgraph
+classes on edge-vector codes.  Groups are closed coset by coset
 (Dimino's algorithm, as in G. Butler, *Fundamental Algorithms for Permutation
 Groups*, LNCS 559, 1991) in ``_extend_by_cosets``: from generators by
 ``generate_group``, and for an element set of image tuples by
@@ -218,23 +219,6 @@ def closure(
     return found
 
 
-def orbit_partition(
-    points: Iterable[Hashable], moves: Sequence[Callable[[Hashable], Hashable]]
-) -> Iterator[set]:
-    """Lazily split points into orbits: the closure of each point not in an
-    earlier orbit, in the order the points come.
-
-    The moves must be permutations of the point set (a group action), so that
-    each closure is an orbit and no point lies in two of them.
-    """
-    visited: set = set()
-    for point in points:
-        if point not in visited:
-            orbit = closure((point,), moves)
-            visited |= orbit
-            yield orbit
-
-
 def _label_orbits(total: int, tables: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
     """The orbit id of every point 0 .. total - 1 under the lookup tables, one
     per generator, and the orbits' points in increasing order, numbered by
@@ -352,8 +336,7 @@ class FiniteGroup:
     def coordinate_orbits(self) -> list[list[int]]:
         """Orbits of the group action on the underlying indices, each sorted,
         listed by smallest index."""
-        moves = [g.images.__getitem__ for g in self.generators]
-        return [sorted(o) for o in orbit_partition(range(self.degree), moves)]
+        return _label_orbits(self.degree, [g.images for g in self.generators])[1]
 
 
 def generate_group(generators: Iterable[Permutation]) -> FiniteGroup:

@@ -6,9 +6,10 @@ Inside, a map Y -> X is an integer: its image tuple h read as a base-|X|
 numeral, sum h[y] * |X|^(|Y|-1-y), so that numeric order is lexicographic
 order of image tuples.  ``_partition`` labels every code with its orbit in
 one pass, a breadth-first search over one lookup table per generator of G
-from each code not yet labelled (``perm._label_orbits``, the labeller the
-subgraph isomorphism classes share), and checks that every table keeps every
-orbit.  The partition depends on |X|, |Y| and the generators' images under g
+from each code not yet labelled (``perm._label_orbits``), and checks that
+every table keeps every orbit.  The same labeller splits the pairs Y x X
+into orbitals, coded y * |X| + x; ``closure`` serves only single orbits.
+The partition depends on |X|, |Y| and the generators' images under g
 and T alone, not on labels, so it is remembered per process by that integer
 structure and relabeled copies of a context share it: the last
 ``_REMEMBERED_PARTITIONS`` = 8 partitions, the least recently used dropped
@@ -51,7 +52,6 @@ from .perm import (
     Permutation,
     _label_orbits,
     closure,
-    orbit_partition,
 )
 
 DEFAULT_MAP_SPACE_CAP = 10**6
@@ -388,9 +388,11 @@ def _pair_orbits(
     ny: int, nx: int, generators: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]
 ) -> list[tuple[tuple[int, int], ...]]:
     """The orbits of the pairs Y x X under (y, x) -> (t[y], g[x]) for the
-    image pairs (t, g) of the generators, each sorted, by smallest pair."""
-    moves = [lambda p, t=t, g=g: (t[p[0]], g[p[1]]) for t, g in generators]
-    return [tuple(sorted(o)) for o in orbit_partition(product(range(ny), range(nx)), moves)]
+    image pairs (t, g) of the generators, each sorted, by smallest pair:
+    ``perm._label_orbits`` on the pair codes y * |X| + x, whose order is the
+    pairs' order."""
+    tables = [[ty * nx + gx for ty in t for gx in g] for t, g in generators]
+    return [tuple(divmod(c, nx) for c in o) for o in _label_orbits(ny * nx, tables)[1]]
 
 
 def _invariance_witness(

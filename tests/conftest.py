@@ -1,9 +1,9 @@
 from functools import lru_cache
+from importlib import import_module
 from itertools import combinations
 
 import pytest
 
-from geneograph import permutant
 from geneograph.graph import Graph, graph
 from geneograph.perm import Homomorphism, generate_group, parse_cycles
 from geneograph.permutant import ActionContext
@@ -29,14 +29,41 @@ def c6c3() -> ActionContext:
     return dihedral_edge_context()
 
 
+# every process memo of the library, as module.function: each is a
+# functools.lru_cache or functools.cache, and test_public_surface checks that
+# this list names every one in src/geneograph
+MEMOS = (
+    "permutant._code_partition",
+    "geneo._orbit_columns",
+    "experiments._code_table",
+    "io._read_group",
+    "io._read_homomorphism",
+    "cli._parser",
+)
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "fresh_memos: the test runs on fresh process memos")
+
+
+def pytest_collection_modifyitems(items):
+    """Mark each test that uses fresh_memos, so that ``-k fresh_memos`` selects them."""
+    for item in items:
+        if "fresh_memos" in getattr(item, "fixturenames", ()):
+            item.add_marker("fresh_memos")
+
+
 @pytest.fixture
-def empty_partition_memo(monkeypatch):
-    """A fresh orbit-partition memo for one test, so partitions remembered
-    earlier in the process do not count; the process's memo returns after it."""
-    memo = permutant._code_partition
-    fresh = lru_cache(maxsize=memo.cache_parameters()["maxsize"])(memo.__wrapped__)
-    monkeypatch.setattr(permutant, "_code_partition", fresh)
-    return fresh
+def fresh_memos(monkeypatch):
+    """Fresh, empty memos of the same sizes for one test, so that what earlier
+    tests left in the process's memos does not count; the process's memos
+    return after it.  Read a memo's counts through its module, e.g.
+    ``permutant._code_partition.cache_info()``."""
+    for memo_name in MEMOS:
+        module, name = memo_name.split(".")
+        memo = getattr(import_module(f"geneograph.{module}"), name)
+        fresh = lru_cache(maxsize=memo.cache_parameters()["maxsize"])(memo.__wrapped__)
+        monkeypatch.setattr(f"geneograph.{memo_name}", fresh)
 
 
 def _ring(n: int, offset: int = 0) -> list[tuple[int, int]]:

@@ -1,16 +1,18 @@
 """Builders that only the tests use: the symmetric group, subset-stabilizer
 contexts with their image-cardinality permutants and measures, the JSON
-forms of a graph, a permutant and a single group, and the cycles of a
-permutation."""
+forms of a graph, a permutant and a single group, the cycles of a
+permutation, and the closure-based orbit split that the reference
+enumerations use."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from geneograph import io as docs
 from geneograph.graph import Graph
-from geneograph.perm import FiniteGroup, Homomorphism, Permutation, group_from_elements
+from geneograph.perm import FiniteGroup, Homomorphism, Permutation, closure, group_from_elements
 from geneograph.permutant import ActionContext, GeneralizedPermutant, PermutantMeasure
 
 
@@ -78,8 +80,8 @@ def permutant_to_json(h: GeneralizedPermutant) -> dict:
 
 
 def group_from_json(doc) -> FiniteGroup:
-    """One group document read on its own, with a fresh cycle reader."""
-    return docs._group_from_json(doc, docs._cycle_reader())[0]
+    """One group document read on its own."""
+    return docs._group_from_json(doc)[0]
 
 
 def cycles(p: Permutation, include_fixed: bool = False) -> list[list[int]]:
@@ -99,3 +101,22 @@ def cycles(p: Permutation, include_fixed: bool = False) -> list[list[int]]:
         if len(cyc) > 1 or include_fixed:
             out.append(cyc)
     return out
+
+
+def orbit_partition(
+    points: Iterable[Hashable], moves: Sequence[Callable[[Hashable], Hashable]]
+) -> Iterator[set]:
+    """Lazily split points into orbits: the closure of each point not in an
+    earlier orbit, in the order the points come.
+
+    The moves must be permutations of the point set (a group action), so that
+    each closure is an orbit and no point lies in two of them.  The
+    references split with it so that they stay independent of the library's
+    lookup-table labeller, ``perm._label_orbits``.
+    """
+    visited: set = set()
+    for point in points:
+        if point not in visited:
+            orbit = closure((point,), moves)
+            visited |= orbit
+            yield orbit

@@ -790,31 +790,28 @@ def test_golden_symmetry_output(capsys, symmetry_files, argv):
 
 
 @pytest.mark.parametrize("template", sorted(GOLDEN) + sorted(GOLDEN_SYMMETRY))
-def test_golden_output_again_from_the_memos(capsys, monkeypatch, c7_operator_file, symmetry_files, template):
+def test_golden_output_again_from_the_memos(capsys, c7_operator_file, symmetry_files, template):
     """A second run in the same process prints the same bytes, and finds every
     group, homomorphism, code table and orbit partition it reads already
     remembered."""
     argv = [arg.format(c7_operator=c7_operator_file, **symmetry_files) for arg in template]
     digest = {**GOLDEN, **GOLDEN_SYMMETRY}[template]
     first = run_cli(capsys, *argv)
-    recalls, recall = [], docs._recall
-
-    def watched_recall(memo, key, read):
-        recalls.append(key in memo)
-        return recall(memo, key, read)
-
-    monkeypatch.setattr(docs, "_recall", watched_recall)
+    readers = (docs._read_group, docs._read_homomorphism)
+    readers_before = [reader.cache_info() for reader in readers]
     tables_before = _code_table.cache_info()
     partitions_before = permutant._code_partition.cache_info()
     again = run_cli(capsys, *argv)
+    readers_after = [reader.cache_info() for reader in readers]
     tables_after = _code_table.cache_info()
     partitions_after = permutant._code_partition.cache_info()
     assert first == again
     assert again[0] == 0 and sha256(again[1]) == digest
     if argv[0] in ("orbits", "geneo"):
-        assert recalls and all(recalls)
+        assert all(after.misses == before.misses for before, after in zip(readers_before, readers_after))
+        assert all(after.hits > before.hits for before, after in zip(readers_before, readers_after))
     else:
-        assert recalls == []
+        assert readers_after == readers_before
     if argv[0] == "codes":
         assert tables_after.hits == tables_before.hits + 1
         assert tables_after.misses == tables_before.misses

@@ -2,8 +2,9 @@
 kept inline here as the reference.
 
 - Classes: the reference splits the 0/1 edge vectors of K_n, as tuples in
-  ``product`` order, into orbits with ``orbit_partition`` and one
-  ``Permutation.pullback`` move per generator of the edge group.  The library
+  ``product`` order, into orbits with the closure-based ``orbit_partition``
+  of ``helpers`` and one ``Permutation.pullback`` move per generator of the
+  edge group.  The library
   labels the integer codes of the vectors instead, with one lookup table per
   generator built by doubling over the bits.
 - Code tables: the reference joins each vector to its class through a dict
@@ -33,7 +34,8 @@ from geneograph.experiments import (
 from geneograph.geneo import from_permutant
 from geneograph.graph import complete_graph, edge_automorphism_group, subgraph_isomorphism_classes
 from geneograph.linalg import matvec
-from geneograph.perm import orbit_partition
+
+from helpers import orbit_partition
 
 # graphs on n = 0, 1, ..., 6 unlabelled vertices (OEIS A000088)
 GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156)

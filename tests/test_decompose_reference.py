@@ -21,7 +21,6 @@ import geneograph.geneo as geneo_module
 from geneograph.geneo import (
     LinearOperator,
     _map_table,
-    _orbit_columns,
     decompose_to_measure,
     from_measure,
     from_permutant,
@@ -32,8 +31,13 @@ from geneograph.experiments import transposition_permutant
 from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group, induced_edge_permutation
 from geneograph.linalg import OPTIMAL, rref, simplex_min
 from geneograph.perception import PerceptionPair, full_space
-from geneograph.perm import Homomorphism, Permutation, generate_group, orbit_partition, parse_cycles
+from geneograph.perm import Homomorphism, Permutation, generate_group, parse_cycles
 from geneograph.permutant import Mapping, PermutantMeasure, endo_context
+
+from helpers import orbit_partition
+
+# each test starts on an empty memo of group-only data, and leaves the process's memo as it found it
+pytestmark = pytest.mark.usefixtures("fresh_memos")
 
 
 # -- the reference decomposition, as first written ------------------------------
@@ -117,14 +121,6 @@ def ref_decompose(op):
     return {Mapping(labels, labels, h): w for i, w in weights.items() for h in orbits[i]}
 
 
-@pytest.fixture(autouse=True)
-def empty_memo():
-    """Each test starts, and leaves, with the memo of group-only data empty."""
-    _orbit_columns.cache_clear()
-    yield
-    _orbit_columns.cache_clear()
-
-
 def outcome(op):
     """The weights decompose_to_measure returns, in order, or its error text."""
     try:
@@ -140,11 +136,11 @@ def check_against_reference(op):
         expected = list(ref_decompose(op).items())
     except ValueError as exc:
         expected = str(exc)
-    _orbit_columns.cache_clear()
+    geneo_module._orbit_columns.cache_clear()
     assert outcome(op) == expected
-    hits = _orbit_columns.cache_info().hits
+    hits = geneo_module._orbit_columns.cache_info().hits
     assert outcome(op) == expected
-    assert _orbit_columns.cache_info().hits == hits + 1
+    assert geneo_module._orbit_columns.cache_info().hits == hits + 1
 
 
 # -- inputs ---------------------------------------------------------------------
@@ -237,18 +233,15 @@ def test_groups_of_one_degree_and_order_keep_their_own_data():
         for group, rng in zip(groups, rngs):
             op = seeded_measure_operator(group, rng, variation)
             assert list(decompose_to_measure(op).weights.items()) == list(ref_decompose(op).items())
-    assert _orbit_columns.cache_info().misses == 2
+    assert geneo_module._orbit_columns.cache_info().misses == 2
 
 
-def test_relabeled_group_reuses_the_bijection_orbits(monkeypatch):
+def test_relabeled_group_reuses_the_bijection_orbits():
     group = EDGE_GROUPS["C6"]()
     labels = tuple(f"e{i}" for i in range(group.degree))
     relabeled = generate_group([Permutation(g.images, labels) for g in group.generators])
-    passes = []
-    real = geneo_module.orbit_partition
-    monkeypatch.setattr(geneo_module, "orbit_partition", lambda points, moves: passes.append(1) or real(points, moves))
     first = decompose_to_measure(identity_operator(pair_of(group)))
     second = decompose_to_measure(identity_operator(pair_of(relabeled)))
-    assert len(passes) == 1
+    assert geneo_module._orbit_columns.cache_info().misses == 1
     assert [(f.images, w) for f, w in second.weights.items()] == [(f.images, w) for f, w in first.weights.items()]
     assert all(f.source_labels == labels for f in second.weights)

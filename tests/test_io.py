@@ -119,13 +119,6 @@ def test_operator_roundtrip_with_constrained_pair():
 ABC = ("a", "b", "c")
 
 
-@pytest.fixture
-def empty_memos(monkeypatch):
-    """Fresh memos for one test, so earlier reads in the process do not count."""
-    monkeypatch.setattr(docs, "_groups", {})
-    monkeypatch.setattr(docs, "_homomorphisms", {})
-
-
 def rotation_context_doc(table_of_rotation) -> dict:
     """An endo-context of the rotations of (a, b, c) whose T sends each
     rotation r to table_of_rotation(r)."""
@@ -135,7 +128,7 @@ def rotation_context_doc(table_of_rotation) -> dict:
     return doc
 
 
-def test_the_group_cap_is_part_of_the_key(empty_memos, monkeypatch):
+def test_the_group_cap_is_part_of_the_key(fresh_memos, monkeypatch):
     s3 = generate_group([parse_cycles("(a,b,c)", ABC), parse_cycles("(a,b)", ABC)])
     doc = through_json(docs.context_to_json(endo_context(s3)))
     monkeypatch.delenv("GENEO_MAX_GROUP", raising=False)
@@ -148,45 +141,53 @@ def test_the_group_cap_is_part_of_the_key(empty_memos, monkeypatch):
     assert docs.context_from_json(doc).G is first.G
 
 
-def test_a_failing_document_is_not_remembered(empty_memos):
+def test_a_failing_document_is_not_remembered(fresh_memos):
     group_doc = docs.group_to_json(generate_group([parse_cycles("(a,b)", ABC)]))
     group_doc["elements"] = ["id"]
     for _ in range(2):
         with pytest.raises(ValueError, match="stated elements do not match"):
             group_from_json(group_doc)
-    assert docs._groups == {}
+    assert docs._read_group.cache_info().currsize == 0
     # the rotation by one step cannot go to the rotation by two steps and back
     doc = rotation_context_doc(lambda g: "(a,c,b)" if g == "(a,b,c)" else g)
     for _ in range(2):
         with pytest.raises(ValueError, match="not multiplicative"):
             docs.context_from_json(doc)
-    assert docs._homomorphisms == {}
+    assert docs._read_homomorphism.cache_info().currsize == 0
 
 
-def test_the_memo_keeps_at_most_its_size_and_drops_the_oldest(empty_memos):
-    keys = []
-    for i in range(docs._REMEMBERED_DOCUMENTS + 3):
-        labels = [f"p{i}", f"q{i}"]
-        _, key = docs._group_from_json({"labels": labels, "generators": [f"(p{i},q{i})"]}, docs._cycle_reader())
-        keys.append(key)
-        assert len(docs._groups) == min(i + 1, docs._REMEMBERED_DOCUMENTS)
-    assert list(docs._groups) == keys[-docs._REMEMBERED_DOCUMENTS:]
+def test_the_memo_keeps_at_most_its_size_and_drops_the_least_recently_used(fresh_memos):
+    def read(i):
+        return group_from_json({"labels": [f"p{i}", f"q{i}"], "generators": [f"(p{i},q{i})"]})
+
+    size = docs._REMEMBERED_DOCUMENTS
+    first = [read(i) for i in range(size)]
+    assert docs._read_group.cache_info().currsize == size
+    # reading the oldest entry again makes it the most recently used, so the
+    # next new document drops the second oldest instead
+    assert read(0) is first[0]
+    read(size)
+    info = docs._read_group.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, size + 1, size)
+    assert read(0) is first[0]
+    assert read(1) is not first[1]
+    assert docs._read_group.cache_info().misses == size + 2
 
 
-def test_different_tables_on_the_same_groups_are_distinct_entries(empty_memos):
+def test_different_tables_on_the_same_groups_are_distinct_entries(fresh_memos):
     inverse = {"id": "id", "(a,b,c)": "(a,c,b)", "(a,c,b)": "(a,b,c)"}
     identity_ctx = docs.context_from_json(rotation_context_doc(lambda g: g))
     inverse_ctx = docs.context_from_json(rotation_context_doc(inverse.__getitem__))
     assert identity_ctx.G is inverse_ctx.G
     assert identity_ctx.T.is_identity() and not inverse_ctx.T.is_identity()
     assert {str(g): str(inverse_ctx.T(g)) for g in inverse_ctx.G} == inverse
-    assert len(docs._homomorphisms) == 2
+    assert docs._read_homomorphism.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("field", ["generators", "elements"])
-def test_relabelings_with_the_same_texts_are_distinct_entries(empty_memos, field):
+def test_relabelings_with_the_same_texts_are_distinct_entries(fresh_memos, field):
     texts = {"generators": ["(a,b,c)"], "elements": ["id", "(a,b,c)", "(a,c,b)"]}[field]
     groups = [group_from_json({"labels": list(labels), field: texts}) for labels in (ABC, ("b", "a", "c"))]
     assert [g.labels for g in groups] == [ABC, ("b", "a", "c")]
     assert groups[1].elements == generate_group([parse_cycles("(a,b,c)", ("b", "a", "c"))]).elements
-    assert len(docs._groups) == 2
+    assert docs._read_group.cache_info().currsize == 2

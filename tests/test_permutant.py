@@ -6,7 +6,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from geneograph import io as docs, permutant
+from geneograph import geneo, io as docs, permutant
 from geneograph.cli import main as cli_main
 from geneograph.experiments import (
     cube_context,
@@ -19,10 +19,10 @@ from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_grou
 from geneograph.perm import (
     CapExceededError,
     Homomorphism,
+    Permutation,
     compose,
     format_cycles,
     generate_group,
-    orbit_partition,
     parse_cycles,
 )
 from geneograph.permutant import (
@@ -44,7 +44,14 @@ from geneograph.permutant import (
 )
 
 from conftest import EDGES3, EDGES6, dihedral_edge_context
-from helpers import cycles, image_size_measure, setwise_stabilizer_context, small_image_permutant, symmetric_group
+from helpers import (
+    cycles,
+    image_size_measure,
+    orbit_partition,
+    setwise_stabilizer_context,
+    small_image_permutant,
+    symmetric_group,
+)
 
 
 def label_oracle_alpha(ctx, g, f):
@@ -321,7 +328,7 @@ def test_membership_needs_a_mapping_of_the_context(c6c3):
     assert Mapping(("x", "y", "z"), f.target_labels, f.images) not in o
 
 
-def test_all_orbits_rejects_a_partition_that_is_not_closed(c6c3, monkeypatch, empty_partition_memo):
+def test_all_orbits_rejects_a_partition_that_is_not_closed(c6c3, monkeypatch, fresh_memos):
     def singletons(total, tables):
         """Every code its own orbit."""
         return list(range(total)), [[c] for c in range(total)]
@@ -342,26 +349,26 @@ def orbits_output(ctx, tmp_path, capsys, *flags) -> str:
 
 
 @pytest.mark.parametrize("flags", [(), ("--full",)], ids=["census", "full"])
-def test_relabeled_contexts_share_one_partition(tmp_path, capsys, empty_partition_memo, flags):
+def test_relabeled_contexts_share_one_partition(tmp_path, capsys, fresh_memos, flags):
     first, second = (
         endo_context(edge_automorphism_group(cycle_graph(5, edge_labels=labels)))
         for labels in ("abcde", ("e1", "e2", "e3", "e4", "e5"))
     )
     out_first = orbits_output(first, tmp_path, capsys, *flags)
     out_second = orbits_output(second, tmp_path, capsys, *flags)
-    info = empty_partition_memo.cache_info()
+    info = permutant._code_partition.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     assert "e1" in out_second and "e1" not in out_first
-    empty_partition_memo.cache_clear()
+    permutant._code_partition.cache_clear()
     assert orbits_output(second, tmp_path, capsys, *flags) == out_second
-    assert empty_partition_memo.cache_info().misses == 1
+    assert permutant._code_partition.cache_info().misses == 1
 
 
-def test_the_same_group_under_another_homomorphism_is_another_entry(c6c3, empty_partition_memo):
+def test_the_same_group_under_another_homomorphism_is_another_entry(c6c3, fresh_memos):
     endo = endo_context(c6c3.G)
     for ctx in (c6c3, endo, c6c3, endo):
         all_orbits(ctx)
-    info = empty_partition_memo.cache_info()
+    info = permutant._code_partition.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
     assert all_orbits(c6c3)[1] == {2: 1, 4: 1, 6: 5, 12: 15}
     assert sum(all_orbits(endo)[1].values()) == burnside_orbit_count(endo)
@@ -374,10 +381,10 @@ def test_the_same_group_under_another_homomorphism_is_another_entry(c6c3, empty_
         for ctx in (endo_context(rotations), ActionContext(rotations, rotations, inversion))
     ]
     assert fixed == [["abc", "bca", "cab"], ["acb", "bac", "cba"]]
-    assert empty_partition_memo.cache_info().currsize == 4
+    assert permutant._code_partition.cache_info().currsize == 4
 
 
-def test_a_partition_that_is_not_closed_is_never_remembered(c6c3, monkeypatch, empty_partition_memo):
+def test_a_partition_that_is_not_closed_is_never_remembered(c6c3, monkeypatch, fresh_memos):
     calls = []
 
     def singletons(total, tables):
@@ -389,10 +396,10 @@ def test_a_partition_that_is_not_closed_is_never_remembered(c6c3, monkeypatch, e
         with pytest.raises(ValueError, match=r"not alpha-closed: alpha\(\(a,b,c,d,e,f\), aaa\) = bbb escapes"):
             all_orbits(c6c3)
     assert calls == [216, 216]
-    assert empty_partition_memo.cache_info().currsize == 0
+    assert permutant._code_partition.cache_info().currsize == 0
 
 
-def test_the_memo_drops_the_least_recently_used_partition(empty_partition_memo):
+def test_the_memo_drops_the_least_recently_used_partition(fresh_memos):
     contexts = [
         setwise_stabilizer_context("abcd"[:nx], "abcd"[:ny]) for nx in (2, 3, 4) for ny in range(1, nx + 1)
     ]
@@ -401,21 +408,21 @@ def test_the_memo_drops_the_least_recently_used_partition(empty_partition_memo):
         all_orbits(ctx)
     all_orbits(contexts[0])
     all_orbits(contexts[-1])
-    info = empty_partition_memo.cache_info()
+    info = permutant._code_partition.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 9, permutant._REMEMBERED_PARTITIONS)
     all_orbits(contexts[0])
-    assert empty_partition_memo.cache_info().hits == 2
+    assert permutant._code_partition.cache_info().hits == 2
     all_orbits(contexts[1])
-    assert empty_partition_memo.cache_info().misses == 10
+    assert permutant._code_partition.cache_info().misses == 10
 
 
-def test_the_cap_is_checked_before_the_memo(empty_partition_memo, monkeypatch):
+def test_the_cap_is_checked_before_the_memo(fresh_memos, monkeypatch):
     ctx = endo_context(edge_automorphism_group(cycle_graph(5)))
     all_orbits(ctx)
     monkeypatch.setattr(permutant, "DEFAULT_MAP_SPACE_CAP", 5**5 - 1)
     with pytest.raises(CapExceededError, match="map space has 3125 elements, over the cap 3124"):
         all_orbits(ctx)
-    assert empty_partition_memo.cache_info().hits == 0
+    assert permutant._code_partition.cache_info().hits == 0
 
 
 # orbitals
@@ -443,6 +450,60 @@ def test_orbitals_partition_the_pairs_into_orbits(name):
     for o in found:
         y, x = o[0]
         assert set(o) == {(ctx.T(g)(y), g(x)) for g in ctx.G.elements}
+
+
+def random_generator_images(rng, n):
+    """One to three generators on n points, as image tuples.  About half the
+    sets move points only within the two blocks of a random split, so that
+    their group is intransitive."""
+    points = list(range(n))
+    rng.shuffle(points)
+    cut = rng.randint(1, n - 1) if rng.random() < 0.5 else n
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        images = list(range(n))
+        for block in (points[:cut], points[cut:]):
+            moved = rng.sample(block, len(block))
+            for a, b in zip(block, moved):
+                images[a] = b
+        gens.append(tuple(images))
+    return gens
+
+
+def test_orbit_splits_match_the_closure_reference(c6c3, fresh_memos):
+    """Coordinate orbits, orbitals and the decomposition's conjugation orbits
+    against the closure-based split of the helpers, in the same order: on
+    seeded generator sets on 3 to 7 points and on the C6/C3 context, whose T
+    is not the identity."""
+    rng = random.Random(20261019)
+    endo = []
+    for i in range(30):
+        labels = tuple("ABCDEFG")[: 3 + i % 5]
+        gens = random_generator_images(rng, len(labels))
+        endo.append(endo_context(generate_group([Permutation(images, labels) for images in gens])))
+    assert {len(ctx.G.coordinate_orbits()) == 1 for ctx in endo} == {True, False}
+    for ctx in [c6c3] + endo:
+        for group in (ctx.G, ctx.K):
+            moves = [g.images.__getitem__ for g in group.generators]
+            assert group.coordinate_orbits() == [sorted(o) for o in orbit_partition(range(group.degree), moves)]
+        pair_moves = [lambda p, t=ctx.T(g).images, g=g.images: (t[p[0]], g[p[1]]) for g in ctx.G.generators]
+        pairs = product(range(ctx.K.degree), range(ctx.G.degree))
+        expected_orbitals = [tuple(sorted(o)) for o in orbit_partition(pairs, pair_moves)]
+        assert orbitals(ctx) == expected_orbitals
+        if ctx is c6c3:
+            continue
+        # the first conjugation orbit of each distinct (size, orbital counts), in orbit order
+        n = ctx.G.degree
+        orbital_of = {p: w for w, o in enumerate(expected_orbitals) for p in o}
+        columns = {}
+        for o in orbit_partition(permutations(range(n)), ctx.moves):
+            members = tuple(sorted(o))
+            counts = [0] * len(expected_orbitals)
+            for y, x in enumerate(members[0]):
+                counts[orbital_of[y, x]] += 1
+            columns.setdefault((len(members), tuple(counts)), members)
+        expected = (tuple(expected_orbitals), tuple((size, counts, o) for (size, counts), o in columns.items()))
+        assert geneo._orbit_columns(n, tuple(g.images for g in ctx.G.generators)) == expected
 
 
 def test_c7_conjugation_orbit_tables_are_constant_on_orbitals():

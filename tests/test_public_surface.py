@@ -8,7 +8,10 @@ Both rules are read from the source with ``ast``, so nothing is imported:
   README as API;
 * the lower layers (permutations, perception pairs, linear algebra and the
   alpha action) import nothing from the graph, operator, document,
-  experiment or command-line modules.
+  experiment or command-line modules;
+* every function decorated with ``functools.cache`` or ``lru_cache`` is a
+  process memo that the ``fresh_memos`` fixture of ``tests/conftest.py``
+  replaces, and the README's paragraph on process memos names it.
 """
 
 import ast
@@ -100,3 +103,34 @@ def test_lower_layers_import_no_upper_layer():
         name: sorted(imported_modules(parse(PACKAGE / f"{name}.py")) & UPPER_LAYERS) for name in LOWER_LAYERS
     }
     assert {name: found for name, found in crossings.items() if found} == {}
+
+
+def memo_functions(tree: ast.Module) -> list[str]:
+    """The functions, at any depth, decorated with ``cache`` or ``lru_cache``,
+    called or not and through ``functools`` or not."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in ("cache", "lru_cache"):
+                    found.append(node.name)
+    return found
+
+
+def fixture_memos() -> set[str]:
+    """The memos that ``fresh_memos`` replaces: the ``MEMOS`` of the tests' conftest."""
+    tree = parse(ROOT / "tests" / "conftest.py")
+    assignment = next(
+        node for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "MEMOS" for t in node.targets)
+    )
+    return set(ast.literal_eval(assignment.value))
+
+
+def test_every_memo_is_replaced_by_the_fixture_and_named_in_the_readme():
+    memos = {f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py")) for name in memo_functions(parse(path))}
+    assert memos == fixture_memos()
+    paragraph = next(p for p in (ROOT / "README.md").read_text().split("\n\n") if p.startswith("**Process memos.**"))
+    assert [memo for memo in sorted(memos) if f"`{memo}`" not in paragraph] == []
