@@ -1,13 +1,14 @@
 """Simple undirected graphs, automorphism groups, and induced edge permutations.
 
-The automorphism search yields image tuples in lexicographic order, and the
-groups are checked and given greedy generators on those tuples."""
+The automorphism search lists each group as products of stabilizer-chain
+witnesses, and sorts, checks and picks greedy generators on image tuples."""
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .perm import (
@@ -185,12 +186,16 @@ def _automorphism_group_images(g: Graph, edges: bool) -> tuple[tuple[str, ...], 
     """The labels, sorted element images and greedy generator images of the
     vertex automorphism group, or of its image on the edges, de-duplicated.
 
-    The search backtracks with degree pruning on one adjacency bitmask per
-    vertex: v may go to an unused w of its degree exactly when w's neighbours
-    among the images taken so far are the images of v's earlier neighbours.
-    Candidates go in increasing order, so the images come out sorted.  Edge
-    ids are read from a flat table at u * n + v.  Raises CapExceededError
-    past 10 vertices or group_cap() automorphisms.
+    A pointwise stabilizer chain (B. D. McKay, Congr. Numer. 30, 1981): level
+    v fixes 0 .. v-1 and, for each w > v of v's degree, backtracks from v -> w
+    to the first automorphism only, the level's witness for w; the identity
+    stands for w = v.  The backtrack prunes on adjacency bitmasks: u may go to
+    an unused x of its degree exactly when x's neighbours among the images so
+    far are the images of u's earlier neighbours.  The order is the product of
+    the level sizes, so CapExceededError, past 10 vertices or group_cap()
+    automorphisms, comes before any element is built.  The elements are the
+    products t_0 o ... o t_{n-1}, one witness or the identity per level, on
+    vertices or on edge ids (a flat table at u * n + v).
     """
     labels = g.edge_labels if edges else g.vertex_labels
     if edges and not g.edges:
@@ -205,30 +210,45 @@ def _automorphism_group_images(g: Graph, edges: bool) -> tuple[tuple[str, ...], 
     deg, cap = g.degrees(), group_cap()
     candidates = [[w for w in range(n) if deg[w] == deg[v]] for v in range(n)]
     earlier = [[u for u in range(v) if nbr[v] >> u & 1] for v in range(n)]
-    images, found = [-1] * n, []
+    images = list(range(n))
 
-    def backtrack(v: int, used: int):
+    def extend(v: int, used: int) -> bool:
         if v == n:
-            found.append(tuple(images))
-            if len(found) > cap:
-                raise CapExceededError(f"automorphism search exceeded the group cap {cap} (GENEO_MAX_GROUP)")
-            return
+            return True
         want = 0
         for u in earlier[v]:
             want |= 1 << images[u]
         for w in candidates[v]:
             if not used >> w & 1 and nbr[w] & used == want:
                 images[v] = w
-                backtrack(v + 1, used | 1 << w)
+                if extend(v + 1, used | 1 << w):
+                    return True
+        return False
 
-    backtrack(0, 0)
-    del backtrack  # the function refers to itself: let it go now, not at the next collection
+    levels, order = [], 1
+    for v in range(n):
+        fixed = (1 << v) - 1
+        witnesses = []
+        for w in candidates[v]:
+            if w > v and nbr[w] & fixed == nbr[v] & fixed:
+                images[:v], images[v] = range(v), w
+                if extend(v + 1, fixed | 1 << w):
+                    witnesses.append(tuple(images))
+        levels.append(witnesses)
+        order *= len(witnesses) + 1
+    del extend  # the function refers to itself: let it go now, not at the next collection
+    if order > cap:
+        raise CapExceededError(f"automorphism search exceeded the group cap {cap} (GENEO_MAX_GROUP)")
     if edges:
         edge_id = [0] * (n * n)
         for i, (u, v) in enumerate(g.edges):
             edge_id[u * n + v] = edge_id[v * n + u] = i
-        found = {tuple([edge_id[vp[u] * n + vp[v]] for u, v in g.edges]) for vp in found}
-    return labels, *_group_images(found, labels)
+        levels = [[tuple([edge_id[t[u] * n + t[v]] for u, v in g.edges]) for t in level] for level in levels]
+    elements = [tuple(range(len(labels)))]
+    if len(labels) > 1:  # itemgetter(i) returns no tuple
+        for level in levels:
+            elements += [p for t in level for p in map(itemgetter(*t), elements)]
+    return labels, *_group_images(elements, labels)
 
 
 def induced_edge_permutation(g: Graph, vp: Permutation) -> Permutation:

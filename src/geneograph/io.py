@@ -36,7 +36,7 @@ from .perm import (
     FiniteGroup,
     Homomorphism,
     Permutation,
-    _format_cycles,
+    _cycle_texts,
     generate_group,
     group_cap,
     group_from_elements,
@@ -74,8 +74,8 @@ def group_images_to_json(labels: tuple[str, ...], elements: Sequence, generators
     """group_to_json of a group given by the image tuples of its elements and generators."""
     return {
         "labels": list(labels),
-        "generators": [_format_cycles(s, labels) for s in generators],
-        "elements": [_format_cycles(p, labels) for p in elements],
+        "generators": _cycle_texts(generators, labels),
+        "elements": _cycle_texts(elements, labels),
     }
 
 
@@ -160,8 +160,9 @@ def _read_group(
 
 
 def homomorphism_to_json(t: Homomorphism) -> list:
-    source, target, table = t.source.labels, t.target.labels, t.table
-    return [[_format_cycles(g.images, source), _format_cycles(table[g].images, target)] for g in t.source.elements]
+    sources = _cycle_texts([g.images for g in t.source.elements], t.source.labels)
+    targets = _cycle_texts([t.table[g].images for g in t.source.elements], t.target.labels)
+    return [[a, b] for a, b in zip(sources, targets)]
 
 
 def _homomorphism_from_json(doc, group_keys: tuple) -> Homomorphism:

@@ -2,7 +2,9 @@
 
 Everything here is deliberately explicit and desk-scale: groups are stored as
 full element lists (canonically ordered), and homomorphisms as full tables
-verified at construction.  No Schreier-Sims machinery.
+verified at construction.  No Schreier-Sims machinery: the graph automorphism
+search keeps one transversal of witnesses per stabilizer-chain level only to
+list its group, which is an explicit element list like any other.
 
 ``closure`` is the breadth-first search on hashable points (integer image
 tuples) behind homomorphism extension and the single orbits of the alpha
@@ -18,7 +20,7 @@ Groups*, LNCS 559, 1991) in ``_extend_by_cosets``: from generators by
 ``generate_group``, and for an element set of image tuples by
 ``_group_images``, which checks the set and picks greedy generators.  It is
 the core of ``group_from_elements`` and of the graph automorphism groups,
-which ``aut`` prints straight from image tuples with ``_format_cycles``."""
+which ``aut`` prints straight from image tuples with ``_cycle_texts``."""
 
 from __future__ import annotations
 
@@ -164,23 +166,30 @@ def parse_cycles(text: str, labels: Sequence[str]) -> Permutation:
 def format_cycles(p: Permutation) -> str:
     """Inverse of parse_cycles: disjoint cycles, each from its smallest index
     and in order of that index, fixed points omitted, identity as "id"."""
-    return _format_cycles(p.images, p.labels)
+    return _cycle_texts([p.images], p.labels)[0]
 
 
-def _format_cycles(images: Sequence[int], labels: Sequence[str]) -> str:
-    """format_cycles of the permutation with these images over these labels."""
-    seen = [False] * len(images)
-    cycles = []
-    for start, image in enumerate(images):
-        if image == start or seen[start]:
-            continue
-        names = [labels[start]]
-        while image != start:
-            seen[image] = True
-            names.append(labels[image])
-            image = images[image]
-        cycles.append("(" + ",".join(names) + ")")
-    return "".join(cycles) or "id"
+def _cycle_texts(perms: Iterable[Sequence[int]], labels: Sequence[str]) -> list[str]:
+    """format_cycles of each permutation, given by its images, over these
+    labels, with "(" + label and "," + label joined once per call.  Each cycle
+    is walked from its smallest point, the first the scan meets, and marks its
+    other points -1 in a copy of the images, so the scan skips them."""
+    opens = ["(" + label for label in labels]
+    seps = ["," + label for label in labels]
+    texts = []
+    for images in perms:
+        rest = list(images)
+        parts = []
+        for start in range(len(rest)):
+            image = rest[start]
+            if image > start:
+                parts.append(opens[start])
+                while image != start:
+                    parts.append(seps[image])
+                    rest[image], image = -1, rest[image]
+                parts.append(")")
+        texts.append("".join(parts) or "id")
+    return texts
 
 
 def closure(

@@ -1,8 +1,9 @@
 """Builders that only the tests use: the symmetric group, subset-stabilizer
 contexts with their image-cardinality permutants and measures, the JSON
 forms of a graph, a permutant and a single group, the cycles of a
-permutation, and the closure-based orbit split that the reference
-enumerations use."""
+permutation, the closure-based orbit split that the reference
+enumerations use, and the full-enumeration automorphism search that the
+stabilizer-chain search is checked against."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from geneograph import io as docs
 from geneograph.graph import Graph
-from geneograph.perm import FiniteGroup, Homomorphism, Permutation, closure, group_from_elements
+from geneograph.perm import FiniteGroup, Homomorphism, Permutation, _group_images, closure, group_from_elements
 from geneograph.permutant import ActionContext, GeneralizedPermutant, PermutantMeasure
 
 
@@ -120,3 +121,41 @@ def orbit_partition(
             orbit = closure((point,), moves)
             visited |= orbit
             yield orbit
+
+
+def automorphism_group_images_by_backtrack(g: Graph, edges: bool) -> tuple[tuple[str, ...], list, list]:
+    """``graph._automorphism_group_images`` by backtracking to every
+    automorphism, the search the library used before its stabilizer chain:
+    the same degree and bitmask pruning, candidates in increasing order, and
+    each automorphism mapped to its edge ids when ``edges`` is set.  No cap
+    is applied, so keep it to groups of desk size."""
+    labels = g.edge_labels if edges else g.vertex_labels
+    if edges and not g.edges:
+        return labels, [()], []
+    n = g.n_vertices
+    nbr = [0] * n
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    deg = g.degrees()
+    candidates = [[w for w in range(n) if deg[w] == deg[v]] for v in range(n)]
+    earlier = [[u for u in range(v) if nbr[v] >> u & 1] for v in range(n)]
+    images, found = [-1] * n, []
+
+    def backtrack(v: int, used: int):
+        if v == n:
+            found.append(tuple(images))
+            return
+        want = 0
+        for u in earlier[v]:
+            want |= 1 << images[u]
+        for w in candidates[v]:
+            if not used >> w & 1 and nbr[w] & used == want:
+                images[v] = w
+                backtrack(v + 1, used | 1 << w)
+
+    backtrack(0, 0)
+    if edges:
+        edge_id = {pair: i for i, pair in enumerate(g.edges)}
+        found = {tuple(edge_id[tuple(sorted((vp[u], vp[v])))] for u, v in g.edges) for vp in found}
+    return labels, *_group_images(found, labels)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,29 @@ def test_aut_stops_at_the_group_cap(tmp_path, capsys, monkeypatch, edges):
     assert code == 1
     assert json.loads(out) == {"error": message}
     assert err == f"error: {message}\n"
+
+
+def test_aut_decides_the_group_cap_before_listing(tmp_path, capsys, monkeypatch):
+    # K7 has 7! = 5040 automorphisms: the product of its level sizes is past a
+    # cap of 5039 before any element list exists
+    path = write_json(tmp_path / "k7.json", graph_document(complete_graph(7)))
+
+    def no_listing(*args):
+        raise AssertionError("an element list was built")
+
+    graph_module = import_module("geneograph.graph")  # the package's name `graph` is the builder
+    listing = graph_module._group_images
+    monkeypatch.setattr(graph_module, "_group_images", no_listing)
+    monkeypatch.setenv("GENEO_MAX_GROUP", "5039")
+    code, out, err = run_cli(capsys, "aut", path, "--edges")
+    message = "automorphism search exceeded the group cap 5039 (GENEO_MAX_GROUP)"
+    assert code == 1
+    assert json.loads(out) == {"error": message}
+    assert err == f"error: {message}\n"
+    monkeypatch.setattr(graph_module, "_group_images", listing)
+    monkeypatch.setenv("GENEO_MAX_GROUP", "5040")
+    code, out, err = run_cli(capsys, "aut", path, "--edges")
+    assert (code, err) == (0, "") and len(json.loads(out)["elements"]) == 5040
 
 
 def test_aut_k4_edges(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from geneograph.graph import (
     Graph,
     NotAnAutomorphismError,
+    _automorphism_group_images,
     complete_graph,
     cycle_graph,
     edge_automorphism_group,
@@ -18,7 +19,7 @@ from geneograph.graph import (
 from geneograph.perm import CapExceededError, Permutation, compose, format_cycles, generate_group, identity, parse_cycles
 
 from conftest import CENSUS_GRAPHS, census_graph
-from helpers import cycles, graph_document
+from helpers import automorphism_group_images_by_backtrack, cycles, graph_document
 
 # the graph of the first worked example: C4 plus the chord {B,D}
 FIG1 = graph(
@@ -214,6 +215,51 @@ def test_automorphism_search_matches_brute_force(g):
     assert [p.images for p in egroup.elements] == sorted(p.images for p in egroup.elements)
     assert vgroup.generators == reference_greedy_generators(vgroup.elements)
     assert egroup.generators == reference_greedy_generators(egroup.elements)
+
+
+def _random_regular(n: int, d: int, rng: random.Random) -> list[tuple[int, int]]:
+    """A d-regular simple graph on n vertices from random stub pairings, retried until simple."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(stubs[i : i + 2])) for i in range(0, len(stubs), 2)}
+        if len(pairs) == n * d // 2 and all(u != v for u, v in pairs):
+            return sorted(pairs)
+
+
+def chain_graphs(seed=2023):
+    """Seeded graphs on 6-10 vertices, mostly past what the brute-force sweep
+    can enumerate: the census graphs and K3,3 as given and randomly relabelled,
+    C10, random regular graphs, and random graphs with isolated vertices and
+    K2 components, whose vertex group does not act faithfully on the edges."""
+    rng = random.Random(seed)
+    shapes = [CENSUS_GRAPHS[name] for name in ("Petersen", "cube", "prism5", "K3,3")]
+    shapes.append((10, [(i, (i + 1) % 10) for i in range(10)]))
+    for name in ("Petersen", "cube", "prism5", "K3,3"):
+        n, pairs = CENSUS_GRAPHS[name]
+        relabel = rng.sample(range(n), n)
+        shapes.append((n, [(relabel[u], relabel[v]) for u, v in pairs]))
+    shapes += [(n, _random_regular(n, d, rng)) for n, d in ((8, 3), (10, 3), (10, 4), (9, 4), (8, 5), (10, 6))]
+    for _ in range(8):
+        n = rng.randint(8, 10)
+        isolated, k2 = rng.randint(1, 3), rng.randint(1, 2)
+        rest = range(isolated + 2 * k2, n)
+        pairs = [(isolated + 2 * i, isolated + 2 * i + 1) for i in range(k2)]
+        pairs += [pair for pair in combinations(rest, 2) if rng.random() < 0.5]
+        relabel = rng.sample(range(n), n)
+        shapes.append((n, [(relabel[u], relabel[v]) for u, v in pairs]))
+    out = []
+    for n, pairs in shapes:
+        pairs = sorted(tuple(sorted(pair)) for pair in pairs)
+        out.append(Graph(tuple(f"v{i}" for i in range(n)), tuple(pairs), tuple(f"e{j}" for j in range(len(pairs)))))
+    return out
+
+
+@pytest.mark.parametrize("edges", [False, True], ids=["vertices", "edges"])
+@pytest.mark.parametrize("g", chain_graphs(), ids=lambda g: f"n{g.n_vertices}m{g.n_edges}")
+def test_stabilizer_chain_matches_the_full_backtrack(g, edges):
+    # the same labels, element list and greedy generators, in order
+    assert _automorphism_group_images(g, edges) == automorphism_group_images_by_backtrack(g, edges)
 
 
 def test_automorphism_search_stops_at_the_group_cap(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,13 +14,55 @@ from geneograph.perception import (
     full_space,
     measurement,
 )
-from geneograph.perm import CapExceededError, generate_group, parse_cycles
+from geneograph.graph import edge_automorphism_group, induced_edge_permutation, vertex_automorphism_group
+from geneograph.perm import (
+    CapExceededError,
+    Homomorphism,
+    Permutation,
+    _cycle_texts,
+    format_cycles,
+    generate_group,
+    parse_cycles,
+    trivial_group,
+)
 from geneograph.permutant import endo_context, orbit, uniform_measure
-from helpers import group_from_json, permutant_to_json
+from conftest import census_graph
+from helpers import cycles, group_from_json, permutant_to_json
 
 
 def through_json(payload):
     return json.loads(json.dumps(payload))
+
+
+def plain_cycle_text(p: Permutation) -> str:
+    """Cycle notation spelled out from the cycles of p, one string at a time."""
+    return "".join("(" + ",".join(p.labels[i] for i in cycle) + ")" for cycle in cycles(p)) or "id"
+
+
+def test_one_cycle_formatter_matches_a_plain_reference():
+    rng = random.Random(17)
+    for n in (0, 1, 2, 5, 21):
+        for labels in (tuple(chr(ord("a") + i) for i in range(n)), tuple(f"e{i + 1}" for i in range(n))):
+            perms = [tuple(range(n))]  # the identity
+            for _ in range(12):
+                images = list(range(n))
+                if rng.random() < 0.5:
+                    rng.shuffle(images)
+                else:  # a few points moved, the rest fixed
+                    moved = rng.sample(range(n), min(n, 3))
+                    for a, b in zip(moved, moved[1:] + moved[:1]):
+                        images[a] = b
+                perms.append(tuple(images))
+            expected = [plain_cycle_text(Permutation(images, labels)) for images in perms]
+            assert [format_cycles(Permutation(images, labels)) for images in perms] == expected
+            assert _cycle_texts(perms, labels) == expected
+            assert expected[0] == "id"
+    cube = census_graph("cube")
+    vertex_group, edge_group = vertex_automorphism_group(cube), edge_automorphism_group(cube)
+    incidence = Homomorphism(vertex_group, edge_group, {g: induced_edge_permutation(cube, g) for g in vertex_group})
+    for t in (incidence, Homomorphism.identity_on(trivial_group(())), Homomorphism.identity_on(trivial_group(("v10",)))):
+        expected = [[plain_cycle_text(g), plain_cycle_text(t(g))] for g in t.source.elements]
+        assert docs.homomorphism_to_json(t) == expected
 
 
 def test_fraction_forms():
