@@ -34,7 +34,7 @@ from .geneo import (
     verify_equivariance,
     verify_nonexpansive,
 )
-from .graph import _automorphism_group_images, parse_graph
+from .graph import edge_automorphism_group, parse_graph, vertex_automorphism_group
 from .perm import CapExceededError, format_cycles, group_cap
 from .permutant import (
     GeneralizedPermutant,
@@ -93,7 +93,8 @@ def _vector_string(vec) -> str:
 
 
 def cmd_aut(args) -> dict:
-    return docs.group_images_to_json(*_automorphism_group_images(parse_graph(_load(args.graph)), args.edges))
+    automorphisms = edge_automorphism_group if args.edges else vertex_automorphism_group
+    return docs.group_to_json(automorphisms(parse_graph(_load(args.graph))))
 
 
 def _orbit_census(ctx, full: bool) -> dict:

@@ -455,7 +455,7 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
     # constant on W, so the rows at the orbitals' smallest pairs span the row
     # space of all n^2 equations, and rref gives the same reduced rows (4 on the
     # 7-cycle's edges).  t_O on W is |O| k[W] / |W|.
-    pair_orbits, columns = _orbit_columns(n, tuple(g.images for g in group.generators))
+    pair_orbits, columns = _orbit_columns(n, group.generator_images)
     sizes = [size for size, _, _ in columns]
     m = len(columns)
     equations = []

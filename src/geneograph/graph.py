@@ -1,7 +1,7 @@
 """Simple undirected graphs, automorphism groups, and induced edge permutations.
 
 The automorphism search lists each group as products of stabilizer-chain
-witnesses, and sorts, checks and picks greedy generators on image tuples."""
+witnesses, and sorts, checks and picks generators on the group's image tuples."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from .perm import (
     FiniteGroup,
     Permutation,
     _group_images,
-    _group_of_images,
     _label_orbits,
     group_cap,
 )
@@ -179,12 +178,12 @@ def cycle_graph(
 
 def vertex_automorphism_group(g: Graph) -> FiniteGroup:
     """The group of all adjacency-preserving vertex permutations."""
-    return _group_of_images(*_automorphism_group_images(g, edges=False))
+    return _automorphism_group(g, edges=False)
 
 
-def _automorphism_group_images(g: Graph, edges: bool) -> tuple[tuple[str, ...], list, list]:
-    """The labels, sorted element images and greedy generator images of the
-    vertex automorphism group, or of its image on the edges, de-duplicated.
+def _automorphism_group(g: Graph, edges: bool) -> FiniteGroup:
+    """The vertex automorphism group, or its image on the edges,
+    de-duplicated, with greedy generators.
 
     A pointwise stabilizer chain (B. D. McKay, Congr. Numer. 30, 1981): level
     v fixes 0 .. v-1 and, for each w > v of v's degree, backtracks from v -> w
@@ -199,7 +198,7 @@ def _automorphism_group_images(g: Graph, edges: bool) -> tuple[tuple[str, ...], 
     """
     labels = g.edge_labels if edges else g.vertex_labels
     if edges and not g.edges:
-        return labels, [()], []
+        return FiniteGroup(labels, ((),), ())
     n = g.n_vertices
     if n > DEFAULT_VERTEX_CAP:
         raise CapExceededError(f"{n} vertices exceeds the automorphism-search cap {DEFAULT_VERTEX_CAP}")
@@ -248,7 +247,7 @@ def _automorphism_group_images(g: Graph, edges: bool) -> tuple[tuple[str, ...], 
     if len(labels) > 1:  # itemgetter(i) returns no tuple
         for level in levels:
             elements += [p for t in level for p in map(itemgetter(*t), elements)]
-    return labels, *_group_images(elements, labels)
+    return FiniteGroup(labels, *_group_images(elements, labels))
 
 
 def induced_edge_permutation(g: Graph, vp: Permutation) -> Permutation:
@@ -271,7 +270,7 @@ def induced_edge_permutation(g: Graph, vp: Permutation) -> Permutation:
 
 def edge_automorphism_group(g: Graph) -> FiniteGroup:
     """Image of the vertex automorphism group on the edge set, de-duplicated."""
-    return _group_of_images(*_automorphism_group_images(g, edges=True))
+    return _automorphism_group(g, edges=True)
 
 
 def subgraph_isomorphism_classes(n: int) -> list[list[tuple[int, ...]]]:

@@ -1,9 +1,9 @@
 """JSON document forms for every value the command line reads or writes.
 
 Rationals serialize as plain integers when possible and "p/q" strings
-otherwise; permutations as cycle-product strings; mappings in the compact
-concatenated-label form whenever the target labels are single characters.
-All emitters order their output deterministically.
+otherwise; permutations as cycle-product strings, and a group from its image
+tuples; mappings in compact concatenated-label form when the target labels
+are single characters.  All emitters order their output deterministically.
 
 Reading a group or a homomorphism builds and verifies it, so each of the two
 readers, ``_read_group`` and ``_read_homomorphism``, is a
@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Mapping as MappingABC, Sequence
+from typing import Callable, Mapping as MappingABC
 
 from .geneo import LinearOperator
 from .perception import (
@@ -37,6 +37,7 @@ from .perm import (
     Homomorphism,
     Permutation,
     _cycle_texts,
+    format_cycles,
     generate_group,
     group_cap,
     group_from_elements,
@@ -67,15 +68,10 @@ def measurement_from_json(doc, domain=None) -> Measurement:
 
 
 def group_to_json(g: FiniteGroup) -> dict:
-    return group_images_to_json(g.labels, [p.images for p in g.elements], [s.images for s in g.generators])
-
-
-def group_images_to_json(labels: tuple[str, ...], elements: Sequence, generators: Sequence) -> dict:
-    """group_to_json of a group given by the image tuples of its elements and generators."""
     return {
-        "labels": list(labels),
-        "generators": _cycle_texts(generators, labels),
-        "elements": _cycle_texts(elements, labels),
+        "labels": list(g.labels),
+        "generators": _cycle_texts(g.generator_images, g.labels),
+        "elements": _cycle_texts(g.images, g.labels),
     }
 
 
@@ -147,20 +143,23 @@ def _read_group(
     caller with the same key shares the result, which must not be changed."""
     parse = functools.cache(parse_cycles)
     gens = [parse(text, labels) for text in gen_texts]
-    if texts is None:
-        group = generate_group(gens) if gens else trivial_group(labels)
-    else:
-        group = generate_group(gens) if gens else None
+    group = generate_group(gens) if gens else trivial_group(labels)
+    if texts is not None:
         stated = [parse(text, labels) for text in texts]
-        if group is None:
+        seen: set = set()
+        for p in stated:
+            if p.images in seen:
+                raise ValueError(f"group field 'elements' names the permutation {format_cycles(p)!r} twice")
+            seen.add(p.images)
+        if not gens:
             group = group_from_elements(stated)
-        elif set(stated) != set(group.elements):
+        elif seen != set(group.images):
             raise ValueError("stated elements do not match the closure of the generators")
     return group, {text: parse(text, labels) for text in gen_texts + (texts or ())}
 
 
 def homomorphism_to_json(t: Homomorphism) -> list:
-    sources = _cycle_texts([g.images for g in t.source.elements], t.source.labels)
+    sources = _cycle_texts(t.source.images, t.source.labels)
     targets = _cycle_texts([t.table[g].images for g in t.source.elements], t.target.labels)
     return [[a, b] for a, b in zip(sources, targets)]
 

@@ -1,10 +1,10 @@
 """Permutations of labeled finite sets, cycle notation, and explicit group closure.
 
-Everything here is deliberately explicit and desk-scale: groups are stored as
-full element lists (canonically ordered), and homomorphisms as full tables
-verified at construction.  No Schreier-Sims machinery: the graph automorphism
-search keeps one transversal of witnesses per stabilizer-chain level only to
-list its group, which is an explicit element list like any other.
+Everything here is deliberately explicit and desk-scale: a group holds the
+image tuples of all its elements, in increasing order, and homomorphisms are
+full tables verified at construction.  No Schreier-Sims machinery: the graph
+automorphism search keeps one transversal of witnesses per stabilizer-chain
+level only to list its group, which is an explicit element list like any other.
 
 ``closure`` is the breadth-first search on hashable points (integer image
 tuples) behind homomorphism extension and the single orbits of the alpha
@@ -28,6 +28,7 @@ import math
 import os
 from operator import itemgetter
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Iterator, Mapping as MappingABC, Sequence
 
@@ -302,50 +303,59 @@ def group_cap() -> int:
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """An explicit permutation group: all elements, canonically ordered.
+    """An explicit permutation group: the image tuples of all elements, in
+    increasing order so that every downstream enumeration (orbits, censuses,
+    witnesses) is deterministic, and of the generators.  The labeled
+    ``elements``, ``generators`` and ``identity`` are built on first access.
 
-    Elements are sorted lexicographically by image array so that every
-    downstream enumeration (orbits, censuses, witnesses) is deterministic.
-
-    Invariant: ``generators`` generate ``elements``.  The builders below
+    Invariant: ``generator_images`` generate ``images``.  The builders below
     guarantee it, the graph groups through ``_group_images``; the homomorphism,
     equivariance, closure and invariance checks rely on it to decide a
     property of the whole group on the generators alone, and to name a
     generator as the witness when it fails.
     """
 
-    elements: tuple[Permutation, ...]
-    generators: tuple[Permutation, ...]
-    identity: Permutation
+    labels: tuple[str, ...]
+    images: tuple[tuple[int, ...], ...]
+    generator_images: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_members", frozenset(self.elements))
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation(p, self.labels) for p in self.images)
+
+    @cached_property
+    def generators(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation(s, self.labels) for s in self.generator_images)
+
+    @cached_property
+    def identity(self) -> Permutation:
+        return self.elements[0]
+
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.images)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.images)
 
     @property
     def degree(self) -> int:
-        return self.identity.n
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.identity.labels
+        return len(self.labels)
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.images)
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self._members  # type: ignore[attr-defined]
+        return isinstance(p, Permutation) and p.labels == self.labels and p.images in self._members
 
     def coordinate_orbits(self) -> list[list[int]]:
         """Orbits of the group action on the underlying indices, each sorted,
         listed by smallest index."""
-        return _label_orbits(self.degree, [g.images for g in self.generators])[1]
+        return _label_orbits(self.degree, self.generator_images)[1]
 
 
 def generate_group(generators: Iterable[Permutation]) -> FiniteGroup:
@@ -360,36 +370,33 @@ def generate_group(generators: Iterable[Permutation]) -> FiniteGroup:
     gens = list(generators)
     if not gens:
         raise ValueError("empty generator list: use trivial_group(labels)")
-    n, lab = gens[0].n, gens[0].labels
+    lab = gens[0].labels
     for g in gens:
-        if g.n != n:
-            raise DomainMismatchError("generators act on different domain sizes")
         _require_labels(g, lab)
-    ident = identity(n, lab)
-    elements, found, cap = [ident.images], {ident.images}, group_cap()
-    for i, g in enumerate(gens):
-        if g.images not in found:
-            _extend_by_cosets(elements, found, [s.images for s in gens[: i + 1]], cap)
-    return _group_of_images(lab, sorted(elements), [g.images for g in gens])
+    images, ident = tuple(g.images for g in gens), tuple(range(len(lab)))
+    elements, found, cap = [ident], {ident}, group_cap()
+    for i, g in enumerate(images):
+        if g not in found:
+            _extend_by_cosets(elements, found, images[: i + 1], cap)
+    return FiniteGroup(lab, tuple(sorted(elements)), images)
 
 
 def trivial_group(labels: Sequence[str]) -> FiniteGroup:
     """The one-element group on the given labels, with no generators."""
-    return _group_of_images(tuple(labels), [tuple(range(len(labels)))], [])
+    return FiniteGroup(tuple(labels), (tuple(range(len(labels))),), ())
 
 
 def group_from_elements(elements: Iterable[Permutation]) -> FiniteGroup:
     """Wrap an explicit element set of one labeled domain as a FiniteGroup,
     with the small greedy generating set that ``_group_images`` picks."""
-    elems = sorted(set(elements), key=lambda p: p.images)
+    elems = list(elements)
     lab = elems[0].labels if elems else ()
     for p in elems:
         _require_labels(p, lab)
-    _, gens = _group_images([p.images for p in elems], lab)
-    return FiniteGroup(tuple(elems), tuple(Permutation(s, lab) for s in gens), elems[0])
+    return FiniteGroup(lab, *_group_images([p.images for p in elems], lab))
 
 
-def _group_images(elements: Iterable[tuple[int, ...]], labels: tuple[str, ...]) -> tuple[list, list]:
+def _group_images(elements: Iterable[tuple[int, ...]], labels: tuple[str, ...]) -> tuple[tuple, tuple]:
     """An explicit element set of image tuples over the labels, checked to be a
     group: the elements in increasing order and a small greedy generating set.
 
@@ -423,13 +430,7 @@ def _group_images(elements: Iterable[tuple[int, ...]], labels: tuple[str, ...]) 
     if not closed:
         p, s = next((p, s) for p in elems for s in gens if tuple([s[i] for i in p]) not in members)
         raise ValueError(f"element set not closed under composition at {Permutation(s, labels)}, {Permutation(p, labels)}")
-    return elems, gens
-
-
-def _group_of_images(labels: tuple[str, ...], elements: Sequence[tuple], generators: Sequence[tuple]) -> FiniteGroup:
-    """The FiniteGroup of ``_group_images``' result, every element a validated Permutation."""
-    ordered = tuple(Permutation(images, labels) for images in elements)
-    return FiniteGroup(ordered, tuple(Permutation(s, labels) for s in generators), ordered[0])
+    return tuple(elems), tuple(gens)
 
 
 @dataclass(frozen=True)
@@ -511,7 +512,7 @@ class Homomorphism:
         conflict = ValueError("generator images do not define a homomorphism")
         try:
             # a consistent assignment closes to at most one pair per source element
-            graph = closure([(source.identity.images, target.identity.images)], moves, source.order)
+            graph = closure([(source.images[0], target.images[0])], moves, source.order)
         except CapExceededError:
             raise conflict from None
         images = dict(graph)
@@ -519,7 +520,7 @@ class Homomorphism:
             raise conflict
         if len(images) != source.order:
             raise ValueError("given permutations do not generate the source group")
-        target_element = {k.images: k for k in target.elements}
+        target_element = dict(zip(target.images, target.elements))
         table = {g: target_element[images[g.images]] for g in source.elements}
         return cls(source, target, table)
 

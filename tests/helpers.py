@@ -123,15 +123,16 @@ def orbit_partition(
             yield orbit
 
 
-def automorphism_group_images_by_backtrack(g: Graph, edges: bool) -> tuple[tuple[str, ...], list, list]:
-    """``graph._automorphism_group_images`` by backtracking to every
+def automorphism_group_images_by_backtrack(g: Graph, edges: bool) -> tuple[tuple[str, ...], tuple, tuple]:
+    """The labels, element images and generator images of the vertex (or,
+    with ``edges`` set, the edge) automorphism group, by backtracking to every
     automorphism, the search the library used before its stabilizer chain:
     the same degree and bitmask pruning, candidates in increasing order, and
     each automorphism mapped to its edge ids when ``edges`` is set.  No cap
     is applied, so keep it to groups of desk size."""
     labels = g.edge_labels if edges else g.vertex_labels
     if edges and not g.edges:
-        return labels, [()], []
+        return labels, ((),), ()
     n = g.n_vertices
     nbr = [0] * n
     for u, v in g.edges:

@@ -181,6 +181,34 @@ def test_aut_decides_the_group_cap_before_listing(tmp_path, capsys, monkeypatch)
     assert (code, err) == (0, "") and len(json.loads(out)["elements"]) == 5040
 
 
+def test_aut_reads_only_image_tuples_through_the_public_builder(tmp_path, capsys, monkeypatch):
+    # aut --edges on K7 prints 5,040 elements and builds no labeled permutation
+    path = write_json(tmp_path / "k7.json", graph_document(complete_graph(7)))
+    Permutation = import_module("geneograph.perm").Permutation
+    cli_module = import_module("geneograph.cli")
+    builder, post_init = cli_module.edge_automorphism_group, Permutation.__post_init__
+    built, calls = [], []
+
+    def counted_post_init(self):
+        built.append(self.images)
+        post_init(self)
+
+    def spied_builder(g):
+        calls.append(g)
+        return builder(g)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counted_post_init)
+    monkeypatch.setattr(cli_module, "edge_automorphism_group", spied_builder)
+    monkeypatch.delenv("GENEO_MAX_GROUP", raising=False)
+    code, out, err = run_cli(capsys, "aut", path, "--edges")
+    assert (code, err) == (0, "") and len(json.loads(out)["elements"]) == 5040
+    assert (len(built), len(calls)) == (0, 1)
+    # the counter does see permutations: a group builds its elements on first access
+    group = builder(complete_graph(4))
+    assert built == []
+    assert len(group.elements) == len(built) == 24
+
+
 def test_aut_k4_edges(tmp_path, capsys):
     path = write_json(tmp_path / "k4.json", graph_document(complete_graph(4)))
     code, out, _ = run_cli(capsys, "aut", path, "--edges")
@@ -458,6 +486,24 @@ def test_numeric_group_generator_is_validation_failure(tmp_path, ctx_file, capsy
     code, out, err = run_cli(capsys, "orbits", "--context", path)
     assert code == 1
     assert json.loads(out) == {"error": "group field 'generators' must be an array of strings"}
+
+
+@pytest.mark.parametrize("elements", [["id", "(a,b)", "(b,a)"], ["id", "(a,b)", "(a,b)"]], ids=["two-texts", "one-text-twice"])
+def test_group_naming_an_element_twice_is_validation_failure(tmp_path, capsys, elements):
+    doc = {
+        "G": {"labels": ["a", "b"], "elements": elements},
+        "K": {"labels": ["x", "y"], "elements": ["id", "(x,y)"]},
+        "T": [["id", "id"], ["(a,b)", "(x,y)"]],
+    }
+    path = write_json(tmp_path / "ctx.json", doc)
+    code, out, err = run_cli(capsys, "orbits", "--context", path)
+    message = "group field 'elements' names the permutation '(a,b)' twice"
+    assert code == 1
+    assert json.loads(out) == {"error": message}
+    assert err == f"error: {message}\n"
+    doc["G"]["elements"] = ["id", "(a,b)"]
+    path = write_json(tmp_path / "ctx.json", doc)
+    assert run_cli(capsys, "orbits", "--context", path)[0] == 0
 
 
 @pytest.mark.parametrize("command", ["apply", "verify", "decompose"])

@@ -6,7 +6,6 @@ import pytest
 from geneograph.graph import (
     Graph,
     NotAnAutomorphismError,
-    _automorphism_group_images,
     complete_graph,
     cycle_graph,
     edge_automorphism_group,
@@ -259,7 +258,12 @@ def chain_graphs(seed=2023):
 @pytest.mark.parametrize("g", chain_graphs(), ids=lambda g: f"n{g.n_vertices}m{g.n_edges}")
 def test_stabilizer_chain_matches_the_full_backtrack(g, edges):
     # the same labels, element list and greedy generators, in order
-    assert _automorphism_group_images(g, edges) == automorphism_group_images_by_backtrack(g, edges)
+    group = (edge_automorphism_group if edges else vertex_automorphism_group)(g)
+    assert (group.labels, group.images, group.generator_images) == automorphism_group_images_by_backtrack(g, edges)
+    # the labeled elements, generators and identity, built on first access, agree with the tuples
+    assert [p.images for p in group.elements] == list(group.images)
+    assert [s.images for s in group.generators] == list(group.generator_images)
+    assert group.identity.images == group.images[0]
 
 
 def test_automorphism_search_stops_at_the_group_cap(monkeypatch):

@@ -94,6 +94,24 @@ def test_group_json_checks_stated_elements():
         group_from_json(through_json(doc))
 
 
+@pytest.mark.parametrize("generators", [[], ["(a,b)"]], ids=["elements-only", "with-generators"])
+@pytest.mark.parametrize(
+    "elements, named",
+    [
+        (["id", "(a,b)", "(b,a)"], "(a,b)"),
+        (["id", "(a,b)", "(a,b)"], "(a,b)"),
+        # not closed either: the repeat is named first
+        (["id", "(b,c,a)", "(a,b,c)"], "(a,b,c)"),
+    ],
+    ids=["two-texts", "one-text-twice", "not-closed"],
+)
+def test_group_json_rejects_an_element_named_twice(generators, elements, named):
+    doc = {"labels": ["a", "b", "c"], "generators": generators, "elements": elements}
+    with pytest.raises(ValueError) as exc:
+        group_from_json(doc)
+    assert str(exc.value) == f"group field 'elements' names the permutation {named!r} twice"
+
+
 def test_context_roundtrip():
     ctx = c6_c3_context()
     rebuilt = docs.context_from_json(through_json(docs.context_to_json(ctx)))

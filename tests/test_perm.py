@@ -1,7 +1,7 @@
 import math
 import random
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -310,6 +310,27 @@ def test_generated_groups_satisfy_axioms():
 def test_canonical_element_order():
     g = generate_group([perm("(A,C)", ABCD), perm("(B,D)", ABCD)])
     assert list(g.elements) == sorted(g.elements, key=lambda p: p.images)
+
+
+def test_a_group_holds_the_image_tuples_of_its_elements_and_generators():
+    g = generate_group([perm("(A,C)", ABCD), perm("(B,D)", ABCD)])
+    assert [f.name for f in fields(FiniteGroup)] == ["labels", "images", "generator_images"]
+    assert g.images == tuple(p.images for p in g.elements)
+    assert g.generator_images == tuple(s.images for s in g.generators)
+    assert g.identity is g.elements[0] and g.identity.images == (0, 1, 2, 3)
+    assert g == FiniteGroup(g.labels, g.images, g.generator_images)
+
+
+def test_membership_needs_the_group_labels():
+    # a permutation with a member's images but other labels acts on another set
+    g = generate_group([perm("(A,C)", ABCD), perm("(B,D)", ABCD)])
+    swap = perm("(A,C)", ABCD)
+    assert swap in g and identity(4, ABCD) in g
+    assert Permutation(swap.images, ("W", "X", "Y", "Z")) not in g
+    assert identity(4, EDGES6[:4]) not in g
+    assert perm("(A,B)", ABCD) not in g
+    # anything other than a permutation is not a member either
+    assert swap.images not in g and "(A,C)" not in g
 
 
 def test_group_from_elements_rejects_non_groups():
