@@ -165,7 +165,7 @@ def verify_equivariance(op: LinearOperator) -> tuple[bool, Witness | None]:
     rows = range(op.n_out)
     for g in op.source.group.generators:
         g_inv = g.inverse().images
-        tg = op.hom(g).images
+        tg = op.hom.image(g.images)
         for i, j in enumerate(g_inv):
             if any(c[y][j] != c[tg[y]][i] for y in rows):
                 return False, (i, g)
@@ -325,11 +325,7 @@ def diagonal_scaling(d: Sequence, pair: PerceptionPair) -> ScalingOutcome:
 def _require_same_signature(ops: Sequence[Operator]) -> None:
     first = ops[0]
     for op in ops[1:]:
-        if (
-            op.source != first.source
-            or op.target != first.target
-            or op.hom.table != first.hom.table
-        ):
+        if (op.source, op.target, op.hom.images) != (first.source, first.target, first.hom.images):
             raise DomainMismatchError("operators do not share source, target, and homomorphism")
 
 

@@ -160,7 +160,7 @@ def _read_group(
 
 def homomorphism_to_json(t: Homomorphism) -> list:
     sources = _cycle_texts(t.source.images, t.source.labels)
-    targets = _cycle_texts([t.table[g].images for g in t.source.elements], t.target.labels)
+    targets = _cycle_texts(t.images, t.target.labels)
     return [[a, b] for a, b in zip(sources, targets)]
 
 
@@ -186,8 +186,12 @@ def _read_homomorphism(group_keys: tuple, pair_texts: tuple[tuple[str, str], ...
         (source_named.get(src) or parse(src, source.labels), target_named.get(dst) or parse(dst, target.labels))
         for src, dst in pair_texts
     ]
-    if len(pairs) == source.order and {p for p, _ in pairs} == set(source.elements):
-        return Homomorphism(source, target, dict(pairs))
+    table = {p.images: k for p, k in pairs}
+    if len(table) == len(pairs) == source.order and all(p in source for p, _ in pairs):
+        for _, k in pairs:  # in document order, which the constructor cannot see
+            if k not in target:
+                raise ValueError(f"image {k} not in target group")
+        return Homomorphism(source, target, tuple(table[p].images for p in source.images))
     return Homomorphism.from_generator_images(source, target, pairs)
 
 

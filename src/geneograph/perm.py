@@ -1,10 +1,11 @@
 """Permutations of labeled finite sets, cycle notation, and explicit group closure.
 
 Everything here is deliberately explicit and desk-scale: a group holds the
-image tuples of all its elements, in increasing order, and homomorphisms are
-full tables verified at construction.  No Schreier-Sims machinery: the graph
-automorphism search keeps one transversal of witnesses per stabilizer-chain
-level only to list its group, which is an explicit element list like any other.
+image tuples of all its elements, in increasing order, and a homomorphism
+the image tuples of their images, verified at construction.  No
+Schreier-Sims machinery: the graph automorphism search keeps one transversal
+of witnesses per stabilizer-chain level only to list its group, which is an
+explicit element list like any other.
 
 ``closure`` is the breadth-first search on hashable points (integer image
 tuples) behind homomorphism extension and the single orbits of the alpha
@@ -29,8 +30,7 @@ import os
 from operator import itemgetter
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Iterator, Mapping as MappingABC, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 DEFAULT_GROUP_CAP = math.factorial(10)
 
@@ -252,11 +252,6 @@ def _label_orbits(total: int, tables: Sequence[Sequence[int]]) -> tuple[list[int
     return orbit_id, orbits
 
 
-def _left_multiplication(a: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """The move p -> a o p on image tuples."""
-    return lambda p: tuple([a[i] for i in p])
-
-
 def _extend_by_cosets(elements: list[tuple[int, ...]], found: set, generators: Sequence[tuple], cap: int) -> None:
     """Grow a closed subgroup H, listed in ``elements`` and held in ``found``,
     in place to the group that the generators generate; they include H's own.
@@ -329,11 +324,12 @@ class FiniteGroup:
 
     @cached_property
     def identity(self) -> Permutation:
-        return self.elements[0]
+        return Permutation(self.images[0], self.labels)
 
     @cached_property
-    def _members(self) -> frozenset:
-        return frozenset(self.images)
+    def _position(self) -> dict[tuple[int, ...], int]:
+        """Each element's index in ``images``: membership, and a homomorphism's lookups."""
+        return dict(zip(self.images, range(len(self.images))))
 
     @property
     def order(self) -> int:
@@ -350,7 +346,7 @@ class FiniteGroup:
         return len(self.images)
 
     def __contains__(self, p: Permutation) -> bool:
-        return isinstance(p, Permutation) and p.labels == self.labels and p.images in self._members
+        return isinstance(p, Permutation) and p.labels == self.labels and p.images in self._position
 
     def coordinate_orbits(self) -> list[list[int]]:
         """Orbits of the group action on the underlying indices, each sorted,
@@ -435,54 +431,61 @@ def _group_images(elements: Iterable[tuple[int, ...]], labels: tuple[str, ...]) 
 
 @dataclass(frozen=True)
 class Homomorphism:
-    """A group homomorphism as a full table, verified at construction
-    (except by identity_on, whose table cannot fail).  The table is copied
-    into a read-only mapping, so a homomorphism never changes once built.
+    """A group homomorphism T: ``images[i]`` is the image tuple of T applied
+    to ``source.images[i]``.  Verified at construction, unless it is the
+    identity that ``identity_on`` builds from the group's own tuple.
 
-    The table must cover the source group, land in the target group and map
-    the identity to the identity.  Multiplicativity is decided on the
-    generators: phi(a o s) = phi(a) o phi(s) for every element a and generator
-    s implies it for all pairs, as every element is a positive word in the
-    generators.  A failure names the first a in element order and, for it,
-    the first generator s that breaks it.
+    Each image must be a bijection of the target's points in the target
+    group, and the identity must map to the identity.  Multiplicativity is
+    decided on the generators: T(a o s) = T(a) o T(s) for every element a and
+    generator s implies it for all pairs, as every element is a positive word
+    in the generators.  A failure names the first a in element order and, for
+    it, the first generator s that breaks it.
     """
 
     source: FiniteGroup
     target: FiniteGroup
-    table: MappingABC[Permutation, Permutation]
+    images: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
-        if set(self.table) != set(self.source.elements):
-            raise ValueError("homomorphism table must cover every source element")
-        for v in self.table.values():
-            if v not in self.target:
-                raise ValueError(f"image {v} not in target group")
-        if self.table[self.source.identity] != self.target.identity:
+        source, target = self.source, self.target
+        if target is source and self.images is source.images:
+            return
+        images = tuple(map(tuple, self.images))
+        object.__setattr__(self, "images", images)
+        if len(images) != source.order:
+            raise ValueError(f"homomorphism needs {source.order} images, one per source element, got {len(images)}")
+        for v in images:
+            if v not in target._position:
+                if sorted(v) != list(range(target.degree)):
+                    raise ValueError(f"image {v} is not a bijection of 0..{target.degree - 1}")
+                raise ValueError(f"image {_cycle_texts([v], target.labels)[0]} not in target group")
+        if images[0] != target.images[0]:
             raise ValueError("homomorphism must map identity to identity")
-        images = {a.images: v.images for a, v in self.table.items()}
-        gens = [(s, s.images, images[s.images]) for s in self.source.generators]
-        for a in self.source.elements:
-            a_images, image = a.images, images[a.images]
-            for s, s_images, s_image in gens:
-                if images[tuple([a_images[i] for i in s_images])] != tuple([image[i] for i in s_image]):
-                    raise ValueError(f"not multiplicative at ({format_cycles(a)}, {format_cycles(s)})")
+        position = source._position
+        gens = [(s, images[position[s]]) for s in source.generator_images]
+        for a, image in zip(source.images, images):
+            for s, s_image in gens:
+                if images[position[tuple([a[i] for i in s])]] != tuple([image[i] for i in s_image]):
+                    raise ValueError("not multiplicative at ({}, {})".format(*_cycle_texts([a, s], source.labels)))
 
     def __call__(self, g: Permutation) -> Permutation:
-        return self.table[g]
+        """T(g); KeyError for a g outside the source group."""
+        if g.labels != self.source.labels:
+            raise KeyError(g)
+        return Permutation(self.image(g.images), self.target.labels)
+
+    def image(self, p: tuple[int, ...]) -> tuple[int, ...]:
+        """T on image tuples; KeyError for a p outside the source group."""
+        return self.images[self.source._position[p]]
 
     def is_identity(self) -> bool:
-        return self.source == self.target and all(k == v for k, v in self.table.items())
+        return self.source == self.target and self.images == self.source.images
 
     @classmethod
     def identity_on(cls, group: FiniteGroup) -> "Homomorphism":
-        """The identity of a group: a homomorphism by construction, so its
-        table is built directly and skips the check an outside table gets."""
-        hom = cls.__new__(cls)
-        object.__setattr__(hom, "source", group)
-        object.__setattr__(hom, "target", group)
-        object.__setattr__(hom, "table", MappingProxyType({g: g for g in group.elements}))
-        return hom
+        """The identity of a group, from the group's own image tuple."""
+        return cls(group, group, group.images)
 
     @classmethod
     def from_generator_images(
@@ -495,8 +498,8 @@ class Homomorphism:
 
         The given permutations must generate the source group.  The closure of
         the pairs (g_i, k_i) rejects an assignment that gives one source element
-        two images; the resulting table is then verified on the source
-        group's generators like any other.
+        two images; the resulting images are then verified on the source
+        group's generators like any others.
         """
         for g, k in pairs:
             if g not in source:
@@ -504,11 +507,10 @@ class Homomorphism:
             if k not in target:
                 raise ValueError(f"{format_cycles(k)} not in target group")
 
-        def pair_move(g: Permutation, k: Permutation):
-            g_move, k_move = _left_multiplication(g.images), _left_multiplication(k.images)
-            return lambda pair: (g_move(pair[0]), k_move(pair[1]))
+        def pair_move(g: tuple[int, ...], k: tuple[int, ...]):
+            return lambda pair: (tuple([g[i] for i in pair[0]]), tuple([k[i] for i in pair[1]]))
 
-        moves = [pair_move(g, k) for g, k in pairs]
+        moves = [pair_move(g.images, k.images) for g, k in pairs]
         conflict = ValueError("generator images do not define a homomorphism")
         try:
             # a consistent assignment closes to at most one pair per source element
@@ -520,12 +522,10 @@ class Homomorphism:
             raise conflict
         if len(images) != source.order:
             raise ValueError("given permutations do not generate the source group")
-        target_element = dict(zip(target.images, target.elements))
-        table = {g: target_element[images[g.images]] for g in source.elements}
-        return cls(source, target, table)
+        return cls(source, target, tuple(map(images.__getitem__, source.images)))
 
     def then(self, other: "Homomorphism") -> "Homomorphism":
         """Composite homomorphism (other after self)."""
         if self.target != other.source:
             raise DomainMismatchError("homomorphisms do not chain: target != source")
-        return Homomorphism(self.source, other.target, {g: other(self(g)) for g in self.source})
+        return Homomorphism(self.source, other.target, tuple(map(other.image, self.images)))

@@ -135,8 +135,8 @@ class ActionContext:
 
     G acts on the target set X, K on the source set Y, and T : G -> K is a
     verified homomorphism.  Only the generators' moves on image tuples are
-    built here, in ``moves`` in generator order; ``move`` builds any element's.
-    The place values of map codes are computed once, for decoding.
+    built here, in ``moves`` in generator order; ``move`` builds any element's
+    from its image tuple.  The place values of map codes are computed once.
     """
 
     G: FiniteGroup
@@ -146,14 +146,15 @@ class ActionContext:
     def __post_init__(self):
         if self.T.source != self.G or self.T.target != self.K:
             raise ValueError("homomorphism must map the acting group G into K")
-        object.__setattr__(self, "moves", tuple(map(self.move, self.G.generators)))
+        object.__setattr__(self, "moves", tuple(map(self.move, self.G.generator_images)))
         # the place value |X|^(|Y|-1-y) of source point y in a map code
         nx, ny = self.G.degree, self.K.degree
         object.__setattr__(self, "_places", tuple(nx ** (ny - 1 - y) for y in range(ny)))
 
-    def move(self, g: Permutation) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-        """The move h -> g o h o T(g^-1) of an element g of G on image tuples."""
-        return _alpha_move(g.images, self.T(g.inverse()).images)
+    def move(self, g: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+        """The move h -> g o h o T(g)^-1 on image tuples of the element g of G."""
+        t = self.T.image(g)
+        return _alpha_move(g, tuple(sorted(range(len(t)), key=t.__getitem__)))
 
     @property
     def x_labels(self) -> tuple[str, ...]:
@@ -208,12 +209,12 @@ def alpha_action(g: Permutation, f: Mapping, ctx: ActionContext) -> Mapping:
     if g not in ctx.G:
         raise ValueError(f"{g} is not in the acting group")
     ctx._check_mapping(f)
-    return Mapping(f.source_labels, f.target_labels, ctx.move(g)(f.images))
+    return Mapping(f.source_labels, f.target_labels, ctx.move(g.images)(f.images))
 
 
 def _escape_error(f: Mapping, g: Permutation, ctx: ActionContext) -> ValueError:
     """The error for a set of maps that holds f but not alpha(g, f)."""
-    moved = Mapping(f.source_labels, f.target_labels, ctx.move(g)(f.images))
+    moved = Mapping(f.source_labels, f.target_labels, ctx.move(g.images)(f.images))
     return ValueError(f"not alpha-closed: alpha({g}, {f}) = {moved} escapes")
 
 
@@ -242,9 +243,7 @@ class GeneralizedPermutant:
         ok, witness = is_generalized_permutant(members, self.context)
         if not ok:
             raise _escape_error(*witness, self.context)
-        codes = {self.context.map_code(f.images) for f in members}
-        members = tuple(sorted(members, key=lambda m: m.images))
-        self.__dict__.update(codes=tuple(sorted(codes)), _code_set=codes, members=members)
+        self.__dict__["codes"] = tuple(sorted(self.context.map_code(f.images) for f in members))
 
     @classmethod
     def _from_codes(cls, context: ActionContext, codes: Sequence[int]) -> "GeneralizedPermutant":
@@ -322,7 +321,7 @@ def _partition(ctx: ActionContext) -> tuple[array, array]:
     total = ctx.map_space_size()
     if total > DEFAULT_MAP_SPACE_CAP:
         raise CapExceededError(f"map space has {total} elements, over the cap {DEFAULT_MAP_SPACE_CAP}")
-    generators = tuple((g.images, ctx.T(g).images) for g in ctx.G.generators)
+    generators = tuple((g, ctx.T.image(g)) for g in ctx.G.generator_images)
     try:
         return _code_partition(ctx.G.degree, ctx.K.degree, generators)
     except _OpenPartition as exc:
@@ -373,7 +372,7 @@ def orbitals(ctx: ActionContext) -> list[tuple[tuple[int, int], ...]]:
     tables (the orbit basis of Maron, Ben-Hamu, Shamir and Lipman, ICLR 2019).
     The count table of an alpha-invariant set of maps is one such table.
     """
-    generators = [(ctx.T(g).images, g.images) for g in ctx.G.generators]
+    generators = [(ctx.T.image(g), g) for g in ctx.G.generator_images]
     return _pair_orbits(ctx.K.degree, ctx.G.degree, generators)
 
 

@@ -1,5 +1,6 @@
 """Builders that only the tests use: the symmetric group, subset-stabilizer
-contexts with their image-cardinality permutants and measures, the JSON
+contexts with their image-cardinality permutants and measures, a
+homomorphism from a table of labeled permutations, the JSON
 forms of a graph, a permutant and a single group, the cycles of a
 permutation, the closure-based orbit split that the reference
 enumerations use, and the full-enumeration automorphism search that the
@@ -45,8 +46,13 @@ def setwise_stabilizer_context(x_labels, y_labels) -> ActionContext:
     for g in G:
         restricted = tuple(y_index[x_labels[g(pos)]] for pos in y_positions)
         table[g] = Permutation(restricted, y_labels)
-    T = Homomorphism(G, K, table)
-    return ActionContext(G, K, T)
+    return ActionContext(G, K, homomorphism_from_table(G, K, table))
+
+
+def homomorphism_from_table(source: FiniteGroup, target: FiniteGroup, table) -> Homomorphism:
+    """The homomorphism that a table {element: image} of labeled permutations
+    states: the images' tuples in the source group's element order."""
+    return Homomorphism(source, target, tuple(table[g].images for g in source))
 
 
 def small_image_permutant(ctx: ActionContext, m: int) -> GeneralizedPermutant:

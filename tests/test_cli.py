@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from importlib import import_module
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -504,6 +505,68 @@ def test_group_naming_an_element_twice_is_validation_failure(tmp_path, capsys, e
     doc["G"]["elements"] = ["id", "(a,b)"]
     path = write_json(tmp_path / "ctx.json", doc)
     assert run_cli(capsys, "orbits", "--context", path)[0] == 0
+
+
+C3_ABC = {"labels": ["a", "b", "c"], "generators": ["(a,b,c)"]}
+C3_XYZ = {"labels": ["x", "y", "z"], "generators": ["(x,y,z)"]}
+C2_XY = {"labels": ["x", "y"], "generators": ["(x,y)"]}
+HOMOMORPHISM_REJECTIONS = {
+    # a full table: two images outside K, listed out of source order, so the first in the document is named
+    "image-outside-target": (
+        C3_ABC, C3_XYZ, [["(a,c,b)", "(x,y)"], ["(a,b,c)", "(y,z)"], ["id", "id"]],
+        "image (x,y) not in target group",
+    ),
+    "identity-moved": (
+        {"labels": ["a", "b"], "generators": ["(a,b)"]}, C2_XY, [["id", "(x,y)"], ["(a,b)", "id"]],
+        "homomorphism must map identity to identity",
+    ),
+    "not-multiplicative": (
+        C3_ABC, C3_XYZ, [["id", "id"], ["(a,b,c)", "(x,y,z)"], ["(a,c,b)", "(x,y,z)"]],
+        "not multiplicative at ((a,b,c), (a,b,c))",
+    ),
+    # generator images
+    "outside-source": (C3_ABC, C3_XYZ, [["(a,b)", "id"]], "(a,b) not in source group"),
+    "ill-defined": (C3_ABC, C2_XY, [["(a,b,c)", "(x,y)"]], "generator images do not define a homomorphism"),
+    "not-generating": (
+        {"labels": ["a", "b", "c"], "generators": ["(a,b,c)", "(a,b)"]}, C2_XY, [["(a,b,c)", "id"]],
+        "given permutations do not generate the source group",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", HOMOMORPHISM_REJECTIONS)
+def test_homomorphism_rejection_is_validation_failure(tmp_path, capsys, case):
+    g, k, t, message = HOMOMORPHISM_REJECTIONS[case]
+    path = write_json(tmp_path / "ctx.json", {"G": g, "K": k, "T": t})
+    code, out, err = run_cli(capsys, "orbits", "--context", path)
+    assert code == 1
+    assert json.loads(out) == {"error": message}
+    assert err == f"error: {message}\n"
+
+
+def test_orbits_on_a_full_table_context_lists_no_group_elements(tmp_path, capsys, monkeypatch, fresh_memos):
+    # a relabeled K4 edge context whose T lists all 24 elements: reading it and
+    # splitting its maps into orbits runs on image tuples, so neither group
+    # lists its labeled elements and every permutation built is a parsed text
+    k4 = graph("ABCD", list(zip("qmrnpo", combinations("ABCD", 2))))
+    doc = docs.context_to_json(endo_context(edge_automorphism_group(k4)))
+    assert len(doc["T"]) == 24
+    path = write_json(tmp_path / "k4.json", doc)
+    perm_module, io_module = import_module("geneograph.perm"), import_module("geneograph.io")
+    post_init, parse = perm_module.Permutation.__post_init__, io_module.parse_cycles
+    built, parsed = [], []
+    monkeypatch.setattr(perm_module.Permutation, "__post_init__", lambda p: built.append(p.images) or post_init(p))
+    monkeypatch.setattr(io_module, "parse_cycles", lambda text, labels: parsed.append(text) or parse(text, labels))
+    code, out, err = run_cli(capsys, "orbits", "--context", path)
+    assert (code, err) == (0, "") and json.loads(out)["total"] == 6**6
+    # each group's generator texts are parsed for validation, then each distinct
+    # text of the group document once; K's document is G's, and T names only their texts
+    assert len(built) == len(parsed) == 2 * len(doc["G"]["generators"]) + 24
+    ctx = docs.context_from_json(doc)  # the groups that the command read, remembered by their documents
+    for group in (ctx.G, ctx.K):
+        assert "elements" not in group.__dict__
+    # the counter does see permutations: a group builds its elements on first access
+    assert len(ctx.G.elements) == len(built) - len(parsed) == 24
 
 
 @pytest.mark.parametrize("command", ["apply", "verify", "decompose"])

@@ -132,7 +132,7 @@ def test_context_matches_presentation_built_groups(c6c3):
     ctx = c6_c3_context()
     assert set(ctx.G.elements) == set(c6c3.G.elements)
     assert set(ctx.K.elements) == set(c6c3.K.elements)
-    assert ctx.T.table == c6c3.T.table
+    assert ctx.T.images == c6c3.T.images
 
 
 def census_representatives(orbits):

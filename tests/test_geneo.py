@@ -384,7 +384,7 @@ def test_compose_chains_homomorphisms(c6c3):
     ident = identity_operator(op.target)
     chained = compose_operators(ident, op)
     assert chained.coeffs == op.coeffs
-    assert chained.hom.table == op.hom.table
+    assert chained.hom.images == op.hom.images
 
 
 def test_pointwise_min_of_equal_operators(f4):
@@ -621,7 +621,7 @@ def random_operator(rng, source, target):
         tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(source.space.dim))
         for _ in range(target.space.dim)
     )
-    hom = Homomorphism(source.group, target.group, {source.group.identity: target.group.identity})
+    hom = Homomorphism(source.group, target.group, target.group.images)
     return LinearOperator(coeffs, source, target, hom)
 
 

@@ -25,7 +25,7 @@ from geneograph.perm import (
 )
 from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group
 
-from helpers import cycles
+from helpers import cycles, homomorphism_from_table
 
 ABCD = ("A", "B", "C", "D")
 EDGES6 = ("a", "b", "c", "d", "e", "f")
@@ -315,9 +315,11 @@ def test_canonical_element_order():
 def test_a_group_holds_the_image_tuples_of_its_elements_and_generators():
     g = generate_group([perm("(A,C)", ABCD), perm("(B,D)", ABCD)])
     assert [f.name for f in fields(FiniteGroup)] == ["labels", "images", "generator_images"]
+    # the identity is built without listing the elements
+    assert g.identity.images == (0, 1, 2, 3) and "elements" not in g.__dict__
     assert g.images == tuple(p.images for p in g.elements)
     assert g.generator_images == tuple(s.images for s in g.generators)
-    assert g.identity is g.elements[0] and g.identity.images == (0, 1, 2, 3)
+    assert g.identity == g.elements[0]
     assert g == FiniteGroup(g.labels, g.images, g.generator_images)
 
 
@@ -386,7 +388,12 @@ def test_homomorphism_from_generators():
     g6, g3, t, alpha, beta, gamma, delta = d6_to_d3()
     assert t(alpha) == gamma and t(beta) == delta
     assert t(g6.identity) == g3.identity
-    assert len(t.table) == 12
+    assert len(t.images) == 12
+    assert t.images == tuple(t(g).images for g in g6)
+    # a permutation outside the source group has no image, nor has a member's images under other labels
+    for outside in (perm("(a,b)", EDGES6), Permutation(alpha.images, tuple("uvwxyz"))):
+        with pytest.raises(KeyError):
+            t(outside)
 
 
 def test_homomorphism_multiplicative_exhaustive():
@@ -401,7 +408,7 @@ def test_homomorphism_rejects_bad_table():
     swap = perm("(A,B)", ABCD)
     # swapping the two images breaks multiplicativity
     with pytest.raises(ValueError):
-        Homomorphism(g, g, {g.identity: swap, swap: g.identity})
+        homomorphism_from_table(g, g, {g.identity: swap, swap: g.identity})
 
 
 def exhaustive_rejection(source, table):
@@ -478,10 +485,11 @@ def test_homomorphism_check_matches_exhaustive_scan(name):
                 tables.append(table)
         for table in tables:
             if exhaustive_rejection(source, table) is None:
-                assert Homomorphism(source, target, table).table == table
+                hom = homomorphism_from_table(source, target, table)
+                assert {g: hom(g) for g in source} == table
             else:
                 with pytest.raises(ValueError) as exc:
-                    Homomorphism(source, target, table)
+                    homomorphism_from_table(source, target, table)
                 a, s = generator_witness(source, table)
                 assert s in source.generators
                 assert table[compose(a, s)] != compose(table[a], table[s])
@@ -496,8 +504,24 @@ def test_homomorphism_check_on_trivial_group():
     trivial = trivial_group(ABCD)
     assert trivial.generators == ()
     c2 = generate_group([perm("(x,y)", ("x", "y"))])
-    assert Homomorphism(trivial, c2, {trivial.identity: c2.identity}).table
+    assert Homomorphism(trivial, c2, (c2.identity.images,)).images == ((0, 1),)
     assert Homomorphism.identity_on(trivial).is_identity()
+
+
+@pytest.mark.parametrize("bad", [(0, 1), (0, 1, 2, 3), (1, 1, 0), (0, 1, 3), (2, 0, -1)])
+def test_homomorphism_names_a_malformed_image_as_given(bad):
+    # an image of the wrong length, or with a repeated or out-of-range entry,
+    # is named as the tuple given, never read as cycles of the target's labels
+    c3 = generate_group([perm("(a,b,c)", ("a", "b", "c"))])
+    for position in range(3):
+        images = list(c3.images)
+        images[position] = bad
+        with pytest.raises(ValueError) as exc:
+            Homomorphism(c3, c3, images)
+        assert str(exc.value) == f"image {bad} is not a bijection of 0..2"
+    with pytest.raises(ValueError) as exc:
+        Homomorphism(c3, c3, c3.images[:2])
+    assert str(exc.value) == "homomorphism needs 3 images, one per source element, got 2"
 
 
 def test_valid_homomorphism_table_does_no_pairwise_work(monkeypatch):
@@ -505,21 +529,26 @@ def test_valid_homomorphism_table_does_no_pairwise_work(monkeypatch):
 
     s4 = generate_group([perm("(A,B,C,D)", ABCD), perm("(A,B)", ABCD)])
     table = conjugation_table(s4, perm("(A,B,C)", ABCD))
-    calls = []
-    real_compose = perm_module.compose
+    swap = perm("(A,B)", ABCD)
+    images = tuple(table[g].images for g in s4)
+    broken = tuple(table[g].images if g != swap else s4.images[0] for g in s4)
+    calls, built = [], []
+    real_compose, post_init = perm_module.compose, Permutation.__post_init__
     monkeypatch.setattr(perm_module, "compose", lambda p, q: calls.append(1) or real_compose(p, q))
-    Homomorphism(s4, s4, table)
-    assert calls == []
-    table[perm("(A,B)", ABCD)] = s4.identity
+    monkeypatch.setattr(Permutation, "__post_init__", lambda p: built.append(p.images) or post_init(p))
+    Homomorphism(s4, s4, images)
+    assert calls == [] and built == []
     with pytest.raises(ValueError, match="not multiplicative"):
-        Homomorphism(s4, s4, table)
-    assert calls == []
+        Homomorphism(s4, s4, broken)
+    assert calls == [] and built == []
+    # the counter does see permutations
+    assert Homomorphism(s4, s4, images)(swap) == table[swap] and len(built) == 1
 
 
 @pytest.mark.parametrize("graph", [cycle_graph(6), complete_graph(4), complete_graph(7)], ids=["C6", "K4", "K7"])
 def test_identity_on_equals_the_checked_identity_table(graph):
     group = edge_automorphism_group(graph)
-    assert Homomorphism.identity_on(group) == Homomorphism(group, group, {x: x for x in group.elements})
+    assert Homomorphism.identity_on(group) == Homomorphism(group, group, tuple(x.images for x in group.elements))
 
 
 def test_homomorphism_identity_and_composition():
@@ -527,7 +556,7 @@ def test_homomorphism_identity_and_composition():
     ident = Homomorphism.identity_on(g6)
     assert ident.is_identity()
     chained = ident.then(t)
-    assert chained.table == t.table
+    assert chained.images == t.images and chained == t
 
 
 def test_inconsistent_generator_images_rejected():
@@ -542,10 +571,10 @@ def test_a_homomorphism_cannot_change_once_built():
     g6, g3, t, alpha, *_ = d6_to_d3()
     for hom in (t, Homomorphism.identity_on(g6)):
         with pytest.raises(FrozenInstanceError):
-            hom.table = {}
+            hom.images = ()
         with pytest.raises(TypeError):
-            hom.table[alpha] = alpha
-    table = dict(t.table)
+            hom.images[1] = hom.images[0]
+    table = [list(v) for v in t.images]
     built = Homomorphism(g6, g3, table)
-    table[alpha] = g3.identity
-    assert built.table == t.table and built(alpha) == t(alpha)
+    table[1][:] = g3.images[0]
+    assert built.images == t.images and built(alpha) == t(alpha)

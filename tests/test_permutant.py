@@ -313,6 +313,8 @@ def test_orbit_from_codes_matches_public_constructor(c6c3):
     maps = list(c6c3.all_mappings())
     for o in all_orbits(c6c3)[0] + [orbit("aec", c6c3)]:
         built = GeneralizedPermutant(c6c3, tuple(reversed(o.members)))
+        # like a permutant from codes, a checked one holds its codes alone until asked for more
+        assert set(built.__dict__) == {"context", "codes"}
         assert o == built and built == o
         assert hash_or_error(o) == hash_or_error(built)
         assert o.members == built.members and o.size == built.size
