@@ -33,11 +33,12 @@ for rep in ("aec", "bfd", "aaa", "aab"):
 orbits, census = all_orbits(ctx)
 print("\ncensus (orbit size -> number of orbits):", census)
 
-# A set of maps is a generalized permutant exactly when it is a union of
-# orbits; anything less gets rejected with a witness.
-ok, _ = is_generalized_permutant(set(orbit("aec", ctx).members), ctx)
+# A set of maps, given by their image tuples, is a generalized permutant
+# exactly when it is a union of orbits; anything less gets rejected with a
+# witness.
+ok, _ = is_generalized_permutant({f.images for f in orbit("aec", ctx).members}, ctx)
 print('\nfull orbit of "aec" is a permutant:', ok)
-ok, witness = is_generalized_permutant({ctx.mapping("aec")}, ctx)
+ok, witness = is_generalized_permutant({ctx.read_map("aec")}, ctx)
 h, g = witness
 print('{"aec"} alone is a permutant:', ok, f"(witness: alpha({g}, {h.compact()}) escapes)")
 

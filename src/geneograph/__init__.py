@@ -56,6 +56,7 @@ from .permutant import (
     ActionContext,
     GeneralizedPermutant,
     Mapping,
+    NotAlphaClosedError,
     PermutantMeasure,
     all_orbits,
     alpha_action,
@@ -63,7 +64,6 @@ from .permutant import (
     is_generalized_permutant,
     is_permutant_measure,
     orbit,
-    parse_mapping,
 )
 
 __version__ = "0.1.0"

@@ -36,12 +36,7 @@ from .geneo import (
 )
 from .graph import edge_automorphism_group, parse_graph, vertex_automorphism_group
 from .perm import CapExceededError, format_cycles, group_cap
-from .permutant import (
-    GeneralizedPermutant,
-    _partition,
-    is_generalized_permutant,
-    is_permutant_measure,
-)
+from .permutant import GeneralizedPermutant, NotAlphaClosedError, _partition, is_permutant_measure
 
 
 class ValidationFailure(Exception):
@@ -122,14 +117,19 @@ def cmd_orbits(args) -> dict:
     return _orbit_census(_context(args), args.full)
 
 
-def cmd_permutant_check(args) -> dict:
-    doc = _load(args.members)
+def _permutant(path: str, args, failure: dict) -> GeneralizedPermutant:
+    """The permutant a document lists, a member perhaps twice; failing with the witness if not alpha-closed."""
+    doc = _load(path)
     ctx = _context(args, doc)
-    members = docs.permutant_members_from_json(doc, ctx)
-    ok, witness = is_generalized_permutant(members, ctx)
-    if not ok:
-        raise _alpha_failure({"ok": False, "error": "not a generalized permutant"}, witness)
-    return {"ok": True, "size": len(set(members))}
+    try:
+        return GeneralizedPermutant(ctx, set(docs.permutant_members_from_json(doc, ctx)))
+    except NotAlphaClosedError as exc:
+        raise _alpha_failure(failure, exc.witness) from None
+
+
+def cmd_permutant_check(args) -> dict:
+    h = _permutant(args.members, args, {"ok": False, "error": "not a generalized permutant"})
+    return {"ok": True, "size": h.size}
 
 
 def cmd_measure_check(args) -> dict:
@@ -141,20 +141,14 @@ def cmd_measure_check(args) -> dict:
         raise _alpha_failure({"ok": False, "error": "not a permutant measure"}, witness)
     return {
         "ok": True,
-        "support": len(m.support),
+        "support": len(m.weights),
         "total_variation": docs.fraction_to_json(m.total_variation()),
     }
 
 
 def cmd_geneo_build(args) -> dict:
     if args.permutant:
-        doc = _load(args.permutant)
-        ctx = _context(args, doc)
-        members = docs.permutant_members_from_json(doc, ctx)
-        ok, witness = is_generalized_permutant(members, ctx)
-        if not ok:
-            raise _alpha_failure({"error": "not a generalized permutant"}, witness)
-        op = from_permutant(GeneralizedPermutant(ctx, tuple(set(members))))
+        op = from_permutant(_permutant(args.permutant, args, {"error": "not a generalized permutant"}))
     else:
         doc = _load(args.measure)
         ctx = _context(args, doc)

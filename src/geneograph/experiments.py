@@ -41,7 +41,6 @@ from .permutant import (
     Mapping,
     PermutantMeasure,
     endo_context,
-    mapping_from_permutation,
     orbit,
 )
 
@@ -56,7 +55,7 @@ def transposition_permutant(n: int, model: str = "edge") -> GeneralizedPermutant
     kn = complete_graph(n)
     if model == "edge":
         return _edge_transpositions(kn, edge_automorphism_group(kn))
-    members = {mapping_from_permutation(p) for p in _vertex_transpositions(kn)}
+    members = {p.images for p in _vertex_transpositions(kn)}
     return GeneralizedPermutant(endo_context(vertex_automorphism_group(kn)), tuple(members))
 
 
@@ -71,7 +70,7 @@ def _vertex_transpositions(kn: Graph) -> list[Permutation]:
 
 def _edge_transpositions(kn: Graph, edge_group: FiniteGroup) -> GeneralizedPermutant:
     """The edge model of the transposition permutant, on K_n's edge group."""
-    members = {mapping_from_permutation(induced_edge_permutation(kn, p)) for p in _vertex_transpositions(kn)}
+    members = {induced_edge_permutation(kn, p).images for p in _vertex_transpositions(kn)}
     return GeneralizedPermutant(endo_context(edge_group), tuple(members))
 
 
@@ -278,9 +277,9 @@ def cube_face_reflections() -> tuple[Mapping, ...]:
         lambda c: (c[0], -c[1], c[2]),
         lambda c: (c[0], c[1], -c[2]),
     )
-    return tuple(mapping_from_permutation(_coordinate_map(fn)) for fn in flips)
+    return tuple(Mapping(CUBE_LABELS, CUBE_LABELS, _coordinate_map(fn).images) for fn in flips)
 
 
 def cube_reflection_measure(weight) -> PermutantMeasure:
     """Equal weight on the three face reflections, zero elsewhere."""
-    return PermutantMeasure(cube_context(), {h: weight for h in cube_face_reflections()})
+    return PermutantMeasure(cube_context(), {h.images: weight for h in cube_face_reflections()})

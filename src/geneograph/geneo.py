@@ -44,7 +44,6 @@ from .perm import (
 from .permutant import (
     ActionContext,
     GeneralizedPermutant,
-    Mapping,
     PermutantMeasure,
     _alpha_move,
     _pair_orbits,
@@ -218,7 +217,8 @@ def from_permutant(
     """
     if h.size == 0:
         raise ValueError("cannot build an operator from the empty permutant")
-    op = _map_operator(h.context, ((f.images, 1) for f in h.members), h.size, source_space, target_space)
+    maps = ((h.context.map_images(c), 1) for c in h.codes)
+    op = _map_operator(h.context, maps, h.size, source_space, target_space)
     assert op.is_geo and op.is_geneo, "permutant averaging must yield a GENEO"
     return op
 
@@ -239,7 +239,7 @@ def from_measure(
         f, g = witness
         raise ValueError(f"not a permutant measure: weight changes along alpha({g}, {f})")
     denominator = math.lcm(*(w.denominator for w in m.weights.values()))
-    weighted = ((f.images, w.numerator * (denominator // w.denominator)) for f, w in m.weights.items())
+    weighted = ((h, w.numerator * (denominator // w.denominator)) for h, w in m.weights.items())
     op = _map_operator(m.context, weighted, denominator, source_space, target_space)
     assert op.is_geo, "a permutant measure must yield an equivariant operator"
     return op
@@ -517,11 +517,7 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
     assert final is not None and final[0] <= 1
     _, weights = final
 
-    labels = group.labels
-    measure_weights: dict[Mapping, Fraction] = {}
-    for i, w in weights.items():
-        for h in columns[i][2]:
-            measure_weights[Mapping(labels, labels, h)] = w
+    measure_weights = {h: w for i, w in weights.items() for h in columns[i][2]}
     result = PermutantMeasure(endo_context(group), measure_weights)
     rebuilt = from_measure(result)
     assert rebuilt.coeffs == op.coeffs, "reconstructed operator must match exactly"

@@ -198,7 +198,7 @@ def _automorphism_group(g: Graph, edges: bool) -> FiniteGroup:
     """
     labels = g.edge_labels if edges else g.vertex_labels
     if edges and not g.edges:
-        return FiniteGroup(labels, ((),), ())
+        return FiniteGroup._unchecked(labels, ((),), ())
     n = g.n_vertices
     if n > DEFAULT_VERTEX_CAP:
         raise CapExceededError(f"{n} vertices exceeds the automorphism-search cap {DEFAULT_VERTEX_CAP}")
@@ -247,7 +247,7 @@ def _automorphism_group(g: Graph, edges: bool) -> FiniteGroup:
     if len(labels) > 1:  # itemgetter(i) returns no tuple
         for level in levels:
             elements += [p for t in level for p in map(itemgetter(*t), elements)]
-    return FiniteGroup(labels, *_group_images(elements, labels))
+    return FiniteGroup._unchecked(labels, *_group_images(elements, labels))
 
 
 def induced_edge_permutation(g: Graph, vp: Permutation) -> Permutation:

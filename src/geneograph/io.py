@@ -44,13 +44,7 @@ from .perm import (
     parse_cycles,
     trivial_group,
 )
-from .permutant import (
-    ActionContext,
-    Mapping,
-    PermutantMeasure,
-    mapping_from_labels,
-    parse_mapping,
-)
+from .permutant import ActionContext, Mapping, PermutantMeasure
 
 
 def fraction_to_json(x: Fraction):
@@ -230,22 +224,24 @@ def map_code_to_json(ctx: ActionContext) -> Callable[[int], str | list]:
     return lambda code: high[code // place] + low[code % place]
 
 
-def mapping_from_json(doc, ctx: ActionContext) -> Mapping:
-    if isinstance(doc, str):
-        return parse_mapping(doc, ctx.y_labels, ctx.x_labels)
-    return mapping_from_labels(_strings(doc, "a mapping in label form"), ctx.y_labels, ctx.x_labels)
+def _read_map(doc, ctx: ActionContext) -> tuple[int, ...]:
+    """The image tuple of a map document: compact text or an array of target labels."""
+    return ctx.read_map(doc if isinstance(doc, str) else _strings(doc, "a mapping in label form"))
 
 
-def permutant_members_from_json(doc, ctx: ActionContext) -> list[Mapping]:
+def permutant_members_from_json(doc, ctx: ActionContext) -> list[tuple[int, ...]]:
+    """The image tuples of a permutant document's members, in document order."""
     members = _get(doc, "permutant", "members") if isinstance(doc, MappingABC) else doc
-    return [mapping_from_json(m, ctx) for m in _array(members, "permutant field 'members'")]
+    return [_read_map(m, ctx) for m in _array(members, "permutant field 'members'")]
 
 
 def measure_to_json(m: PermutantMeasure) -> dict:
+    labels = m.context.x_labels
+    form = "".join if all(len(lab) == 1 for lab in labels) else list
     return {
         "weights": [
-            {"mapping": mapping_to_json(f), "weight": fraction_to_json(m.weight(f))}
-            for f in m.support
+            {"mapping": form(labels[i] for i in h), "weight": fraction_to_json(w)}
+            for h, w in sorted(m.weights.items())
         ],
         "context": context_to_json(m.context),
     }
@@ -253,7 +249,7 @@ def measure_to_json(m: PermutantMeasure) -> dict:
 
 def measure_from_json(doc: MappingABC, ctx: ActionContext) -> PermutantMeasure:
     weights_doc = doc.get("weights", doc) if isinstance(doc, MappingABC) else doc
-    weights: dict[Mapping, Fraction] = {}
+    weights: dict[tuple[int, ...], Fraction] = {}
     if isinstance(weights_doc, MappingABC):
         items = [(k, v) for k, v in weights_doc.items()]
     elif isinstance(weights_doc, list) and all(isinstance(e, MappingABC) for e in weights_doc):
@@ -262,10 +258,10 @@ def measure_from_json(doc: MappingABC, ctx: ActionContext) -> PermutantMeasure:
     else:
         raise ValueError("measure field 'weights' must be an object or an array of objects")
     for key, value in items:
-        f = mapping_from_json(key, ctx)
-        if f in weights:
-            raise ValueError(f"measure names the map {str(f)!r} twice")
-        weights[f] = _rational(value, "measure weight")
+        h = _read_map(key, ctx)
+        if h in weights:
+            raise ValueError(f"measure names the map {str(Mapping(ctx.y_labels, ctx.x_labels, h))!r} twice")
+        weights[h] = _rational(value, "measure weight")
     return PermutantMeasure(ctx, weights)
 
 

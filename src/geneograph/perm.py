@@ -303,16 +303,42 @@ class FiniteGroup:
     witnesses) is deterministic, and of the generators.  The labeled
     ``elements``, ``generators`` and ``identity`` are built on first access.
 
+    The constructor checks that each image is a bijection of range(n), n the
+    number of labels, that the images are sorted and distinct with the
+    identity first, and that the generators are among them.  The builders
+    below and the graph groups build their fields so, and skip the check
+    through ``_unchecked``.
+
     Invariant: ``generator_images`` generate ``images``.  The builders below
     guarantee it, the graph groups through ``_group_images``; the homomorphism,
     equivariance, closure and invariance checks rely on it to decide a
     property of the whole group on the generators alone, and to name a
-    generator as the witness when it fails.
+    generator as the witness when it fails.  The constructor does not check it.
     """
 
     labels: tuple[str, ...]
     images: tuple[tuple[int, ...], ...]
     generator_images: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        ident = tuple(range(len(self.labels)))
+        for p in (*self.images, *self.generator_images):
+            if type(p) is not tuple or not all(type(i) is int for i in p) or sorted(p) != list(ident):
+                raise ValueError(f"not a bijection of 0..{len(ident) - 1}: {p!r}")
+        if not self.images or self.images[0] != ident:
+            raise ValueError("the identity must be the first element")
+        if any(a >= b for a, b in zip(self.images, self.images[1:])):
+            raise ValueError("the elements must be sorted and distinct")
+        for s in self.generator_images:
+            if s not in self._position:
+                raise ValueError(f"generator {s} is not an element")
+
+    @classmethod
+    def _unchecked(cls, labels, images, generator_images) -> "FiniteGroup":
+        """The group of fields that its builder guarantees, unchecked."""
+        group = cls.__new__(cls)
+        group.__dict__.update(labels=labels, images=images, generator_images=generator_images)
+        return group
 
     @cached_property
     def elements(self) -> tuple[Permutation, ...]:
@@ -374,12 +400,12 @@ def generate_group(generators: Iterable[Permutation]) -> FiniteGroup:
     for i, g in enumerate(images):
         if g not in found:
             _extend_by_cosets(elements, found, images[: i + 1], cap)
-    return FiniteGroup(lab, tuple(sorted(elements)), images)
+    return FiniteGroup._unchecked(lab, tuple(sorted(elements)), images)
 
 
 def trivial_group(labels: Sequence[str]) -> FiniteGroup:
     """The one-element group on the given labels, with no generators."""
-    return FiniteGroup(tuple(labels), (tuple(range(len(labels))),), ())
+    return FiniteGroup._unchecked(tuple(labels), (tuple(range(len(labels))),), ())
 
 
 def group_from_elements(elements: Iterable[Permutation]) -> FiniteGroup:
@@ -389,7 +415,7 @@ def group_from_elements(elements: Iterable[Permutation]) -> FiniteGroup:
     lab = elems[0].labels if elems else ()
     for p in elems:
         _require_labels(p, lab)
-    return FiniteGroup(lab, *_group_images([p.images for p in elems], lab))
+    return FiniteGroup._unchecked(lab, *_group_images([p.images for p in elems], lab))
 
 
 def _group_images(elements: Iterable[tuple[int, ...]], labels: tuple[str, ...]) -> tuple[tuple, tuple]:

@@ -2,7 +2,7 @@
 orbit enumeration, the orbitals of G on Y x X, and validation of generalized
 permutants and permutant measures.
 
-Inside, a map Y -> X is an integer: its image tuple h read as a base-|X|
+Inside, a map Y -> X is its image tuple h or its code, h read as a base-|X|
 numeral, sum h[y] * |X|^(|Y|-1-y), so that numeric order is lexicographic
 order of image tuples.  ``_partition`` labels every code with its orbit in
 one pass, a breadth-first search over one lookup table per generator of G
@@ -16,9 +16,12 @@ structure and relabeled copies of a context share it: the last
 first, each as its codes in orbit order in one ``array('i')`` beside the
 orbit sizes (4 bytes per map).  The map-space cap is checked on every call,
 and a partition that fails the closure check raises its witness and is never
-remembered.  ``all_orbits`` builds on it, and a ``GeneralizedPermutant``
-holds the codes of its members in code order; labeled ``Mapping`` objects and
-the set of codes are built only when asked for.
+remembered.  ``all_orbits`` builds on it.
+
+A ``GeneralizedPermutant`` holds its members' codes, a ``PermutantMeasure``
+{image tuple: Fraction}, and ``ActionContext.read_map`` reads a labeled map
+to its image tuple; ``Mapping`` objects are built for library callers and
+witnesses alone.
 
 The action is built from G's generators alone, and permutants and measures
 share one invariance test, a set of maps being tested as its indicator
@@ -102,33 +105,6 @@ class Mapping:
         return Permutation(self.images, self.target_labels)
 
 
-def mapping_from_permutation(p: Permutation) -> Mapping:
-    return Mapping(p.labels, p.labels, p.images)
-
-
-def mapping_from_labels(
-    names: Sequence[str], source_labels: Sequence[str], target_labels: Sequence[str]
-) -> Mapping:
-    target_labels = tuple(target_labels)
-    index = {lab: i for i, lab in enumerate(target_labels)}
-    try:
-        images = tuple(index[name] for name in names)
-    except KeyError as exc:
-        raise ValueError(f"unknown target label {exc.args[0]!r}") from exc
-    return Mapping(tuple(source_labels), target_labels, images)
-
-
-def parse_mapping(text: str, source_labels: Sequence[str], target_labels: Sequence[str]) -> Mapping:
-    """Parse the compact form, one target label character per source element."""
-    if any(len(lab) != 1 for lab in target_labels):
-        raise ValueError("compact form needs single-character target labels")
-    if len(text) != len(source_labels):
-        raise ValueError(
-            f"expected {len(source_labels)} characters for source {tuple(source_labels)}, got {text!r}"
-        )
-    return mapping_from_labels(list(text), source_labels, target_labels)
-
-
 @dataclass(frozen=True)
 class ActionContext:
     """The data (G, K, T) of the action (g, f) -> g o f o T(g^-1) on maps Y -> X.
@@ -136,7 +112,8 @@ class ActionContext:
     G acts on the target set X, K on the source set Y, and T : G -> K is a
     verified homomorphism.  Only the generators' moves on image tuples are
     built here, in ``moves`` in generator order; ``move`` builds any element's
-    from its image tuple.  The place values of map codes are computed once.
+    from its image tuple.  The place values of map codes and the index of the
+    target labels are computed once.
     """
 
     G: FiniteGroup
@@ -150,6 +127,8 @@ class ActionContext:
         # the place value |X|^(|Y|-1-y) of source point y in a map code
         nx, ny = self.G.degree, self.K.degree
         object.__setattr__(self, "_places", tuple(nx ** (ny - 1 - y) for y in range(ny)))
+        # each target label's index, for read_map
+        object.__setattr__(self, "_x_index", {lab: i for i, lab in enumerate(self.G.labels)})
 
     def move(self, g: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
         """The move h -> g o h o T(g)^-1 on image tuples of the element g of G."""
@@ -167,14 +146,37 @@ class ActionContext:
     def map_space_size(self) -> int:
         return self.G.degree ** self.K.degree
 
+    def read_map(self, value: str | Sequence[str]) -> tuple[int, ...]:
+        """The image tuple of a map written in compact form, one target label
+        character per source point, or as a list of target labels."""
+        ny = self.K.degree
+        if isinstance(value, str):
+            if any(len(lab) != 1 for lab in self.x_labels):
+                raise ValueError("compact form needs single-character target labels")
+            if len(value) != ny:
+                raise ValueError(f"expected {ny} characters for source {self.y_labels}, got {value!r}")
+        index = self._x_index
+        try:
+            images = tuple([index[name] for name in value])
+        except KeyError as exc:
+            raise ValueError(f"unknown target label {exc.args[0]!r}") from None
+        if len(images) != ny:
+            raise ValueError("image count does not match the source size")
+        return images
+
     def mapping(self, value) -> Mapping:
         """Coerce a compact string, label list, or Mapping into this context."""
         if isinstance(value, Mapping):
             self._check_mapping(value)
             return value
-        if isinstance(value, str):
-            return parse_mapping(value, self.y_labels, self.x_labels)
-        return mapping_from_labels(value, self.y_labels, self.x_labels)
+        return Mapping(self.y_labels, self.x_labels, self.read_map(value))
+
+    def _check_images(self, h) -> tuple[int, ...]:
+        """h, if it is the image tuple of a map Y -> X, else a ValueError naming it."""
+        nx, ny = self.G.degree, self.K.degree
+        if type(h) is not tuple or len(h) != ny or not all(type(i) is int and 0 <= i < nx for i in h):
+            raise ValueError(f"{h!r} is not the image tuple of a map from {ny} points to {nx} points")
+        return h
 
     def _check_mapping(self, f: Mapping) -> None:
         if f.source_labels != self.y_labels or f.target_labels != self.x_labels:
@@ -212,16 +214,21 @@ def alpha_action(g: Permutation, f: Mapping, ctx: ActionContext) -> Mapping:
     return Mapping(f.source_labels, f.target_labels, ctx.move(g.images)(f.images))
 
 
-def _escape_error(f: Mapping, g: Permutation, ctx: ActionContext) -> ValueError:
-    """The error for a set of maps that holds f but not alpha(g, f)."""
-    moved = Mapping(f.source_labels, f.target_labels, ctx.move(g.images)(f.images))
-    return ValueError(f"not alpha-closed: alpha({g}, {f}) = {moved} escapes")
+class NotAlphaClosedError(ValueError):
+    """A set of maps that alpha does not keep.  ``witness`` is (f, g): a member
+    f and a generator g of G with alpha(g, f) outside the set."""
+
+    def __init__(self, witness: tuple[Mapping, Permutation], ctx: ActionContext):
+        f, g = self.witness = witness
+        moved = Mapping(f.source_labels, f.target_labels, ctx.move(g.images)(f.images))
+        super().__init__(f"not alpha-closed: alpha({g}, {f}) = {moved} escapes")
 
 
 @dataclass(frozen=True, init=False)
 class GeneralizedPermutant:
-    """A finite, alpha-closed set of maps Y -> X; closure is checked at
-    construction by ``is_generalized_permutant``, whose witness the error names.
+    """A finite, alpha-closed set of maps Y -> X, given by their image tuples;
+    closure is checked at construction by ``is_generalized_permutant``, and a
+    failure raises NotAlphaClosedError with its witness.
 
     The members are held as their sorted codes (``ActionContext.map_code``),
     so ``size``, ``representative`` and membership need no labeled objects;
@@ -233,17 +240,18 @@ class GeneralizedPermutant:
     context: ActionContext
     codes: tuple[int, ...]
 
-    def __init__(self, context: ActionContext, members: Iterable[Mapping]):
+    def __init__(self, context: ActionContext, members: Iterable[tuple[int, ...]]):
         self.__dict__["context"] = context
         self.__post_init__(tuple(members))
 
-    def __post_init__(self, members: tuple[Mapping, ...]):
+    def __post_init__(self, members: tuple[tuple[int, ...], ...]):
+        ctx = self.context
+        ok, witness = is_generalized_permutant(members, ctx)
         if len(set(members)) != len(members):
             raise ValueError("duplicate members")
-        ok, witness = is_generalized_permutant(members, self.context)
         if not ok:
-            raise _escape_error(*witness, self.context)
-        self.__dict__["codes"] = tuple(sorted(self.context.map_code(f.images) for f in members))
+            raise NotAlphaClosedError(witness, ctx)
+        self.__dict__["codes"] = tuple(sorted(map(ctx.map_code, members)))
 
     @classmethod
     def _from_codes(cls, context: ActionContext, codes: Sequence[int]) -> "GeneralizedPermutant":
@@ -327,7 +335,7 @@ def _partition(ctx: ActionContext) -> tuple[array, array]:
     except _OpenPartition as exc:
         c, i = exc.args
         f = Mapping(ctx.y_labels, ctx.x_labels, ctx.map_images(c))
-        raise _escape_error(f, ctx.G.generators[i], ctx) from None
+        raise NotAlphaClosedError((f, ctx.G.generators[i]), ctx) from None
 
 
 class _OpenPartition(Exception):
@@ -410,59 +418,56 @@ def _invariance_witness(
 
 
 def is_generalized_permutant(
-    members: Iterable[Mapping], ctx: ActionContext
+    members: Iterable[tuple[int, ...]], ctx: ActionContext
 ) -> tuple[bool, tuple[Mapping, Permutation] | None]:
-    """Whether a set of maps is alpha-closed; on failure, a witness (h, g) with
-    g a generator of G and alpha(g, h) outside the set.  The set is tested as
-    its indicator weighting, 1 on each member, so h is the first member, in
-    image order, that a generator moves out, and g the first such generator."""
-    members = list(members)
-    for f in members:
-        ctx._check_mapping(f)
-    witness = _invariance_witness(dict.fromkeys((f.images for f in members), 1), ctx)
+    """Whether a set of maps, given by their image tuples, is alpha-closed; on
+    failure, a witness (h, g) with g a generator of G and alpha(g, h) outside
+    the set.  The set is tested as its indicator weighting, 1 on each member,
+    so h is the first member, in image order, that a generator moves out, and
+    g the first such generator."""
+    witness = _invariance_witness(dict.fromkeys(map(ctx._check_images, members), 1), ctx)
     return witness is None, witness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PermutantMeasure:
-    """A finitely supported signed weighting on maps Y -> X; maps not listed
-    weigh zero.  Invariance under the alpha action is checked separately by
+    """A finitely supported signed weighting on maps Y -> X, held as
+    {image tuple: nonzero Fraction}; maps not listed weigh zero.  The
+    constructor checks each image tuple and reads each weight with as_fraction.
+    Invariance under the alpha action is checked separately by
     is_permutant_measure."""
 
     context: ActionContext
-    weights: MappingABC[Mapping, Fraction]
+    weights: MappingABC[tuple[int, ...], Fraction]
 
-    def __post_init__(self):
-        clean = {}
-        for f, w in self.weights.items():
-            self.context._check_mapping(f)
-            w = as_fraction(w)
-            if w != 0:
-                clean[f] = w
-        object.__setattr__(self, "weights", clean)
+    def __init__(self, context: ActionContext, weights: MappingABC[tuple[int, ...], object]):
+        check = context._check_images
+        read = ((check(h), as_fraction(w)) for h, w in weights.items())
+        self.__dict__.update(context=context, weights={h: w for h, w in read if w})
 
     def weight(self, f: Mapping) -> Fraction:
-        return self.weights.get(f, Fraction(0))
+        self.context._check_mapping(f)
+        return self.weights.get(f.images, Fraction(0))
 
     @property
     def support(self) -> tuple[Mapping, ...]:
-        return tuple(sorted(self.weights, key=lambda m: m.images))
+        ctx = self.context
+        return tuple(Mapping(ctx.y_labels, ctx.x_labels, h) for h in sorted(self.weights))
 
     def total_variation(self) -> Fraction:
         return sum((abs(w) for w in self.weights.values()), Fraction(0))
 
 
 def measure_on_orbit(o: GeneralizedPermutant, weight) -> PermutantMeasure:
-    """Equal weight on every member of an orbit (alpha-invariant by construction)."""
-    w = as_fraction(weight)
-    return PermutantMeasure(o.context, {f: w for f in o.members})
+    """Equal weight on every member of an orbit or other permutant, alpha-invariant by construction."""
+    return PermutantMeasure(o.context, dict.fromkeys(map(o.context.map_images, o.codes), as_fraction(weight)))
 
 
 def uniform_measure(h: GeneralizedPermutant) -> PermutantMeasure:
     """The averaging measure 1/|H| on a nonempty permutant."""
     if h.size == 0:
         raise ValueError("cannot average over the empty permutant")
-    return PermutantMeasure(h.context, {f: Fraction(1, h.size) for f in h.members})
+    return measure_on_orbit(h, Fraction(1, h.size))
 
 
 def is_permutant_measure(
@@ -472,6 +477,6 @@ def is_permutant_measure(
     is atomic and every subset of the finite map space is measurable.  On
     failure, the witness (f, g) is the first support map f, in image order,
     whose weight a generator's move changes, and the first such generator g."""
-    witness = _invariance_witness({f.images: w for f, w in m.weights.items()}, m.context)
+    witness = _invariance_witness(m.weights, m.context)
     return witness is None, witness
 

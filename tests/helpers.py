@@ -57,7 +57,7 @@ def homomorphism_from_table(source: FiniteGroup, target: FiniteGroup, table) -> 
 
 def small_image_permutant(ctx: ActionContext, m: int) -> GeneralizedPermutant:
     """All maps Y -> X whose image has fewer than m elements."""
-    members = tuple(f for f in ctx.all_mappings() if f.image_size() < m)
+    members = tuple(f.images for f in ctx.all_mappings() if f.image_size() < m)
     return GeneralizedPermutant(ctx, members)
 
 
@@ -67,7 +67,7 @@ def image_size_measure(ctx: ActionContext, m: int) -> PermutantMeasure:
     if not h_m:
         raise ValueError(f"no maps with image size {m}")
     w = Fraction(1, m * len(h_m))
-    return PermutantMeasure(ctx, {f: w for f in h_m})
+    return PermutantMeasure(ctx, {f.images: w for f in h_m})
 
 
 def graph_document(g: Graph) -> dict:

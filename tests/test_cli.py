@@ -17,7 +17,7 @@ from geneograph.experiments import _code_table, c6_c3_context, transposition_per
 from geneograph.geneo import from_measure, from_permutant, identity_operator
 from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group, graph
 from geneograph.perception import PerceptionPair, full_space
-from geneograph.perm import Homomorphism, trivial_group
+from geneograph.perm import Homomorphism, generate_group, parse_cycles, trivial_group
 from geneograph.permutant import ActionContext, PermutantMeasure, all_orbits, endo_context, orbit
 
 from conftest import census_graph
@@ -544,6 +544,137 @@ def test_homomorphism_rejection_is_validation_failure(tmp_path, capsys, case):
     assert err == f"error: {message}\n"
 
 
+MAP_COMMANDS = {
+    "permutant-check": ["permutant", "check", "{doc}", "--context", "{ctx}"],
+    "build-permutant": ["geneo", "build", "--permutant", "{doc}", "--context", "{ctx}"],
+    "measure-check": ["measure", "check", "{doc}", "--context", "{ctx}"],
+    "build-measure": ["geneo", "build", "--measure", "{doc}", "--context", "{ctx}"],
+}
+PERMUTANT_COMMANDS = ("permutant-check", "build-permutant")
+MEASURE_COMMANDS = ("measure-check", "build-measure")
+
+
+def map_document(command, maps):
+    """A document of the command's kind that lists these maps."""
+    if command in PERMUTANT_COMMANDS:
+        return {"members": list(maps)}
+    return {"weights": [{"mapping": m, "weight": "1/2"} for m in maps]}
+
+
+# (context, document or maps, commands, error): "c6c3" is the C6/C3 context,
+# "two-char" one whose target labels are "ab", "cd" and "ef"
+MAP_REJECTIONS = {
+    "unknown-label": ("c6c3", ["aez"], tuple(MAP_COMMANDS), "unknown target label 'z'"),
+    "unknown-label-in-list": ("c6c3", [["a", "z", "c"]], tuple(MAP_COMMANDS), "unknown target label 'z'"),
+    "short-compact": (
+        "c6c3", ["ae"], tuple(MAP_COMMANDS), "expected 3 characters for source ('g', 'h', 'i'), got 'ae'"
+    ),
+    "label-form-number-entry": (
+        "c6c3", [["a", 1, "c"]], tuple(MAP_COMMANDS), "a mapping in label form must be an array of strings"
+    ),
+    "label-form-number": ("c6c3", [7], tuple(MAP_COMMANDS), "a mapping in label form must be an array of strings"),
+    "image-count": ("c6c3", [["a", "b"]], tuple(MAP_COMMANDS), "image count does not match the source size"),
+    "members-not-array": (
+        "c6c3", {"members": "aec"}, PERMUTANT_COMMANDS, "permutant field 'members' must be an array"
+    ),
+    "entry-without-mapping": (
+        "c6c3", {"weights": [{"weight": 1}]}, MEASURE_COMMANDS, "measure entry field 'mapping' is missing"
+    ),
+    "compact-two-char": (
+        "two-char", ["abc"], tuple(MAP_COMMANDS), "compact form needs single-character target labels"
+    ),
+    "map-twice-two-char": (
+        "two-char", [["ab", "cd", "ef"], ["ef", "ab", "cd"], ["ab", "cd", "ef"]], MEASURE_COMMANDS,
+        "measure names the map '[ab,cd,ef]' twice",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def map_contexts(tmp_path_factory, ctx_file):
+    labels, y_labels = ("ab", "cd", "ef"), ("g", "h", "i")
+    g = generate_group([parse_cycles("(ab,cd,ef)", labels)])
+    k = generate_group([parse_cycles("(g,h,i)", y_labels)])
+    t = Homomorphism.from_generator_images(g, k, [(g.generators[0], k.generators[0])])
+    path = tmp_path_factory.mktemp("two-char") / "ctx.json"
+    return {"c6c3": ctx_file, "two-char": write_json(path, docs.context_to_json(ActionContext(g, k, t)))}
+
+
+@pytest.mark.parametrize(
+    "case, command",
+    [(case, command) for case, (_, _, commands, _) in MAP_REJECTIONS.items() for command in commands],
+)
+def test_map_document_rejection_is_pinned(tmp_path, capsys, map_contexts, case, command):
+    context, doc, _, message = MAP_REJECTIONS[case]
+    if isinstance(doc, list):
+        doc = map_document(command, doc)
+    files = {"doc": write_json(tmp_path / "doc.json", doc), "ctx": map_contexts[context]}
+    code, out, err = run_cli(capsys, *[arg.format(**files) for arg in MAP_COMMANDS[command]])
+    assert code == 1
+    assert out == json.dumps({"error": message}, separators=(",", ":")) + "\n"
+    assert err == f"error: {message}\n"
+
+
+K4_ORBIT_REPRESENTATIVES = ("pppppq", "ppppqp", "ppppqq")
+
+
+@pytest.fixture(scope="module")
+def k4_maps(tmp_path_factory):
+    """The K4 edge endo-context's file and the 72 maps of three of its orbits of size 24."""
+    ctx = endo_context(edge_automorphism_group(complete_graph(4)))
+    maps = [f.compact() for rep in K4_ORBIT_REPRESENTATIVES for f in orbit(rep, ctx).members]
+    assert len(maps) == len(set(maps)) == 72
+    return write_json(tmp_path_factory.mktemp("k4") / "k4.json", docs.context_to_json(ctx)), maps
+
+
+@pytest.mark.parametrize("command", sorted(MAP_COMMANDS))
+def test_map_documents_are_read_to_image_tuples(tmp_path, capsys, monkeypatch, k4_maps, command):
+    # reading, checking and building from a 72-map document builds no labeled
+    # map; a failure builds at most its witness and the map its error text names
+    ctx_path, maps = k4_maps
+    mapping_post_init, witness = permutant.Mapping.__post_init__, permutant._invariance_witness
+    built, scans = [], []
+    monkeypatch.setattr(permutant.Mapping, "__post_init__", lambda f: built.append(f.images) or mapping_post_init(f))
+    monkeypatch.setattr(permutant, "_invariance_witness", lambda *args: scans.append(args) or witness(*args))
+    good = map_document(command, maps)
+    bad = map_document(command, maps[1:])  # one map short of alpha-closed, or of invariant
+    for doc, expected_code in ((good, 0), (bad, 1)):
+        built.clear()
+        scans.clear()
+        path = write_json(tmp_path / "doc.json", doc)
+        code, out, err = run_cli(capsys, *[arg.format(doc=path, ctx=ctx_path) for arg in MAP_COMMANDS[command]])
+        assert code == expected_code, out
+        assert len(built) <= 2 * expected_code
+        # one invariance test per request: the permutant's constructor or the measure check
+        assert len(scans) == 1
+        if expected_code:
+            assert json.loads(out)["error"].startswith("not a ")
+    # the counter does see maps: a permutant builds its members on first access
+    built.clear()
+    ctx = docs.context_from_json(read_json(ctx_path))
+    h = permutant.GeneralizedPermutant(ctx, [ctx.read_map(m) for m in maps])
+    assert built == [] and len(h.members) == len(built) == 72
+
+
+@pytest.mark.parametrize("command", MEASURE_COMMANDS)
+def test_measure_documents_read_each_weight_once(tmp_path, capsys, monkeypatch, k4_maps, command):
+    ctx_path, maps = k4_maps
+    # a conversion is a call on a value that is not yet a Fraction; the
+    # measure's constructor may see the Fractions that io has read
+    reads = []
+    for module in (docs, permutant):
+        real = module.as_fraction
+        monkeypatch.setattr(
+            module,
+            "as_fraction",
+            lambda x, real=real, name=module.__name__: isinstance(x, Fraction) or reads.append(name) or real(x),
+        )
+    path = write_json(tmp_path / "mu.json", map_document(command, maps))
+    code, out, err = run_cli(capsys, *[arg.format(doc=path, ctx=ctx_path) for arg in MAP_COMMANDS[command]])
+    assert (code, err) == (0, "")
+    assert reads == ["geneograph.io"] * 72
+
+
 def test_orbits_on_a_full_table_context_lists_no_group_elements(tmp_path, capsys, monkeypatch, fresh_memos):
     # a relabeled K4 edge context whose T lists all 24 elements: reading it and
     # splitting its maps into orbits runs on image tuples, so neither group
@@ -848,7 +979,7 @@ def c7_operator_file(tmp_path_factory):
     weights = {}
     for rep, mass in masses.items():
         o = orbit(rep, ctx)
-        weights.update(dict.fromkeys(o.members, mass / o.size))
+        weights.update(dict.fromkeys((f.images for f in o.members), mass / o.size))
     op = from_measure(PermutantMeasure(ctx, weights))
     return write_json(tmp_path_factory.mktemp("c7") / "c7.json", docs.operator_to_json(op))
 

@@ -50,6 +50,7 @@ from geneograph.perm import (
 )
 from geneograph.permutant import (
     GeneralizedPermutant,
+    NotAlphaClosedError,
     alpha_action,
     endo_context,
     is_generalized_permutant,
@@ -502,16 +503,18 @@ def test_is_generalized_permutant_matches_reference(ctx):
             subset.discard(rng.choice(sorted(subset, key=lambda m: m.images)))
         ok = ref_is_generalized_permutant(subset, ctx)[0]
         witness = None if ok else ref_permutant_witness(subset, ctx)
-        assert is_generalized_permutant(subset, ctx) == (ok, witness)
+        images = [f.images for f in subset]
+        assert is_generalized_permutant(images, ctx) == (ok, witness)
         if ok:
-            assert GeneralizedPermutant(ctx, subset).size == len(subset)
+            assert GeneralizedPermutant(ctx, images).size == len(subset)
         else:
             h, g = witness
             assert g in ctx.G.generators
             moved = alpha_action(g, h, ctx)
             assert moved not in subset
             message = f"not alpha-closed: alpha({g}, {h}) = {moved} escapes"
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                GeneralizedPermutant(ctx, subset)
+            with pytest.raises(NotAlphaClosedError, match=f"^{re.escape(message)}$") as exc:
+                GeneralizedPermutant(ctx, images)
+            assert exc.value.witness == witness
         verdicts[ok] += 1
     assert min(verdicts.values()) >= 60, verdicts

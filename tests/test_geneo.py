@@ -42,7 +42,6 @@ from geneograph.permutant import (
     PermutantMeasure,
     all_orbits,
     endo_context,
-    mapping_from_permutation,
     orbit,
     uniform_measure,
 )
@@ -96,7 +95,7 @@ def test_singleton_identity_permutant_gives_identity_operator():
     ctx = endo_context(group)
     from geneograph.permutant import GeneralizedPermutant
 
-    h = GeneralizedPermutant(ctx, (mapping_from_permutation(group.identity),))
+    h = GeneralizedPermutant(ctx, (group.identity.images,))
     op = from_permutant(h)
     assert op.coeffs == identity_operator(op.source).coeffs
 
@@ -154,7 +153,7 @@ def test_cube_measure_flags():
 
 def test_invalid_measure_rejected(c6c3):
     aec, dbf = orbit("aec", c6c3).members
-    bad = PermutantMeasure(c6c3, {aec: 1, dbf: 2})
+    bad = PermutantMeasure(c6c3, {aec.images: 1, dbf.images: 2})
     with pytest.raises(ValueError, match="not a permutant measure"):
         from_measure(bad)
 
@@ -570,7 +569,7 @@ def test_decompose_succeeds_on_random_measure_operators():
             variation = sum(abs(w) * len(o) for w, o in zip(raw, orbits))
             if variation > 1:
                 raw = [w / (variation * 2) for w in raw]
-            weights = {f: w for o, w in zip(orbits, raw) for f in o if w != 0}
+            weights = {f.images: w for o, w in zip(orbits, raw) for f in o if w != 0}
             op = from_measure(PermutantMeasure(ctx, weights))
             assert op.is_geneo
             rebuilt = from_measure(decompose_to_measure(op))
@@ -651,8 +650,8 @@ def reference_convex(ops, lam):
 
 def reference_map_table(ctx, weighted):
     acc = [[Fraction(0)] * ctx.G.degree for _ in range(ctx.K.degree)]
-    for f, w in weighted:
-        for y, x in enumerate(f.images):
+    for images, w in weighted:
+        for y, x in enumerate(images):
             acc[y][x] += w
     return tuple(tuple(row) for row in acc)
 
@@ -691,11 +690,11 @@ def test_weighted_map_tables_match_reference_loops(c6c3):
             chosen = rng.sample(orbits, rng.randint(1, 4))
             for h in chosen:
                 w = Fraction(1, h.size)
-                assert from_permutant(h).coeffs == reference_map_table(ctx, ((f, w) for f in h.members))
+                assert from_permutant(h).coeffs == reference_map_table(ctx, ((f.images, w) for f in h.members))
             weights = {}
             for h in chosen:
                 w = Fraction(rng.randint(-3, 3), rng.randint(1, 5) * h.size)
-                weights.update(dict.fromkeys(h.members, w))
+                weights.update(dict.fromkeys((f.images for f in h.members), w))
             m = PermutantMeasure(ctx, weights)
             assert from_measure(m).coeffs == reference_map_table(ctx, m.weights.items())
 

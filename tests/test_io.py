@@ -125,13 +125,25 @@ def test_permutant_and_measure_roundtrip():
     doc = through_json(permutant_to_json(h))
     rebuilt_ctx = docs.context_from_json(doc["context"])
     members = docs.permutant_members_from_json(doc, rebuilt_ctx)
-    assert {m.images for m in members} == {m.images for m in h.members}
+    assert set(members) == {m.images for m in h.members}
 
     mu = uniform_measure(h)
     mdoc = through_json(docs.measure_to_json(mu))
     rebuilt = docs.measure_from_json(mdoc, rebuilt_ctx)
     assert rebuilt.total_variation() == 1
+    assert rebuilt.weights == mu.weights
     assert {f.images for f in rebuilt.support} == {f.images for f in mu.support}
+
+
+def test_measure_document_lists_only_its_support():
+    # the K6 edge context has 15 labels on 15 points, so its maps number 15**15;
+    # printing a 15-map measure there formats those 15 maps and no others
+    h = transposition_permutant(6, model="edge")
+    mu = uniform_measure(h)
+    doc = through_json(docs.measure_to_json(mu))
+    assert [e["mapping"] for e in doc["weights"]] == [f.compact() for f in mu.support]
+    assert {e["weight"] for e in doc["weights"]} == {"1/15"}
+    assert docs.measure_from_json(doc, docs.context_from_json(doc["context"])).weights == mu.weights
 
 
 def test_space_roundtrips():

@@ -23,7 +23,7 @@ from geneograph.perm import (
     parse_cycles,
     trivial_group,
 )
-from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group
+from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group, graph, vertex_automorphism_group
 
 from helpers import cycles, homomorphism_from_table
 
@@ -321,6 +321,58 @@ def test_a_group_holds_the_image_tuples_of_its_elements_and_generators():
     assert g.generator_images == tuple(s.images for s in g.generators)
     assert g.identity == g.elements[0]
     assert g == FiniteGroup(g.labels, g.images, g.generator_images)
+
+
+ABC = ("a", "b", "c")
+S2_ON_BC = ((0, 1, 2), (0, 2, 1))
+MALFORMED_GROUPS = {
+    # each image a bijection of range(n)
+    "entry-out-of-range": (ABC, ((0, 1, 2), (2, 0, -1)), (), "not a bijection of 0..2: (2, 0, -1)"),
+    "repeated-entry": (ABC, ((0, 1, 2), (1, 1, 0)), (), "not a bijection of 0..2: (1, 1, 0)"),
+    "wrong-length": (ABC, ((0, 1, 2), (1, 0)), (), "not a bijection of 0..2: (1, 0)"),
+    "list-image": (ABC, ((0, 1, 2), [0, 2, 1]), (), "not a bijection of 0..2: [0, 2, 1]"),
+    "bool-entry": (("a", "b"), ((0, 1), (True, 0)), (), "not a bijection of 0..1: (True, 0)"),
+    "generator-not-a-bijection": (ABC, S2_ON_BC, ((0, 0, 1),), "not a bijection of 0..2: (0, 0, 1)"),
+    # sorted and distinct, with the identity first
+    "no-elements": (ABC, (), (), "the identity must be the first element"),
+    "identity-missing": (ABC, ((0, 2, 1), (1, 0, 2)), (), "the identity must be the first element"),
+    "unsorted": (ABC, ((0, 1, 2), (1, 0, 2), (0, 2, 1)), (), "the elements must be sorted and distinct"),
+    "repeated-element": (ABC, ((0, 1, 2), (0, 2, 1), (0, 2, 1)), (), "the elements must be sorted and distinct"),
+    # the generators among the elements
+    "generator-outside": (ABC, S2_ON_BC, ((1, 0, 2),), "generator (1, 0, 2) is not an element"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_GROUPS)
+def test_group_constructor_rejects_malformed_images(case):
+    labels, images, generator_images, message = MALFORMED_GROUPS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FiniteGroup(labels, images, generator_images)
+
+
+def test_group_constructor_accepts_what_the_builders_build():
+    g = FiniteGroup(ABC, S2_ON_BC, ((0, 2, 1),))
+    assert [format_cycles(p) for p in g.elements] == ["id", "(b,c)"]
+    for built in (
+        generate_group([perm("(A,C)", ABCD), perm("(B,D)", ABCD)]),
+        trivial_group(ABCD),
+        trivial_group(()),
+        edge_automorphism_group(complete_graph(4)),
+    ):
+        assert FiniteGroup(built.labels, built.images, built.generator_images) == built
+
+
+def test_group_builders_skip_the_constructor_check(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a builder ran the constructor check")
+
+    monkeypatch.setattr(FiniteGroup, "__post_init__", refuse)
+    generate_group([perm("(A,C)", ABCD), perm("(B,D)", ABCD)])
+    trivial_group(ABCD)
+    group_from_elements([identity(4, ABCD), perm("(A,C)", ABCD)])
+    edge_automorphism_group(complete_graph(5))
+    vertex_automorphism_group(complete_graph(5))
+    edge_automorphism_group(graph("AB", []))  # the edgeless case
 
 
 def test_membership_needs_the_group_labels():

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -35,11 +36,9 @@ from geneograph.permutant import (
     endo_context,
     is_generalized_permutant,
     is_permutant_measure,
-    mapping_from_labels,
     measure_on_orbit,
     orbit,
     orbitals,
-    parse_mapping,
     uniform_measure,
 )
 
@@ -67,24 +66,30 @@ def label_oracle_alpha(ctx, g, f):
 
 
 def test_compact_roundtrip_example(c6c3):
-    m = parse_mapping("caf", EDGES3, EDGES6)
+    m = c6c3.mapping("caf")
     assert m.compact() == "caf"
-    assert m.images == (2, 0, 5)
+    assert m.images == c6c3.read_map("caf") == c6c3.read_map(["c", "a", "f"]) == (2, 0, 5)
 
 
-def test_parse_mapping_errors():
-    with pytest.raises(ValueError):
-        parse_mapping("ca", EDGES3, EDGES6)
-    with pytest.raises(ValueError):
-        parse_mapping("caz", EDGES3, EDGES6)
-    with pytest.raises(ValueError):
-        mapping_from_labels(["a", "zz"], EDGES3[:2], EDGES6)
+def test_parse_mapping_errors(c6c3):
+    with pytest.raises(ValueError, match=r"^expected 3 characters for source \('g', 'h', 'i'\), got 'ca'$"):
+        c6c3.read_map("ca")
+    with pytest.raises(ValueError, match="^unknown target label 'z'$"):
+        c6c3.read_map("caz")
+    with pytest.raises(ValueError, match="^unknown target label 'zz'$"):
+        c6c3.read_map(["a", "zz"])
+    with pytest.raises(ValueError, match="^image count does not match the source size$"):
+        c6c3.read_map(["a", "b"])
+
+
+C6C3_DIHEDRAL = dihedral_edge_context()
 
 
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=3, max_size=3))
 def test_compact_roundtrip_random(images):
     m = Mapping(EDGES3, EDGES6, tuple(images))
-    assert parse_mapping(m.compact(), EDGES3, EDGES6) == m
+    assert C6C3_DIHEDRAL.mapping(m.compact()) == m
+    assert C6C3_DIHEDRAL.read_map(m.compact()) == m.images
 
 
 # the alpha action
@@ -312,7 +317,7 @@ def hash_or_error(value):
 def test_orbit_from_codes_matches_public_constructor(c6c3):
     maps = list(c6c3.all_mappings())
     for o in all_orbits(c6c3)[0] + [orbit("aec", c6c3)]:
-        built = GeneralizedPermutant(c6c3, tuple(reversed(o.members)))
+        built = GeneralizedPermutant(c6c3, [f.images for f in reversed(o.members)])
         # like a permutant from codes, a checked one holds its codes alone until asked for more
         assert set(built.__dict__) == {"context", "codes"}
         assert o == built and built == o
@@ -525,14 +530,14 @@ def test_c7_conjugation_orbit_tables_are_constant_on_orbitals():
 
 
 def test_union_of_orbits_is_permutant(c6c3):
-    union = set(orbit("aec", c6c3).members) | set(orbit("bfd", c6c3).members)
+    union = {f.images for f in orbit("aec", c6c3).members + orbit("bfd", c6c3).members}
     ok, witness = is_generalized_permutant(union, c6c3)
     assert ok and witness is None
     GeneralizedPermutant(c6c3, tuple(union))  # constructor agrees
 
 
 def test_partial_orbit_is_not_permutant(c6c3):
-    ok, witness = is_generalized_permutant({c6c3.mapping("aec")}, c6c3)
+    ok, witness = is_generalized_permutant({c6c3.read_map("aec")}, c6c3)
     assert not ok
     h, g = witness
     assert h.compact() == "aec"
@@ -546,8 +551,58 @@ def test_empty_set_is_permutant(c6c3):
 
 
 def test_constructor_rejects_unclosed(c6c3):
-    with pytest.raises(ValueError, match="alpha-closed"):
-        GeneralizedPermutant(c6c3, (c6c3.mapping("aec"),))
+    with pytest.raises(ValueError, match="alpha-closed") as exc:
+        GeneralizedPermutant(c6c3, (c6c3.read_map("aec"),))
+    assert isinstance(exc.value, permutant.NotAlphaClosedError)
+    f, g = exc.value.witness
+    assert (f.compact(), str(g)) == ("aec", "(a,b,c,d,e,f)")
+
+
+MALFORMED_IMAGE_TUPLES = {
+    "too-short": (0, 4),
+    "too-long": (0, 4, 2, 1),
+    "string-entry": (0, "e", 2),
+    "float-entry": (0, 4.0, 2),
+    "bool-entry": (0, True, 2),
+    "past-the-target": (0, 6, 2),
+    "negative": (0, -1, 2),
+    "not-a-tuple": "aec",
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_IMAGE_TUPLES)
+def test_public_constructors_reject_a_malformed_image_tuple(c6c3, case):
+    bad = MALFORMED_IMAGE_TUPLES[case]
+    message = f"^{re.escape(repr(bad))} is not the image tuple of a map from 3 points to 6 points$"
+    good = c6c3.read_map("dbf")
+    with pytest.raises(ValueError, match=message):
+        GeneralizedPermutant(c6c3, [good, bad])
+    with pytest.raises(ValueError, match=message):
+        is_generalized_permutant([good, bad], c6c3)
+    with pytest.raises(ValueError, match=message):
+        PermutantMeasure(c6c3, {good: 1, bad: 1})
+
+
+def test_public_constructors_take_image_tuples_not_mappings(c6c3):
+    f = c6c3.mapping("aec")
+    message = f"^{re.escape(repr(f))} is not the image tuple"
+    with pytest.raises(ValueError, match=message):
+        GeneralizedPermutant(c6c3, [f])
+    with pytest.raises(ValueError, match=message):
+        PermutantMeasure(c6c3, {f: 1})
+    with pytest.raises(ValueError, match=f"^{re.escape(repr([0, 4, 2]))} is not the image tuple"):
+        GeneralizedPermutant(c6c3, [[0, 4, 2]])
+
+
+def test_measure_reads_each_weight_and_drops_zeros(c6c3):
+    aec, dbf = c6c3.read_map("aec"), c6c3.read_map("dbf")
+    m = PermutantMeasure(c6c3, {aec: "1/2", dbf: 0.5, c6c3.read_map("aaa"): "0"})
+    assert m.weights == {aec: Fraction(1, 2), dbf: Fraction(1, 2)}
+    assert all(type(w) is Fraction for w in m.weights.values())
+    assert m.weight(c6c3.mapping("aec")) == Fraction(1, 2) and m.weight(c6c3.mapping("aaa")) == 0
+    assert [f.compact() for f in m.support] == ["aec", "dbf"]
+    with pytest.raises(TypeError):
+        PermutantMeasure(c6c3, {aec: None})
 
 
 # transposition permutants
@@ -618,7 +673,7 @@ def test_cube_reflection_measure_is_invariant():
 
 def test_unbalanced_weights_are_rejected(c6c3):
     aec, dbf = sorted(orbit("aec", c6c3).members, key=lambda m: m.images)
-    m = PermutantMeasure(c6c3, {aec: 1, dbf: 2})
+    m = PermutantMeasure(c6c3, {aec.images: 1, dbf.images: 2})
     ok, witness = is_permutant_measure(m)
     assert not ok
     f, g = witness
@@ -677,7 +732,7 @@ def test_measure_witness_matches_full_scan(build):
         stray = dict(weights)
         stray[random_map()] = Fraction(-1, 2)
         for w in (weights, changed, dropped, stray):
-            m = PermutantMeasure(ctx, w)
+            m = PermutantMeasure(ctx, {f.images: v for f, v in w.items()})
             ok, witness = is_permutant_measure(m)
             assert ok == full_scan_witness(m)[0]
             assert witness == (None if ok else generator_scan_witness(m))
@@ -686,13 +741,13 @@ def test_measure_witness_matches_full_scan(build):
                 assert g in ctx.G.generators
                 assert m.weight(alpha_action(g, f, ctx)) != m.weight(f)
             witnesses.add(witness)
-        assert is_permutant_measure(PermutantMeasure(ctx, weights)) == (True, None)
+        assert is_permutant_measure(PermutantMeasure(ctx, {f.images: v for f, v in weights.items()})) == (True, None)
     assert len(witnesses) > 3
 
 
 def test_measure_drops_zero_weights(c6c3):
     o = orbit("aec", c6c3)
-    m = PermutantMeasure(c6c3, {o.members[0]: 0})
+    m = PermutantMeasure(c6c3, {o.members[0].images: 0})
     assert m.support == ()
     assert m.total_variation() == 0
 
@@ -714,7 +769,7 @@ def test_stabilizer_context_shape(stab4_2):
 def test_small_image_sets_are_permutants(stab4_2):
     for m in (1, 2, 3):
         h = small_image_permutant(stab4_2, m)
-        ok, _ = is_generalized_permutant(set(h.members), stab4_2)
+        ok, _ = is_generalized_permutant({f.images for f in h.members}, stab4_2)
         assert ok
     assert small_image_permutant(stab4_2, 1).size == 0
     assert small_image_permutant(stab4_2, 2).size == 4  # the constants

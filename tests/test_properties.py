@@ -47,7 +47,6 @@ from geneograph.permutant import (
     is_permutant_measure,
     orbit,
     orbitals,
-    parse_mapping,
 )
 
 from conftest import EDGES3, EDGES6, dihedral_edge_context
@@ -93,7 +92,7 @@ def check_permutant_union_agreement(trials: int = 1000, seed: int = 20240331):
         subset = set(rng.sample(ALL_MAPS, size))
         if rng.random() < 0.3 and subset:
             subset |= set(orbit(next(iter(subset)), CTX).members)
-        ok, witness = is_generalized_permutant(subset, CTX)
+        ok, witness = is_generalized_permutant([f.images for f in subset], CTX)
         union = set()
         for h in subset:
             union |= set(orbit(h, CTX).members)
@@ -136,7 +135,7 @@ def check_stabilizer_fixtures():
     ctx = setwise_stabilizer_context("ABCD", "AB")
     for m in (1, 2, 3):
         h = small_image_permutant(ctx, m)
-        ok, _ = is_generalized_permutant(set(h.members), ctx)
+        ok, _ = is_generalized_permutant({f.images for f in h.members}, ctx)
         assert ok
     assert small_image_permutant(ctx, 2).size == 4
     for m in (1, 2):
@@ -161,7 +160,7 @@ def prop_cycle_roundtrip(images):
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=3, max_size=3))
 def prop_mapping_roundtrip(images):
     m = Mapping(EDGES3, EDGES6, tuple(images))
-    assert parse_mapping(m.compact(), EDGES3, EDGES6) == m
+    assert CTX.mapping(m.compact()) == m and CTX.read_map(m.compact()) == m.images
 
 
 def _vec3():
@@ -208,7 +207,7 @@ def prop_measure_decomposition_roundtrip(name, data):
     total = sum(map(abs, parts)) + data.draw(st.integers(0, 3))
     weights = {}
     for i, part in zip(chosen, parts):
-        weights.update(dict.fromkeys(orbits[i].members, Fraction(part, total * orbits[i].size)))
+        weights.update(dict.fromkeys((f.images for f in orbits[i].members), Fraction(part, total * orbits[i].size)))
     op = from_measure(PermutantMeasure(ctx, weights))
     recovered = decompose_to_measure(op)
     assert recovered.total_variation() <= 1
@@ -263,7 +262,7 @@ def _c6c3_geneo(data):
     weights = {}
     for i, part in zip(chosen, parts):
         o = C6C3_ORBITS[i]
-        weights.update(dict.fromkeys(o.members, Fraction(part, total * o.size)))
+        weights.update(dict.fromkeys((f.images for f in o.members), Fraction(part, total * o.size)))
     return from_measure(PermutantMeasure(C6C3, weights))
 
 
