@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .linalg import OPTIMAL, _as_rows, dot, matmul, matvec, rref, simplex_min
+from .linalg import OPTIMAL, _as_row, dot, matmul, matvec, rref, simplex_min
 from .perception import (
     FunctionSpace,
     Measurement,
@@ -466,11 +466,13 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
         """Solve for column weights w (as u - v, u,v >= 0) with the given
         columns pinned to zero; minimize total variation, or with `bound` just
         test feasibility of total variation <= bound.  Returns (value, weights).
-        Each equation goes in as the integer row the simplex would scale it to."""
+        Each equation goes in as the integer row the simplex would scale it to;
+        phase 1 minimizes one artificial variable per row as given, so another
+        row scale would change Bland's path and with it the measure."""
         active = [i for i in range(m) if i not in zeroed]
         slack = [0] if bound is not None else []
         lhs, rhs = [], []
-        for *ints, b in _as_rows([[row[i] for i in active] + [row[-1]] for row in reduced]):
+        for (*ints, b), _ in map(_as_row, ([row[i] for i in active] + [row[-1]] for row in reduced)):
             lhs.append([c for a in ints for c in (a, -a)] + slack)
             rhs.append(b)
         budget = [sizes[i] for i in active for _ in (0, 1)]

@@ -11,10 +11,10 @@ readers, ``_read_group`` and ``_read_homomorphism``, is a
 document's text, the least recently used dropped first: a process that reads
 the same documents again and again pays once.  A group's key holds the group
 cap whenever it closes generators, so a changed GENEO_MAX_GROUP takes
-effect.  Fields are validated before the lookup, so errors and their order
-are those of a first read, and a document that fails is never remembered.
-A homomorphism table looks up the permutations that its groups' documents
-name instead of parsing them again.
+effect.  Fields are validated before the lookup and each cycle text parsed
+once, on a miss, so errors come as on a first read, and a document that fails
+is never remembered.  A homomorphism table looks up the permutations that its
+groups' documents name instead of parsing them again.
 """
 
 from __future__ import annotations
@@ -119,10 +119,13 @@ def _group_from_json(doc: MappingABC) -> tuple[FiniteGroup, tuple]:
     _require_object(doc, "a group document")
     labels = tuple(_strings(_get(doc, "group", "labels"), "group field 'labels'"))
     gen_texts = tuple(_strings(doc.get("generators", []), "group field 'generators'"))
-    for text in gen_texts:
-        parse_cycles(text, labels)
-    texts = tuple(_strings(doc["elements"], "group field 'elements'")) if "elements" in doc else None
-    key = (labels, gen_texts, texts, group_cap() if gen_texts else None)
+    try:
+        texts = tuple(_strings(doc["elements"], "group field 'elements'")) if "elements" in doc else None
+        key = (labels, gen_texts, texts, group_cap() if gen_texts else None)
+    except ValueError:
+        for text in gen_texts:  # a generator text's own error comes first
+            parse_cycles(text, labels)
+        raise
     return _read_group(*key)[0], key
 
 

@@ -207,12 +207,8 @@ def closure(
     holds more than cap points.
     """
     limit = math.inf if cap is None else cap
-    found: set = set()
-    frontier = []
-    for point in seeds:
-        if point not in found:
-            found.add(point)
-            frontier.append(point)
+    frontier = list(dict.fromkeys(seeds))
+    found = set(frontier)
     if len(found) > limit:
         raise CapExceededError(f"group closure exceeded cap {cap}")
     while frontier:

@@ -231,10 +231,10 @@ class GeneralizedPermutant:
     failure raises NotAlphaClosedError with its witness.
 
     The members are held as their sorted codes (``ActionContext.map_code``),
-    so ``size``, ``representative`` and membership need no labeled objects;
-    the set of codes is built on the first membership test and the
-    ``Mapping`` members on first access to ``members``.  Equality compares
-    the context and the codes.
+    so ``size``, ``representative`` and membership (of a ``Mapping`` or an
+    image tuple) need no labeled objects; the set of codes is built on the
+    first membership test and the ``Mapping`` members on first access to
+    ``members``.  Equality compares the context and the codes.
     """
 
     context: ActionContext
@@ -276,13 +276,14 @@ class GeneralizedPermutant:
     def __iter__(self) -> Iterator[Mapping]:
         return iter(self.members)
 
-    def __contains__(self, f: Mapping) -> bool:
+    def __contains__(self, f: Mapping | tuple[int, ...]) -> bool:
         ctx = self.context
-        return (
-            isinstance(f, Mapping)
-            and (f.source_labels, f.target_labels) == (ctx.y_labels, ctx.x_labels)
-            and ctx.map_code(f.images) in self._code_set
-        )
+        if isinstance(f, Mapping) and (f.source_labels, f.target_labels) == (ctx.y_labels, ctx.x_labels):
+            f = f.images
+        try:
+            return ctx.map_code(ctx._check_images(f)) in self._code_set
+        except ValueError:  # a Mapping of another context, or no image tuple of a map Y -> X
+            return False
 
     def representative(self) -> Mapping:
         if not self.codes:

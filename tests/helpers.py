@@ -1,5 +1,6 @@
 """Builders that only the tests use: the symmetric group, subset-stabilizer
-contexts with their image-cardinality permutants and measures, a
+contexts with their image-cardinality permutants and measures, seeded
+invariant measures on conjugation orbits of bijections, a
 homomorphism from a table of labeled permutations, the JSON
 forms of a graph, a permutant and a single group, the cycles of a
 permutation, the closure-based orbit split that the reference
@@ -10,12 +11,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from random import Random
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from geneograph import io as docs
 from geneograph.graph import Graph
 from geneograph.perm import FiniteGroup, Homomorphism, Permutation, _group_images, closure, group_from_elements
-from geneograph.permutant import ActionContext, GeneralizedPermutant, PermutantMeasure
+from geneograph.permutant import ActionContext, GeneralizedPermutant, PermutantMeasure, orbit
 
 
 def symmetric_group(labels) -> FiniteGroup:
@@ -68,6 +70,22 @@ def image_size_measure(ctx: ActionContext, m: int) -> PermutantMeasure:
         raise ValueError(f"no maps with image size {m}")
     w = Fraction(1, m * len(h_m))
     return PermutantMeasure(ctx, {f.images: w for f in h_m})
+
+
+def orbit_sum_measure(ctx: ActionContext, rng: Random, k: int, slack: int) -> PermutantMeasure:
+    """An invariant measure on k random conjugation orbits of the bijections of
+    an endo-context: integer parts +-1..4 over their absolute sum plus slack,
+    each spread evenly over its orbit, so the total variation is at most 1."""
+    labels = ctx.x_labels
+    orbits: list[GeneralizedPermutant] = []
+    while len(orbits) < k:
+        o = orbit(rng.sample(labels, len(labels)), ctx)
+        if o not in orbits:
+            orbits.append(o)
+    parts = [rng.choice((-1, 1)) * rng.randint(1, 4) for _ in orbits]
+    denom = sum(map(abs, parts)) + slack
+    weights = {ctx.map_images(c): Fraction(a, denom * o.size) for a, o in zip(parts, orbits) for c in o.codes}
+    return PermutantMeasure(ctx, weights)
 
 
 def graph_document(g: Graph) -> dict:

@@ -1,8 +1,9 @@
 """Acceptance gate: one test per numbered criterion, every comparison exact,
 with the stated runtime budgets enforced, and beside them budgets for the
-largest automorphism group of the census and for the subgraph isomorphism
-classes of K6, and a relabeled C6 edge census that must reuse the partition of
-a cold one (at most a quarter of its time).  Each test prints one line:
+largest automorphism group of the census, for the subgraph isomorphism
+classes of K6 and for a decomposition on the 7-cycle's edges, and a relabeled
+C6 edge census that must reuse the partition of a cold one (at most a quarter
+of its time).  Each test prints one line:
 
     ACCEPTANCE <n>: PASS - <summary>
 
@@ -11,6 +12,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they go.
 
 import io
 import json
+import random
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -19,7 +21,7 @@ from itertools import permutations
 import pytest
 
 import test_properties
-from helpers import graph_document
+from helpers import graph_document, orbit_sum_measure
 from test_permutant import burnside_orbit_count
 from geneograph import cli, io as docs, permutant
 from geneograph.cli import main as cli_main
@@ -293,3 +295,22 @@ def test_subgraph_classes_k6():
     assert sum(map(len, classes)) == len({v for cls in classes for v in cls}) == 2**15
     assert elapsed < 1.0, f"subgraph classes of K6 took {elapsed:.3f}s"
     report("classes K6", f"the 32768 edge vectors of K6 in 156 isomorphism classes in {elapsed:.3f}s")
+
+
+def test_decompose_c7(fresh_memos):
+    # an operator from a seeded invariant measure on 3 conjugation orbits of the
+    # bijections of the 7-cycle's edges; the first call also finds the group's
+    # orbits and LP columns, the second reuses them and times the LPs alone
+    ctx = endo_context(edge_automorphism_group(cycle_graph(7)))
+    op = from_measure(orbit_sum_measure(ctx, random.Random("decompose C7"), 3, 1))
+    times = []
+    for _ in range(2):
+        start = time.perf_counter()
+        m = decompose_to_measure(op)
+        times.append(time.perf_counter() - start)
+        assert from_measure(m).coeffs == op.coeffs and m.total_variation() <= 1
+    cold, warm = times
+    assert cold < 1.0, f"a cold C7 decomposition took {cold:.3f}s"
+    assert warm < 0.25, f"a C7 decomposition took {warm:.3f}s with the group's LP columns known"
+    report("decompose C7", f"a 3-orbit operator on the 7-cycle's edges in {warm:.4f}s ({cold:.4f}s cold), "
+                           f"support {len(m.weights)}, total variation {m.total_variation()}")

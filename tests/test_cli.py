@@ -690,9 +690,9 @@ def test_orbits_on_a_full_table_context_lists_no_group_elements(tmp_path, capsys
     monkeypatch.setattr(io_module, "parse_cycles", lambda text, labels: parsed.append(text) or parse(text, labels))
     code, out, err = run_cli(capsys, "orbits", "--context", path)
     assert (code, err) == (0, "") and json.loads(out)["total"] == 6**6
-    # each group's generator texts are parsed for validation, then each distinct
-    # text of the group document once; K's document is G's, and T names only their texts
-    assert len(built) == len(parsed) == 2 * len(doc["G"]["generators"]) + 24
+    # each distinct text of G's document is parsed once, on the memo's miss; K's
+    # document is G's, so it hits, and T names only their texts
+    assert len(built) == len(parsed) == 24
     ctx = docs.context_from_json(doc)  # the groups that the command read, remembered by their documents
     for group in (ctx.G, ctx.K):
         assert "elements" not in group.__dict__

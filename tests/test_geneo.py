@@ -47,7 +47,7 @@ from geneograph.permutant import (
 )
 
 from conftest import dihedral_edge_context
-from helpers import symmetric_group
+from helpers import orbit_sum_measure, symmetric_group
 
 EDGE_LABELS = ("p", "q", "r", "s", "t", "u")
 
@@ -728,7 +728,7 @@ def reference_rref(rows):
     return [row for row in m[:pivot_row] if any(x != 0 for x in row)]
 
 
-def reference_run_simplex(tableau, basis, n_cols):
+def reference_run_simplex(tableau, basis, n_cols, steps):
     while True:
         obj = tableau[-1]
         col = next((j for j in range(n_cols) if obj[j] < 0), None)
@@ -744,9 +744,13 @@ def reference_run_simplex(tableau, basis, n_cols):
             return "unbounded"
         reference_pivot(tableau, best[1], col)
         basis[best[1]] = col
+        steps.append((col, best[1]))
 
 
-def reference_simplex_min(costs, eq_lhs, eq_rhs):
+def reference_simplex_min(costs, eq_lhs, eq_rhs, steps=None):
+    """The full-tableau two-phase simplex on fractions; each basis change is
+    appended to steps as (entering column, row)."""
+    steps = [] if steps is None else steps
     n = len(costs)
     rows = [[Fraction(x) for x in row] for row in eq_lhs]
     rhs = [Fraction(x) for x in eq_rhs]
@@ -761,7 +765,7 @@ def reference_simplex_min(costs, eq_lhs, eq_rhs):
     for i in range(m):
         obj = [a - b for a, b in zip(obj, tableau[i])]
     tableau.append(obj)
-    status = reference_run_simplex(tableau, basis, n + m)
+    status = reference_run_simplex(tableau, basis, n + m, steps)
     if status != "optimal" or tableau[-1][-1] != 0:
         return "infeasible", None, None
     drop_rows = []
@@ -773,6 +777,7 @@ def reference_simplex_min(costs, eq_lhs, eq_rhs):
             else:
                 reference_pivot(tableau, r, col)
                 basis[r] = col
+                steps.append((col, r))
     for r in sorted(drop_rows, reverse=True):
         del tableau[r]
         del basis[r]
@@ -783,7 +788,7 @@ def reference_simplex_min(costs, eq_lhs, eq_rhs):
             factor = obj[bcol]
             obj = [a - factor * b for a, b in zip(obj, tableau[r])]
     tableau.append(obj)
-    status = reference_run_simplex(tableau, basis, n)
+    status = reference_run_simplex(tableau, basis, n, steps)
     if status != "optimal":
         return status, None, None
     solution = [Fraction(0)] * n
@@ -875,11 +880,12 @@ def random_lp(rng, kind):
 def test_simplex_matches_rational_reference(kind, monkeypatch):
     # Bland's rule cannot cycle; a pivot budget turns a kernel that does into a failure, not a hang
     pivots = []
+    seen = 0
 
-    def counted_pivot(m, row, col):
-        pivots.append(col)
+    def counted_pivot(m, row, d):
+        pivots.append(row)
         assert len(pivots) < 1000, "simplex cycles"
-        real_pivot(m, row, col)
+        real_pivot(m, row, d)
 
     real_pivot = linalg._pivot
     monkeypatch.setattr(linalg, "_pivot", counted_pivot)
@@ -891,4 +897,46 @@ def test_simplex_matches_rational_reference(kind, monkeypatch):
         got = simplex_min(costs, lhs, rhs)
         assert got == reference_simplex_min(costs, lhs, rhs)
         statuses.add(got[0])
+        seen += len(pivots)
     assert statuses == {{"feasible": "optimal", "degenerate": "optimal", "redundant": "optimal"}.get(kind, kind)}
+    # the guard counts only the pivots that go through linalg._pivot, so it must see some
+    assert seen > 0, "the cycling guard saw no pivot"
+
+
+def decomposition_lps(monkeypatch) -> list[tuple]:
+    """Every LP that decompose_to_measure solves for the identity on the
+    7-cycle's edges, whose first LP has 224 columns, and for two seeded
+    operators on each edge group of C5, K4, C6 and C7, from invariant measures
+    on 2 and 3 conjugation orbits of bijections."""
+    import geneograph.geneo as geneo_module
+
+    lps = []
+    real_simplex = geneo_module.simplex_min
+    monkeypatch.setattr(geneo_module, "simplex_min", lambda *args: lps.append(args) or real_simplex(*args))
+    c7 = edge_automorphism_group(cycle_graph(7))
+    decompose_to_measure(identity_operator(PerceptionPair(full_space(c7.labels), c7)))
+    rng = random.Random("wide lps")
+    for graph in (cycle_graph(5), complete_graph(4), cycle_graph(6), cycle_graph(7)):
+        ctx = endo_context(edge_automorphism_group(graph))
+        for k in (2, 3):
+            decompose_to_measure(from_measure(orbit_sum_measure(ctx, rng, k, rng.randint(0, 2))))
+    return lps
+
+
+def test_simplex_on_decomposition_lps_takes_the_reference_tableau_pivots(monkeypatch):
+    lps = decomposition_lps(monkeypatch)
+    assert len(lps[0][0]) == 224 and len(lps[0][1]) == 4
+    steps = []
+    real_enter = linalg._enter
+    monkeypatch.setattr(
+        linalg, "_enter", lambda m, basis, row, col, d: steps.append((col, row)) or real_enter(m, basis, row, col, d)
+    )
+    statuses = set()
+    for costs, lhs, rhs in lps:
+        steps.clear()
+        reference_steps = []
+        got = simplex_min(costs, lhs, rhs)
+        assert got == reference_simplex_min(costs, lhs, rhs, reference_steps)
+        assert steps == reference_steps
+        statuses.add(got[0])
+    assert statuses == {"optimal", "infeasible"}

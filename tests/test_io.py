@@ -229,6 +229,41 @@ def test_a_failing_document_is_not_remembered(fresh_memos):
     assert docs._read_homomorphism.cache_info().currsize == 0
 
 
+def test_an_operator_document_parses_each_cycle_text_once_per_read(fresh_memos, monkeypatch):
+    # the document states its group twice, as source and target, and its
+    # homomorphism names only that group's texts: a cold read parses each
+    # distinct text once, and a warm read parses none
+    doc = through_json(docs.operator_to_json(from_permutant(transposition_permutant(4, model="edge"))))
+    group_doc = doc["source"]["group"]
+    assert doc["target"]["group"] == group_doc
+    parsed = []
+    monkeypatch.setattr(docs, "parse_cycles", lambda text, labels: parsed.append(text) or parse_cycles(text, labels))
+    docs.operator_from_json(doc)
+    assert sorted(parsed) == sorted(set(group_doc["generators"] + group_doc["elements"]))
+    parsed.clear()
+    docs.operator_from_json(doc)
+    assert parsed == []
+
+
+@pytest.mark.parametrize("generators", [["(a,b)"], ["(a,z)"]])
+@pytest.mark.parametrize("fault", ["elements", "cap"])
+def test_a_generator_text_error_comes_before_the_elements_and_cap_errors(fresh_memos, monkeypatch, generators, fault):
+    # the texts are parsed once, on a miss, but an unparseable generator is still the error reported
+    doc = {"labels": list(ABC), "generators": generators, "elements": ["id", "(a,b)"]}
+    if fault == "elements":
+        doc["elements"] = 7
+    else:
+        monkeypatch.setenv("GENEO_MAX_GROUP", "0")
+    expected = {
+        "elements": "group field 'elements' must be an array of strings",
+        "cap": "GENEO_MAX_GROUP must be a positive integer, got '0'",
+    }[fault]
+    with pytest.raises(ValueError) as raised:
+        group_from_json(doc)
+    assert str(raised.value) == (expected if generators == ["(a,b)"] else "unknown label 'z' (domain ('a', 'b', 'c'))")
+    assert docs._read_group.cache_info().currsize == 0
+
+
 def test_the_memo_keeps_at_most_its_size_and_drops_the_least_recently_used(fresh_memos):
     def read(i):
         return group_from_json({"labels": [f"p{i}", f"q{i}"], "generators": [f"(p{i},q{i})"]})

@@ -335,6 +335,19 @@ def test_membership_needs_a_mapping_of_the_context(c6c3):
     assert Mapping(("x", "y", "z"), f.target_labels, f.images) not in o
 
 
+def test_membership_of_an_image_tuple(c6c3):
+    o = orbit("aec", c6c3)
+    member, other = c6c3.read_map("aec"), c6c3.read_map("aaa")
+    assert member in o and other not in o
+    assert [c6c3.map_images(c) in o for c in range(216)] == [c in o.codes for c in range(216)]
+    # tuples of other contexts whose base-6 code is that of "aec" (0*36 + 4*6 + 2):
+    # too short for three source points, and an image past the six target points
+    assert c6c3.map_code(member) == c6c3.map_code((4, 2)) == c6c3.map_code((0, 0, 26))
+    assert (4, 2) not in o and (0, 0, 26) not in o and (0, 4, 2, 0) not in o
+    k4 = endo_context(edge_automorphism_group(complete_graph(4)))
+    assert k4.read_map("pqrstu") not in o
+
+
 def test_all_orbits_rejects_a_partition_that_is_not_closed(c6c3, monkeypatch, fresh_memos):
     def singletons(total, tables):
         """Every code its own orbit."""
