@@ -10,11 +10,11 @@ from geneograph import (
     cycle_graph,
     edge_automorphism_group,
     format_cycles,
-    graph,
     induced_edge_permutation,
     parse_cycles,
     vertex_automorphism_group,
 )
+from geneograph.graph import graph
 
 # A 4-cycle with one chord: only the chord-preserving symmetries survive.
 chord = graph(

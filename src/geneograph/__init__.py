@@ -23,7 +23,6 @@ from .graph import (
     complete_graph,
     cycle_graph,
     edge_automorphism_group,
-    graph,
     induced_edge_permutation,
     parse_graph,
     subgraph_isomorphism_classes,

@@ -458,9 +458,7 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
     for w, pair_orbit in enumerate(pair_orbits):
         y, x = pair_orbit[0]
         equations.append([size * counts[w] // len(pair_orbit) for size, counts, _ in columns] + [op.coeffs[y][x]])
-    reduced = rref(equations)
-    if any(next(i for i, v in enumerate(r) if v != 0) == m for r in reduced):
-        raise ValueError("no permutant measure reproduces this operator")
+    reduced = rref(equations)  # an inconsistent row makes the first LP infeasible
 
     def lp(zeroed: set[int], bound: int | None):
         """Solve for column weights w (as u - v, u,v >= 0) with the given

@@ -1,7 +1,8 @@
 """Simple undirected graphs, automorphism groups, and induced edge permutations.
 
 The automorphism search lists each group as products of stabilizer-chain
-witnesses, and sorts, checks and picks generators on the group's image tuples."""
+witnesses, which are a group by construction, and sorts them and picks
+greedy generators on the group's image tuples."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from .perm import (
     CapExceededError,
     FiniteGroup,
     Permutation,
-    _group_images,
+    _greedy_generators,
     _label_orbits,
     group_cap,
 )
@@ -194,7 +195,9 @@ def _automorphism_group(g: Graph, edges: bool) -> FiniteGroup:
     the level sizes, so CapExceededError, past 10 vertices or group_cap()
     automorphisms, comes before any element is built.  The elements are the
     products t_0 o ... o t_{n-1}, one witness or the identity per level, on
-    vertices or on edge ids (a flat table at u * n + v).
+    vertices or on edge ids (a flat table at u * n + v).  On edge ids they
+    repeat when a vertex automorphism fixes every edge, as with two isolated
+    vertices or a K2 component, so they are de-duplicated before sorting.
     """
     labels = g.edge_labels if edges else g.vertex_labels
     if edges and not g.edges:
@@ -247,7 +250,9 @@ def _automorphism_group(g: Graph, edges: bool) -> FiniteGroup:
     if len(labels) > 1:  # itemgetter(i) returns no tuple
         for level in levels:
             elements += [p for t in level for p in map(itemgetter(*t), elements)]
-    return FiniteGroup._unchecked(labels, *_group_images(elements, labels))
+    elements, gens = sorted(set(elements)), []
+    _greedy_generators(elements, gens)
+    return FiniteGroup._unchecked(labels, tuple(elements), tuple(gens))
 
 
 def induced_edge_permutation(g: Graph, vp: Permutation) -> Permutation:

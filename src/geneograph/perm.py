@@ -18,10 +18,10 @@ conjugation orbits of the bijections by their positions, and the subgraph
 classes on edge-vector codes.  Groups are closed coset by coset
 (Dimino's algorithm, as in G. Butler, *Fundamental Algorithms for Permutation
 Groups*, LNCS 559, 1991) in ``_extend_by_cosets``: from generators by
-``generate_group``, and for an element set of image tuples by
-``_group_images``, which checks the set and picks greedy generators.  It is
-the core of ``group_from_elements`` and of the graph automorphism groups,
-which ``aut`` prints straight from image tuples with ``_cycle_texts``."""
+``generate_group``, and for a sorted element list by ``_greedy_generators``,
+which picks its greedy generators.  ``group_from_elements`` checks that its
+list is a group; the graph automorphism groups, which ``aut`` prints straight
+from image tuples with ``_cycle_texts``, are groups by construction."""
 
 from __future__ import annotations
 
@@ -306,10 +306,11 @@ class FiniteGroup:
     through ``_unchecked``.
 
     Invariant: ``generator_images`` generate ``images``.  The builders below
-    guarantee it, the graph groups through ``_group_images``; the homomorphism,
-    equivariance, closure and invariance checks rely on it to decide a
-    property of the whole group on the generators alone, and to name a
-    generator as the witness when it fails.  The constructor does not check it.
+    guarantee it, the graph groups through ``_greedy_generators``; the
+    homomorphism, equivariance, closure and invariance checks rely on it to
+    decide a property of the whole group on the generators alone, and to name
+    a generator as the witness when it fails.  The constructor does not check
+    it.
     """
 
     labels: tuple[str, ...]
@@ -406,49 +407,53 @@ def trivial_group(labels: Sequence[str]) -> FiniteGroup:
 
 def group_from_elements(elements: Iterable[Permutation]) -> FiniteGroup:
     """Wrap an explicit element set of one labeled domain as a FiniteGroup,
-    with the small greedy generating set that ``_group_images`` picks."""
+    checked to be a group, with the greedy generators of ``_greedy_generators``.
+
+    The elements form a group exactly when the greedy generators generate
+    them.  When they do not, some greedy generator s takes some element p out
+    of the set, as a set that holds the identity and is closed under every s
+    holds the group they generate; the error names the first such p in
+    element order and, for it, the first such s.
+    """
     elems = list(elements)
     lab = elems[0].labels if elems else ()
     for p in elems:
         _require_labels(p, lab)
-    return FiniteGroup._unchecked(lab, *_group_images([p.images for p in elems], lab))
-
-
-def _group_images(elements: Iterable[tuple[int, ...]], labels: tuple[str, ...]) -> tuple[tuple, tuple]:
-    """An explicit element set of image tuples over the labels, checked to be a
-    group: the elements in increasing order and a small greedy generating set.
-
-    Each element, in order, that lies outside the subgroup generated so far
-    becomes a generator and extends that subgroup by its cosets, capped at the
-    number of elements.  The elements form a group exactly when the last
-    extension ends at them.  When it does not, some greedy generator s takes
-    some element p out of the set, as a set that holds the identity and is
-    closed under every s holds the group they generate; the error names the
-    first such p in element order and, for it, the first such s.
-    """
-    members = set(elements)
-    elems = sorted(members)
-    if not elems:
+    members = {p.images for p in elems}
+    images = sorted(members)
+    if not images:
         raise ValueError("a group needs at least the identity")
-    ident = tuple(range(len(labels)))
-    if elems[0] != ident:  # the identity is the smallest permutation
+    if images[0] != tuple(range(len(lab))):  # the identity is the smallest permutation
         raise ValueError("element set lacks the identity")
-    gens, have, found = [], [ident], {ident}
+    gens = []
     try:
-        for p in elems:
-            if p not in found:
-                gens.append(p)
-                _extend_by_cosets(have, found, gens, len(elems))
-                if len(have) == len(elems):
-                    break
-        closed = found == members
+        closed = _greedy_generators(images, gens) == members
     except CapExceededError:
         # the generators make more elements than the set holds
         closed = False
     if not closed:
-        p, s = next((p, s) for p in elems for s in gens if tuple([s[i] for i in p]) not in members)
-        raise ValueError(f"element set not closed under composition at {Permutation(s, labels)}, {Permutation(p, labels)}")
-    return tuple(elems), tuple(gens)
+        p, s = next((p, s) for p in images for s in gens if tuple([s[i] for i in p]) not in members)
+        raise ValueError(f"element set not closed under composition at {Permutation(s, lab)}, {Permutation(p, lab)}")
+    return FiniteGroup._unchecked(lab, tuple(images), tuple(gens))
+
+
+def _greedy_generators(elements: Sequence[tuple[int, ...]], gens: list) -> set:
+    """The greedy generators of a sorted list of image tuples that starts
+    with the identity: each element, in order, that lies outside the subgroup
+    generated so far is appended to gens and extends that subgroup by its
+    cosets, until the subgroup has as many elements as the list.  Returns
+    the subgroup's element set, which is the list's exactly when the list is
+    a group.  Raises CapExceededError, with the generators so far in gens,
+    when the subgroup would grow past the list.
+    """
+    have, found = [elements[0]], {elements[0]}
+    for p in elements:
+        if p not in found:
+            gens.append(p)
+            _extend_by_cosets(have, found, gens, len(elements))
+            if len(have) == len(elements):
+                break
+    return found
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,16 @@ Inside, a map Y -> X is its image tuple h or its code, h read as a base-|X|
 numeral, sum h[y] * |X|^(|Y|-1-y), so that numeric order is lexicographic
 order of image tuples.  ``_partition`` labels every code with its orbit in
 one pass, a breadth-first search over one lookup table per generator of G
-from each code not yet labelled (``perm._label_orbits``), and checks that
-every table keeps every orbit.  The same labeller splits the pairs Y x X
-into orbitals, coded y * |X| + x; ``closure`` serves only single orbits.
+from each code not yet labelled (``perm._label_orbits``).  The same labeller
+splits the pairs Y x X into orbitals, coded y * |X| + x; ``closure`` serves
+only single orbits.
 The partition depends on |X|, |Y| and the generators' images under g
 and T alone, not on labels, so it is remembered per process by that integer
 structure and relabeled copies of a context share it: the last
 ``_REMEMBERED_PARTITIONS`` = 8 partitions, the least recently used dropped
 first, each as its codes in orbit order in one ``array('i')`` beside the
-orbit sizes (4 bytes per map).  The map-space cap is checked on every call,
-and a partition that fails the closure check raises its witness and is never
-remembered.  ``all_orbits`` builds on it.
+orbit sizes (4 bytes per map).  The map-space cap is checked on every call.
+``all_orbits`` builds on it.
 
 A ``GeneralizedPermutant`` holds its members' codes, a ``PermutantMeasure``
 {image tuple: Fraction}, and ``ActionContext.read_map`` reads a labeled map
@@ -304,9 +303,8 @@ def all_orbits(ctx: ActionContext) -> tuple[list[GeneralizedPermutant], dict[int
     Orbits are listed by their smallest code, which is their lexicographically
     smallest member, smallest first; that member is also each orbit's
     canonical representative, and each orbit lists its codes in code order.
-    The partition comes from ``_partition``, which verifies closure for all
-    orbits at once.  Raises CapExceededError for a map space over
-    DEFAULT_MAP_SPACE_CAP elements.
+    The partition comes from ``_partition``.  Raises CapExceededError for a
+    map space over DEFAULT_MAP_SPACE_CAP elements.
     """
     codes, sizes = _partition(ctx)
     orbits = [
@@ -323,24 +321,14 @@ def _partition(ctx: ActionContext) -> tuple[array, array]:
     canonical representative, sits at the sum of the sizes before it.
 
     Raises CapExceededError for a map space over DEFAULT_MAP_SPACE_CAP
-    elements, and the witness of a partition that some generator's table does
-    not keep.  The arrays are shared by every caller with the same integer
+    elements.  The arrays are shared by every caller with the same integer
     structure and must not be changed.
     """
     total = ctx.map_space_size()
     if total > DEFAULT_MAP_SPACE_CAP:
         raise CapExceededError(f"map space has {total} elements, over the cap {DEFAULT_MAP_SPACE_CAP}")
     generators = tuple((g, ctx.T.image(g)) for g in ctx.G.generator_images)
-    try:
-        return _code_partition(ctx.G.degree, ctx.K.degree, generators)
-    except _OpenPartition as exc:
-        c, i = exc.args
-        f = Mapping(ctx.y_labels, ctx.x_labels, ctx.map_images(c))
-        raise NotAlphaClosedError((f, ctx.G.generators[i]), ctx) from None
-
-
-class _OpenPartition(Exception):
-    """A partition that the table of generator i moves code c out of: (c, i)."""
+    return _code_partition(ctx.G.degree, ctx.K.degree, generators)
 
 
 @lru_cache(maxsize=_REMEMBERED_PARTITIONS)
@@ -351,9 +339,9 @@ def _code_partition(
     generators' image pairs (g, T(g)).  Each generator's move h -> g o h o
     T(g^-1) becomes a table indexed by map code: as (g o h o T(g^-1))[T(g)(z)]
     = g(h[z]), source point z adds g(h[z]) * |X|^(|Y|-1-T(g)(z)) to the code
-    of the moved map.  ``perm._label_orbits`` labels the codes, and closure is
-    checked for all orbits at once: every table must keep every code's orbit
-    id."""
+    of the moved map.  ``perm._label_orbits`` labels the codes; as g and
+    T(g) are permutations, each table is a bijection of the codes, so every
+    breadth-first search closes on one whole orbit."""
     tables = []
     for g, t in generators:
         table = [0]
@@ -362,10 +350,7 @@ def _code_partition(
             digits = [x * place for x in g]
             table = [c + d for c in table for d in digits]
         tables.append(table)
-    orbit_id, orbits = _label_orbits(nx**ny, tables)
-    for i, table in enumerate(tables):
-        if list(map(orbit_id.__getitem__, table)) != orbit_id:
-            raise _OpenPartition(next(c for c, d in enumerate(table) if orbit_id[d] != orbit_id[c]), i)
+    orbits = _label_orbits(nx**ny, tables)[1]
     codes = array("i")
     for o in orbits:
         codes.fromlist(o)
@@ -446,9 +431,14 @@ class PermutantMeasure:
         read = ((check(h), as_fraction(w)) for h, w in weights.items())
         self.__dict__.update(context=context, weights={h: w for h, w in read if w})
 
-    def weight(self, f: Mapping) -> Fraction:
-        self.context._check_mapping(f)
-        return self.weights.get(f.images, Fraction(0))
+    def weight(self, f: Mapping | tuple[int, ...]) -> Fraction:
+        """The weight of a Mapping of this context or of an image tuple;
+        ValueError for a Mapping of another context or a tuple that is no
+        image tuple of a map Y -> X."""
+        if isinstance(f, Mapping):
+            self.context._check_mapping(f)
+            f = f.images
+        return self.weights.get(self.context._check_images(f), Fraction(0))
 
     @property
     def support(self) -> tuple[Mapping, ...]:

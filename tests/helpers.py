@@ -16,7 +16,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from geneograph import io as docs
 from geneograph.graph import Graph
-from geneograph.perm import FiniteGroup, Homomorphism, Permutation, _group_images, closure, group_from_elements
+from geneograph.perm import FiniteGroup, Homomorphism, Permutation, closure, group_from_elements
 from geneograph.permutant import ActionContext, GeneralizedPermutant, PermutantMeasure, orbit
 
 
@@ -183,4 +183,5 @@ def automorphism_group_images_by_backtrack(g: Graph, edges: bool) -> tuple[tuple
     if edges:
         edge_id = {pair: i for i, pair in enumerate(g.edges)}
         found = {tuple(edge_id[tuple(sorted((vp[u], vp[v])))] for u, v in g.edges) for vp in found}
-    return labels, *_group_images(found, labels)
+    group = group_from_elements(Permutation(p, labels) for p in found)
+    return labels, group.images, group.generator_images

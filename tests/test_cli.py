@@ -4,24 +4,23 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from importlib import import_module
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import geneograph
-from geneograph import io as docs, permutant
+from geneograph import cli as cli_module, graph as graph_module, io as docs, permutant
 from geneograph.cli import main
 from geneograph.experiments import _code_table, c6_c3_context, transposition_permutant
 from geneograph.geneo import from_measure, from_permutant, identity_operator
-from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group, graph
+from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group, graph, vertex_automorphism_group
 from geneograph.perception import PerceptionPair, full_space
-from geneograph.perm import Homomorphism, generate_group, parse_cycles, trivial_group
+from geneograph.perm import FiniteGroup, Homomorphism, Permutation, generate_group, parse_cycles, trivial_group
 from geneograph.permutant import ActionContext, PermutantMeasure, all_orbits, endo_context, orbit
 
 from conftest import census_graph
-from helpers import graph_document, permutant_to_json
+from helpers import automorphism_group_images_by_backtrack, graph_document, permutant_to_json
 
 
 def run_cli(capsys, *argv):
@@ -167,16 +166,15 @@ def test_aut_decides_the_group_cap_before_listing(tmp_path, capsys, monkeypatch)
     def no_listing(*args):
         raise AssertionError("an element list was built")
 
-    graph_module = import_module("geneograph.graph")  # the package's name `graph` is the builder
-    listing = graph_module._group_images
-    monkeypatch.setattr(graph_module, "_group_images", no_listing)
+    listing = graph_module._greedy_generators
+    monkeypatch.setattr(graph_module, "_greedy_generators", no_listing)
     monkeypatch.setenv("GENEO_MAX_GROUP", "5039")
     code, out, err = run_cli(capsys, "aut", path, "--edges")
     message = "automorphism search exceeded the group cap 5039 (GENEO_MAX_GROUP)"
     assert code == 1
     assert json.loads(out) == {"error": message}
     assert err == f"error: {message}\n"
-    monkeypatch.setattr(graph_module, "_group_images", listing)
+    monkeypatch.setattr(graph_module, "_greedy_generators", listing)
     monkeypatch.setenv("GENEO_MAX_GROUP", "5040")
     code, out, err = run_cli(capsys, "aut", path, "--edges")
     assert (code, err) == (0, "") and len(json.loads(out)["elements"]) == 5040
@@ -185,8 +183,6 @@ def test_aut_decides_the_group_cap_before_listing(tmp_path, capsys, monkeypatch)
 def test_aut_reads_only_image_tuples_through_the_public_builder(tmp_path, capsys, monkeypatch):
     # aut --edges on K7 prints 5,040 elements and builds no labeled permutation
     path = write_json(tmp_path / "k7.json", graph_document(complete_graph(7)))
-    Permutation = import_module("geneograph.perm").Permutation
-    cli_module = import_module("geneograph.cli")
     builder, post_init = cli_module.edge_automorphism_group, Permutation.__post_init__
     built, calls = [], []
 
@@ -683,11 +679,10 @@ def test_orbits_on_a_full_table_context_lists_no_group_elements(tmp_path, capsys
     doc = docs.context_to_json(endo_context(edge_automorphism_group(k4)))
     assert len(doc["T"]) == 24
     path = write_json(tmp_path / "k4.json", doc)
-    perm_module, io_module = import_module("geneograph.perm"), import_module("geneograph.io")
-    post_init, parse = perm_module.Permutation.__post_init__, io_module.parse_cycles
+    post_init, parse = Permutation.__post_init__, docs.parse_cycles
     built, parsed = [], []
-    monkeypatch.setattr(perm_module.Permutation, "__post_init__", lambda p: built.append(p.images) or post_init(p))
-    monkeypatch.setattr(io_module, "parse_cycles", lambda text, labels: parsed.append(text) or parse(text, labels))
+    monkeypatch.setattr(Permutation, "__post_init__", lambda p: built.append(p.images) or post_init(p))
+    monkeypatch.setattr(docs, "parse_cycles", lambda text, labels: parsed.append(text) or parse(text, labels))
     code, out, err = run_cli(capsys, "orbits", "--context", path)
     assert (code, err) == (0, "") and json.loads(out)["total"] == 6**6
     # each distinct text of G's document is parsed once, on the memo's miss; K's
@@ -1044,6 +1039,19 @@ def symmetry_files(tmp_path_factory, ctx_file):
     for name, g in graphs.items():
         files[name] = write_json(root / f"{name}.json", graph_document(g))
     return files
+
+
+def test_aut_edges_lists_each_edge_permutation_once(capsys, symmetry_files):
+    # swapping D and E fixes every edge of the triangle, the K2 and the point,
+    # so the 12 vertex automorphisms induce only 6 edge permutations, and the
+    # stabilizer chain's products on the edges repeat each one twice
+    assert vertex_automorphism_group(TRIANGLE_K2_POINT).order == 12
+    code, out, err = run_cli(capsys, "aut", symmetry_files["triangle_k2_point"], "--edges")
+    assert (code, err) == (0, "")
+    printed = json.loads(out)
+    assert len(printed["elements"]) == len(set(printed["elements"])) == 6
+    reference = FiniteGroup(*automorphism_group_images_by_backtrack(TRIANGLE_K2_POINT, edges=True))
+    assert printed == docs.group_to_json(reference)
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN_SYMMETRY))

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -25,6 +26,20 @@ FIG1 = graph(
     "ABCD",
     [("p", ("A", "B")), ("q", ("B", "C")), ("r", ("C", "D")), ("s", ("A", "D")), ("t", ("B", "D"))],
 )
+
+
+def test_the_graph_module_is_not_shadowed_by_its_builder(monkeypatch):
+    # the package exports no name `graph`, so the submodule keeps it
+    import geneograph.graph as module
+
+    assert module is sys.modules["geneograph.graph"]
+
+    def refuse(elements, gens):
+        raise RuntimeError("patched")
+
+    monkeypatch.setattr("geneograph.graph._greedy_generators", refuse)
+    with pytest.raises(RuntimeError, match="patched"):
+        vertex_automorphism_group(complete_graph(4))
 
 
 def test_parse_k4_document():

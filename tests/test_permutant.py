@@ -275,6 +275,44 @@ def reference_all_orbits(ctx):
 MULTI_CHARACTER_C4 = ("e1", "e2", "e3", "e4")
 
 
+def random_generator_images(rng, n):
+    """One to three generators on n points, as image tuples.  About half the
+    sets move points only within the two blocks of a random split, so that
+    their group is intransitive."""
+    points = list(range(n))
+    rng.shuffle(points)
+    cut = rng.randint(1, n - 1) if rng.random() < 0.5 else n
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        images = list(range(n))
+        for block in (points[:cut], points[cut:]):
+            moved = rng.sample(block, len(block))
+            for a, b in zip(block, moved):
+                images[a] = b
+        gens.append(tuple(images))
+    return gens
+
+
+def rotation_inversion_context():
+    """The rotations of three points acting on maps between them, with T the
+    inversion, so that alpha(g, f) = g o f o g."""
+    r = parse_cycles("(a,b,c)", ("a", "b", "c"))
+    rotations = generate_group([r])
+    return ActionContext(rotations, rotations, Homomorphism.from_generator_images(rotations, rotations, [(r, r.inverse())]))
+
+
+def intransitive_endo_contexts(count=4, seed=20261020):
+    """Endo-contexts of seeded generator sets on 3 to 5 points whose group is intransitive."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        labels = tuple("ABCDE")[: 3 + len(found) % 3]
+        group = generate_group([Permutation(images, labels) for images in random_generator_images(rng, len(labels))])
+        if len(group.coordinate_orbits()) > 1:
+            found.append(endo_context(group))
+    return found
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -283,14 +321,20 @@ MULTI_CHARACTER_C4 = ("e1", "e2", "e3", "e4")
         lambda: endo_context(edge_automorphism_group(cycle_graph(6))),
         lambda: endo_context(edge_automorphism_group(complete_graph(4))),
         lambda: endo_context(edge_automorphism_group(cycle_graph(4, edge_labels=MULTI_CHARACTER_C4))),
+        rotation_inversion_context,
+        *(lambda ctx=ctx: ctx for ctx in intransitive_endo_contexts()),
     ],
-    ids=["c6c3", "c5-endo", "c6-endo", "k4-endo", "c4-endo-multichar"],
+    ids=["c6c3", "c5-endo", "c6-endo", "k4-endo", "c4-endo-multichar", "rotations-inverted"]
+    + [f"intransitive-{i}" for i in range(4)],
 )
-def test_all_orbits_matches_labeled_reference(build):
+def test_all_orbits_matches_labeled_reference(build, fresh_memos):
+    # nothing in the library re-checks the partition: these references do,
+    # the orbits found by closure, in the same order, and the Burnside count
     ctx = build()
     orbits, census = all_orbits(ctx)
     ref_orbits, ref_census = reference_all_orbits(ctx)
     assert census == ref_census
+    assert sum(census.values()) == burnside_orbit_count(ctx)
     assert [o.members for o in orbits] == ref_orbits
     assert [o.representative() for o in orbits] == [o[0] for o in ref_orbits]
     assert [o.size for o in orbits] == [len(o) for o in ref_orbits]
@@ -348,16 +392,6 @@ def test_membership_of_an_image_tuple(c6c3):
     assert k4.read_map("pqrstu") not in o
 
 
-def test_all_orbits_rejects_a_partition_that_is_not_closed(c6c3, monkeypatch, fresh_memos):
-    def singletons(total, tables):
-        """Every code its own orbit."""
-        return list(range(total)), [[c] for c in range(total)]
-
-    monkeypatch.setattr(permutant, "_label_orbits", singletons)
-    with pytest.raises(ValueError, match=r"not alpha-closed: alpha\(.*, aaa\) = .* escapes"):
-        all_orbits(c6c3)
-
-
 # the partition memo
 
 
@@ -393,30 +427,13 @@ def test_the_same_group_under_another_homomorphism_is_another_entry(c6c3, fresh_
     assert all_orbits(c6c3)[1] == {2: 1, 4: 1, 6: 5, 12: 15}
     assert sum(all_orbits(endo)[1].values()) == burnside_orbit_count(endo)
     # the same G, X and Y, with T the identity or the inversion of the rotations of three points
-    r = parse_cycles("(a,b,c)", ("a", "b", "c"))
-    rotations = generate_group([r])
-    inversion = Homomorphism.from_generator_images(rotations, rotations, [(r, r.inverse())])
+    inverted = rotation_inversion_context()
     fixed = [
         [o.representative().compact() for o in all_orbits(ctx)[0] if o.size == 1]
-        for ctx in (endo_context(rotations), ActionContext(rotations, rotations, inversion))
+        for ctx in (endo_context(inverted.G), inverted)
     ]
     assert fixed == [["abc", "bca", "cab"], ["acb", "bac", "cba"]]
     assert permutant._code_partition.cache_info().currsize == 4
-
-
-def test_a_partition_that_is_not_closed_is_never_remembered(c6c3, monkeypatch, fresh_memos):
-    calls = []
-
-    def singletons(total, tables):
-        calls.append(total)
-        return list(range(total)), [[c] for c in range(total)]
-
-    monkeypatch.setattr(permutant, "_label_orbits", singletons)
-    for _ in range(2):
-        with pytest.raises(ValueError, match=r"not alpha-closed: alpha\(\(a,b,c,d,e,f\), aaa\) = bbb escapes"):
-            all_orbits(c6c3)
-    assert calls == [216, 216]
-    assert permutant._code_partition.cache_info().currsize == 0
 
 
 def test_the_memo_drops_the_least_recently_used_partition(fresh_memos):
@@ -470,24 +487,6 @@ def test_orbitals_partition_the_pairs_into_orbits(name):
     for o in found:
         y, x = o[0]
         assert set(o) == {(ctx.T(g)(y), g(x)) for g in ctx.G.elements}
-
-
-def random_generator_images(rng, n):
-    """One to three generators on n points, as image tuples.  About half the
-    sets move points only within the two blocks of a random split, so that
-    their group is intransitive."""
-    points = list(range(n))
-    rng.shuffle(points)
-    cut = rng.randint(1, n - 1) if rng.random() < 0.5 else n
-    gens = []
-    for _ in range(rng.randint(1, 3)):
-        images = list(range(n))
-        for block in (points[:cut], points[cut:]):
-            moved = rng.sample(block, len(block))
-            for a, b in zip(block, moved):
-                images[a] = b
-        gens.append(tuple(images))
-    return gens
 
 
 def test_orbit_splits_match_the_closure_reference(c6c3, fresh_memos):
@@ -616,6 +615,20 @@ def test_measure_reads_each_weight_and_drops_zeros(c6c3):
     assert [f.compact() for f in m.support] == ["aec", "dbf"]
     with pytest.raises(TypeError):
         PermutantMeasure(c6c3, {aec: None})
+
+
+def test_measure_weight_of_an_image_tuple(c6c3):
+    aec = c6c3.read_map("aec")
+    m = measure_on_orbit(orbit("aec", c6c3), "1/3")
+    assert m.weight(aec) == m.weight(c6c3.mapping("aec")) == Fraction(1, 3)
+    assert m.weight(c6c3.read_map("aaa")) == 0
+    # a tuple too short for three source points, an image past the six target
+    # points, a list, and a Mapping of another source set
+    for bad in [(0, 4), (0, 4, 6), [0, 4, 2]]:
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} is not the image tuple of a map from 3 points to 6 points"):
+            m.weight(bad)
+    with pytest.raises(ValueError, match="does not go from"):
+        m.weight(Mapping(("x", "y", "z"), c6c3.x_labels, aec))
 
 
 # transposition permutants
