@@ -21,7 +21,6 @@ from geneograph import (
     pointwise_min,
     transposition_permutant,
     verify_equivariance,
-    verify_nonexpansive,
 )
 from geneograph.geneo import identity_operator, zero_operator
 from geneograph.perception import PerceptionPair
@@ -30,7 +29,7 @@ from geneograph.perception import PerceptionPair
 f4 = from_permutant(transposition_permutant(4, model="edge"))
 labels = f4.source.domain
 print("averaging operator on", labels)
-print("equivariant:", verify_equivariance(f4)[0], "| non-expansive:", verify_nonexpansive(f4))
+print("equivariant:", verify_equivariance(f4)[0], "| non-expansive:", f4.sup_norm <= 1)
 
 triangle = measurement([1, 1, 1, 0, 0, 0], labels)
 print("triangle weights  ->", tuple(map(str, apply(f4, triangle).values)))

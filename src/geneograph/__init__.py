@@ -16,7 +16,6 @@ from .geneo import (
     pointwise_max,
     pointwise_min,
     verify_equivariance,
-    verify_nonexpansive,
 )
 from .graph import (
     Graph,

@@ -25,15 +25,7 @@ from itertools import accumulate, takewhile
 
 from . import io as docs
 from .experiments import analyze_code_table, build_code_table, c6_c3_context
-from .geneo import (
-    apply,
-    decompose_to_measure,
-    from_measure,
-    from_permutant,
-    operator_sup_norm,
-    verify_equivariance,
-    verify_nonexpansive,
-)
+from .geneo import apply, decompose_to_measure, from_measure, from_permutant
 from .graph import edge_automorphism_group, parse_graph, vertex_automorphism_group
 from .perm import CapExceededError, format_cycles, group_cap
 from .permutant import GeneralizedPermutant, NotAlphaClosedError, _partition, is_permutant_measure
@@ -158,16 +150,15 @@ def cmd_geneo_build(args) -> dict:
 
 def cmd_geneo_verify(args) -> dict:
     op = docs.operator_from_json(_load(args.operator))
-    equivariant, witness = verify_equivariance(op)
-    nonexpansive = verify_nonexpansive(op)
+    equivariant, witness = op.equivariance
     payload = {
         "equivariant": equivariant,
-        "nonexpansive": nonexpansive,
-        "operator_norm": docs.fraction_to_json(operator_sup_norm(op)),
+        "nonexpansive": op.sup_norm <= 1,
+        "operator_norm": docs.fraction_to_json(op.sup_norm),
     }
     if witness is not None:
         payload["witness"] = {"basis_index": witness[0], "generator": format_cycles(witness[1])}
-    if not (equivariant and nonexpansive):
+    if not op.is_geneo:
         payload["error"] = "operator is not a GENEO"
         raise ValidationFailure(payload)
     return payload

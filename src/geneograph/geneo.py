@@ -1,17 +1,17 @@
 """Operators between spaces of measurements: construction from permutants and
-permutant measures, exact equivariance / non-expansivity checks, combinators
-(pointwise min/max of GENEOs kept as the kind and the operands, GENEOs by
-construction), and the decomposition of an equivariant endo-operator back to
-a permutant measure.
+permutant measures, the exact GENEO verdict, combinators (pointwise min/max of
+GENEOs kept as the kind and the operands, GENEOs by construction), and the
+decomposition of an equivariant endo-operator back to a permutant measure.
 
 Linear operators store dense exact-rational coefficient tables; rows are
 indexed by the target set Y, columns by the source set X, so F(phi)(y) =
-sum_x coeffs[y][x] phi(x).  Products of tables and vectors go through the
-kernel in `linalg`.  Tables built from maps are counted in int and divided
-once per cell.  The decomposition writes one equation per orbital and one LP
-column pair per distinct orbit column, computes those from the group once per
-generator set, and leaves the elimination and the LP to the fraction-free
-integer rows of `linalg`.  Its conjugation orbits are labelled by
+sum_x coeffs[y][x] phi(x); `is_geneo` alone decides the GENEO verdict.
+Products of tables and vectors go through the kernel in `linalg`.  Tables
+built from maps are counted in int and divided once per cell.  The
+decomposition writes one equation per orbital and one LP column pair per
+distinct orbit column, computes those from the group once per generator set,
+and leaves the elimination and the LP to the fraction-free integer rows of
+`linalg`.  Its conjugation orbits are labelled by
 `perm._label_orbits` on the positions of the n! bijections in
 `permutations` order, one lookup table per generator.
 """
@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .linalg import OPTIMAL, _as_row, dot, matmul, matvec, rref, simplex_min
+from .linalg import OPTIMAL, dot, integer_rref, matmul, matvec, simplex_min
 from .perception import (
     FunctionSpace,
     Measurement,
@@ -58,8 +58,9 @@ Witness = tuple[int, Permutation]
 class LinearOperator:
     """A linear map between measurement spaces, with its equivariance data.
 
-    The verdicts is_geo / is_geneo are worked out from the table and the
-    homomorphism on first access, so no constructor or document can state them.
+    Its two facts, `equivariance` and `sup_norm`, are worked out from the
+    table and the homomorphism once, on first use, so no constructor or
+    document can state them; `is_geneo` alone combines them.
     """
 
     coeffs: tuple[tuple[Fraction, ...], ...]
@@ -84,13 +85,15 @@ class LinearOperator:
     def n_out(self) -> int:
         return self.target.space.dim
 
-    @cached_property
-    def is_geo(self) -> bool:
-        return verify_equivariance(self)[0]
+    # the functions are looked up at first use, so a wrapper around them sees the work
+    equivariance = cached_property(lambda self: verify_equivariance(self))
+    sup_norm = cached_property(lambda self: operator_sup_norm(self))
+    is_geo = property(lambda self: self.equivariance[0])
 
-    @cached_property
+    @property
     def is_geneo(self) -> bool:
-        return self.is_geo and verify_nonexpansive(self)
+        """Equivariant and 1-Lipschitz, which for a linear map is sup norm <= 1."""
+        return self.is_geo and self.sup_norm <= 1
 
 
 @dataclass(frozen=True)
@@ -98,8 +101,8 @@ class PointwiseOperator:
     """The coordinatewise min or max of GENEOs that share source, target and
     homomorphism T.
 
-    Each operand is checked to be a GENEO on construction, and the rejection
-    names its witness.  The pointwise min or max of T-equivariant sup-norm
+    Each operand must be a GENEO (its `is_geneo`), and the rejection names
+    its witness.  The pointwise min or max of T-equivariant sup-norm
     1-Lipschitz maps is again both (Bergomi, Frosini, Giorgi, Quercioli,
     Nat. Mach. Intell. 1, 2019), so is_geo and is_geneo hold by construction.
     """
@@ -119,15 +122,9 @@ class PointwiseOperator:
             raise ValueError("a pointwise operator needs kind 'min' or 'max' and at least one operand")
         _require_same_signature(self.operands)
         for k, op in enumerate(self.operands):
-            if isinstance(op, PointwiseOperator):
-                continue
-            ok, witness = verify_equivariance(op)
-            if not ok:
-                i, g = witness
-                raise ValueError(f"operand {k} is not equivariant: basis index {i} fails under generator {g}")
-            norm = operator_sup_norm(op)
-            if norm > 1:
-                raise ValueError(f"operand {k} is not non-expansive: operator norm {norm} > 1")
+            if not op.is_geneo:
+                norm = f"is not non-expansive: operator norm {op.sup_norm} > 1"
+                raise ValueError(f"operand {k} {norm if op.is_geo else _not_equivariant(op)}")
 
 
 Operator = LinearOperator | PointwiseOperator
@@ -158,30 +155,29 @@ def verify_equivariance(op: LinearOperator) -> tuple[bool, Witness | None]:
     Linearity extends it to every measurement, and, as the generators generate
     the group and T is a verified homomorphism, to every element.  The witness
     on failure is (basis index, generator): the first failing index i for the
-    first failing generator.
+    first failing generator.  The check runs on the generators' image tuples;
+    `op.equivariance` keeps its result from the first use on.
     """
     c = op.coeffs
     rows = range(op.n_out)
-    for g in op.source.group.generators:
-        g_inv = g.inverse().images
-        tg = op.hom.image(g.images)
-        for i, j in enumerate(g_inv):
+    for g in op.source.group.generator_images:
+        tg = op.hom.image(g)
+        for i, j in enumerate(sorted(range(len(g)), key=g.__getitem__)):  # j = g^-1(i)
             if any(c[y][j] != c[tg[y]][i] for y in rows):
-                return False, (i, g)
+                return False, (i, Permutation(g, op.source.group.labels))
     return True, None
 
 
 def operator_sup_norm(op: LinearOperator) -> Fraction:
-    """The exact operator norm for the sup norm: the largest absolute row sum."""
-    if not op.coeffs:
-        return Fraction(0)
-    return max(sum(abs(c) for c in row) for row in op.coeffs)
+    """The exact operator norm for the sup norm: the largest absolute row sum;
+    `op.sup_norm` keeps it from the first use on."""
+    return max((sum(map(abs, row)) for row in op.coeffs), default=Fraction(0))
 
 
-def verify_nonexpansive(op: LinearOperator) -> bool:
-    """Exact 1-Lipschitz check; for linear operators the sup-norm operator norm
-    being at most 1 is necessary and sufficient."""
-    return operator_sup_norm(op) <= 1
+def _not_equivariant(op: LinearOperator) -> str:
+    """Why an operator that fails the equivariance check is no GENEO, naming its witness."""
+    i, g = op.equivariance[1]
+    return f"is not equivariant: basis index {i} fails under generator {g}"
 
 
 def _map_table(maps: Iterable[tuple], n_rows: int, n_cols: int) -> list[list[int]]:
@@ -191,6 +187,12 @@ def _map_table(maps: Iterable[tuple], n_rows: int, n_cols: int) -> list[list[int
         for y, x in enumerate(images):
             table[y][x] += w
     return table
+
+
+def _weighted_maps(m: PermutantMeasure) -> tuple[Iterable[tuple], int]:
+    """The measure's maps with integer weights over their least common denominator, and that denominator."""
+    denominator = math.lcm(*(w.denominator for w in m.weights.values()))
+    return ((h, w.numerator * (denominator // w.denominator)) for h, w in m.weights.items()), denominator
 
 
 def _map_operator(
@@ -219,7 +221,7 @@ def from_permutant(
         raise ValueError("cannot build an operator from the empty permutant")
     maps = ((h.context.map_images(c), 1) for c in h.codes)
     op = _map_operator(h.context, maps, h.size, source_space, target_space)
-    assert op.is_geo and op.is_geneo, "permutant averaging must yield a GENEO"
+    assert op.is_geneo, "permutant averaging must yield a GENEO"
     return op
 
 
@@ -238,9 +240,7 @@ def from_measure(
     if not ok:
         f, g = witness
         raise ValueError(f"not a permutant measure: weight changes along alpha({g}, {f})")
-    denominator = math.lcm(*(w.denominator for w in m.weights.values()))
-    weighted = ((h, w.numerator * (denominator // w.denominator)) for h, w in m.weights.items())
-    op = _map_operator(m.context, weighted, denominator, source_space, target_space)
+    op = _map_operator(m.context, *_weighted_maps(m), source_space, target_space)
     assert op.is_geo, "a permutant measure must yield an equivariant operator"
     return op
 
@@ -315,7 +315,7 @@ def diagonal_scaling(d: Sequence, pair: PerceptionPair) -> ScalingOutcome:
         return ScalingOutcome(False, None, violated, closure_ok, detail)
 
     op = _diagonal_operator(pair, [Fraction(1) / s for s in scale])
-    assert op.is_geo and op.is_geneo
+    assert op.is_geneo
     return ScalingOutcome(True, op, (), True, "")
 
 
@@ -442,10 +442,8 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
         raise CapExceededError(f"{n}! permutations exceed the decomposition cap {DEFAULT_DECOMPOSE_CAP}")
     if len(group.coordinate_orbits()) != 1:
         raise ValueError("the group must act transitively on the domain")
-    ok, witness = verify_equivariance(op)
-    if not ok:
-        i, g = witness
-        raise ValueError(f"operator is not equivariant: basis index {i} fails under generator {g}")
+    if not op.is_geo:
+        raise ValueError(f"operator {_not_equivariant(op)}")
 
     # One equation per orbital W: op and every orbit's count table t_O are
     # constant on W, so the rows at the orbitals' smallest pairs span the row
@@ -458,19 +456,23 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
     for w, pair_orbit in enumerate(pair_orbits):
         y, x = pair_orbit[0]
         equations.append([size * counts[w] // len(pair_orbit) for size, counts, _ in columns] + [op.coeffs[y][x]])
-    reduced = rref(equations)  # an inconsistent row makes the first LP infeasible
+    reduced = integer_rref(equations)  # an inconsistent row makes the first LP infeasible
 
     def lp(zeroed: set[int], bound: int | None):
         """Solve for column weights w (as u - v, u,v >= 0) with the given
         columns pinned to zero; minimize total variation, or with `bound` just
         test feasibility of total variation <= bound.  Returns (value, weights).
-        Each equation goes in as the integer row the simplex would scale it to;
-        phase 1 minimizes one artificial variable per row as given, so another
-        row scale would change Bland's path and with it the measure."""
+        Row r / d enters as the integer row the simplex would scale it to, r's
+        active and last entries over their gcd with d; phase 1 minimizes one
+        artificial variable per row as given, so another row scale would
+        change Bland's path and with it the measure."""
         active = [i for i in range(m) if i not in zeroed]
         slack = [0] if bound is not None else []
         lhs, rhs = [], []
-        for (*ints, b), _ in map(_as_row, ([row[i] for i in active] + [row[-1]] for row in reduced)):
+        for d, row in reduced:
+            part = [row[i] for i in active] + [row[-1]]
+            g = math.gcd(d, *part)
+            *ints, b = [x // g for x in part]
             lhs.append([c for a in ints for c in (a, -a)] + slack)
             rhs.append(b)
         budget = [sizes[i] for i in active for _ in (0, 1)]
@@ -517,8 +519,10 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
     assert final is not None and final[0] <= 1
     _, weights = final
 
+    # alpha-invariant by construction, and equivariant as op is once the tables match
     measure_weights = {h: w for i, w in weights.items() for h in columns[i][2]}
     result = PermutantMeasure(endo_context(group), measure_weights)
-    rebuilt = from_measure(result)
-    assert rebuilt.coeffs == op.coeffs, "reconstructed operator must match exactly"
+    maps, denominator = _weighted_maps(result)
+    scaled = [[c * denominator for c in row] for row in op.coeffs]
+    assert _map_table(maps, n, n) == scaled, "reconstructed operator must match exactly"
     return result

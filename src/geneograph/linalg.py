@@ -2,19 +2,19 @@
 matvec, matmul) and one row-elimination step, reduced row echelon form, affine
 solution sets, and a revised two-phase simplex.
 
-Fractions cross the API; inside, rref and the simplex keep each row as a
-positive integer multiple of its rational row and pivot fraction-free (Bareiss,
-Math. Comp. 22, 1968, with a gcd division in place of his exact one).  A
-positive row scale keeps every sign, zero and ratio, so Bland's rule picks the
-pivots it picks on fractions, and the decomposition gets reproducible
-measures.  The simplex keeps only B^-1, x_B and the objective rows (Dantzig
-and Orchard-Hays, MTAC 8, 1954) and prices columns only up to Bland's first
-negative one (Math. Oper. Res. 2, 1977): a pivot costs the rows, not the
-columns, and the pivots are the full tableau's.  Phase 1 minimizes the
-artificial variables of the equations as given, so rescaling an equation
-would change Bland's path.  The canonical rref fixes ``solve_affine``'s
-particular solution and nullspace basis, whose points the constraint-closure
-checks test and report as witnesses.
+Fractions cross the API, apart from integer_rref's rows; inside, rref and
+the simplex keep each row as a positive integer multiple of its rational row
+and pivot fraction-free (Bareiss, Math. Comp. 22, 1968, with a gcd division
+in place of his exact one).  A positive row scale keeps every sign, zero and
+ratio, so Bland's rule picks the pivots it picks on fractions, and the
+decomposition gets reproducible measures.  The simplex keeps only B^-1, x_B
+and the objective rows (Dantzig and Orchard-Hays, MTAC 8, 1954) and prices
+columns only up to Bland's first negative one (Math. Oper. Res. 2, 1977): a
+pivot costs the rows, not the columns, and the pivots are the full tableau's.
+Phase 1 minimizes the artificial variables of the equations as given, so
+rescaling an equation would change Bland's path.  The canonical rref fixes
+``solve_affine``'s particular solution and nullspace basis, whose points the
+constraint-closure checks test and report as witnesses.
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ def _pivot(m: list[list[int]], row: int, d: Sequence[int]) -> None:
             m[r] = [x // g for x in new] if g > 1 else new
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> list[Row]:
-    """Canonical reduced row echelon form, zero rows dropped."""
+def integer_rref(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, list[int]]]:
+    """Canonical reduced row echelon form, zero rows dropped, as integer
+    rows: (d, r) stands for the row r / d, where d > 0 is r's lead entry."""
     m = [_as_row(row)[0] for row in rows]
     leads: list[int] = []
     for col in range(len(m[0]) if m else 0):
@@ -80,7 +81,12 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> list[Row]:
             leads.append(col)
             if len(leads) == len(m):
                 break
-    return [[Fraction(x, row[lead]) for x in row] for row, lead in zip(m, leads)]
+    return [(row[lead], row) for row, lead in zip(m, leads)]
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> list[Row]:
+    """Canonical reduced row echelon form, zero rows dropped."""
+    return [[Fraction(x, d) for x in row] for d, row in integer_rref(rows)]
 
 
 def solve_affine(

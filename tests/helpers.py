@@ -1,6 +1,7 @@
 """Builders that only the tests use: the symmetric group, subset-stabilizer
 contexts with their image-cardinality permutants and measures, seeded
-invariant measures on conjugation orbits of bijections, a
+invariant measures on conjugation orbits of bijections, three diagonal
+operators on K4's edges that are not GENEOs, a
 homomorphism from a table of labeled permutations, the JSON
 forms of a graph, a permutant and a single group, the cycles of a
 permutation, the closure-based orbit split that the reference
@@ -9,13 +10,16 @@ stabilizer-chain search is checked against."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 from random import Random
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from geneograph import io as docs
-from geneograph.graph import Graph
+from geneograph.geneo import LinearOperator, identity_operator
+from geneograph.graph import Graph, complete_graph, edge_automorphism_group
+from geneograph.perception import PerceptionPair, full_space
 from geneograph.perm import FiniteGroup, Homomorphism, Permutation, closure, group_from_elements
 from geneograph.permutant import ActionContext, GeneralizedPermutant, PermutantMeasure, orbit
 
@@ -86,6 +90,23 @@ def orbit_sum_measure(ctx: ActionContext, rng: Random, k: int, slack: int) -> Pe
     denom = sum(map(abs, parts)) + slack
     weights = {ctx.map_images(c): Fraction(a, denom * o.size) for a, o in zip(parts, orbits) for c in o.codes}
     return PermutantMeasure(ctx, weights)
+
+
+def k4_operators_that_are_not_geneos() -> dict[str, LinearOperator]:
+    """Diagonal endo-operators on the edges p..u of K4 under its edge group,
+    by the verdict each fails: "nonequivariant" keeps the weights of p and u
+    (norm 1; the third generator (p,q)(s,u) is the first to fail), "expansive"
+    doubles every weight (equivariant, norm 2), and "both" keeps 3/2 of r's
+    weight (norm 3/2)."""
+    group = edge_automorphism_group(complete_graph(4))
+    identity = identity_operator(PerceptionPair(full_space(group.labels), group))
+    diagonals = {"nonequivariant": (1, 0, 0, 0, 0, 1), "expansive": (2,) * 6, "both": (0, 0, "3/2", 0, 0, 0)}
+    return {
+        name: replace(identity, coeffs=tuple(
+            tuple(Fraction(d) if x == y else Fraction(0) for x in range(6)) for y, d in enumerate(diagonal)
+        ))
+        for name, diagonal in diagonals.items()
+    }
 
 
 def graph_document(g: Graph) -> dict:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import geneograph
-from geneograph import cli as cli_module, graph as graph_module, io as docs, permutant
+from geneograph import cli as cli_module, geneo as geneo_module, graph as graph_module, io as docs, permutant
 from geneograph.cli import main
 from geneograph.experiments import _code_table, c6_c3_context, transposition_permutant
 from geneograph.geneo import from_measure, from_permutant, identity_operator
@@ -20,7 +21,12 @@ from geneograph.perm import FiniteGroup, Homomorphism, Permutation, generate_gro
 from geneograph.permutant import ActionContext, PermutantMeasure, all_orbits, endo_context, orbit
 
 from conftest import census_graph
-from helpers import automorphism_group_images_by_backtrack, graph_document, permutant_to_json
+from helpers import (
+    automorphism_group_images_by_backtrack,
+    graph_document,
+    k4_operators_that_are_not_geneos,
+    permutant_to_json,
+)
 
 
 def run_cli(capsys, *argv):
@@ -371,6 +377,84 @@ def test_geneo_verify_rejects_expansive(tmp_path, capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["nonexpansive"] is False
+
+
+# the whole output of `geneo verify` on each operator of
+# helpers.k4_operators_that_are_not_geneos: exit code, stdout and stderr
+FAILING_VERIFY = {
+    "nonequivariant": (
+        1,
+        '{"equivariant":false,"nonexpansive":true,"operator_norm":1,'
+        '"witness":{"basis_index":0,"generator":"(p,q)(s,u)"},"error":"operator is not a GENEO"}\n',
+        "error: operator is not a GENEO\n",
+    ),
+    "expansive": (
+        1,
+        '{"equivariant":true,"nonexpansive":false,"operator_norm":2,"error":"operator is not a GENEO"}\n',
+        "error: operator is not a GENEO\n",
+    ),
+    "both": (
+        1,
+        '{"equivariant":false,"nonexpansive":false,"operator_norm":"3/2",'
+        '"witness":{"basis_index":1,"generator":"(q,r)(s,t)"},"error":"operator is not a GENEO"}\n',
+        "error: operator is not a GENEO\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_VERIFY))
+def test_geneo_verify_failures_are_pinned(tmp_path, capsys, name):
+    op = k4_operators_that_are_not_geneos()[name]
+    path = write_json(tmp_path / f"{name}.json", docs.operator_to_json(op))
+    assert run_cli(capsys, "geneo", "verify", path) == FAILING_VERIFY[name]
+
+
+FACTS = ("verify_equivariance", "operator_sup_norm")
+
+
+@pytest.fixture
+def fact_counts(monkeypatch):
+    """The calls of the functions that compute an operator's two facts, the
+    equivariance result and the sup norm, counted wherever a geneograph module
+    holds them, as the benchmark's tracer wraps them."""
+    counts = dict.fromkeys(FACTS, 0)
+    modules = [module for key, module in sys.modules.items() if key.split(".")[0] == "geneograph"]
+    for name in FACTS:
+        real = getattr(geneo_module, name)
+
+        def counted(op, name=name, real=real):
+            counts[name] += 1
+            return real(op)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("request_kind", ["build", "verify", "failing verify"])
+def test_each_operator_fact_is_computed_once_per_request(tmp_path, capsys, f4_file, fact_counts, request_kind):
+    h_path = write_json(tmp_path / "h.json", permutant_to_json(transposition_permutant(4, model="edge")))
+    both = write_json(tmp_path / "both.json", docs.operator_to_json(k4_operators_that_are_not_geneos()["both"]))
+    argv = {
+        "build": ("geneo", "build", "--permutant", h_path),
+        "verify": ("geneo", "verify", f4_file),
+        "failing verify": ("geneo", "verify", both),
+    }[request_kind]
+    fact_counts.update(dict.fromkeys(FACTS, 0))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == (1 if request_kind == "failing verify" else 0)
+    assert fact_counts == dict.fromkeys(FACTS, 1)
+
+
+def test_fact_counts_see_each_new_operator(f4_file, fact_counts):
+    # positive control: three fresh copies of one operator, each asked for its
+    # verdict twice, compute each fact three times
+    op = docs.operator_from_json(read_json(f4_file))
+    fact_counts.update(dict.fromkeys(FACTS, 0))
+    for copy in (replace(op) for _ in range(3)):
+        assert copy.is_geneo and copy.is_geneo
+    assert fact_counts == dict.fromkeys(FACTS, 3)
 
 
 def test_geneo_apply(tmp_path, f4_file, capsys):

@@ -3,6 +3,7 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -23,12 +24,11 @@ from geneograph.geneo import (
     pointwise_max,
     pointwise_min,
     verify_equivariance,
-    verify_nonexpansive,
     zero_operator,
 )
 from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group
 from geneograph import linalg
-from geneograph.linalg import rref, simplex_min
+from geneograph.linalg import integer_rref, rref, simplex_min
 from geneograph.perception import (
     PerceptionPair,
     constrained_space,
@@ -47,7 +47,7 @@ from geneograph.permutant import (
 )
 
 from conftest import dihedral_edge_context
-from helpers import orbit_sum_measure, symmetric_group
+from helpers import k4_operators_that_are_not_geneos, orbit_sum_measure, symmetric_group
 
 EDGE_LABELS = ("p", "q", "r", "s", "t", "u")
 
@@ -271,7 +271,7 @@ def test_unbalanced_diagonal_is_not_equivariant():
 
 def test_f4_nonexpansive_row_sums(f4):
     assert operator_sup_norm(f4) == 1
-    assert verify_nonexpansive(f4)
+    assert f4.is_geneo
 
 
 def test_doubled_identity_is_expansive(k4_pair):
@@ -283,7 +283,7 @@ def test_doubled_identity_is_expansive(k4_pair):
         k4_pair,
         Homomorphism.identity_on(k4_pair.group),
     )
-    assert not verify_nonexpansive(doubled)
+    assert operator_sup_norm(doubled) == 2 and not doubled.is_geneo
 
 
 def test_small_measures_are_nonexpansive(c6c3):
@@ -436,6 +436,33 @@ def test_pointwise_rejects_expansive_operand(f4, k4_pair):
     assert verify_equivariance(doubled)[0]
     with pytest.raises(ValueError, match=re.escape("operand 0 is not non-expansive: operator norm 2 > 1")):
         pointwise_max(doubled, f4)
+
+
+# why each operator of helpers.k4_operators_that_are_not_geneos is no GENEO,
+# as a pointwise combinator names it after "operand k"
+REJECTIONS = {
+    "nonequivariant": "is not equivariant: basis index 0 fails under generator (p,q)(s,u)",
+    "expansive": "is not non-expansive: operator norm 2 > 1",
+    "both": "is not equivariant: basis index 1 fails under generator (q,r)(s,t)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTIONS))
+def test_pointwise_rejections_are_pinned(name):
+    op = k4_operators_that_are_not_geneos()[name]
+    ident = identity_operator(op.source)
+    for combine in (pointwise_min, pointwise_max):
+        for k, operands in enumerate([(op, ident), (ident, op)]):
+            with pytest.raises(ValueError) as raised:
+                combine(*operands)
+            assert str(raised.value) == f"operand {k} {REJECTIONS[name]}"
+
+
+@pytest.mark.parametrize("name", ["nonequivariant", "both"])
+def test_decomposition_gives_the_combinators_equivariance_reason(name):
+    with pytest.raises(ValueError) as raised:
+        decompose_to_measure(k4_operators_that_are_not_geneos()[name])
+    assert str(raised.value) == f"operator {REJECTIONS[name]}"
 
 
 def test_pointwise_nests_and_checks_its_kind(f4, k4_pair):
@@ -828,6 +855,24 @@ def test_rref_matches_rational_reference(shape):
         rows = random_rows(rng, *shape)
         assert rref(rows) == reference_rref(rows)
         assert all(type(x) is Fraction for row in rref(rows) for x in row)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (5, 3), (6, 6), (8, 4), (4, 9)])
+def test_integer_rref_rows_restrict_to_the_simplex_scale(shape):
+    # the decomposition's LP row for a column subset S of the reduced row r / d:
+    # r[S] and r[-1] over their gcd with d, which is the integer row that
+    # linalg._as_row makes of the rational row's entries there
+    rng = random.Random(f"integer rref:{shape}")
+    for _ in range(40):
+        rows = random_rows(rng, *shape)
+        reduced = integer_rref(rows)
+        assert [[Fraction(x, d) for x in row] for d, row in reduced] == rref(rows)
+        for d, row in reduced:
+            assert d > 0 and d == next(x for x in row if x)
+            subset = sorted(rng.sample(range(len(row) - 1), rng.randint(0, len(row) - 1)))
+            part = [row[i] for i in subset] + [row[-1]]
+            g = gcd(d, *part)
+            assert [x // g for x in part] == linalg._as_row([Fraction(x, d) for x in part])[0]
 
 
 def random_lp(rng, kind):
