@@ -9,9 +9,9 @@ orbit census of the C6/C3 context, which is `all_orbits(c6_c3_context())` (the
 `census-c6c3` command prints it).
 
 The subgraph codes work on the integer code of each 0/1 edge vector of K_n
-(bit m-1-i is edge i, so code order is lexicographic order): the classes come
-from the orbit labeller in ``perm`` that ``all_orbits`` also uses, and vector
-tuples are built only for the rows.
+(bit m-1-i is edge i, so code order is lexicographic order): the classes are
+the orbit partition of maps from the edges to {0, 1} that ``all_orbits`` also
+uses, and vector tuples are built only for the rows.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from operator import add
 from .geneo import LinearOperator, from_permutant
 from .graph import (
     Graph,
-    _subgraph_orbits,
+    _subgraph_partition,
     complete_graph,
     cycle_graph,
     edge_automorphism_group,
@@ -116,10 +116,10 @@ def build_code_table(n: int) -> CodeTable:
 
     Row i is the vector whose integer code is i: bit m-1-j of i is edge j, so
     the rows come in ``product((0, 1), repeat=m)`` order, which is
-    lexicographic order.  The class ids come straight from the labeller on
-    those codes (``graph._subgraph_orbits``).  The scaled code of a vector is
-    the integer count table |H| * coeffs times it, so it is built by doubling
-    like the codes themselves: adding edge j to a vector adds column j.
+    lexicographic order.  The class ids come from the subgraph partition of
+    those codes (``graph._subgraph_partition``).  The scaled code of a vector
+    is the integer count table |H| * coeffs times it, so it is built by
+    doubling: adding edge j to a vector adds column j.
 
     Each table is built once per process and shared by every later call; it
     holds only tuples in frozen dataclasses.
@@ -135,7 +135,10 @@ def _code_table(n: int) -> CodeTable:
     edge_group = edge_automorphism_group(kn)
     permutant = _edge_transpositions(kn, edge_group)
     op = from_permutant(permutant)
-    class_id, classes = _subgraph_orbits(edge_group)
+    codes, sizes = _subgraph_partition(edge_group)
+    class_id = [0] * len(codes)
+    for k, c in zip((k for k, size in enumerate(sizes) for _ in range(size)), codes):
+        class_id[c] = k
     labels = op.source.domain
     size = permutant.size
     assert size == comb(n, 2)
@@ -147,7 +150,7 @@ def _code_table(n: int) -> CodeTable:
         scaled += [tuple(map(add, code, column)) for code in scaled]
     vectors = product((0, 1), repeat=len(labels))
     rows = tuple(map(CodeRow, vectors, scaled, class_id))
-    return CodeTable(n, labels, size, rows, len(classes))
+    return CodeTable(n, labels, size, rows, len(sizes))
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,16 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from operator import itemgetter
 from typing import Mapping, Sequence
 
+from . import permutant
 from .perm import (
     CapExceededError,
     FiniteGroup,
     Permutation,
     _greedy_generators,
-    _label_orbits,
     group_cap,
 )
 
@@ -284,37 +284,30 @@ def subgraph_isomorphism_classes(n: int) -> list[list[tuple[int, ...]]]:
     Classes are orbits under the edge automorphism group acting by
     precomposition; each class is sorted and the list is ordered by canonical
     (lexicographically smallest) representative.  The work is done on the
-    integer codes of the vectors (see ``_subgraph_orbits``), whose order is
+    integer codes of the vectors (see ``_subgraph_partition``), whose order is
     lexicographic order; the tuples are built only for the result.
     """
     if not 1 <= n <= 6:
         raise CapExceededError(f"subgraph enumeration supports n <= 6, got {n}")
     edge_group = edge_automorphism_group(complete_graph(n))
-    _, classes = _subgraph_orbits(edge_group)
+    codes, sizes = _subgraph_partition(edge_group)
     vectors = list(product((0, 1), repeat=edge_group.degree))
-    return [[vectors[c] for c in cls] for cls in classes]
+    remaining = iter(codes)
+    return [[vectors[c] for c in islice(remaining, size)] for size in sizes]
 
 
-def _subgraph_orbits(edge_group: FiniteGroup) -> tuple[list[int], list[list[int]]]:
+def _subgraph_partition(edge_group: FiniteGroup) -> tuple[Sequence[int], Sequence[int]]:
     """The isomorphism classes of 0/1 edge vectors under an edge group acting
-    by precomposition, on integer codes: the class id of every code and each
-    class's codes in increasing order, classes numbered by smallest code.
+    by precomposition, as the orbit partition of maps from the m edges to
+    {0, 1} (``permutant._code_partition``): every code in class order, each
+    class in increasing code order and the classes by smallest code, and the
+    class sizes.
 
-    The code of a vector v on m edges has bit m-1-i set exactly when v[i] = 1,
-    so code order is ``product((0, 1), repeat=m)`` order, which is
-    lexicographic order.  Precomposing with g moves the bit of edge j to the
-    bit of edge g^-1(j), so each generator's table over the 2^m codes is built
-    by doubling, one edge at a time from the last: t += [c | mask_j for c in t].
-    The tables go through ``perm._label_orbits``, the labeller of the
-    alpha-action census.
+    A vector v is the map i -> v[i], and its code has bit m-1-i set exactly
+    when v[i] = 1, so code order is ``product((0, 1), repeat=m)`` order, which
+    is lexicographic order.  A generator g moves v to v o g^-1, and g and g^-1
+    generate the same classes.  The partition is remembered with the census
+    partitions and must not be changed.
     """
-    m = edge_group.degree
-    tables = []
-    for g in edge_group.generators:
-        inverse = g.inverse().images
-        table = [0]
-        for j in reversed(range(m)):
-            mask = 1 << (m - 1 - inverse[j])
-            table += [c | mask for c in table]
-        tables.append(table)
-    return _label_orbits(1 << m, tables)
+    generators = tuple(((0, 1), g) for g in edge_group.generator_images)
+    return permutant._code_partition(2, edge_group.degree, generators)

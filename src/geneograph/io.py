@@ -5,21 +5,24 @@ otherwise; permutations as cycle-product strings, and a group from its image
 tuples; mappings in compact concatenated-label form when the target labels
 are single characters.  All emitters order their output deterministically.
 
-Reading a group or a homomorphism builds and verifies it, so each of the two
-readers, ``_read_group`` and ``_read_homomorphism``, is a
-``functools.lru_cache`` of ``_REMEMBERED_DOCUMENTS`` entries keyed by the
-document's text, the least recently used dropped first: a process that reads
-the same documents again and again pays once.  A group's key holds the group
-cap whenever it closes generators, so a changed GENEO_MAX_GROUP takes
-effect.  Fields are validated before the lookup and each cycle text parsed
-once, on a miss, so errors come as on a first read, and a document that fails
-is never remembered.  A homomorphism table looks up the permutations that its
-groups' documents name instead of parsing them again.
+Reading a context or an operator builds and verifies its groups,
+homomorphism and perception pairs, so ``_remembered`` reads each such
+document through one ``functools.lru_cache``, ``_read_text``, of
+``_REMEMBERED_DOCUMENTS`` = 32 entries keyed by the document's JSON text and
+the raw GENEO_MAX_GROUP setting, the least recently used dropped first: a
+process that reads the same documents again and again pays once, and a
+changed group cap takes effect.  On a miss the plain readers below validate
+and build in the order the fields are read, with each cycle text parsed once
+per read, so errors come as on any first read, and a document that fails is
+never remembered.  An operator is remembered without its coefficients and
+flags, which are read on every call.
 """
 
 from __future__ import annotations
 
 import functools
+import json
+import os
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Mapping as MappingABC
@@ -35,11 +38,10 @@ from .perception import (
 from .perm import (
     FiniteGroup,
     Homomorphism,
-    Permutation,
+    _ENV_GROUP_CAP,
     _cycle_texts,
     format_cycles,
     generate_group,
-    group_cap,
     group_from_elements,
     parse_cycles,
     trivial_group,
@@ -108,38 +110,31 @@ def _rational(value, field: str) -> Fraction:
         raise ValueError(f"{field}: {value!r} has a zero denominator") from None
 
 
-# documents remembered by each reader below; past that many the least recently used goes first
-_REMEMBERED_DOCUMENTS = 16
+# context and operator documents remembered by _read_text; past that many the least recently used goes first
+_REMEMBERED_DOCUMENTS = 32
 
 
-def _group_from_json(doc: MappingABC) -> tuple[FiniteGroup, tuple]:
-    """The group a document states, and the key it is remembered by: its
-    labels, generator texts, element texts (None when it lists none) and, for a
-    closure of generators, the group cap."""
-    _require_object(doc, "a group document")
-    labels = tuple(_strings(_get(doc, "group", "labels"), "group field 'labels'"))
-    gen_texts = tuple(_strings(doc.get("generators", []), "group field 'generators'"))
-    try:
-        texts = tuple(_strings(doc["elements"], "group field 'elements'")) if "elements" in doc else None
-        key = (labels, gen_texts, texts, group_cap() if gen_texts else None)
-    except ValueError:
-        for text in gen_texts:  # a generator text's own error comes first
-            parse_cycles(text, labels)
-        raise
-    return _read_group(*key)[0], key
+def _remembered(read: Callable, doc):
+    """read(doc, parse), remembered by the document's JSON text and the raw
+    group-cap setting: the raw text, as its value is checked in the read."""
+    return _read_text(read, json.dumps(doc, separators=(",", ":")), os.environ.get(_ENV_GROUP_CAP))
 
 
 @functools.lru_cache(maxsize=_REMEMBERED_DOCUMENTS)
-def _read_group(
-    labels: tuple[str, ...], gen_texts: tuple[str, ...], texts: tuple[str, ...] | None, cap: int | None
-) -> tuple[FiniteGroup, dict[str, Permutation]]:
-    """The group of ``_group_from_json``'s key, and the permutations that its
-    document names, by text, so that a homomorphism table on the group parses
-    only the texts that the group document does not name.  The cap is read
-    again by ``generate_group`` and serves only as part of the key.  Every
-    caller with the same key shares the result, which must not be changed."""
-    parse = functools.cache(parse_cycles)
-    gens = [parse(text, labels) for text in gen_texts]
+def _read_text(read: Callable, text: str, cap_setting: str | None):
+    """The value that read builds from the document of this text, with one
+    parse of each cycle text per read.  Every caller with the same key shares
+    the result, which must not be changed."""
+    return read(json.loads(text), functools.cache(parse_cycles))
+
+
+def _group(doc, parse: Callable) -> FiniteGroup:
+    """The group a document states, its generators closed and its stated
+    elements checked against them."""
+    _require_object(doc, "a group document")
+    labels = tuple(_strings(_get(doc, "group", "labels"), "group field 'labels'"))
+    gens = [parse(text, labels) for text in _strings(doc.get("generators", []), "group field 'generators'")]
+    texts = _strings(doc["elements"], "group field 'elements'") if "elements" in doc else None
     group = generate_group(gens) if gens else trivial_group(labels)
     if texts is not None:
         stated = [parse(text, labels) for text in texts]
@@ -152,7 +147,7 @@ def _read_group(
             group = group_from_elements(stated)
         elif seen != set(group.images):
             raise ValueError("stated elements do not match the closure of the generators")
-    return group, {text: parse(text, labels) for text in gen_texts + (texts or ())}
+    return group
 
 
 def homomorphism_to_json(t: Homomorphism) -> list:
@@ -161,28 +156,14 @@ def homomorphism_to_json(t: Homomorphism) -> list:
     return [[a, b] for a, b in zip(sources, targets)]
 
 
-def _homomorphism_from_json(doc, group_keys: tuple) -> Homomorphism:
-    """The homomorphism a table of pairs states between the two groups of
-    these keys, remembered by the keys and the pair texts."""
+def _homomorphism(doc, source: FiniteGroup, target: FiniteGroup, parse: Callable) -> Homomorphism:
+    """The homomorphism a table of [element, image] pairs states from source to target."""
     if not isinstance(doc, list) or not all(
         isinstance(pair, list) and len(pair) == 2 and all(isinstance(p, str) for p in pair)
         for pair in doc
     ):
         raise ValueError("a homomorphism must be an array of [element, image] cycle-string pairs")
-    return _read_homomorphism(group_keys, tuple(map(tuple, doc)))
-
-
-@functools.lru_cache(maxsize=_REMEMBERED_DOCUMENTS)
-def _read_homomorphism(group_keys: tuple, pair_texts: tuple[tuple[str, str], ...]) -> Homomorphism:
-    """The homomorphism of ``_homomorphism_from_json``'s key, between the
-    groups that ``_read_group`` remembers by the two keys.  A text that a group
-    document names is looked up, and any other is parsed once."""
-    (source, source_named), (target, target_named) = (_read_group(*key) for key in group_keys)
-    parse = functools.cache(parse_cycles)
-    pairs = [
-        (source_named.get(src) or parse(src, source.labels), target_named.get(dst) or parse(dst, target.labels))
-        for src, dst in pair_texts
-    ]
+    pairs = [(parse(src, source.labels), parse(dst, target.labels)) for src, dst in doc]
     table = {p.images: k for p, k in pairs}
     if len(table) == len(pairs) == source.order and all(p in source for p, _ in pairs):
         for _, k in pairs:  # in document order, which the constructor cannot see
@@ -201,10 +182,16 @@ def context_to_json(ctx: ActionContext) -> dict:
 
 
 def context_from_json(doc: MappingABC) -> ActionContext:
+    return _remembered(_context, doc)
+
+
+def _context(doc, parse: Callable) -> ActionContext:
     _require_object(doc, "a context document")
-    g, g_key = _group_from_json(_get(doc, "context", "G"))
-    k, k_key = _group_from_json(_get(doc, "context", "K"))
-    return ActionContext(g, k, _homomorphism_from_json(_get(doc, "context", "T"), (g_key, k_key)))
+    g_doc = _get(doc, "context", "G")
+    g = _group(g_doc, parse)
+    k_doc = _get(doc, "context", "K")
+    k = g if k_doc == g_doc else _group(k_doc, parse)
+    return ActionContext(g, k, _homomorphism(_get(doc, "context", "T"), g, k, parse))
 
 
 def mapping_to_json(f: Mapping):
@@ -332,13 +319,11 @@ def pair_to_json(pair: PerceptionPair) -> dict:
     return {"space": space_to_json(pair.space), "group": group_to_json(pair.group)}
 
 
-def _pair_from_json(doc: MappingABC) -> tuple[PerceptionPair, tuple]:
-    """A perception pair, and the key its group is remembered by."""
+def _pair(doc, parse: Callable) -> PerceptionPair:
     _require_object(doc, "a perception pair document")
     space_doc, group_doc = (_get(doc, "perception pair", key) for key in ("space", "group"))
     space = space_from_json(space_doc)
-    group, key = _group_from_json(group_doc)
-    return PerceptionPair(space, group), key
+    return PerceptionPair(space, _group(group_doc, parse))
 
 
 def operator_to_json(op: LinearOperator) -> dict:
@@ -351,11 +336,18 @@ def operator_to_json(op: LinearOperator) -> dict:
     }
 
 
+def _frame(doc, parse: Callable) -> tuple[PerceptionPair, PerceptionPair, Homomorphism]:
+    """The source pair, target pair and homomorphism of an operator document."""
+    source_doc = _get(doc, "operator", "source")
+    source = _pair(source_doc, parse)
+    target_doc = _get(doc, "operator", "target")
+    target = source if target_doc == source_doc else _pair(target_doc, parse)
+    return source, target, _homomorphism(_get(doc, "operator", "homomorphism"), source.group, target.group, parse)
+
+
 def operator_from_json(doc: MappingABC) -> LinearOperator:
     _require_object(doc, "an operator document")
-    source, source_key = _pair_from_json(_get(doc, "operator", "source"))
-    target, target_key = _pair_from_json(_get(doc, "operator", "target"))
-    hom = _homomorphism_from_json(_get(doc, "operator", "homomorphism"), (source_key, target_key))
+    source, target, hom = _remembered(_frame, {k: v for k, v in doc.items() if k not in ("coeffs", "flags")})
     rows = _get(doc, "operator", "coeffs")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("operator field 'coeffs' must be an array of arrays")

@@ -15,7 +15,8 @@ structure and relabeled copies of a context share it: the last
 ``_REMEMBERED_PARTITIONS`` = 8 partitions, the least recently used dropped
 first, each as its codes in orbit order in one ``array('i')`` beside the
 orbit sizes (4 bytes per map).  The map-space cap is checked on every call.
-``all_orbits`` builds on it.
+``all_orbits`` builds on it, and ``graph._subgraph_partition`` asks the same
+memo for the subgraph classes of K_n.
 
 A ``GeneralizedPermutant`` holds its members' codes, a ``PermutantMeasure``
 {image tuple: Fraction}, and ``ActionContext.read_map`` reads a labeled map

@@ -36,8 +36,7 @@ MEMOS = (
     "permutant._code_partition",
     "geneo._orbit_columns",
     "experiments._code_table",
-    "io._read_group",
-    "io._read_homomorphism",
+    "io._read_text",
     "cli._parser",
 )
 

@@ -126,8 +126,8 @@ def permutant_to_json(h: GeneralizedPermutant) -> dict:
 
 
 def group_from_json(doc) -> FiniteGroup:
-    """One group document read on its own."""
-    return docs._group_from_json(doc)[0]
+    """One group document read on its own, through the document memo."""
+    return docs._remembered(docs._group, doc)
 
 
 def cycles(p: Permutation, include_fixed: bool = False) -> list[list[int]]:

@@ -770,9 +770,9 @@ def test_orbits_on_a_full_table_context_lists_no_group_elements(tmp_path, capsys
     code, out, err = run_cli(capsys, "orbits", "--context", path)
     assert (code, err) == (0, "") and json.loads(out)["total"] == 6**6
     # each distinct text of G's document is parsed once, on the memo's miss; K's
-    # document is G's, so it hits, and T names only their texts
+    # document is G's, so the read builds that group once, and T names only its texts
     assert len(built) == len(parsed) == 24
-    ctx = docs.context_from_json(doc)  # the groups that the command read, remembered by their documents
+    ctx = docs.context_from_json(doc)  # the context that the command read, remembered by its document
     for group in (ctx.G, ctx.K):
         assert "elements" not in group.__dict__
     # the counter does see permutations: a group builds its elements on first access
@@ -787,6 +787,35 @@ def test_array_operator_is_validation_failure(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, "geneo", command, op_path, *extra)
     assert code == 1
     assert json.loads(out) == {"error": "an operator document must be a JSON object"}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, error",
+    [
+        (
+            ["orbits", "--context"],
+            {"G": {"labels": ["a", "b", "c"], "generators": ["(a,z)"]}, "K": 7, "T": []},
+            "unknown label 'z' (domain ('a', 'b', 'c'))",
+        ),
+        (
+            ["geneo", "verify"],
+            {
+                "source": {
+                    "space": {"domain": ["a", "b"]},
+                    "group": {"labels": ["a", "b"], "generators": ["(a,b)"], "elements": 5},
+                },
+                "homomorphism": [],
+                "coeffs": [[1, 0], [0, 1]],
+            },
+            "group field 'elements' must be an array of strings",
+        ),
+    ],
+    ids=["context-G-before-K", "operator-source-before-target"],
+)
+def test_the_first_faulty_part_of_a_document_is_the_error_reported(tmp_path, capsys, argv, doc, error):
+    # a context's G is read before its K, and an operator's source before its target
+    code, out, err = run_cli(capsys, *argv, write_json(tmp_path / "doc.json", doc))
+    assert (code, out, err) == (1, json.dumps({"error": error}, separators=(",", ":")) + "\n", f"error: {error}\n")
 
 
 MEASURE = ["measure", "check", "{doc}", "--context", "{ctx}"]
@@ -1148,26 +1177,26 @@ def test_golden_symmetry_output(capsys, symmetry_files, argv):
 @pytest.mark.parametrize("template", sorted(GOLDEN) + sorted(GOLDEN_SYMMETRY))
 def test_golden_output_again_from_the_memos(capsys, c7_operator_file, symmetry_files, template):
     """A second run in the same process prints the same bytes, and finds every
-    group, homomorphism, code table and orbit partition it reads already
-    remembered."""
+    context or operator document, code table and orbit partition it reads
+    already remembered."""
     argv = [arg.format(c7_operator=c7_operator_file, **symmetry_files) for arg in template]
     digest = {**GOLDEN, **GOLDEN_SYMMETRY}[template]
     first = run_cli(capsys, *argv)
-    readers = (docs._read_group, docs._read_homomorphism)
-    readers_before = [reader.cache_info() for reader in readers]
+    documents_before = docs._read_text.cache_info()
     tables_before = _code_table.cache_info()
     partitions_before = permutant._code_partition.cache_info()
     again = run_cli(capsys, *argv)
-    readers_after = [reader.cache_info() for reader in readers]
+    documents_after = docs._read_text.cache_info()
     tables_after = _code_table.cache_info()
     partitions_after = permutant._code_partition.cache_info()
     assert first == again
     assert again[0] == 0 and sha256(again[1]) == digest
     if argv[0] in ("orbits", "geneo"):
-        assert all(after.misses == before.misses for before, after in zip(readers_before, readers_after))
-        assert all(after.hits > before.hits for before, after in zip(readers_before, readers_after))
+        # the one context or operator document that the command reads
+        assert documents_after.hits == documents_before.hits + 1
+        assert documents_after.misses == documents_before.misses
     else:
-        assert readers_after == readers_before
+        assert documents_after == documents_before
     if argv[0] == "codes":
         assert tables_after.hits == tables_before.hits + 1
         assert tables_after.misses == tables_before.misses

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from geneograph import permutant
 from geneograph.graph import (
     Graph,
     NotAnAutomorphismError,
@@ -344,6 +345,13 @@ def test_triangle_and_star_are_distinct_classes():
     classes = subgraph_isomorphism_classes(4)
     by_vec = {vec: i for i, cls in enumerate(classes) for vec in cls}
     assert by_vec[(1, 1, 1, 0, 0, 0)] != by_vec[(0, 0, 0, 1, 1, 1)]
+
+
+def test_subgraph_classes_are_remembered_with_the_census_partitions(fresh_memos):
+    first = subgraph_isomorphism_classes(4)
+    assert subgraph_isomorphism_classes(4) == first
+    info = permutant._code_partition.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_class_cap():

@@ -187,7 +187,7 @@ def test_operator_roundtrip_with_constrained_pair():
     assert rebuilt.source.space.equations == pair.space.equations
 
 
-# -- the memo of group and homomorphism documents -------------------------------
+# -- the memo of context and operator documents -------------------------------
 
 ABC = ("a", "b", "c")
 
@@ -201,6 +201,26 @@ def rotation_context_doc(table_of_rotation) -> dict:
     return doc
 
 
+def test_a_cold_context_read_is_one_miss_and_a_repeat_one_hit(fresh_memos):
+    doc = through_json(docs.context_to_json(c6_c3_context()))
+    first = docs.context_from_json(doc)
+    info = docs._read_text.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+    assert docs.context_from_json(doc) is first
+    info = docs._read_text.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_a_cold_endo_context_read_closes_its_group_once(fresh_memos, monkeypatch):
+    # K's document equals G's, so the read builds the group once and uses it twice
+    closed = []
+    monkeypatch.setattr(docs, "generate_group", lambda gens: closed.append(gens) or generate_group(gens))
+    s3 = generate_group([parse_cycles("(a,b,c)", ABC), parse_cycles("(a,b)", ABC)])
+    ctx = docs.context_from_json(through_json(docs.context_to_json(endo_context(s3))))
+    assert len(closed) == 1
+    assert ctx.K is ctx.G == s3
+
+
 def test_the_group_cap_is_part_of_the_key(fresh_memos, monkeypatch):
     s3 = generate_group([parse_cycles("(a,b,c)", ABC), parse_cycles("(a,b)", ABC)])
     doc = through_json(docs.context_to_json(endo_context(s3)))
@@ -210,8 +230,13 @@ def test_the_group_cap_is_part_of_the_key(fresh_memos, monkeypatch):
     monkeypatch.setenv("GENEO_MAX_GROUP", str(s3.order - 1))
     with pytest.raises(CapExceededError, match=f"cap {s3.order - 1}"):
         docs.context_from_json(doc)
+    monkeypatch.setenv("GENEO_MAX_GROUP", str(s3.order))
+    capped = docs.context_from_json(doc)
+    assert capped is not first and capped.G == first.G
     monkeypatch.delenv("GENEO_MAX_GROUP")
-    assert docs.context_from_json(doc).G is first.G
+    assert docs.context_from_json(doc) is first
+    info = docs._read_text.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 3, 2)
 
 
 def test_a_failing_document_is_not_remembered(fresh_memos):
@@ -220,13 +245,14 @@ def test_a_failing_document_is_not_remembered(fresh_memos):
     for _ in range(2):
         with pytest.raises(ValueError, match="stated elements do not match"):
             group_from_json(group_doc)
-    assert docs._read_group.cache_info().currsize == 0
+    assert docs._read_text.cache_info().currsize == 0
     # the rotation by one step cannot go to the rotation by two steps and back
     doc = rotation_context_doc(lambda g: "(a,c,b)" if g == "(a,b,c)" else g)
     for _ in range(2):
         with pytest.raises(ValueError, match="not multiplicative"):
             docs.context_from_json(doc)
-    assert docs._read_homomorphism.cache_info().currsize == 0
+    info = docs._read_text.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 4, 0)
 
 
 def test_an_operator_document_parses_each_cycle_text_once_per_read(fresh_memos, monkeypatch):
@@ -245,10 +271,22 @@ def test_an_operator_document_parses_each_cycle_text_once_per_read(fresh_memos, 
     assert parsed == []
 
 
+def test_an_operator_is_remembered_without_its_coefficients_and_flags(fresh_memos):
+    doc = through_json(docs.operator_to_json(from_permutant(transposition_permutant(4, model="edge"))))
+    first = docs.operator_from_json(doc)
+    doc["coeffs"][0][0] = "1/2"
+    doc["flags"] = {"is_geo": False}
+    second = docs.operator_from_json(doc)
+    assert (second.source, second.target, second.hom) == (first.source, first.target, first.hom)
+    assert second.source is first.source and second.coeffs != first.coeffs
+    info = docs._read_text.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
 @pytest.mark.parametrize("generators", [["(a,b)"], ["(a,z)"]])
 @pytest.mark.parametrize("fault", ["elements", "cap"])
 def test_a_generator_text_error_comes_before_the_elements_and_cap_errors(fresh_memos, monkeypatch, generators, fault):
-    # the texts are parsed once, on a miss, but an unparseable generator is still the error reported
+    # the fields are read in order, so an unparseable generator is the error reported
     doc = {"labels": list(ABC), "generators": generators, "elements": ["id", "(a,b)"]}
     if fault == "elements":
         doc["elements"] = 7
@@ -261,35 +299,37 @@ def test_a_generator_text_error_comes_before_the_elements_and_cap_errors(fresh_m
     with pytest.raises(ValueError) as raised:
         group_from_json(doc)
     assert str(raised.value) == (expected if generators == ["(a,b)"] else "unknown label 'z' (domain ('a', 'b', 'c'))")
-    assert docs._read_group.cache_info().currsize == 0
+    assert docs._read_text.cache_info().currsize == 0
 
 
 def test_the_memo_keeps_at_most_its_size_and_drops_the_least_recently_used(fresh_memos):
     def read(i):
-        return group_from_json({"labels": [f"p{i}", f"q{i}"], "generators": [f"(p{i},q{i})"]})
+        swap = f"(p{i},q{i})"
+        g_doc = {"labels": [f"p{i}", f"q{i}"], "generators": [swap]}
+        return docs.context_from_json({"G": g_doc, "K": {"labels": ["y"]}, "T": [[swap, "id"]]})
 
     size = docs._REMEMBERED_DOCUMENTS
     first = [read(i) for i in range(size)]
-    assert docs._read_group.cache_info().currsize == size
+    assert docs._read_text.cache_info().currsize == size
     # reading the oldest entry again makes it the most recently used, so the
     # next new document drops the second oldest instead
     assert read(0) is first[0]
     read(size)
-    info = docs._read_group.cache_info()
+    info = docs._read_text.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, size + 1, size)
     assert read(0) is first[0]
     assert read(1) is not first[1]
-    assert docs._read_group.cache_info().misses == size + 2
+    assert docs._read_text.cache_info().misses == size + 2
 
 
 def test_different_tables_on_the_same_groups_are_distinct_entries(fresh_memos):
     inverse = {"id": "id", "(a,b,c)": "(a,c,b)", "(a,c,b)": "(a,b,c)"}
     identity_ctx = docs.context_from_json(rotation_context_doc(lambda g: g))
     inverse_ctx = docs.context_from_json(rotation_context_doc(inverse.__getitem__))
-    assert identity_ctx.G is inverse_ctx.G
+    assert identity_ctx.G == inverse_ctx.G
     assert identity_ctx.T.is_identity() and not inverse_ctx.T.is_identity()
     assert {str(g): str(inverse_ctx.T(g)) for g in inverse_ctx.G} == inverse
-    assert docs._read_homomorphism.cache_info().currsize == 2
+    assert docs._read_text.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("field", ["generators", "elements"])
@@ -298,4 +338,4 @@ def test_relabelings_with_the_same_texts_are_distinct_entries(fresh_memos, field
     groups = [group_from_json({"labels": list(labels), field: texts}) for labels in (ABC, ("b", "a", "c"))]
     assert [g.labels for g in groups] == [ABC, ("b", "a", "c")]
     assert groups[1].elements == generate_group([parse_cycles("(a,b,c)", ("b", "a", "c"))]).elements
-    assert docs._read_group.cache_info().currsize == 2
+    assert docs._read_text.cache_info().currsize == 2
