@@ -39,6 +39,7 @@ from .perm import (
     DomainMismatchError,
     Homomorphism,
     Permutation,
+    _inverse,
     _label_orbits,
 )
 from .permutant import (
@@ -162,7 +163,7 @@ def verify_equivariance(op: LinearOperator) -> tuple[bool, Witness | None]:
     rows = range(op.n_out)
     for g in op.source.group.generator_images:
         tg = op.hom.image(g)
-        for i, j in enumerate(sorted(range(len(g)), key=g.__getitem__)):  # j = g^-1(i)
+        for i, j in enumerate(_inverse(g)):  # j = g^-1(i)
             if any(c[y][j] != c[tg[y]][i] for y in rows):
                 return False, (i, Permutation(g, op.source.group.labels))
     return True, None
@@ -401,7 +402,7 @@ def _orbit_columns(
     # conjugation h -> g o h o g^-1 is alpha with T the identity, on positions in permutations order
     bijections = list(permutations(range(n)))
     position = {h: i for i, h in enumerate(bijections)}
-    moves = [_alpha_move(g, tuple(sorted(range(n), key=g.__getitem__))) for g in generators]
+    moves = [_alpha_move(g, _inverse(g)) for g in generators]
     tables = [[position[move(h)] for h in bijections] for move in moves]
     first_orbit: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
     for o in _label_orbits(len(bijections), tables)[1]:

@@ -7,21 +7,21 @@ Schreier-Sims machinery: the graph automorphism search keeps one transversal
 of witnesses per stabilizer-chain level only to list its group, which is an
 explicit element list like any other.
 
-``closure`` is the breadth-first search on hashable points (integer image
-tuples) behind homomorphism extension and the single orbits of the alpha
-action.  Every split of a whole space into orbits numbers its points from 0,
-makes each generator's move a lookup table, and labels every point with its
-orbit in one pass of ``_label_orbits``: the coordinate orbits of a group,
-the alpha-action census on map codes (``permutant.all_orbits``, remembered
-per process by integer structure), the orbitals on pair codes, the
-conjugation orbits of the bijections by their positions, and the subgraph
-classes on edge-vector codes.  Groups are closed coset by coset
-(Dimino's algorithm, as in G. Butler, *Fundamental Algorithms for Permutation
-Groups*, LNCS 559, 1991) in ``_extend_by_cosets``: from generators by
-``generate_group``, and for a sorted element list by ``_greedy_generators``,
-which picks its greedy generators.  ``group_from_elements`` checks that its
-list is a group; the graph automorphism groups, which ``aut`` prints straight
-from image tuples with ``_cycle_texts``, are groups by construction."""
+One loop closes every group, coset by coset (Dimino's algorithm, as in
+G. Butler, *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991):
+``_extend_by_cosets``, from generators in ``generate_group``, for a sorted
+element list in ``_greedy_generators``, which picks its greedy generators,
+and for a homomorphism given by generator images on its graph {(g, T(g))},
+the subgroup of G x K on the joined image tuples.  ``group_from_elements``
+checks that its list is a group; the graph automorphism groups, which
+``aut`` prints straight from image tuples with ``_cycle_texts``, are groups
+by construction.  One loop splits a whole space into orbits: its points
+numbered from 0 and each generator's move a lookup table, ``_label_orbits``
+labels every point with its orbit in one pass.  It gives the coordinate
+orbits of a group, the alpha-action census on map codes
+(``permutant.all_orbits``, remembered per process by integer structure), the
+orbitals on pair codes, the conjugation orbits of the bijections by their
+positions, and the subgraph classes on edge-vector codes."""
 
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ import os
 from operator import itemgetter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_GROUP_CAP = math.factorial(10)
 
@@ -81,14 +81,19 @@ class Permutation:
         return all(im == i for i, im in enumerate(self.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, im in enumerate(self.images):
-            inv[im] = i
-        return Permutation(tuple(inv), self.labels)
+        return Permutation(_inverse(self.images), self.labels)
 
     def pullback(self, values: Sequence) -> tuple:
         """Precompose a coordinate vector: (values o self)[i] = values[self(i)]."""
         return tuple(values[im] for im in self.images)
+
+
+def _inverse(images: Sequence[int]) -> tuple[int, ...]:
+    """The image tuple of the inverse of the permutation with these images."""
+    inv = [0] * len(images)
+    for i, im in enumerate(images):
+        inv[im] = i
+    return tuple(inv)
 
 
 def identity(n: int, labels: tuple[str, ...]) -> Permutation:
@@ -191,38 +196,6 @@ def _cycle_texts(perms: Iterable[Sequence[int]], labels: Sequence[str]) -> list[
                 parts.append(")")
         texts.append("".join(parts) or "id")
     return texts
-
-
-def closure(
-    seeds: Iterable[Hashable],
-    moves: Sequence[Callable[[Hashable], Hashable]],
-    cap: int | None = None,
-) -> set:
-    """The smallest set containing the seeds and closed under every move, by
-    breadth-first search.
-
-    Points are plain hashable values such as integer image tuples.  The cap,
-    which bounds a homomorphism's graph by the order of its source group, is
-    checked on every insertion: CapExceededError is raised as soon as the set
-    holds more than cap points.
-    """
-    limit = math.inf if cap is None else cap
-    frontier = list(dict.fromkeys(seeds))
-    found = set(frontier)
-    if len(found) > limit:
-        raise CapExceededError(f"group closure exceeded cap {cap}")
-    while frontier:
-        new = []
-        for point in frontier:
-            for move in moves:
-                image = move(point)
-                if image not in found:
-                    found.add(image)
-                    if len(found) > limit:
-                        raise CapExceededError(f"group closure exceeded cap {cap}")
-                    new.append(image)
-        frontier = new
-    return found
 
 
 def _label_orbits(total: int, tables: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
@@ -523,10 +496,12 @@ class Homomorphism:
     ) -> "Homomorphism":
         """Extend generator assignments g_i -> k_i to the whole source group.
 
-        The given permutations must generate the source group.  The closure of
-        the pairs (g_i, k_i) rejects an assignment that gives one source element
-        two images; the resulting images are then verified on the source
-        group's generators like any others.
+        The given permutations must generate the source group.  The graph of
+        the extension is the subgroup of G x K that the pairs (g_i, k_i)
+        generate, closed by cosets on the joined image tuples g_i + k_i like
+        any group; it rejects an assignment that gives one source element two
+        images.  The resulting images are then verified on the source group's
+        generators like any others.
         """
         for g, k in pairs:
             if g not in source:
@@ -534,17 +509,17 @@ class Homomorphism:
             if k not in target:
                 raise ValueError(f"{format_cycles(k)} not in target group")
 
-        def pair_move(g: tuple[int, ...], k: tuple[int, ...]):
-            return lambda pair: (tuple([g[i] for i in pair[0]]), tuple([k[i] for i in pair[1]]))
-
-        moves = [pair_move(g.images, k.images) for g, k in pairs]
+        # the graph {(g, T(g))} as one group on the source's points followed by the target's
+        n = source.degree
+        joined = [g.images + tuple([n + i for i in k.images]) for g, k in pairs]
+        graph = [tuple(range(n + target.degree))]
         conflict = ValueError("generator images do not define a homomorphism")
         try:
             # a consistent assignment closes to at most one pair per source element
-            graph = closure([(source.images[0], target.images[0])], moves, source.order)
+            _extend_by_cosets(graph, set(graph), joined, source.order)
         except CapExceededError:
             raise conflict from None
-        images = dict(graph)
+        images = {p[:n]: tuple([i - n for i in p[n:]]) for p in graph}
         if len(images) != len(graph):
             raise conflict
         if len(images) != source.order:

@@ -7,8 +7,8 @@ numeral, sum h[y] * |X|^(|Y|-1-y), so that numeric order is lexicographic
 order of image tuples.  ``_partition`` labels every code with its orbit in
 one pass, a breadth-first search over one lookup table per generator of G
 from each code not yet labelled (``perm._label_orbits``).  The same labeller
-splits the pairs Y x X into orbitals, coded y * |X| + x; ``closure`` serves
-only single orbits.
+splits the pairs Y x X into orbitals, coded y * |X| + x; ``orbit`` walks a
+single orbit itself, over the generators' moves on image tuples.
 The partition depends on |X|, |Y| and the generators' images under g
 and T alone, not on labels, so it is remembered per process by that integer
 structure and relabeled copies of a context share it: the last
@@ -53,8 +53,8 @@ from .perm import (
     FiniteGroup,
     Homomorphism,
     Permutation,
+    _inverse,
     _label_orbits,
-    closure,
 )
 
 DEFAULT_MAP_SPACE_CAP = 10**6
@@ -133,7 +133,7 @@ class ActionContext:
     def move(self, g: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
         """The move h -> g o h o T(g)^-1 on image tuples of the element g of G."""
         t = self.T.image(g)
-        return _alpha_move(g, tuple(sorted(range(len(t)), key=t.__getitem__)))
+        return _alpha_move(g, _inverse(t))
 
     @property
     def x_labels(self) -> tuple[str, ...]:
@@ -293,8 +293,16 @@ class GeneralizedPermutant:
 
 
 def orbit(f: Mapping | str, ctx: ActionContext) -> GeneralizedPermutant:
-    """The orbit of f under alpha, enumerated by closure over G's generators."""
-    images = closure((ctx.mapping(f).images,), ctx.moves)
+    """The orbit of f under alpha: a breadth-first walk from f over the moves
+    of G's generators, in a list that grows while it is read."""
+    images = [ctx.mapping(f).images]
+    seen = set(images)
+    for h in images:
+        for move in ctx.moves:
+            image = move(h)
+            if image not in seen:
+                seen.add(image)
+                images.append(image)
     return GeneralizedPermutant._from_codes(ctx, sorted(map(ctx.map_code, images)))
 
 

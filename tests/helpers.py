@@ -4,12 +4,13 @@ invariant measures on conjugation orbits of bijections, three diagonal
 operators on K4's edges that are not GENEOs, a
 homomorphism from a table of labeled permutations, the JSON
 forms of a graph, a permutant and a single group, the cycles of a
-permutation, the closure-based orbit split that the reference
-enumerations use, and the full-enumeration automorphism search that the
-stabilizer-chain search is checked against."""
+permutation, the reference breadth-first ``closure`` and the orbit split
+built on it that the reference enumerations use, and the full-enumeration
+automorphism search that the stabilizer-chain search is checked against."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
@@ -20,7 +21,7 @@ from geneograph import io as docs
 from geneograph.geneo import LinearOperator, identity_operator
 from geneograph.graph import Graph, complete_graph, edge_automorphism_group
 from geneograph.perception import PerceptionPair, full_space
-from geneograph.perm import FiniteGroup, Homomorphism, Permutation, closure, group_from_elements
+from geneograph.perm import CapExceededError, FiniteGroup, Homomorphism, Permutation, group_from_elements
 from geneograph.permutant import ActionContext, GeneralizedPermutant, PermutantMeasure, orbit
 
 
@@ -147,6 +148,38 @@ def cycles(p: Permutation, include_fixed: bool = False) -> list[list[int]]:
         if len(cyc) > 1 or include_fixed:
             out.append(cyc)
     return out
+
+
+def closure(
+    seeds: Iterable[Hashable],
+    moves: Sequence[Callable[[Hashable], Hashable]],
+    cap: int | None = None,
+) -> set:
+    """The smallest set containing the seeds and closed under every move, by
+    breadth-first search: the reference that the library's coset closure,
+    homomorphism extension and single orbits are checked against.
+
+    Points are plain hashable values such as integer image tuples.  The cap
+    is checked on every insertion: CapExceededError is raised as soon as the
+    set holds more than cap points.
+    """
+    limit = math.inf if cap is None else cap
+    frontier = list(dict.fromkeys(seeds))
+    found = set(frontier)
+    if len(found) > limit:
+        raise CapExceededError(f"group closure exceeded cap {cap}")
+    while frontier:
+        new = []
+        for point in frontier:
+            for move in moves:
+                image = move(point)
+                if image not in found:
+                    found.add(image)
+                    if len(found) > limit:
+                        raise CapExceededError(f"group closure exceeded cap {cap}")
+                    new.append(image)
+        frontier = new
+    return found
 
 
 def orbit_partition(

@@ -624,6 +624,21 @@ def test_homomorphism_rejection_is_validation_failure(tmp_path, capsys, case):
     assert err == f"error: {message}\n"
 
 
+def test_a_context_given_by_its_generator_pairs_reads_as_its_full_table(tmp_path, capsys):
+    """A C6/C3 context whose T lists only the generator pairs, read through
+    the generator-image branch, prints the orbits of its full-table document
+    byte for byte."""
+    full = docs.context_to_json(c6_c3_context())
+    pairs = dict(full, T=[["(a,b,c,d,e,f)", "(g,h,i)"], ["(a,f)(b,e)(c,d)", "(g,i)"]])
+    outs = []
+    for name, doc in (("full", full), ("pairs", pairs)):
+        code, out, err = run_cli(capsys, "orbits", "--full", "--context", write_json(tmp_path / f"{name}.json", doc))
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["total"] == 216
+
+
 MAP_COMMANDS = {
     "permutant-check": ["permutant", "check", "{doc}", "--context", "{ctx}"],
     "build-permutant": ["geneo", "build", "--permutant", "{doc}", "--context", "{ctx}"],

@@ -12,6 +12,10 @@ kept inline here as the reference.
 - Groups from generators: the reference is the breadth-first closure of the
   identity under left multiplication by every generator, capped per
   insertion, which both group builders used before they closed by cosets.
+- Homomorphisms from generator images: the reference is the breadth-first
+  closure of the identity pair under the pairs' left multiplications,
+  capped at the source's order, which built the graph {(g, T(g))} before
+  it closed by cosets like any group.
 - Generalized permutants: the reference scans every member against every
   group element.
 
@@ -39,13 +43,14 @@ from geneograph.perception import (
 )
 from geneograph.perm import (
     CapExceededError,
+    Homomorphism,
     Permutation,
-    closure,
     compose,
     generate_group,
     group_cap,
     group_from_elements,
     identity,
+    parse_cycles,
     trivial_group,
 )
 from geneograph.permutant import (
@@ -57,7 +62,7 @@ from geneograph.permutant import (
 )
 
 from conftest import dihedral_edge_context
-from helpers import setwise_stabilizer_context, symmetric_group
+from helpers import closure, setwise_stabilizer_context, symmetric_group
 
 LABELS = tuple("ABCDE")
 
@@ -484,6 +489,114 @@ def test_generate_group_matches_reference(monkeypatch):
                 assert (got == f"group closure exceeded cap {cap}") == (cap < order)
         monkeypatch.delenv("GENEO_MAX_GROUP")
     assert {1, 2, 6, 24, 120, 720} <= orders, sorted(orders)
+
+
+def ref_from_generator_images(source, target, pairs):
+    """Homomorphism.from_generator_images with its graph {(g, T(g))} built by
+    the breadth-first closure of the identity pair, capped at the source's
+    order: a second image of one source element takes it past the cap."""
+    for g, k in pairs:
+        if g not in source:
+            raise ValueError(f"{g} not in source group")
+        if k not in target:
+            raise ValueError(f"{k} not in target group")
+    moves = [
+        lambda pair, g=g.images, k=k.images: (tuple([g[i] for i in pair[0]]), tuple([k[i] for i in pair[1]]))
+        for g, k in pairs
+    ]
+    conflict = ValueError("generator images do not define a homomorphism")
+    try:
+        graph = closure([(source.images[0], target.images[0])], moves, source.order)
+    except CapExceededError:
+        raise conflict from None
+    images = dict(graph)
+    if len(images) != len(graph):
+        raise conflict
+    if len(images) != source.order:
+        raise ValueError("given permutations do not generate the source group")
+    return Homomorphism(source, target, tuple(images[p] for p in source.images))
+
+
+def extension_outcome(extend, source, target, pairs):
+    """The images of the extension, or the text of its ValueError."""
+    try:
+        return extend(source, target, pairs).images
+    except ValueError as exc:
+        return str(exc)
+
+
+def random_group_on(rng, labels):
+    """The group of one to three random permutations of the labels."""
+    n = len(labels)
+    return generate_group([Permutation(tuple(rng.sample(range(n), n)), labels) for _ in range(rng.randint(1, 3))])
+
+
+def extension_cases(rng):
+    """(source, target, pairs) to extend: consistent assignments (C6 onto C3
+    by the dihedral presentations, the rotations of three points with
+    inversion, a random group onto a trivial group or onto itself by
+    conjugation), random assignments of target elements to the source's
+    generators, some with a generator dropped or a permutation outside a
+    group, and the trivial groups on 0 and 1 points."""
+    e6, e3 = tuple("abcdef"), tuple("ghi")
+    alpha, beta = parse_cycles("(a,b,c,d,e,f)", e6), parse_cycles("(a,f)(b,e)(c,d)", e6)
+    gamma, delta = parse_cycles("(g,h,i)", e3), parse_cycles("(g,i)", e3)
+    d6, d3 = generate_group([alpha, beta]), generate_group([gamma, delta])
+    yield d6, d3, [(alpha, gamma), (beta, delta)]
+    yield d6, d3, [(alpha, gamma)]
+    yield d6, d3, [(alpha, delta), (beta, delta)]
+    r = parse_cycles("(a,b,c)", tuple("abc"))
+    rotations = generate_group([r])
+    yield rotations, rotations, [(r, r.inverse())]
+    for n in (0, 1):
+        point = trivial_group(tuple("p")[:n])
+        yield point, point, []
+        yield point, point, [(point.identity, point.identity)]
+        yield point, rotations, [(point.identity, r)]
+        yield rotations, point, [(r, point.identity)]
+    for _ in range(300):
+        source = random_group_on(rng, tuple("ABCDEF")[: rng.randint(1, 6)])
+        kind = rng.random()
+        if kind < 0.15:
+            target = trivial_group(tuple("xyz")[: rng.randint(0, 3)])
+            pairs = [(g, target.identity) for g in source.generators]
+        elif kind < 0.3:
+            c = rng.choice(source.elements)
+            target = source
+            pairs = [(g, compose(compose(c, g), c.inverse())) for g in source.generators]
+        else:
+            target = random_group_on(rng, tuple("uvwxyz")[: rng.randint(1, 4)])
+            pairs = [(g, rng.choice(target.elements)) for g in source.generators]
+        if rng.random() < 0.2:
+            del pairs[rng.randrange(len(pairs))]
+        if rng.random() < 0.2:
+            pairs.append((rng.choice(source.elements), rng.choice(target.elements)))
+        if pairs and rng.random() < 0.1:
+            i, n = rng.randrange(len(pairs)), source.degree
+            pairs[i] = (Permutation(tuple(rng.sample(range(n), n)), source.labels), pairs[i][1])
+        if pairs and rng.random() < 0.1:
+            i, m = rng.randrange(len(pairs)), target.degree
+            pairs[i] = (pairs[i][0], Permutation(tuple(rng.sample(range(m), m)), target.labels))
+        rng.shuffle(pairs)
+        yield source, target, pairs
+
+
+def test_homomorphism_extension_matches_reference():
+    rng = random.Random(20261020)
+    kinds = {}
+    for source, target, pairs in extension_cases(rng):
+        got = extension_outcome(Homomorphism.from_generator_images, source, target, pairs)
+        assert got == extension_outcome(ref_from_generator_images, source, target, pairs), (source, target, pairs)
+        kind = "in source or target" if isinstance(got, str) and "not in" in got else got
+        kind = kind if isinstance(kind, str) else "extended"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert set(kinds) == {
+        "extended",
+        "in source or target",
+        "generator images do not define a homomorphism",
+        "given permutations do not generate the source group",
+    }, kinds
+    assert min(kinds.values()) >= 10, kinds
 
 
 CONTEXTS = (dihedral_edge_context(), endo_context(symmetric_group("abc")), setwise_stabilizer_context("ABCD", "AB"))

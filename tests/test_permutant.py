@@ -44,6 +44,7 @@ from geneograph.permutant import (
 
 from conftest import EDGES3, EDGES6, dihedral_edge_context
 from helpers import (
+    closure,
     cycles,
     image_size_measure,
     orbit_partition,
@@ -523,6 +524,32 @@ def test_orbit_splits_match_the_closure_reference(c6c3, fresh_memos):
             columns.setdefault((len(members), tuple(counts)), members)
         expected = (tuple(expected_orbitals), tuple((size, counts, o) for (size, counts), o in columns.items()))
         assert geneo._orbit_columns(n, tuple(g.images for g in ctx.G.generators)) == expected
+
+
+def test_orbit_matches_the_reference_closure_and_its_all_orbits_entry(c6c3, fresh_memos):
+    """orbit(f, ctx) against the reference closure of f and the entry of
+    all_orbits that holds f: for every map of C6/C3 and of the rotations with
+    inversion, and for seeded maps of ten seeded endo contexts on 3 to 5
+    points."""
+    rng = random.Random(20261021)
+    rotations = rotation_inversion_context()
+    cases = [(c6c3, list(c6c3.all_mappings())), (rotations, list(rotations.all_mappings()))]
+    for i in range(10):
+        labels = tuple("ABCDE")[: 3 + i % 3]
+        gens = random_generator_images(rng, len(labels))
+        ctx = endo_context(generate_group([Permutation(images, labels) for images in gens]))
+        maps = [Mapping(labels, labels, tuple(rng.choices(range(len(labels)), k=len(labels)))) for _ in range(20)]
+        cases.append((ctx, maps))
+    sizes = set()
+    for ctx, maps in cases:
+        entry = {f: o for o in all_orbits(ctx)[0] for f in o.members}
+        for f in maps:
+            got = orbit(f, ctx)
+            expected = sorted(closure((f.images,), ctx.moves))
+            assert got.members == tuple(Mapping(ctx.y_labels, ctx.x_labels, h) for h in expected)
+            assert got == entry[f]
+            sizes.add(got.size)
+    assert 1 in sizes and max(sizes) >= 12, sorted(sizes)
 
 
 def test_c7_conjugation_orbit_tables_are_constant_on_orbitals():
