@@ -196,24 +196,18 @@ def _weighted_maps(m: PermutantMeasure) -> tuple[Iterable[tuple], int]:
     return ((h, w.numerator * (denominator // w.denominator)) for h, w in m.weights.items()), denominator
 
 
-def _map_operator(
-    ctx: ActionContext, maps: Iterable[tuple], denominator: int,
-    source: FunctionSpace | None, target: FunctionSpace | None,
-) -> LinearOperator:
-    """The operator phi -> sum_f w(f) / denominator phi o f, on the full spaces by default."""
+def _map_operator(ctx: ActionContext, maps: Iterable[tuple], denominator: int) -> LinearOperator:
+    """The operator phi -> sum_f w(f) / denominator phi o f, on the full spaces."""
     table = _map_table(maps, ctx.K.degree, ctx.G.degree)
     coeffs = tuple(tuple(Fraction(c, denominator) for c in row) for row in table)
-    source_pair = PerceptionPair(source or full_space(ctx.x_labels), ctx.G)
-    target_pair = PerceptionPair(target or full_space(ctx.y_labels), ctx.K)
-    return LinearOperator(coeffs, source_pair, target_pair, ctx.T)
+    source = PerceptionPair(full_space(ctx.x_labels), ctx.G)
+    target = PerceptionPair(full_space(ctx.y_labels), ctx.K)
+    return LinearOperator(coeffs, source, target, ctx.T)
 
 
-def from_permutant(
-    h: GeneralizedPermutant,
-    source_space: FunctionSpace | None = None,
-    target_space: FunctionSpace | None = None,
-) -> LinearOperator:
-    """The averaging operator F(phi) = (1/|H|) sum_{h in H} phi o h.
+def from_permutant(h: GeneralizedPermutant) -> LinearOperator:
+    """The averaging operator F(phi) = (1/|H|) sum_{h in H} phi o h, on the
+    full spaces.
 
     Equivariant and non-expansive by construction; both verdicts are still
     checked on the table.
@@ -221,18 +215,14 @@ def from_permutant(
     if h.size == 0:
         raise ValueError("cannot build an operator from the empty permutant")
     maps = ((h.context.map_images(c), 1) for c in h.codes)
-    op = _map_operator(h.context, maps, h.size, source_space, target_space)
+    op = _map_operator(h.context, maps, h.size)
     assert op.is_geneo, "permutant averaging must yield a GENEO"
     return op
 
 
-def from_measure(
-    m: PermutantMeasure,
-    source_space: FunctionSpace | None = None,
-    target_space: FunctionSpace | None = None,
-) -> LinearOperator:
+def from_measure(m: PermutantMeasure) -> LinearOperator:
     """The weighted operator F(phi) = sum_f phi o f mu(f) for a validated
-    permutant measure.
+    permutant measure, on the full spaces.
 
     Always a GEO; a GENEO exactly when the sup-norm operator norm is at most
     1, which the condition sum |mu| <= 1 guarantees.
@@ -241,7 +231,7 @@ def from_measure(
     if not ok:
         f, g = witness
         raise ValueError(f"not a permutant measure: weight changes along alpha({g}, {f})")
-    op = _map_operator(m.context, *_weighted_maps(m), source_space, target_space)
+    op = _map_operator(m.context, *_weighted_maps(m))
     assert op.is_geo, "a permutant measure must yield an equivariant operator"
     return op
 
@@ -427,11 +417,13 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
     columns share one LP column.  These orbits, orbitals and columns depend
     only on the group, so they are computed once per generator set and process
     (for the last 8 sets used) and reused across calls and relabelings; every
-    check on op runs on each call.  Among measures the exact LP solver reaches,
-    the total variation is minimized first and the support then greedily pruned
-    in canonical orbit order, so the result is deterministic.  Raises
-    ValueError if op is not equivariant, the group is not transitive, or no
-    such measure exists.
+    check on op runs on each call.  One exact LP over every distinct orbit
+    column minimizes the total variation, and the measure is the basic optimum
+    Bland's rule reaches there, so the result is deterministic.  At most one of
+    a weight's two parts u, v is basic, as their columns are negatives of each
+    other, so the orbits it weights have linearly independent columns: no
+    measure on a proper subset of them reproduces op.  Raises ValueError if op
+    is not equivariant, the group is not transitive, or no such measure exists.
     """
     if op.source.domain != op.target.domain or op.source.group != op.target.group:
         raise ValueError("decomposition handles only endo-operators on a single pair")
@@ -451,77 +443,35 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
     # space of all n^2 equations, and rref gives the same reduced rows (4 on the
     # 7-cycle's edges).  t_O on W is |O| k[W] / |W|.
     pair_orbits, columns = _orbit_columns(n, group.generator_images)
-    sizes = [size for size, _, _ in columns]
-    m = len(columns)
     equations = []
     for w, pair_orbit in enumerate(pair_orbits):
         y, x = pair_orbit[0]
         equations.append([size * counts[w] // len(pair_orbit) for size, counts, _ in columns] + [op.coeffs[y][x]])
-    reduced = integer_rref(equations)  # an inconsistent row makes the first LP infeasible
+    reduced = integer_rref(equations)  # an inconsistent row makes the LP infeasible
 
-    def lp(zeroed: set[int], bound: int | None):
-        """Solve for column weights w (as u - v, u,v >= 0) with the given
-        columns pinned to zero; minimize total variation, or with `bound` just
-        test feasibility of total variation <= bound.  Returns (value, weights).
-        Row r / d enters as the integer row the simplex would scale it to, r's
-        active and last entries over their gcd with d; phase 1 minimizes one
-        artificial variable per row as given, so another row scale would
-        change Bland's path and with it the measure."""
-        active = [i for i in range(m) if i not in zeroed]
-        slack = [0] if bound is not None else []
-        lhs, rhs = [], []
-        for d, row in reduced:
-            part = [row[i] for i in active] + [row[-1]]
-            g = math.gcd(d, *part)
-            *ints, b = [x // g for x in part]
-            lhs.append([c for a in ints for c in (a, -a)] + slack)
-            rhs.append(b)
-        budget = [sizes[i] for i in active for _ in (0, 1)]
-        if bound is not None:
-            lhs.append(budget + [1])  # slack
-            rhs.append(bound)
-            costs = [0] * (2 * len(active) + 1)
-        else:
-            costs = budget
-        status, value, sol = simplex_min(costs, lhs, rhs)
-        if status != OPTIMAL:
-            return None
-        weights = {}
-        for k, i in enumerate(active):
-            w = sol[2 * k] - sol[2 * k + 1]
-            if w != 0:
-                weights[i] = w
-        return value, weights
-
-    first = lp(set(), None)
-    if first is None:
+    # Weights w = u - v with u, v >= 0, at cost |O| each.  Row r / d enters as
+    # the integer row the simplex would scale it to, r over its gcd with d;
+    # phase 1 minimizes one artificial variable per row as given, so another
+    # row scale would change Bland's path and with it the measure.
+    lhs, rhs = [], []
+    for d, r in reduced:
+        g = math.gcd(d, *r)
+        *ints, b = [x // g for x in r]
+        lhs.append([c for a in ints for c in (a, -a)])
+        rhs.append(b)
+    costs = [size for size, _, _ in columns for _ in (0, 1)]
+    status, variation, sol = simplex_min(costs, lhs, rhs)
+    if status != OPTIMAL:
         raise ValueError("no permutant measure reproduces this operator")
-    min_variation, weights = first
-    if min_variation > 1:
+    if variation > 1:
         raise ValueError(
             "operator is not a GENEO of this form: any reproducing measure has "
-            f"total variation {min_variation} > 1"
+            f"total variation {variation} > 1"
         )
-
-    # prune the support greedily in canonical orbit order; the current LP
-    # solution certifies that columns absent from it can be pinned for free
-    zeroed = {i for i in range(m) if i not in weights}
-    for i in range(m):
-        if i in zeroed:
-            continue
-        res = lp(zeroed | {i}, 1)
-        if res is not None:
-            zeroed.add(i)
-            weights = res[1]
-            zeroed.update(j for j in range(m) if j not in weights)
-
-    # final deterministic solve on the pruned support
-    final = lp(zeroed, None)
-    assert final is not None and final[0] <= 1
-    _, weights = final
+    weights = (u - v for u, v in zip(sol[::2], sol[1::2]))
 
     # alpha-invariant by construction, and equivariant as op is once the tables match
-    measure_weights = {h: w for i, w in weights.items() for h in columns[i][2]}
+    measure_weights = {h: w for (_, _, members), w in zip(columns, weights) if w for h in members}
     result = PermutantMeasure(endo_context(group), measure_weights)
     maps, denominator = _weighted_maps(result)
     scaled = [[c * denominator for c in row] for row in op.coeffs]

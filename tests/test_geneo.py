@@ -110,6 +110,19 @@ def test_aec_orbit_operator_rows(c6c3):
     assert op.coeffs[2] == (0, 0, half, 0, 0, half)
 
 
+@pytest.mark.parametrize("keyword", ["source_space", "target_space"])
+def test_operators_from_maps_live_on_the_full_spaces(c6c3, keyword):
+    # on a constrained target the averaging operator would leave it: e_0 maps to (1/2, 0, 0), outside sum = 0
+    h = orbit("aec", c6c3)
+    space = constrained_space(c6c3.y_labels, [((1, 1, 1), 0)])
+    with pytest.raises(TypeError):
+        from_permutant(h, **{keyword: space})
+    with pytest.raises(TypeError):
+        from_measure(uniform_measure(h), **{keyword: space})
+    op = from_measure(uniform_measure(h))
+    assert (op.source.space, op.target.space) == (full_space(c6c3.x_labels), full_space(c6c3.y_labels))
+
+
 def test_empty_permutant_rejected(c6c3):
     from geneograph.permutant import GeneralizedPermutant
 
@@ -932,15 +945,22 @@ def test_simplex_matches_rational_reference(kind, monkeypatch):
         assert len(pivots) < 1000, "simplex cycles"
         real_pivot(m, row, d)
 
-    real_pivot = linalg._pivot
+    real_pivot, real_enter = linalg._pivot, linalg._enter
     monkeypatch.setattr(linalg, "_pivot", counted_pivot)
+    steps = []
+    monkeypatch.setattr(
+        linalg, "_enter", lambda m, basis, row, col, d: steps.append((col, row)) or real_enter(m, basis, row, col, d)
+    )
     rng = random.Random(f"simplex:{kind}")
     statuses = set()
     for _ in range(300):
         costs, lhs, rhs = random_lp(rng, kind)
         pivots.clear()
+        steps.clear()
+        reference_steps = []
         got = simplex_min(costs, lhs, rhs)
-        assert got == reference_simplex_min(costs, lhs, rhs)
+        assert got == reference_simplex_min(costs, lhs, rhs, reference_steps)
+        assert steps == reference_steps
         statuses.add(got[0])
         seen += len(pivots)
     assert statuses == {{"feasible": "optimal", "degenerate": "optimal", "redundant": "optimal"}.get(kind, kind)}
@@ -948,24 +968,42 @@ def test_simplex_matches_rational_reference(kind, monkeypatch):
     assert seen > 0, "the cycling guard saw no pivot"
 
 
+def decomposition_operators() -> list[LinearOperator]:
+    """The identity on the 7-cycle's edges, whose LP has 224 columns, and two
+    seeded operators on each edge group of C5, K4, C6 and C7, from invariant
+    measures on 2 and 3 conjugation orbits of bijections."""
+    c7 = edge_automorphism_group(cycle_graph(7))
+    ops = [identity_operator(PerceptionPair(full_space(c7.labels), c7))]
+    rng = random.Random("wide lps")
+    for graph in (cycle_graph(5), complete_graph(4), cycle_graph(6), cycle_graph(7)):
+        ctx = endo_context(edge_automorphism_group(graph))
+        for k in (2, 3):
+            ops.append(from_measure(orbit_sum_measure(ctx, rng, k, rng.randint(0, 2))))
+    return ops
+
+
 def decomposition_lps(monkeypatch) -> list[tuple]:
-    """Every LP that decompose_to_measure solves for the identity on the
-    7-cycle's edges, whose first LP has 224 columns, and for two seeded
-    operators on each edge group of C5, K4, C6 and C7, from invariant measures
-    on 2 and 3 conjugation orbits of bijections."""
+    """The LP that decompose_to_measure solves for each of the decomposition operators."""
     import geneograph.geneo as geneo_module
 
     lps = []
     real_simplex = geneo_module.simplex_min
     monkeypatch.setattr(geneo_module, "simplex_min", lambda *args: lps.append(args) or real_simplex(*args))
-    c7 = edge_automorphism_group(cycle_graph(7))
-    decompose_to_measure(identity_operator(PerceptionPair(full_space(c7.labels), c7)))
-    rng = random.Random("wide lps")
-    for graph in (cycle_graph(5), complete_graph(4), cycle_graph(6), cycle_graph(7)):
-        ctx = endo_context(edge_automorphism_group(graph))
-        for k in (2, 3):
-            decompose_to_measure(from_measure(orbit_sum_measure(ctx, rng, k, rng.randint(0, 2))))
+    for op in decomposition_operators():
+        decompose_to_measure(op)
     return lps
+
+
+def test_decomposition_solves_one_lp_per_call(monkeypatch):
+    import geneograph.geneo as geneo_module
+
+    calls = []
+    real_simplex = geneo_module.simplex_min
+    monkeypatch.setattr(geneo_module, "simplex_min", lambda *args: calls.append(args) or real_simplex(*args))
+    for op in decomposition_operators():
+        calls.clear()
+        decompose_to_measure(op)
+        assert len(calls) == 1
 
 
 def test_simplex_on_decomposition_lps_takes_the_reference_tableau_pivots(monkeypatch):
@@ -984,4 +1022,4 @@ def test_simplex_on_decomposition_lps_takes_the_reference_tableau_pivots(monkeyp
         assert got == reference_simplex_min(costs, lhs, rhs, reference_steps)
         assert steps == reference_steps
         statuses.add(got[0])
-    assert statuses == {"optimal", "infeasible"}
+    assert statuses == {"optimal"}
