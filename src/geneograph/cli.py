@@ -15,16 +15,14 @@ and reused by every later call: it holds nothing a request supplies.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io as stringio
 import json
 import sys
 from fractions import Fraction
 from itertools import accumulate, takewhile
 
 from . import io as docs
-from .experiments import analyze_code_table, build_code_table, c6_c3_context
+from .experiments import build_code_table, c6_c3_context
 from .geneo import apply, decompose_to_measure, from_measure, from_permutant
 from .graph import edge_automorphism_group, parse_graph, vertex_automorphism_group
 from .perm import CapExceededError, format_cycles, group_cap
@@ -178,7 +176,7 @@ def cmd_geneo_decompose(args) -> dict:
 def cmd_codes(args):
     table = build_code_table(args.n)
     if args.analyze:
-        findings = analyze_code_table(table)
+        findings = table.findings
         return {
             "n": findings.n,
             "classes": findings.class_count,
@@ -198,12 +196,10 @@ def cmd_codes(args):
     # row i is the vector with integer code i: its m binary digits
     digits = f"0{len(table.edge_labels)}b"
     if args.format == "csv":
-        out = stringio.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["vector", "scaled_code", "class"])
-        for i, row in enumerate(table.rows):
-            writer.writerow([format(i, digits), " ".join(map(str, row.scaled_code)), row.class_id])
-        return out.getvalue()
+        # no field holds a comma, quote or line break, so no field is quoted;
+        # lines end in "\r\n", as the csv module writes them
+        lines = [f"{i:{digits}},{' '.join(map(str, row.scaled_code))},{row.class_id}" for i, row in enumerate(table.rows)]
+        return "\r\n".join(["vector,scaled_code,class", *lines, ""])
     # every code is k/|H| with 0 <= k <= |H|: render those |H|+1 values once
     size = table.permutant_size
     code_text = [docs.fraction_to_json(Fraction(k, size)) for k in range(size + 1)]

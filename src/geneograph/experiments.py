@@ -17,7 +17,7 @@ uses, and vector tuples are built only for the rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -108,6 +108,12 @@ class CodeTable:
         for v in vector:
             index = 2 * index + int(v)
         return self.rows[index]
+
+    @cached_property
+    def findings(self) -> CodeFindings:
+        """analyze_code_table of this table, worked out on first use and kept
+        with it, so a table built once per process is analyzed once."""
+        return analyze_code_table(self)
 
 
 def build_code_table(n: int) -> CodeTable:

@@ -9,11 +9,11 @@ sum_x coeffs[y][x] phi(x); `is_geneo` alone decides the GENEO verdict.
 Products of tables and vectors go through the kernel in `linalg`.  Tables
 built from maps are counted in int and divided once per cell.  The
 decomposition writes one equation per orbital and one LP column pair per
-distinct orbit column, computes those from the group once per generator set,
-and leaves the elimination and the LP to the fraction-free integer rows of
-`linalg`.  Its conjugation orbits are labelled by
-`perm._label_orbits` on the positions of the n! bijections in
-`permutations` order, one lookup table per generator.
+distinct orbit column, and computes those and the equations' elimination from
+the group once per generator set, with the fraction-free integer rows of
+`linalg`; a call adds only the operator's values and solves the LP.  Its
+conjugation orbits are labelled by `perm._label_orbits` on the positions of
+the n! bijections in `permutations` order, one lookup table per generator.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations
+from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import OPTIMAL, dot, integer_rref, matmul, matvec, simplex_min
@@ -372,20 +373,31 @@ _REMEMBERED_GROUPS = 8
 Orbital = tuple[tuple[int, int], ...]
 # an LP column: orbit size, orbital counts, and the first such orbit's sorted members
 OrbitColumn = tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]
+# the orbital equations' left side A reduced, from integer_rref of [A | I]: for
+# each row d [RREF(A)_i | E_i] = [g r' | e] with r' primitive, (r', g, e); and
+# the integer rows of A's left null space N
+Elimination = tuple[tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...], tuple[tuple[int, ...], ...]]
 
 
 @lru_cache(maxsize=_REMEMBERED_GROUPS)
 def _orbit_columns(
     n: int, generators: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[Orbital, ...], tuple[OrbitColumn, ...]]:
+) -> tuple[tuple[Orbital, ...], tuple[OrbitColumn, ...], Elimination]:
     """The group-only data of a decomposition over the group of degree n with
-    these generator images: the orbitals, and the distinct columns of the
-    conjugation orbits of the n! bijections in canonical orbit order.  The
-    column of orbit O is (|O|, k), where k[W] counts the y with (y, h(y)) in
-    orbital W, for any h in O.  Orbits with equal columns give equal LP
-    columns; Bland's rule never lets a later copy into the basis, so the first
-    in canonical order stands for them all (112 of 387 on C7).  Labels play no
-    part, so relabeled copies of a group share one entry.
+    these generator images: the orbitals, the distinct columns of the
+    conjugation orbits of the n! bijections in canonical orbit order, and the
+    elimination of the orbital equations' left side.  The column of orbit O
+    is (|O|, k), where k[W] counts the y with (y, h(y)) in orbital W, for any
+    h in O.  Orbits with equal columns give equal LP columns; Bland's rule
+    never lets a later copy into the basis, so the first in canonical order
+    stands for them all (112 of 387 on C7).  Labels play no part, so
+    relabeled copies of a group share one entry.
+
+    One equation per orbital W: an operator and every orbit's count table
+    t_O are constant on W, so the rows at the orbitals' smallest pairs span
+    the row space of all n^2 equations.  t_O on W is |O| k[W] / |W|, which
+    makes the left side A; the reduced form of [A | I] holds RREF(A) = E A
+    and, in its rows with no A part, the left null space N of A.
     """
     pair_orbits = tuple(_pair_orbits(n, n, [(g, g) for g in generators]))
     orbital_of = {p: w for w, o in enumerate(pair_orbits) for p in o}
@@ -402,7 +414,45 @@ def _orbit_columns(
         key = (len(o), tuple(counts))
         if key not in first_orbit:
             first_orbit[key] = tuple(bijections[i] for i in o)
-    return pair_orbits, tuple((size, counts, members) for (size, counts), members in first_orbit.items())
+    columns = tuple((size, counts, members) for (size, counts), members in first_orbit.items())
+
+    w = len(pair_orbits)
+    lhs = [[size * counts[i] // len(o) for size, counts, _ in columns] for i, o in enumerate(pair_orbits)]
+    reduced, null = [], []
+    for _, row in integer_rref([a + [int(i == j) for j in range(w)] for i, a in enumerate(lhs)]):
+        r, e = row[: len(columns)], tuple(row[len(columns) :])
+        if any(r):
+            g = math.gcd(*r)
+            reduced.append((tuple(x // g for x in r), g, e))
+        else:
+            null.append(e)
+    return pair_orbits, columns, (tuple(reduced), tuple(null))
+
+
+def _reduced_system(elimination: Elimination, b: Sequence[Fraction]) -> list[list[int]]:
+    """The rows of RREF([A | b]), for the orbital equations' left side A,
+    reduced in ``elimination``, and the operator's values b on the orbitals:
+    each row as its least integer multiple with a positive lead, which is
+    integer_rref's row r over gcd(d, *r), the row the LP takes.
+
+    Raises ValueError when N b != 0, as no measure reproduces the operator
+    then.  Otherwise rank [A | b] = rank A, and the rows [RREF(A)_i | E_i b]
+    lie in the row space of [A | b] and are in reduced form, so they are its
+    reduced rows.  With b = B / D over the least common denominator D and
+    the cached rows g r' = d RREF(A)_i and e = d E_i, row i is a multiple of
+    [D g r' | e B], which its gcd divides down to the least one."""
+    denominator = math.lcm(*(x.denominator for x in b))
+    scaled = [x.numerator * (denominator // x.denominator) for x in b]
+    reduced, null = elimination
+    if any(sum(map(mul, e, scaled)) for e in null):
+        raise ValueError("no permutant measure reproduces this operator")
+    rows = []
+    for r, g, e in reduced:
+        t = sum(map(mul, e, scaled))
+        scale = denominator * g
+        common = math.gcd(scale, t)
+        rows.append([x * (scale // common) for x in r] + [t // common])
+    return rows
 
 
 def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
@@ -414,15 +464,18 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
     with inversion of the support yields the h^-1 form of the representation
     identity.  The unknowns are one weight per conjugation orbit of the
     bijections, constrained by one equation per orbital, and orbits with equal
-    columns share one LP column.  These orbits, orbitals and columns depend
-    only on the group, so they are computed once per generator set and process
-    (for the last 8 sets used) and reused across calls and relabelings; every
-    check on op runs on each call.  One exact LP over every distinct orbit
-    column minimizes the total variation, and the measure is the basic optimum
-    Bland's rule reaches there, so the result is deterministic.  At most one of
-    a weight's two parts u, v is basic, as their columns are negatives of each
-    other, so the orbits it weights have linearly independent columns: no
-    measure on a proper subset of them reproduces op.  Raises ValueError if op
+    columns share one LP column.  These orbits, orbitals and columns, and the
+    elimination of the equations' left side, depend only on the group, so they
+    are computed once per generator set and process (for the last 8 sets used)
+    and reused across calls and relabelings; a call reads only op's values on
+    the orbitals, and every check on op runs on each call.  One exact LP over
+    every distinct orbit column minimizes the total variation, and the measure
+    is the basic optimum Bland's rule reaches there, so the result is
+    deterministic.  At most one of a weight's two parts u, v is basic, as their
+    columns are negatives of each other, so the orbits it weights have linearly
+    independent columns: no measure on a proper subset of them reproduces op;
+    the weights are formed from the basic parts alone, and the rebuilt table
+    is compared with op's by integer cross products.  Raises ValueError if op
     is not equivariant, the group is not transitive, or no such measure exists.
     """
     if op.source.domain != op.target.domain or op.source.group != op.target.group:
@@ -438,29 +491,16 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
     if not op.is_geo:
         raise ValueError(f"operator {_not_equivariant(op)}")
 
-    # One equation per orbital W: op and every orbit's count table t_O are
-    # constant on W, so the rows at the orbitals' smallest pairs span the row
-    # space of all n^2 equations, and rref gives the same reduced rows (4 on the
-    # 7-cycle's edges).  t_O on W is |O| k[W] / |W|.
-    pair_orbits, columns = _orbit_columns(n, group.generator_images)
-    equations = []
-    for w, pair_orbit in enumerate(pair_orbits):
-        y, x = pair_orbit[0]
-        equations.append([size * counts[w] // len(pair_orbit) for size, counts, _ in columns] + [op.coeffs[y][x]])
-    reduced = integer_rref(equations)  # an inconsistent row makes the LP infeasible
+    pair_orbits, columns, elimination = _orbit_columns(n, group.generator_images)
+    rows = _reduced_system(elimination, [op.coeffs[y][x] for (y, x), *_ in pair_orbits])
 
-    # Weights w = u - v with u, v >= 0, at cost |O| each.  Row r / d enters as
-    # the integer row the simplex would scale it to, r over its gcd with d;
-    # phase 1 minimizes one artificial variable per row as given, so another
-    # row scale would change Bland's path and with it the measure.
-    lhs, rhs = [], []
-    for d, r in reduced:
-        g = math.gcd(d, *r)
-        *ints, b = [x // g for x in r]
-        lhs.append([c for a in ints for c in (a, -a)])
-        rhs.append(b)
+    # Weights w = u - v with u, v >= 0, at cost |O| each, so the LP's columns
+    # come in pairs (a, -a).  Phase 1 minimizes one artificial variable per
+    # row as given, so another row scale would change Bland's path and with
+    # it the measure.
+    lhs = [[c for a in row[:-1] for c in (a, -a)] for row in rows]
     costs = [size for size, _, _ in columns for _ in (0, 1)]
-    status, variation, sol = simplex_min(costs, lhs, rhs)
+    status, variation, sol = simplex_min(costs, lhs, [row[-1] for row in rows])
     if status != OPTIMAL:
         raise ValueError("no permutant measure reproduces this operator")
     if variation > 1:
@@ -468,12 +508,18 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
             "operator is not a GENEO of this form: any reproducing measure has "
             f"total variation {variation} > 1"
         )
-    weights = (u - v for u, v in zip(sol[::2], sol[1::2]))
 
+    # at most one of u and v is basic, and only basic columns are nonzero;
     # alpha-invariant by construction, and equivariant as op is once the tables match
-    measure_weights = {h: w for (_, _, members), w in zip(columns, weights) if w for h in members}
+    measure_weights = {
+        h: x if j % 2 == 0 else -x for j, x in enumerate(sol) if x for h in columns[j // 2][2]
+    }
     result = PermutantMeasure(endo_context(group), measure_weights)
     maps, denominator = _weighted_maps(result)
-    scaled = [[c * denominator for c in row] for row in op.coeffs]
-    assert _map_table(maps, n, n) == scaled, "reconstructed operator must match exactly"
+    table = _map_table(maps, n, n)
+    assert all(
+        t * c.denominator == c.numerator * denominator
+        for table_row, row in zip(table, op.coeffs)
+        for t, c in zip(table_row, row)
+    ), "reconstructed operator must match exactly"
     return result

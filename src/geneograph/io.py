@@ -5,6 +5,13 @@ otherwise; permutations as cycle-product strings, and a group from its image
 tuples; mappings in compact concatenated-label form when the target labels
 are single characters.  All emitters order their output deterministically.
 
+Each text is read or written once per document.  A read converts each
+distinct rational text once, parses each distinct cycle text once, and reads
+the canonical texts of a group's closure, as the emitters print them, by
+lookup once the document states as many texts of that group as it has
+elements; an emitter formats each group's element texts once and looks T's
+images up among them.
+
 Reading a context or an operator builds and verifies its groups,
 homomorphism and perception pairs, so ``_remembered`` reads each such
 document through one ``functools.lru_cache``, ``_read_text``, of
@@ -12,10 +19,9 @@ document through one ``functools.lru_cache``, ``_read_text``, of
 the raw GENEO_MAX_GROUP setting, the least recently used dropped first: a
 process that reads the same documents again and again pays once, and a
 changed group cap takes effect.  On a miss the plain readers below validate
-and build in the order the fields are read, with each cycle text parsed once
-per read, so errors come as on any first read, and a document that fails is
-never remembered.  An operator is remembered without its coefficients and
-flags, which are read on every call.
+and build in the order the fields are read, so errors come as on any first
+read, and a document that fails is never remembered.  An operator is
+remembered without its coefficients and flags, which are read on every call.
 """
 
 from __future__ import annotations
@@ -38,9 +44,9 @@ from .perception import (
 from .perm import (
     FiniteGroup,
     Homomorphism,
+    Permutation,
     _ENV_GROUP_CAP,
     _cycle_texts,
-    format_cycles,
     generate_group,
     group_from_elements,
     parse_cycles,
@@ -60,15 +66,28 @@ def measurement_to_json(m: Measurement) -> list:
 def measurement_from_json(doc, domain=None) -> Measurement:
     if not isinstance(doc, list):
         raise ValueError("a measurement document is a JSON array")
-    return measurement([_rational(v, "measurement entry") for v in doc], domain)
+    return measurement(list(map(_rationals("measurement entry"), doc)), domain)
 
 
 def group_to_json(g: FiniteGroup) -> dict:
+    return _group_json(g, _cycle_texts(g.images, g.labels))
+
+
+def _group_json(g: FiniteGroup, elements: list[str]) -> dict:
+    """The group's document, given its elements' texts in element order."""
     return {
         "labels": list(g.labels),
         "generators": _cycle_texts(g.generator_images, g.labels),
-        "elements": _cycle_texts(g.images, g.labels),
+        "elements": elements,
     }
+
+
+def _element_texts(g: FiniteGroup, k: FiniteGroup) -> tuple[list[str], list[str]]:
+    """The element texts of a context's or operator's two groups, in element
+    order, formatted once when they are one group, and each list the
+    document's own: the document names them again in T's table."""
+    texts = _cycle_texts(g.images, g.labels)
+    return texts, list(texts) if k is g else _cycle_texts(k.images, k.labels)
 
 
 def _require_object(doc, what: str) -> None:
@@ -110,74 +129,125 @@ def _rational(value, field: str) -> Fraction:
         raise ValueError(f"{field}: {value!r} has a zero denominator") from None
 
 
+def _rationals(field: str) -> Callable[[object], Fraction]:
+    """_rational for one field of one document, with each distinct integer
+    or text converted once: an equivariant table repeats a few values (4
+    in the 49 cells of an operator on the 7-cycle's edges)."""
+    known: dict = {}
+
+    def read(value) -> Fraction:
+        if type(value) is not str and type(value) is not int:  # a float, or an error to report
+            return _rational(value, field)
+        x = known.get(value)
+        if x is None:
+            x = known[value] = _rational(value, field)
+        return x
+
+    return read
+
+
 # context and operator documents remembered by _read_text; past that many the least recently used goes first
 _REMEMBERED_DOCUMENTS = 32
 
 
 def _remembered(read: Callable, doc):
-    """read(doc, parse), remembered by the document's JSON text and the raw
+    """read(doc, texts), remembered by the document's JSON text and the raw
     group-cap setting: the raw text, as its value is checked in the read."""
     return _read_text(read, json.dumps(doc, separators=(",", ":")), os.environ.get(_ENV_GROUP_CAP))
 
 
 @functools.lru_cache(maxsize=_REMEMBERED_DOCUMENTS)
 def _read_text(read: Callable, text: str, cap_setting: str | None):
-    """The value that read builds from the document of this text, with one
-    parse of each cycle text per read.  Every caller with the same key shares
-    the result, which must not be changed."""
-    return read(json.loads(text), functools.cache(parse_cycles))
+    """The value that read builds from the document of this text, with each
+    cycle text read once.  Every caller with the same key shares the result,
+    which must not be changed."""
+    return read(json.loads(text), _CycleTexts())
 
 
-def _group(doc, parse: Callable) -> FiniteGroup:
+class _CycleTexts:
+    """The cycle texts of one document read: ``parse`` parses each text once,
+    and ``images`` reads a text's image tuple, by lookup for the canonical
+    texts of a group the read has learned with ``learn``, else by ``parse``.
+    A canonical text, as ``_cycle_texts`` prints it, parses to the element it
+    was printed from, so either way gives the same images and errors."""
+
+    def __init__(self):
+        self.parse = functools.cache(parse_cycles)
+        self._known: dict[tuple[str, ...], dict[str, tuple[int, ...]]] = {}
+        self._learned: set[int] = set()
+
+    def learn(self, group: FiniteGroup, stated: int) -> None:
+        """Learn the group's canonical texts when the document states at least
+        as many texts of it as it has elements, so a document that names only
+        the generators of a large group never formats its closure.  The one
+        element of a one-element group, whose labels no parse has checked, is
+        left to ``parse``."""
+        if 1 < group.order <= stated and id(group) not in self._learned:
+            self._learned.add(id(group))
+            known = self._known.setdefault(group.labels, {})
+            known.update(zip(_cycle_texts(group.images, group.labels), group.images))
+
+    def images(self, text: str, labels: tuple[str, ...]) -> tuple[int, ...]:
+        images = self._known.get(labels, {}).get(text)
+        return self.parse(text, labels).images if images is None else images
+
+
+def _group(doc, texts: _CycleTexts) -> FiniteGroup:
     """The group a document states, its generators closed and its stated
     elements checked against them."""
     _require_object(doc, "a group document")
     labels = tuple(_strings(_get(doc, "group", "labels"), "group field 'labels'"))
-    gens = [parse(text, labels) for text in _strings(doc.get("generators", []), "group field 'generators'")]
-    texts = _strings(doc["elements"], "group field 'elements'") if "elements" in doc else None
+    gens = [texts.parse(text, labels) for text in _strings(doc.get("generators", []), "group field 'generators'")]
+    stated = _strings(doc["elements"], "group field 'elements'") if "elements" in doc else None
     group = generate_group(gens) if gens else trivial_group(labels)
-    if texts is not None:
-        stated = [parse(text, labels) for text in texts]
+    if stated is not None:
+        texts.learn(group, len(stated))
         seen: set = set()
-        for p in stated:
-            if p.images in seen:
-                raise ValueError(f"group field 'elements' names the permutation {format_cycles(p)!r} twice")
-            seen.add(p.images)
+        for p in [texts.images(text, labels) for text in stated]:
+            if p in seen:
+                raise ValueError(f"group field 'elements' names the permutation {_cycle_texts([p], labels)[0]!r} twice")
+            seen.add(p)
         if not gens:
-            group = group_from_elements(stated)
+            group = group_from_elements([texts.parse(text, labels) for text in stated])
         elif seen != set(group.images):
             raise ValueError("stated elements do not match the closure of the generators")
     return group
 
 
-def homomorphism_to_json(t: Homomorphism) -> list:
-    sources = _cycle_texts(t.source.images, t.source.labels)
-    targets = _cycle_texts(t.images, t.target.labels)
-    return [[a, b] for a, b in zip(sources, targets)]
+def _table_json(t: Homomorphism, sources: list[str], targets: list[str]) -> list:
+    """T's table of [element, image] texts, given the element texts of its
+    source and target groups: each image's text is looked up by its
+    position in the target."""
+    position = t.target._position
+    return [[a, targets[position[v]]] for a, v in zip(sources, t.images)]
 
 
-def _homomorphism(doc, source: FiniteGroup, target: FiniteGroup, parse: Callable) -> Homomorphism:
+def _homomorphism(doc, source: FiniteGroup, target: FiniteGroup, texts: _CycleTexts) -> Homomorphism:
     """The homomorphism a table of [element, image] pairs states from source to target."""
     if not isinstance(doc, list) or not all(
         isinstance(pair, list) and len(pair) == 2 and all(isinstance(p, str) for p in pair)
         for pair in doc
     ):
         raise ValueError("a homomorphism must be an array of [element, image] cycle-string pairs")
-    pairs = [(parse(src, source.labels), parse(dst, target.labels)) for src, dst in doc]
-    table = {p.images: k for p, k in pairs}
-    if len(table) == len(pairs) == source.order and all(p in source for p, _ in pairs):
+    texts.learn(source, len(doc))
+    texts.learn(target, len(doc))
+    pairs = [(texts.images(src, source.labels), texts.images(dst, target.labels)) for src, dst in doc]
+    table = dict(pairs)
+    if len(table) == len(pairs) == source.order and all(p in source._position for p, _ in pairs):
         for _, k in pairs:  # in document order, which the constructor cannot see
-            if k not in target:
-                raise ValueError(f"image {k} not in target group")
-        return Homomorphism(source, target, tuple(table[p].images for p in source.images))
-    return Homomorphism.from_generator_images(source, target, pairs)
+            if k not in target._position:
+                raise ValueError(f"image {_cycle_texts([k], target.labels)[0]} not in target group")
+        return Homomorphism(source, target, tuple(map(table.__getitem__, source.images)))
+    labeled = [(Permutation(g, source.labels), Permutation(k, target.labels)) for g, k in pairs]
+    return Homomorphism.from_generator_images(source, target, labeled)
 
 
 def context_to_json(ctx: ActionContext) -> dict:
+    g_texts, k_texts = _element_texts(ctx.G, ctx.K)
     return {
-        "G": group_to_json(ctx.G),
-        "K": group_to_json(ctx.K),
-        "T": homomorphism_to_json(ctx.T),
+        "G": _group_json(ctx.G, g_texts),
+        "K": _group_json(ctx.K, k_texts),
+        "T": _table_json(ctx.T, g_texts, k_texts),
     }
 
 
@@ -185,13 +255,13 @@ def context_from_json(doc: MappingABC) -> ActionContext:
     return _remembered(_context, doc)
 
 
-def _context(doc, parse: Callable) -> ActionContext:
+def _context(doc, texts: _CycleTexts) -> ActionContext:
     _require_object(doc, "a context document")
     g_doc = _get(doc, "context", "G")
-    g = _group(g_doc, parse)
+    g = _group(g_doc, texts)
     k_doc = _get(doc, "context", "K")
-    k = g if k_doc == g_doc else _group(k_doc, parse)
-    return ActionContext(g, k, _homomorphism(_get(doc, "context", "T"), g, k, parse))
+    k = g if k_doc == g_doc else _group(k_doc, texts)
+    return ActionContext(g, k, _homomorphism(_get(doc, "context", "T"), g, k, texts))
 
 
 def mapping_to_json(f: Mapping):
@@ -247,11 +317,12 @@ def measure_from_json(doc: MappingABC, ctx: ActionContext) -> PermutantMeasure:
         items = [tuple(_get(entry, "measure entry", key) for key in keys) for entry in weights_doc]
     else:
         raise ValueError("measure field 'weights' must be an object or an array of objects")
+    weight = _rationals("measure weight")
     for key, value in items:
         h = _read_map(key, ctx)
         if h in weights:
             raise ValueError(f"measure names the map {str(Mapping(ctx.y_labels, ctx.x_labels, h))!r} twice")
-        weights[h] = _rational(value, "measure weight")
+        weights[h] = weight(value)
     return PermutantMeasure(ctx, weights)
 
 
@@ -315,34 +386,35 @@ def _space_from_fields(doc: MappingABC, domain: tuple[str, ...], kind: str) -> F
     return FunctionSpace(domain, equations=tuple(equations), ball=ball)
 
 
-def pair_to_json(pair: PerceptionPair) -> dict:
-    return {"space": space_to_json(pair.space), "group": group_to_json(pair.group)}
+def _pair_json(pair: PerceptionPair, elements: list[str]) -> dict:
+    return {"space": space_to_json(pair.space), "group": _group_json(pair.group, elements)}
 
 
-def _pair(doc, parse: Callable) -> PerceptionPair:
+def _pair(doc, texts: _CycleTexts) -> PerceptionPair:
     _require_object(doc, "a perception pair document")
     space_doc, group_doc = (_get(doc, "perception pair", key) for key in ("space", "group"))
     space = space_from_json(space_doc)
-    return PerceptionPair(space, _group(group_doc, parse))
+    return PerceptionPair(space, _group(group_doc, texts))
 
 
 def operator_to_json(op: LinearOperator) -> dict:
+    source_texts, target_texts = _element_texts(op.source.group, op.target.group)
     return {
-        "source": pair_to_json(op.source),
-        "target": pair_to_json(op.target),
-        "homomorphism": homomorphism_to_json(op.hom),
+        "source": _pair_json(op.source, source_texts),
+        "target": _pair_json(op.target, target_texts),
+        "homomorphism": _table_json(op.hom, source_texts, target_texts),
         "coeffs": [[fraction_to_json(c) for c in row] for row in op.coeffs],
         "flags": {"is_geo": op.is_geo, "is_geneo": op.is_geneo},
     }
 
 
-def _frame(doc, parse: Callable) -> tuple[PerceptionPair, PerceptionPair, Homomorphism]:
+def _frame(doc, texts: _CycleTexts) -> tuple[PerceptionPair, PerceptionPair, Homomorphism]:
     """The source pair, target pair and homomorphism of an operator document."""
     source_doc = _get(doc, "operator", "source")
-    source = _pair(source_doc, parse)
+    source = _pair(source_doc, texts)
     target_doc = _get(doc, "operator", "target")
-    target = source if target_doc == source_doc else _pair(target_doc, parse)
-    return source, target, _homomorphism(_get(doc, "operator", "homomorphism"), source.group, target.group, parse)
+    target = source if target_doc == source_doc else _pair(target_doc, texts)
+    return source, target, _homomorphism(_get(doc, "operator", "homomorphism"), source.group, target.group, texts)
 
 
 def operator_from_json(doc: MappingABC) -> LinearOperator:
@@ -351,7 +423,8 @@ def operator_from_json(doc: MappingABC) -> LinearOperator:
     rows = _get(doc, "operator", "coeffs")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("operator field 'coeffs' must be an array of arrays")
-    coeffs = tuple(tuple(_rational(c, "operator field 'coeffs'") for c in row) for row in rows)
+    cell = _rationals("operator field 'coeffs'")
+    coeffs = tuple(tuple(map(cell, row)) for row in rows)
     # the flags are written for readers; the verdicts come from the table
     _require_object(doc.get("flags", {}), "operator field 'flags'")
     return LinearOperator(coeffs, source, target, hom)

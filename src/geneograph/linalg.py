@@ -11,8 +11,11 @@ decomposition gets reproducible measures.  The simplex keeps only B^-1, x_B
 and the objective rows (Dantzig and Orchard-Hays, MTAC 8, 1954) and prices
 columns only up to Bland's first negative one (Math. Oper. Res. 2, 1977): a
 pivot costs the rows, not the columns, and the pivots are the full tableau's.
-Phase 1 minimizes the artificial variables of the equations as given, so
-rescaling an equation would change Bland's path.  The canonical rref fixes
+A column followed by its negation at the same costs, as the decomposition's
+u - v pairs come, is priced with one product for both, the pairs found once
+per LP; Fractions are built only for the basic solution values.  Phase 1
+minimizes the artificial variables of the equations as given, so rescaling
+an equation would change Bland's path.  The canonical rref fixes
 ``solve_affine``'s particular solution and nullspace basis, whose points the
 constraint-closure checks test and report as witnesses.
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import mul, neg
 from typing import Sequence
 
 Row = list[Fraction]
@@ -126,14 +129,47 @@ def _enter(m: list[list[int]], basis: list[int], row: int, col: int, d: Sequence
     basis[row] = col
 
 
-def _run_simplex(m: list[list[int]], basis: list[int], cols: list[tuple[int, ...]]) -> str:
+# a pricing unit: column j, its constraint entries a, its phase-1 and phase-2
+# costs, and whether column j + 1 is its twin (-a, same costs)
+Unit = tuple[int, tuple[int, ...], int, int, bool]
+
+
+def _pricing(cols: list[tuple[int, ...]], k: int, start: int = 0) -> list[Unit]:
+    """The units of the columns, numbered from start, in Bland's order.  A
+    twin's reduced cost is s - y where column j's is s + y, with y the
+    priced row times a and s the costs' part, so one product prices both:
+    the decomposition's weights u - v come as such pairs."""
+    units = []
+    j = 0
+    while j < len(cols):
+        a, costs = cols[j][:k], cols[j][k:]
+        twin = j + 1 < len(cols) and cols[j + 1][k:] == costs and cols[j + 1][:k] == tuple(map(neg, a))
+        units.append((start + j, a, *costs, twin))
+        j += 2 if twin else 1
+    return units
+
+
+def _entering(obj: list[int], units: list[Unit], k: int) -> int | None:
+    """Bland's entering column: the first whose reduced cost in the row obj is negative."""
+    s1, s2 = obj[k], obj[k + 1]
+    for j, a, c1, c2, twin in units:
+        y = sum(map(mul, obj, a))
+        s = s1 * c1 + s2 * c2
+        if s + y < 0:
+            return j
+        if twin and s < y:
+            return j + 1
+    return None
+
+
+def _run_simplex(m: list[list[int]], basis: list[int], cols: list[tuple[int, ...]], units: list[Unit]) -> str:
     """Bland's-rule pivoting on the revised form m: rows [B^-1 row | s1 s2 | x_B]
-    for the basis, then the objective rows, the last one priced.  Column j in a
-    row is row . cols[j].  The ratio test compares cross products, as
-    x_B / entry ignores a positive row scale."""
+    for the basis, then the objective rows, the last one priced over the
+    units of ``_pricing``.  Column j in a row is row . cols[j].  The ratio
+    test compares cross products, as x_B / entry ignores a positive row scale."""
+    k = len(m[0]) - 3
     while True:
-        obj = m[-1]
-        col = next((j for j, a in enumerate(cols) if sum(map(mul, obj, a)) < 0), None)
+        col = _entering(m[-1], units, k)
         if col is None:
             return OPTIMAL
         d = [sum(map(mul, row, cols[col])) for row in m]
@@ -176,7 +212,8 @@ def simplex_min(
     m = [[int(r == i) for r in range(k)] + [0, 0, b] for i, b in enumerate(rhs)]
     m += [[0] * k + [0, cost_scale, 0], w + [lcm(*scales), 0, sum(map(mul, w, rhs))]]
     basis = list(range(n, n + k))
-    status = _run_simplex(m, basis, cols + artificials)
+    units = _pricing(cols, k)
+    status = _run_simplex(m, basis, cols + artificials, units + _pricing(artificials, k, n))
     if status != OPTIMAL or m[-1][-1] != 0:
         return INFEASIBLE, None, None
 
@@ -191,7 +228,7 @@ def simplex_min(
     m, basis = [m[r] for r in keep] + m[k:-1], [basis[r] for r in keep]
 
     # phase 2 on the real objective, which every pivot so far kept priced
-    status = _run_simplex(m, basis, cols)
+    status = _run_simplex(m, basis, cols, units)
     if status != OPTIMAL:
         return status, None, None
     solution = [Fraction(0)] * n

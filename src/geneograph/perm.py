@@ -433,7 +433,8 @@ def _greedy_generators(elements: Sequence[tuple[int, ...]], gens: list) -> set:
 class Homomorphism:
     """A group homomorphism T: ``images[i]`` is the image tuple of T applied
     to ``source.images[i]``.  Verified at construction, unless it is the
-    identity that ``identity_on`` builds from the group's own tuple.
+    identity of a group: target is source and the images are the group's
+    own, from ``identity_on`` or from a document's full table.
 
     Each image must be a bijection of the target's points in the target
     group, and the identity must map to the identity.  Multiplicativity is
@@ -450,9 +451,11 @@ class Homomorphism:
     def __post_init__(self):
         source, target = self.source, self.target
         if target is source and self.images is source.images:
-            return
+            return  # identity_on's, without a copy
         images = tuple(map(tuple, self.images))
         object.__setattr__(self, "images", images)
+        if target is source and images == source.images:
+            return  # the identity, as a document's full table gives it
         if len(images) != source.order:
             raise ValueError(f"homomorphism needs {source.order} images, one per source element, got {len(images)}")
         for v in images:

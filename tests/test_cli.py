@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import geneograph
-from geneograph import cli as cli_module, geneo as geneo_module, graph as graph_module, io as docs, permutant
+from geneograph import cli as cli_module, experiments as experiments_module, geneo as geneo_module, graph as graph_module, io as docs, permutant
 from geneograph.cli import main
 from geneograph.experiments import _code_table, c6_c3_context, transposition_permutant
 from geneograph.geneo import from_measure, from_permutant, identity_operator
@@ -82,6 +82,17 @@ def test_codes_analyze(capsys):
     assert len(payload["equivalent_nonisomorphic_pairs"]) == 1
     assert payload["isomorphic_subgraphs_share_codes"] is True
     assert payload["reversals_map_to_reversals"] is True
+
+
+def test_codes_analyze_reads_the_findings_kept_with_the_table(capsys, monkeypatch, fresh_memos):
+    # the table is built once per process, and its findings with it on first use
+    real = experiments_module.analyze_code_table
+    analyzed = []
+    monkeypatch.setattr(experiments_module, "analyze_code_table", lambda table: analyzed.append(table) or real(table))
+    outputs = [run_cli(capsys, "codes", "--n", "4", "--analyze") for _ in range(3)]
+    assert outputs[0][0] == 0 and outputs == outputs[:1] * 3
+    table = experiments_module.build_code_table(4)
+    assert len(analyzed) == 1 and analyzed[0] is table and table.findings == real(table)
 
 
 def test_codes_table_known_rows(capsys):
@@ -767,7 +778,8 @@ def test_measure_documents_read_each_weight_once(tmp_path, capsys, monkeypatch, 
     path = write_json(tmp_path / "mu.json", map_document(command, maps))
     code, out, err = run_cli(capsys, *[arg.format(doc=path, ctx=ctx_path) for arg in MAP_COMMANDS[command]])
     assert (code, err) == (0, "")
-    assert reads == ["geneograph.io"] * 72
+    # the 72 weights share one text, which the read converts once
+    assert reads == ["geneograph.io"]
 
 
 def test_orbits_on_a_full_table_context_lists_no_group_elements(tmp_path, capsys, monkeypatch, fresh_memos):
@@ -784,9 +796,11 @@ def test_orbits_on_a_full_table_context_lists_no_group_elements(tmp_path, capsys
     monkeypatch.setattr(docs, "parse_cycles", lambda text, labels: parsed.append(text) or parse(text, labels))
     code, out, err = run_cli(capsys, "orbits", "--context", path)
     assert (code, err) == (0, "") and json.loads(out)["total"] == 6**6
-    # each distinct text of G's document is parsed once, on the memo's miss; K's
-    # document is G's, so the read builds that group once, and T names only its texts
-    assert len(built) == len(parsed) == 24
+    # each generator text of G's document is parsed once, on the memo's miss; the
+    # stated elements and T's texts are the closure's canonical texts, read by
+    # lookup; K's document is G's, so the read builds that group once
+    generators = doc["G"]["generators"]
+    assert sorted(parsed) == sorted(generators) and len(built) == len(parsed) == len(generators)
     ctx = docs.context_from_json(doc)  # the context that the command read, remembered by its document
     for group in (ctx.G, ctx.K):
         assert "elements" not in group.__dict__

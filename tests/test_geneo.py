@@ -1006,6 +1006,47 @@ def test_decomposition_solves_one_lp_per_call(monkeypatch):
         assert len(calls) == 1
 
 
+def test_the_cached_elimination_gives_integer_rrefs_rows_or_its_inconsistency():
+    """The reduced rows that a decomposition reads off its group's cached
+    elimination against integer_rref of [A | b], each row over gcd(d, *r): on
+    every decomposition operator's orbital values and perturbations of them,
+    and on intransitive groups, whose orbital equations are dependent, with
+    right-hand sides in A's column space and seeded ones outside it."""
+    import geneograph.geneo as geneo_module
+
+    rng = random.Random("cached elimination")
+
+    def perturbed(b):
+        return [x + Fraction(rng.randint(-3, 3), rng.randint(1, 9)) for x in b]
+
+    cases = []
+    for op in decomposition_operators():
+        group = op.source.group
+        data = geneo_module._orbit_columns(group.degree, group.generator_images)
+        b = [op.coeffs[y][x] for (y, x), *_ in data[0]]
+        cases += [(data, b), (data, perturbed(b))]
+    for n, gens in [(3, [(0, 1, 2)]), (4, [(1, 0, 2, 3)]), (5, [(1, 2, 0, 3, 4), (0, 1, 2, 4, 3)])]:
+        data = geneo_module._orbit_columns(n, tuple(gens))
+        assert data[2][1], "the intransitive group's orbital equations must be dependent"
+        for _ in range(5):
+            x = [Fraction(rng.randint(-3, 3), rng.randint(1, 9)) for _ in data[1]]
+            lhs = [[size * counts[w] // len(o) for size, counts, _ in data[1]] for w, o in enumerate(data[0])]
+            cases += [(data, [sum(a * v for a, v in zip(row, x)) for row in lhs]), (data, perturbed([0] * len(lhs)))]
+    outcomes = set()
+    for (pair_orbits, columns, elimination), b in cases:
+        lhs = [[size * counts[w] // len(o) for size, counts, _ in columns] for w, o in enumerate(pair_orbits)]
+        reference = integer_rref([row + [x] for row, x in zip(lhs, b)])
+        if not any(reference[-1][1][:-1]):  # a row 0 = c != 0
+            with pytest.raises(ValueError, match="^no permutant measure reproduces this operator$"):
+                geneo_module._reduced_system(elimination, b)
+            outcomes.add("inconsistent")
+        else:
+            expected = [[x // gcd(d, *r) for x in r] for d, r in reference]
+            assert geneo_module._reduced_system(elimination, b) == expected
+            outcomes.add("consistent")
+    assert outcomes == {"consistent", "inconsistent"}
+
+
 def test_simplex_on_decomposition_lps_takes_the_reference_tableau_pivots(monkeypatch):
     lps = decomposition_lps(monkeypatch)
     assert len(lps[0][0]) == 224 and len(lps[0][1]) == 4

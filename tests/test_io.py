@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from geneograph.perception import (
     full_space,
     measurement,
 )
-from geneograph.graph import edge_automorphism_group, induced_edge_permutation, vertex_automorphism_group
+from geneograph.graph import complete_graph, edge_automorphism_group, induced_edge_permutation, vertex_automorphism_group
 from geneograph.perm import (
     CapExceededError,
     Homomorphism,
@@ -25,7 +26,7 @@ from geneograph.perm import (
     parse_cycles,
     trivial_group,
 )
-from geneograph.permutant import endo_context, orbit, uniform_measure
+from geneograph.permutant import ActionContext, endo_context, orbit, uniform_measure
 from conftest import census_graph
 from helpers import cycles, group_from_json, homomorphism_from_table, permutant_to_json
 
@@ -62,7 +63,7 @@ def test_one_cycle_formatter_matches_a_plain_reference():
     incidence = homomorphism_from_table(vertex_group, edge_group, {g: induced_edge_permutation(cube, g) for g in vertex_group})
     for t in (incidence, Homomorphism.identity_on(trivial_group(())), Homomorphism.identity_on(trivial_group(("v10",)))):
         expected = [[plain_cycle_text(g), plain_cycle_text(t(g))] for g in t.source.elements]
-        assert docs.homomorphism_to_json(t) == expected
+        assert docs.context_to_json(ActionContext(t.source, t.target, t))["T"] == expected
 
 
 def test_fraction_forms():
@@ -258,17 +259,76 @@ def test_a_failing_document_is_not_remembered(fresh_memos):
 def test_an_operator_document_parses_each_cycle_text_once_per_read(fresh_memos, monkeypatch):
     # the document states its group twice, as source and target, and its
     # homomorphism names only that group's texts: a cold read parses each
-    # distinct text once, and a warm read parses none
+    # generator text once and reads the closure's canonical texts, the
+    # elements and T's, by lookup; a warm read parses none
     doc = through_json(docs.operator_to_json(from_permutant(transposition_permutant(4, model="edge"))))
     group_doc = doc["source"]["group"]
-    assert doc["target"]["group"] == group_doc
+    assert doc["target"]["group"] == group_doc and len(group_doc["elements"]) == 24
     parsed = []
     monkeypatch.setattr(docs, "parse_cycles", lambda text, labels: parsed.append(text) or parse_cycles(text, labels))
     docs.operator_from_json(doc)
-    assert sorted(parsed) == sorted(set(group_doc["generators"] + group_doc["elements"]))
+    assert sorted(parsed) == sorted(set(group_doc["generators"]))
     parsed.clear()
     docs.operator_from_json(doc)
     assert parsed == []
+
+
+def test_non_canonical_texts_read_to_the_same_context(fresh_memos):
+    # the closure's canonical texts are read by lookup and any other text is
+    # parsed, so a rotated cycle or extra spaces give the same group and T
+    canonical = {"labels": list(ABC), "generators": ["(a,b,c)"], "elements": ["id", "(a,b,c)", "(a,c,b)"]}
+    loose = {"labels": list(ABC), "generators": [" (b, c, a)"], "elements": [" id ", "(b,c,a)", "( c b a )"]}
+    identity = [["id", "id"], ["(a,b,c)", "(a,b,c)"], ["(a,c,b)", "(a,c,b)"]]
+    loose_identity = [[" id", "id "], ["(b,c,a)", "(c a b)"], ["(a, c, b)", "(c,b,a)"]]
+    expected = docs.context_from_json({"G": canonical, "K": canonical, "T": identity})
+    for g_doc, k_doc, t_doc in [(loose, loose, loose_identity), (loose, canonical, identity), (canonical, loose, loose_identity)]:
+        got = docs.context_from_json({"G": g_doc, "K": k_doc, "T": t_doc})
+        assert (got.G, got.K, got.T.images) == (expected.G, expected.K, expected.T.images)
+        assert got.T.is_identity()
+    # a T of one group onto itself that is not the identity is still checked
+    not_multiplicative = [["id", "id"], ["(b,c,a)", "(a,b,c)"], ["(a,c,b)", "(a,b,c)"]]
+    with pytest.raises(ValueError, match=re.escape("not multiplicative at ((a,b,c), (a,b,c))")):
+        docs.context_from_json({"G": loose, "K": loose, "T": not_multiplicative})
+    # a one-element group's "id" is parsed, which rejects labels that no generator text checked
+    for doc in ({"labels": ["a", "a"]}, {"labels": ["a", "a"], "elements": ["id"]}):
+        with pytest.raises(ValueError, match=re.escape("duplicate labels in domain: ('a', 'a')")):
+            docs.context_from_json({"G": doc, "K": doc, "T": [["id", "id"]]})
+
+
+def test_a_generator_only_context_formats_no_closure(fresh_memos, monkeypatch):
+    # the symmetric group on 7 points from two generators, with T given on them
+    labels = list("abcdefg")
+    group_doc = {"labels": labels, "generators": ["(a,b)", "(a,b,c,d,e,f,g)"]}
+    formatted = []
+    monkeypatch.setattr(docs, "_cycle_texts", lambda perms, labels: formatted.append(perms) or _cycle_texts(perms, labels))
+    ctx = docs.context_from_json({"G": group_doc, "K": group_doc, "T": [["(a,b)", "(a,b)"], ["(a,b,c,d,e,f,g)", "(a,b,c,d,e,f,g)"]]})
+    assert ctx.G.order == 5040 and ctx.T.is_identity()
+    assert formatted == []
+
+
+def test_each_emitted_document_formats_each_groups_elements_once(monkeypatch):
+    formatted = []
+
+    def counted(perms, labels):
+        perms = list(perms)
+        formatted.append((perms, tuple(labels)))
+        return _cycle_texts(perms, labels)
+
+    monkeypatch.setattr(docs, "_cycle_texts", counted)
+    k4 = endo_context(edge_automorphism_group(complete_graph(4)))
+    c6c3 = c6_c3_context()
+    op = from_permutant(transposition_permutant(4, model="edge"))
+    for emit, value, groups in [
+        (docs.context_to_json, k4, [k4.G]),
+        (docs.context_to_json, c6c3, [c6c3.G, c6c3.K]),
+        (docs.operator_to_json, op, [op.source.group]),
+    ]:
+        formatted.clear()
+        emit(value)
+        for g in groups:
+            assert sum(perms == list(g.images) and labels == g.labels for perms, labels in formatted) == 1
+        # the rest of the calls format the generators, once per group document
+        assert len(formatted) == len(groups) + 2
 
 
 def test_an_operator_is_remembered_without_its_coefficients_and_flags(fresh_memos):

@@ -523,7 +523,8 @@ def test_orbit_splits_match_the_closure_reference(c6c3, fresh_memos):
                 counts[orbital_of[y, x]] += 1
             columns.setdefault((len(members), tuple(counts)), members)
         expected = (tuple(expected_orbitals), tuple((size, counts, o) for (size, counts), o in columns.items()))
-        assert geneo._orbit_columns(n, tuple(g.images for g in ctx.G.generators)) == expected
+        # the third entry, the orbital elimination, is checked against integer_rref in test_geneo
+        assert geneo._orbit_columns(n, tuple(g.images for g in ctx.G.generators))[:2] == expected
 
 
 def test_orbit_matches_the_reference_closure_and_its_all_orbits_entry(c6c3, fresh_memos):
