@@ -148,8 +148,9 @@ def _code_table(n: int) -> CodeTable:
     labels = op.source.domain
     size = permutant.size
     assert size == comb(n, 2)
-    # the codes themselves are scaled_code / |H|
-    counts = [[int(c * size) for c in row] for row in op.coeffs]
+    # the codes themselves are scaled_code / |H|, and the table's denominator divides |H|
+    table, d = op.scaled
+    counts = [[c * (size // d) for c in row] for row in table]
     scaled = [(0,) * len(counts)]
     for j in reversed(range(len(labels))):
         column = [row[j] for row in counts]

@@ -5,13 +5,19 @@ decomposition of an equivariant endo-operator back to a permutant measure.
 
 Linear operators store dense exact-rational coefficient tables; rows are
 indexed by the target set Y, columns by the source set X, so F(phi)(y) =
-sum_x coeffs[y][x] phi(x); `is_geneo` alone decides the GENEO verdict.
-Products of tables and vectors go through the kernel in `linalg`.  Tables
-built from maps are counted in int and divided once per cell.  The
-decomposition writes one equation per orbital and one LP column pair per
-distinct orbit column, and computes those and the equations' elimination from
-the group once per generator set, with the fraction-free integer rows of
-`linalg`; a call adds only the operator's values and solves the LP.  Its
+sum_x coeffs[y][x] phi(x); `is_geneo` alone decides the GENEO verdict.  Each
+operator's verdicts and products are worked on its `scaled` view, the table
+as integer rows over one denominator (`linalg.integer_table`), built once
+per operator: the equivariance check compares integer columns as whole
+tuples, the sup norm sums ints, and applying, composing and combining go
+through the kernel in `linalg` on ints and make a Fraction once per output
+cell.  Tables built from maps, compositions and convex combinations are
+made in int and hand their view to the new operator, with one Fraction per
+distinct value.  The decomposition writes one equation per orbital and one
+LP column pair per distinct orbit column, and computes those and the
+equations' elimination from the group once per generator set, with the
+fraction-free integer rows of `linalg`; a call adds only the operator's
+integer values and solves the LP.  Its
 conjugation orbits are labelled by `perm._label_orbits` on the positions of
 the n! bijections in `permutations` order, one lookup table per generator.
 """
@@ -22,11 +28,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import OPTIMAL, dot, integer_rref, matmul, matvec, simplex_min
+from .linalg import OPTIMAL, integer_rref, integer_table, matmul, matvec, simplex_min
 from .perception import (
     FunctionSpace,
     Measurement,
@@ -87,7 +93,9 @@ class LinearOperator:
     def n_out(self) -> int:
         return self.target.space.dim
 
-    # the functions are looked up at first use, so a wrapper around them sees the work
+    # the functions are looked up at first use, so a wrapper around them sees the work;
+    # scaled is the table as integer rows over one denominator d, and d
+    scaled = cached_property(lambda self: integer_table(self.coeffs))
     equivariance = cached_property(lambda self: verify_equivariance(self))
     sup_norm = cached_property(lambda self: operator_sup_norm(self))
     is_geo = property(lambda self: self.equivariance[0])
@@ -145,7 +153,9 @@ def apply(op: Operator, phi: Measurement) -> Measurement:
         pick = min if op.kind == "min" else max
         values = zip(*(apply(f, phi).values for f in op.operands))
         return Measurement(tuple(pick(column) for column in values), op.target.domain)
-    return Measurement(matvec(op.coeffs, phi.values), op.target.domain)
+    table, d = op.scaled
+    (values,), scale = integer_table([phi.values])
+    return Measurement(tuple([Fraction(x, d * scale) for x in matvec(table, values, 0)]), op.target.domain)
 
 
 def verify_equivariance(op: LinearOperator) -> tuple[bool, Witness | None]:
@@ -157,15 +167,16 @@ def verify_equivariance(op: LinearOperator) -> tuple[bool, Witness | None]:
     Linearity extends it to every measurement, and, as the generators generate
     the group and T is a verified homomorphism, to every element.  The witness
     on failure is (basis index, generator): the first failing index i for the
-    first failing generator.  The check runs on the generators' image tuples;
-    `op.equivariance` keeps its result from the first use on.
+    first failing generator.  The check runs on the generators' image tuples
+    and compares the integer table's column j with column i permuted by T(g),
+    as whole tuples; `op.equivariance` keeps its result from the first use on.
     """
-    c = op.coeffs
-    rows = range(op.n_out)
+    table, _ = op.scaled
+    columns = tuple(zip(*table)) if table else ((),) * op.n_in
     for g in op.source.group.generator_images:
         tg = op.hom.image(g)
         for i, j in enumerate(_inverse(g)):  # j = g^-1(i)
-            if any(c[y][j] != c[tg[y]][i] for y in rows):
+            if columns[j] != tuple(map(columns[i].__getitem__, tg)):
                 return False, (i, Permutation(g, op.source.group.labels))
     return True, None
 
@@ -173,7 +184,8 @@ def verify_equivariance(op: LinearOperator) -> tuple[bool, Witness | None]:
 def operator_sup_norm(op: LinearOperator) -> Fraction:
     """The exact operator norm for the sup norm: the largest absolute row sum;
     `op.sup_norm` keeps it from the first use on."""
-    return max((sum(map(abs, row)) for row in op.coeffs), default=Fraction(0))
+    table, d = op.scaled
+    return Fraction(max((sum(map(abs, row)) for row in table), default=0), d)
 
 
 def _not_equivariant(op: LinearOperator) -> str:
@@ -197,13 +209,27 @@ def _weighted_maps(m: PermutantMeasure) -> tuple[Iterable[tuple], int]:
     return ((h, w.numerator * (denominator // w.denominator)) for h, w in m.weights.items()), denominator
 
 
+def _table_operator(
+    table: Sequence[Sequence[int]], denominator: int, source: PerceptionPair, target: PerceptionPair, hom: Homomorphism
+) -> LinearOperator:
+    """The operator with coefficients table / denominator, one Fraction per
+    distinct value, holding its `scaled` view: the table over the least
+    common denominator of its cells, which is denominator over its gcd with
+    every cell."""
+    g = math.gcd(denominator, *chain.from_iterable(table))
+    table, d = tuple(tuple([c // g for c in row]) for row in table), denominator // g
+    value = {c: Fraction(c, d) for c in set(chain.from_iterable(table))}
+    op = LinearOperator(tuple(tuple(map(value.__getitem__, row)) for row in table), source, target, hom)
+    op.__dict__["scaled"] = table, d
+    return op
+
+
 def _map_operator(ctx: ActionContext, maps: Iterable[tuple], denominator: int) -> LinearOperator:
     """The operator phi -> sum_f w(f) / denominator phi o f, on the full spaces."""
     table = _map_table(maps, ctx.K.degree, ctx.G.degree)
-    coeffs = tuple(tuple(Fraction(c, denominator) for c in row) for row in table)
     source = PerceptionPair(full_space(ctx.x_labels), ctx.G)
     target = PerceptionPair(full_space(ctx.y_labels), ctx.K)
-    return LinearOperator(coeffs, source, target, ctx.T)
+    return _table_operator(table, denominator, source, target, ctx.T)
 
 
 def from_permutant(h: GeneralizedPermutant) -> LinearOperator:
@@ -331,20 +357,23 @@ def convex_combination(ops: Sequence[LinearOperator], weights: Sequence) -> Line
     if any(w < 0 for w in lam) or sum(lam) != 1:
         raise ValueError("weights must be nonnegative and sum to 1")
     _require_same_signature(ops)
-    # row i stacks the ops' row i; its entries across the ops form the columns
-    coeffs = tuple(
-        tuple(dot(lam, entries) for entries in zip(*rows))
-        for rows in zip(*(op.coeffs for op in ops))
-    )
-    return LinearOperator(coeffs, ops[0].source, ops[0].target, ops[0].hom)
+    # lambda_i / d_i as an integer weight over the common denominator of them all
+    scaled = [op.scaled for op in ops]
+    denominator = math.lcm(*(w.denominator * d for w, (_, d) in zip(lam, scaled)))
+    integer_weights = [w.numerator * (denominator // (w.denominator * d)) for w, (_, d) in zip(lam, scaled)]
+    # one row per cell, in row-major order, holding that cell's entries across the ops
+    flat = matvec(list(zip(*(chain.from_iterable(table) for table, _ in scaled))), integer_weights, 0)
+    first, n = ops[0], ops[0].n_in
+    table = [flat[y * n : (y + 1) * n] for y in range(first.n_out)]
+    return _table_operator(table, denominator, first.source, first.target, first.hom)
 
 
 def compose_operators(f2: LinearOperator, f1: LinearOperator) -> LinearOperator:
     """The composite F2 o F1 (apply F1 first); homomorphisms compose alongside."""
     if f1.target != f2.source:
         raise DomainMismatchError("target pair of the first operator must be the source of the second")
-    coeffs = matmul(f2.coeffs, f1.coeffs, f1.n_in)
-    return LinearOperator(coeffs, f1.source, f2.target, f1.hom.then(f2.hom))
+    (t2, d2), (t1, d1) = f2.scaled, f1.scaled
+    return _table_operator(matmul(t2, t1, f1.n_in, 0), d2 * d1, f1.source, f2.target, f1.hom.then(f2.hom))
 
 
 def pointwise_min(f1: Operator, f2: Operator) -> PointwiseOperator:
@@ -429,20 +458,19 @@ def _orbit_columns(
     return pair_orbits, columns, (tuple(reduced), tuple(null))
 
 
-def _reduced_system(elimination: Elimination, b: Sequence[Fraction]) -> list[list[int]]:
+def _reduced_system(elimination: Elimination, scaled: Sequence[int], denominator: int) -> list[list[int]]:
     """The rows of RREF([A | b]), for the orbital equations' left side A,
-    reduced in ``elimination``, and the operator's values b on the orbitals:
-    each row as its least integer multiple with a positive lead, which is
-    integer_rref's row r over gcd(d, *r), the row the LP takes.
+    reduced in ``elimination``, and the operator's values b = scaled /
+    denominator on the orbitals: each row as its least integer multiple with
+    a positive lead, which is integer_rref's row r over gcd(d, *r), the row
+    the LP takes.
 
     Raises ValueError when N b != 0, as no measure reproduces the operator
     then.  Otherwise rank [A | b] = rank A, and the rows [RREF(A)_i | E_i b]
     lie in the row space of [A | b] and are in reduced form, so they are its
-    reduced rows.  With b = B / D over the least common denominator D and
-    the cached rows g r' = d RREF(A)_i and e = d E_i, row i is a multiple of
-    [D g r' | e B], which its gcd divides down to the least one."""
-    denominator = math.lcm(*(x.denominator for x in b))
-    scaled = [x.numerator * (denominator // x.denominator) for x in b]
+    reduced rows.  With b = B / D and the cached rows g r' = d RREF(A)_i and
+    e = d E_i, row i is a multiple of [D g r' | e B], which its gcd divides
+    down to the least one."""
     reduced, null = elimination
     if any(sum(map(mul, e, scaled)) for e in null):
         raise ValueError("no permutant measure reproduces this operator")
@@ -492,7 +520,8 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
         raise ValueError(f"operator {_not_equivariant(op)}")
 
     pair_orbits, columns, elimination = _orbit_columns(n, group.generator_images)
-    rows = _reduced_system(elimination, [op.coeffs[y][x] for (y, x), *_ in pair_orbits])
+    table, d = op.scaled
+    rows = _reduced_system(elimination, [table[y][x] for (y, x), *_ in pair_orbits], d)
 
     # Weights w = u - v with u, v >= 0, at cost |O| each, so the LP's columns
     # come in pairs (a, -a).  Phase 1 minimizes one artificial variable per
@@ -514,12 +543,9 @@ def decompose_to_measure(op: LinearOperator) -> PermutantMeasure:
     measure_weights = {
         h: x if j % 2 == 0 else -x for j, x in enumerate(sol) if x for h in columns[j // 2][2]
     }
-    result = PermutantMeasure(endo_context(group), measure_weights)
+    result = PermutantMeasure._unchecked(endo_context(group), measure_weights)
     maps, denominator = _weighted_maps(result)
-    table = _map_table(maps, n, n)
     assert all(
-        t * c.denominator == c.numerator * denominator
-        for table_row, row in zip(table, op.coeffs)
-        for t, c in zip(table_row, row)
+        t * d == c * denominator for rebuilt, row in zip(_map_table(maps, n, n), table) for t, c in zip(rebuilt, row)
     ), "reconstructed operator must match exactly"
     return result

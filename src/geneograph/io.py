@@ -323,7 +323,7 @@ def measure_from_json(doc: MappingABC, ctx: ActionContext) -> PermutantMeasure:
         if h in weights:
             raise ValueError(f"measure names the map {str(Mapping(ctx.y_labels, ctx.x_labels, h))!r} twice")
         weights[h] = weight(value)
-    return PermutantMeasure(ctx, weights)
+    return PermutantMeasure._unchecked(ctx, weights)
 
 
 def space_to_json(space: FunctionSpace) -> dict:

@@ -1,16 +1,22 @@
 """Exact rational linear algebra: the package's one product kernel (dot,
-matvec, matmul) and one row-elimination step, reduced row echelon form, affine
-solution sets, and a revised two-phase simplex.
+matvec, matmul), its one scaling rule (integer_table) and one row-elimination
+step, reduced row echelon form, affine solution sets, and a revised two-phase
+simplex.
 
-Fractions cross the API, apart from integer_rref's rows; inside, rref and
-the simplex keep each row as a positive integer multiple of its rational row
-and pivot fraction-free (Bareiss, Math. Comp. 22, 1968, with a gcd division
-in place of his exact one).  A positive row scale keeps every sign, zero and
-ratio, so Bland's rule picks the pivots it picks on fractions, and the
-decomposition gets reproducible measures.  The simplex keeps only B^-1, x_B
-and the objective rows (Dantzig and Orchard-Hays, MTAC 8, 1954) and prices
-columns only up to Bland's first negative one (Math. Oper. Res. 2, 1977): a
-pivot costs the rows, not the columns, and the pivots are the full tableau's.
+Fractions cross the API, apart from integer_rref's rows and integer_table's
+view: rational rows as integer rows over one common denominator, the least
+common multiple of the entries' denominators.  The operator tables of
+`geneo` are worked on in that view, with the products summed in int from
+start=0, and a Fraction made once per output cell.  Inside, rref and the
+simplex start from that view, keep each row as a positive integer multiple
+of its rational row and pivot fraction-free (Bareiss, Math. Comp. 22, 1968,
+with a gcd division in place of his exact one).  A positive row scale keeps
+every sign, zero and ratio, so Bland's rule picks the pivots it picks on
+fractions, and the decomposition gets reproducible measures.  The simplex
+keeps only B^-1, x_B and the objective rows (Dantzig and Orchard-Hays, MTAC
+8, 1954) and prices columns only up to Bland's first negative one (Math.
+Oper. Res. 2, 1977): a pivot costs the rows, not the columns, and the pivots
+are the full tableau's.
 A column followed by its negation at the same costs, as the decomposition's
 u - v pairs come, is priced with one product for both, the pairs found once
 per LP; Fractions are built only for the basic solution values.  Phase 1
@@ -40,19 +46,24 @@ def matvec(a: Sequence[Sequence], v: Sequence, start=Fraction(0)) -> tuple:
     return tuple([dot(row, v, start) for row in a])
 
 
-def matmul(a: Sequence[Sequence], b: Sequence[Sequence], n_cols: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The exact product a b; n_cols is explicit because a b with no rows has no columns to read."""
+def matmul(a: Sequence[Sequence], b: Sequence[Sequence], n_cols: int, start=Fraction(0)) -> tuple[tuple, ...]:
+    """The exact product a b, each entry summed from start; n_cols is explicit
+    because a b with no rows has no columns to read."""
     cols = [tuple(row[j] for row in b) for j in range(n_cols)]
-    return tuple(matvec(cols, row) for row in a)
+    return tuple(matvec(cols, row, start) for row in a)
 
 
-def _as_row(row: Sequence) -> tuple[list[int], int]:
-    """The rational row as an integer row, scaled by the lcm of its denominators, and that scale."""
-    if set(map(type, row)) <= {int}:
-        return list(row), 1
-    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    scale = lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row], scale
+def integer_table(rows: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The rational rows as integer rows over one denominator d, the least
+    common multiple of their entries' denominators, and d: row i is d times
+    rational row i.  Integer rows come back as they are, over 1."""
+    types = {type(x) for row in rows for x in row}
+    if types <= {int}:
+        return tuple(map(tuple, rows)), 1
+    if not types <= {int, Fraction}:
+        rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
+    d = lcm(*{x.denominator for row in rows for x in row})
+    return tuple(tuple([x.numerator * (d // x.denominator) for x in row]) for row in rows), d
 
 
 def _pivot(m: list[list[int]], row: int, d: Sequence[int]) -> None:
@@ -73,7 +84,7 @@ def _pivot(m: list[list[int]], row: int, d: Sequence[int]) -> None:
 def integer_rref(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, list[int]]]:
     """Canonical reduced row echelon form, zero rows dropped, as integer
     rows: (d, r) stands for the row r / d, where d > 0 is r's lead entry."""
-    m = [_as_row(row)[0] for row in rows]
+    m = [list(row) for row in integer_table(rows)[0]]
     leads: list[int] = []
     for col in range(len(m[0]) if m else 0):
         top = len(leads)
@@ -195,22 +206,22 @@ def simplex_min(
     """
     n = len(costs)
     # equation i, negated if its right-hand side is negative, as the integer
-    # row L_i [a_i | b_i], with artificial column L_i e_i; every column ends in
-    # its phase-1 and phase-2 costs, which constraint rows weigh by 0
-    scaled = [_as_row([*row, b] if b >= 0 else [*(-x for x in row), -b]) for row, b in zip(eq_lhs, eq_rhs)]
-    k = len(scaled)
-    *lhs_cols, rhs = zip(*(row for row, _ in scaled)) if scaled else [()] * (n + 1)
-    scales = [scale for _, scale in scaled]
-    costs_int, cost_scale = _as_row(costs)
+    # row L [a_i | b_i] over the equations' common denominator L, with
+    # artificial column L e_i; every column ends in its phase-1 and phase-2
+    # costs, which constraint rows weigh by 0
+    signed = [[*row, b] if b >= 0 else [*(-x for x in row), -b] for row, b in zip(eq_lhs, eq_rhs)]
+    rows, scale = integer_table(signed)
+    k = len(rows)
+    *lhs_cols, rhs = zip(*rows) if rows else [()] * (n + 1)
+    (costs_int,), cost_scale = integer_table([costs])
     cols = [(*a, 0, c) for a, c in zip(lhs_cols, costs_int)]
-    artificials = [(*(scale * (r == i) for r in range(k)), 1, 0) for i, scale in enumerate(scales)]
+    artificials = [(*(scale * (r == i) for r in range(k)), 1, 0) for i in range(k)]
 
-    # the artificial basis, B^-1 = diag(1/L_i): row i is e_i with x_B = L_i b_i,
-    # phase 2's objective row is priced with w = 0, phase 1's with
-    # w_i = -L/L_i and s1 = L = lcm(L_i)
-    w = [-(lcm(*scales) // scale) for scale in scales]
+    # the artificial basis, B^-1 = diag(1/L): row i is e_i with x_B = L b_i,
+    # phase 2's objective row is priced with w = 0, phase 1's with w_i = -1
+    # and s1 = L
     m = [[int(r == i) for r in range(k)] + [0, 0, b] for i, b in enumerate(rhs)]
-    m += [[0] * k + [0, cost_scale, 0], w + [lcm(*scales), 0, sum(map(mul, w, rhs))]]
+    m += [[0] * k + [0, cost_scale, 0], [-1] * k + [scale, 0, -sum(rhs)]]
     basis = list(range(n, n + k))
     units = _pricing(cols, k)
     status = _run_simplex(m, basis, cols + artificials, units + _pricing(artificials, k, n))

@@ -428,9 +428,10 @@ def is_generalized_permutant(
 class PermutantMeasure:
     """A finitely supported signed weighting on maps Y -> X, held as
     {image tuple: nonzero Fraction}; maps not listed weigh zero.  The
-    constructor checks each image tuple and reads each weight with as_fraction.
-    Invariance under the alpha action is checked separately by
-    is_permutant_measure."""
+    constructor checks each image tuple and reads each weight with as_fraction;
+    the document reader and the decomposition, whose tuples and Fractions are
+    valid as built, skip both through ``_unchecked``.  Invariance under the
+    alpha action is checked separately by is_permutant_measure."""
 
     context: ActionContext
     weights: MappingABC[tuple[int, ...], Fraction]
@@ -439,6 +440,14 @@ class PermutantMeasure:
         check = context._check_images
         read = ((check(h), as_fraction(w)) for h, w in weights.items())
         self.__dict__.update(context=context, weights={h: w for h, w in read if w})
+
+    @classmethod
+    def _unchecked(cls, context: ActionContext, weights: MappingABC[tuple[int, ...], Fraction]) -> "PermutantMeasure":
+        """The measure of image tuples and Fraction weights that its builder
+        guarantees, unchecked; zero weights are still dropped."""
+        measure = cls.__new__(cls)
+        measure.__dict__.update(context=context, weights={h: w for h, w in weights.items() if w})
+        return measure
 
     def weight(self, f: Mapping | tuple[int, ...]) -> Fraction:
         """The weight of a Mapping of this context or of an image tuple;

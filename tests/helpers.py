@@ -1,12 +1,14 @@
 """Builders that only the tests use: the symmetric group, subset-stabilizer
 contexts with their image-cardinality permutants and measures, seeded
 invariant measures on conjugation orbits of bijections, three diagonal
-operators on K4's edges that are not GENEOs, a
-homomorphism from a table of labeled permutations, the JSON
-forms of a graph, a permutant and a single group, the cycles of a
-permutation, the reference breadth-first ``closure`` and the orbit split
-built on it that the reference enumerations use, and the full-enumeration
-automorphism search that the stabilizer-chain search is checked against."""
+operators on K4's edges that are not GENEOs, the Fraction references for
+applying, composing and combining operator tables and for their sup norm
+and equivariance witness, a homomorphism from a table of labeled
+permutations, the JSON forms of a graph, a permutant and a single group, the
+cycles of a permutation, the reference breadth-first ``closure`` and the
+orbit split built on it that the reference enumerations use, and the
+full-enumeration automorphism search that the stabilizer-chain search is
+checked against."""
 
 from __future__ import annotations
 
@@ -108,6 +110,52 @@ def k4_operators_that_are_not_geneos() -> dict[str, LinearOperator]:
         ))
         for name, diagonal in diagonals.items()
     }
+
+
+# the Fraction references that the operators' integer tables are checked
+# against: every cell read, added and compared as a rational
+
+
+def reference_apply(op: LinearOperator, values: Sequence) -> tuple[Fraction, ...]:
+    return tuple(sum((c * v for c, v in zip(row, values)), Fraction(0)) for row in op.coeffs)
+
+
+def reference_compose(f2: LinearOperator, f1: LinearOperator) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(
+        tuple(
+            sum((f2.coeffs[i][k] * f1.coeffs[k][j] for k in range(f1.n_out)), Fraction(0))
+            for j in range(f1.n_in)
+        )
+        for i in range(f2.n_out)
+    )
+
+
+def reference_convex(ops: Sequence[LinearOperator], lam: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(
+        tuple(
+            sum((w * op.coeffs[i][j] for w, op in zip(lam, ops)), Fraction(0))
+            for j in range(ops[0].n_in)
+        )
+        for i in range(ops[0].n_out)
+    )
+
+
+def reference_sup_norm(op: LinearOperator) -> Fraction:
+    return max((sum((abs(c) for c in row), Fraction(0)) for row in op.coeffs), default=Fraction(0))
+
+
+def reference_equivariance(op: LinearOperator) -> tuple[bool, tuple[int, tuple[int, ...]] | None]:
+    """The equivariance check cell by cell: coeffs[y][g^-1(i)] == coeffs[T(g)(y)][i]
+    for every generator g, basis index i and row y, in that order; the witness
+    is (i, g's image tuple) at the first failure."""
+    c = op.coeffs
+    for g in op.source.group.generator_images:
+        tg = op.hom.image(g)
+        for i in range(len(g)):
+            j = g.index(i)
+            if any(c[y][j] != c[tg[y]][i] for y in range(op.n_out)):
+                return False, (i, g)
+    return True, None
 
 
 def graph_document(g: Graph) -> dict:

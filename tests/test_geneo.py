@@ -28,7 +28,7 @@ from geneograph.geneo import (
 )
 from geneograph.graph import complete_graph, cycle_graph, edge_automorphism_group
 from geneograph import linalg
-from geneograph.linalg import integer_rref, rref, simplex_min
+from geneograph.linalg import integer_rref, integer_table, rref, simplex_min
 from geneograph.perception import (
     PerceptionPair,
     constrained_space,
@@ -47,7 +47,16 @@ from geneograph.permutant import (
 )
 
 from conftest import dihedral_edge_context
-from helpers import k4_operators_that_are_not_geneos, orbit_sum_measure, symmetric_group
+from helpers import (
+    k4_operators_that_are_not_geneos,
+    orbit_sum_measure,
+    reference_apply,
+    reference_compose,
+    reference_convex,
+    reference_equivariance,
+    reference_sup_norm,
+    symmetric_group,
+)
 
 EDGE_LABELS = ("p", "q", "r", "s", "t", "u")
 
@@ -655,37 +664,15 @@ def trivial_pair(n):
     return PerceptionPair(full_space(labels), trivial_group(labels))
 
 
+def random_cell(rng):
+    """An int or a Fraction, negative ones among them."""
+    return rng.randint(-9, 9) if rng.random() < 0.3 else Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
 def random_operator(rng, source, target):
-    coeffs = tuple(
-        tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(source.space.dim))
-        for _ in range(target.space.dim)
-    )
+    coeffs = tuple(tuple(random_cell(rng) for _ in range(source.space.dim)) for _ in range(target.space.dim))
     hom = Homomorphism(source.group, target.group, target.group.images)
     return LinearOperator(coeffs, source, target, hom)
-
-
-def reference_apply(op, values):
-    return tuple(sum((c * v for c, v in zip(row, values)), Fraction(0)) for row in op.coeffs)
-
-
-def reference_compose(f2, f1):
-    return tuple(
-        tuple(
-            sum((f2.coeffs[i][k] * f1.coeffs[k][j] for k in range(f1.n_out)), Fraction(0))
-            for j in range(f1.n_in)
-        )
-        for i in range(f2.n_out)
-    )
-
-
-def reference_convex(ops, lam):
-    return tuple(
-        tuple(
-            sum((w * op.coeffs[i][j] for w, op in zip(lam, ops)), Fraction(0))
-            for j in range(ops[0].n_in)
-        )
-        for i in range(ops[0].n_out)
-    )
 
 
 def reference_map_table(ctx, weighted):
@@ -696,19 +683,27 @@ def reference_map_table(ctx, weighted):
     return tuple(tuple(row) for row in acc)
 
 
-@pytest.mark.parametrize("dims", [(3, 4, 2), (6, 6, 6), (1, 5, 1), (2, 0, 2), (0, 3, 0), (0, 0, 0)])
+@pytest.mark.parametrize("dims", [(3, 4, 2), (6, 6, 6), (1, 5, 1), (2, 0, 2), (0, 3, 0), (0, 0, 0), (5, 1, 5)])
 def test_kernel_matches_reference_loops(dims):
+    # int and Fraction cells, 1-row and 1-column tables and the X -> {} -> X
+    # composite, on the integer tables against the Fraction references
     rng = random.Random(f"kernel:{dims}")
     x, y, z = (trivial_pair(n) for n in dims)
     for _ in range(8):
         f1, f2 = random_operator(rng, x, y), random_operator(rng, y, z)
-        phi = measurement([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in x.domain], x.domain)
-        assert apply(f1, phi).values == reference_apply(f1, phi.values)
+        phi = measurement([random_cell(rng) for _ in x.domain], x.domain)
+        out = apply(f1, phi).values
+        assert out == reference_apply(f1, phi.values)
+        assert all(type(v) is Fraction for v in out)
         assert compose_operators(f2, f1).coeffs == reference_compose(f2, f1)
         ops = [f1] + [random_operator(rng, x, y) for _ in range(rng.randint(0, 3))]
-        parts = [rng.randint(1, 5) for _ in ops]
+        parts = [rng.randint(0, 5) for _ in ops]
+        parts[0] += 1
         lam = [Fraction(p, sum(parts)) for p in parts]
         assert convex_combination(ops, lam).coeffs == reference_convex(ops, lam)
+        for op in (f1, f2):
+            norm = operator_sup_norm(op)
+            assert norm == reference_sup_norm(op) and type(norm) is Fraction
 
 
 def test_compose_through_empty_domain_is_zero():
@@ -719,6 +714,31 @@ def test_compose_through_empty_domain_is_zero():
     composite = compose_operators(from_empty, to_empty)
     assert composite.coeffs == ((0, 0), (0, 0))
     assert all(type(c) is Fraction for row in composite.coeffs for c in row)
+
+
+def test_equivariance_witness_matches_reference_at_every_corrupted_cell(c6c3):
+    """Equivariant tables of int and Fraction cells, C6 -> C3 averaging
+    operators and one on the 5-cycle's dihedral group, each with one cell
+    corrupted at every (y, x): the verdict and the witness, the first failing
+    basis index for the first failing generator, are the cell-by-cell
+    reference's, which pins the order the integer columns are compared in."""
+    labels = tuple("abcde")
+    d5 = generate_group([parse_cycles("(a,b,c,d,e)", labels), parse_cycles("(a,e)(b,d)", labels)])
+    orbits, _ = all_orbits(c6c3)
+    ops = [from_permutant(h) for h in orbits[::5]] + [from_permutant(orbit("bcdea", endo_context(d5)))]
+    witnesses = set()
+    for op in ops:
+        table = [[int(c) if c.denominator == 1 else c for c in row] for row in op.coeffs]
+        assert verify_equivariance(replace(op, coeffs=tuple(map(tuple, table)))) == (True, None)
+        for y, x in product(range(op.n_out), range(op.n_in)):
+            corrupted = [list(row) for row in table]
+            corrupted[y][x] += 1 if (x + y) % 2 else Fraction(-1, 3)
+            bad = replace(op, coeffs=tuple(map(tuple, corrupted)))
+            ok, witness = verify_equivariance(bad)
+            assert (ok, witness and (witness[0], witness[1].images)) == reference_equivariance(bad)
+            assert bad.equivariance == (ok, witness)
+            witnesses.add(witness and (witness[0], witness[1].images))
+    assert len(witnesses) > 4 and None not in witnesses
 
 
 def test_weighted_map_tables_match_reference_loops(c6c3):
@@ -874,7 +894,7 @@ def test_rref_matches_rational_reference(shape):
 def test_integer_rref_rows_restrict_to_the_simplex_scale(shape):
     # the decomposition's LP row for a column subset S of the reduced row r / d:
     # r[S] and r[-1] over their gcd with d, which is the integer row that
-    # linalg._as_row makes of the rational row's entries there
+    # integer_table makes of the rational row's entries there
     rng = random.Random(f"integer rref:{shape}")
     for _ in range(40):
         rows = random_rows(rng, *shape)
@@ -885,7 +905,7 @@ def test_integer_rref_rows_restrict_to_the_simplex_scale(shape):
             subset = sorted(rng.sample(range(len(row) - 1), rng.randint(0, len(row) - 1)))
             part = [row[i] for i in subset] + [row[-1]]
             g = gcd(d, *part)
-            assert [x // g for x in part] == linalg._as_row([Fraction(x, d) for x in part])[0]
+            assert (tuple(x // g for x in part),) == integer_table([[Fraction(x, d) for x in part]])[0]
 
 
 def random_lp(rng, kind):
@@ -1019,6 +1039,10 @@ def test_the_cached_elimination_gives_integer_rrefs_rows_or_its_inconsistency():
     def perturbed(b):
         return [x + Fraction(rng.randint(-3, 3), rng.randint(1, 9)) for x in b]
 
+    def reduced_system(elimination, b):
+        (scaled,), denominator = integer_table([b])
+        return geneo_module._reduced_system(elimination, scaled, denominator)
+
     cases = []
     for op in decomposition_operators():
         group = op.source.group
@@ -1038,11 +1062,11 @@ def test_the_cached_elimination_gives_integer_rrefs_rows_or_its_inconsistency():
         reference = integer_rref([row + [x] for row, x in zip(lhs, b)])
         if not any(reference[-1][1][:-1]):  # a row 0 = c != 0
             with pytest.raises(ValueError, match="^no permutant measure reproduces this operator$"):
-                geneo_module._reduced_system(elimination, b)
+                reduced_system(elimination, b)
             outcomes.add("inconsistent")
         else:
             expected = [[x // gcd(d, *r) for x in r] for d, r in reference]
-            assert geneo_module._reduced_system(elimination, b) == expected
+            assert reduced_system(elimination, b) == expected
             outcomes.add("consistent")
     assert outcomes == {"consistent", "inconsistent"}
 

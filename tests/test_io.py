@@ -7,7 +7,7 @@ import pytest
 
 from geneograph import io as docs
 from geneograph.experiments import c6_c3_context, transposition_permutant
-from geneograph.geneo import diagonal_scaling, from_permutant
+from geneograph.geneo import decompose_to_measure, diagonal_scaling, from_permutant
 from geneograph.perception import (
     PerceptionPair,
     constrained_space,
@@ -26,7 +26,7 @@ from geneograph.perm import (
     parse_cycles,
     trivial_group,
 )
-from geneograph.permutant import ActionContext, endo_context, orbit, uniform_measure
+from geneograph.permutant import ActionContext, PermutantMeasure, endo_context, orbit, uniform_measure
 from conftest import census_graph
 from helpers import cycles, group_from_json, homomorphism_from_table, permutant_to_json
 
@@ -145,6 +145,29 @@ def test_measure_document_lists_only_its_support():
     assert [e["mapping"] for e in doc["weights"]] == [f.compact() for f in mu.support]
     assert {e["weight"] for e in doc["weights"]} == {"1/15"}
     assert docs.measure_from_json(doc, docs.context_from_json(doc["context"])).weights == mu.weights
+
+
+def test_measure_readers_with_valid_input_skip_the_constructors_checks(monkeypatch):
+    # a measure document's maps come from read_map and its weights from the
+    # rational reader, and a decomposition's from the group's bijections and
+    # the LP: neither runs the public constructor's checks, and a zero weight
+    # is still dropped; the public constructor keeps its checks
+    ctx = c6_c3_context()
+    mu = uniform_measure(orbit("bfd", ctx))
+    doc = through_json(docs.measure_to_json(mu))
+    doc["weights"].append({"mapping": "aaa", "weight": "0"})
+    checked = []
+    check = ActionContext._check_images
+    monkeypatch.setattr(ActionContext, "_check_images", lambda self, h: checked.append(h) or check(self, h))
+    rebuilt = docs.measure_from_json(doc, docs.context_from_json(doc["context"]))
+    assert rebuilt.weights == mu.weights and ctx.read_map("aaa") not in rebuilt.weights
+    c5 = endo_context(generate_group([parse_cycles("(a,b,c,d,e)", tuple("abcde"))]))
+    assert decompose_to_measure(from_permutant(orbit("bcdea", c5))).total_variation() == 1
+    assert checked == []
+    assert PermutantMeasure(ctx, {ctx.read_map("aaa"): "0", **mu.weights}).weights == mu.weights
+    assert len(checked) == len(mu.weights) + 1
+    with pytest.raises(ValueError, match=r"^\(0, 9, 2\) is not the image tuple of a map from 3 points to 6 points$"):
+        PermutantMeasure(ctx, {(0, 9, 2): 1})
 
 
 def test_space_roundtrips():
