@@ -373,7 +373,7 @@ def compose_operators(f2: LinearOperator, f1: LinearOperator) -> LinearOperator:
     if f1.target != f2.source:
         raise DomainMismatchError("target pair of the first operator must be the source of the second")
     (t2, d2), (t1, d1) = f2.scaled, f1.scaled
-    return _table_operator(matmul(t2, t1, f1.n_in, 0), d2 * d1, f1.source, f2.target, f1.hom.then(f2.hom))
+    return _table_operator(matmul(t2, t1, f1.n_in), d2 * d1, f1.source, f2.target, f1.hom.then(f2.hom))
 
 
 def pointwise_min(f1: Operator, f2: Operator) -> PointwiseOperator:

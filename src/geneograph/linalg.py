@@ -7,7 +7,7 @@ Fractions cross the API, apart from integer_rref's rows and integer_table's
 view: rational rows as integer rows over one common denominator, the least
 common multiple of the entries' denominators.  The operator tables of
 `geneo` are worked on in that view, with the products summed in int from
-start=0, and a Fraction made once per output cell.  Inside, rref and the
+0, and a Fraction made once per output cell.  Inside, rref and the
 simplex start from that view, keep each row as a positive integer multiple
 of its rational row and pivot fraction-free (Bareiss, Math. Comp. 22, 1968,
 with a gcd division in place of his exact one).  A positive row scale keeps
@@ -46,11 +46,11 @@ def matvec(a: Sequence[Sequence], v: Sequence, start=Fraction(0)) -> tuple:
     return tuple([dot(row, v, start) for row in a])
 
 
-def matmul(a: Sequence[Sequence], b: Sequence[Sequence], n_cols: int, start=Fraction(0)) -> tuple[tuple, ...]:
-    """The exact product a b, each entry summed from start; n_cols is explicit
-    because a b with no rows has no columns to read."""
+def matmul(a: Sequence[Sequence], b: Sequence[Sequence], n_cols: int) -> tuple[tuple, ...]:
+    """The exact product a b, each entry summed from 0, so integer tables stay
+    in int; n_cols is explicit because a b with no rows has no columns to read."""
     cols = [tuple(row[j] for row in b) for j in range(n_cols)]
-    return tuple(matvec(cols, row, start) for row in a)
+    return tuple(matvec(cols, row, 0) for row in a)
 
 
 def integer_table(rows: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -83,7 +83,9 @@ def _pivot(m: list[list[int]], row: int, d: Sequence[int]) -> None:
 
 def integer_rref(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, list[int]]]:
     """Canonical reduced row echelon form, zero rows dropped, as integer
-    rows: (d, r) stands for the row r / d, where d > 0 is r's lead entry."""
+    rows: (d, r) stands for the row r / d, where d > 0 is r's lead entry and
+    r is the least integer multiple of its rational row, whatever the other
+    rows' denominators."""
     m = [list(row) for row in integer_table(rows)[0]]
     leads: list[int] = []
     for col in range(len(m[0]) if m else 0):
@@ -95,7 +97,9 @@ def integer_rref(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, list[int
             leads.append(col)
             if len(leads) == len(m):
                 break
-    return [(row[lead], row) for row, lead in zip(m, leads)]
+    # a row no later pivot changed may keep a factor of integer_table's common scale
+    primitive = [[x // g for x in row] for row in m[: len(leads)] for g in (gcd(*row),)]
+    return [(row[lead], row) for row, lead in zip(primitive, leads)]
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> list[Row]:

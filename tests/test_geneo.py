@@ -908,6 +908,22 @@ def test_integer_rref_rows_restrict_to_the_simplex_scale(shape):
             assert (tuple(x // g for x in part),) == integer_table([[Fraction(x, d) for x in part]])[0]
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (5, 3), (6, 6)])
+def test_integer_rref_rows_are_least_multiples_whatever_the_other_rows(shape):
+    # two rows no pivot changes, with denominators 3 and 5: neither keeps the
+    # factor of their common denominator 15
+    rows = [[Fraction(2, 3), Fraction(4, 3), 0], [0, 0, Fraction(1, 5)]]
+    assert integer_rref(rows) == [(1, [1, 2, 0]), (1, [0, 0, 1])]
+    rng = random.Random(f"primitive rref:{shape}")
+    for _ in range(40):
+        rows = random_rows(rng, *shape)
+        reduced = integer_rref(rows)
+        assert all(gcd(*row) == 1 for _, row in reduced)
+        scales = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in rows]
+        rescaled = [[x * c for x in row] for row, c in zip(rows, scales)]
+        assert integer_rref(rescaled) == reduced
+
+
 def random_lp(rng, kind):
     """A seeded LP of one kind: 'feasible' rows b = A x0 for a sparse x0 >= 0
     (zero entries make ratio ties), 'redundant' the same with combinations of
