@@ -84,21 +84,18 @@ def cmd_aut(args) -> dict:
 
 def _orbit_census(ctx, full: bool) -> dict:
     """The orbit census of a context's map space, with canonical
-    representatives: the first code of each orbit of the partition."""
-    codes, sizes = _partition(ctx)
+    representatives: the first code of each orbit, which the remembered
+    partition keeps by orbit size, so a request only formats and sorts them."""
+    codes, sizes, representatives = _partition(ctx)
     form = docs.map_code_to_json(ctx)
-    starts = list(accumulate(sizes, initial=0))
-    reps: dict[int, list] = {}
-    for start, size in zip(starts, sizes):
-        reps.setdefault(size, []).append(form(codes[start]))
     payload = {
         "total": ctx.map_space_size(),
-        "census": {str(s): len(reps[s]) for s in sorted(reps)},
-        "representatives": {str(s): sorted(reps[s]) for s in sorted(reps)},
+        "census": {str(s): len(firsts) for s, firsts in representatives.items()},
+        "representatives": {str(s): sorted(map(form, firsts)) for s, firsts in representatives.items()},
     }
     if full:
         payload["orbits"] = [
-            [form(c) for c in codes[start : start + size]] for start, size in zip(starts, sizes)
+            [form(c) for c in codes[start : start + size]] for start, size in zip(accumulate(sizes, initial=0), sizes)
         ]
     return payload
 
@@ -112,7 +109,7 @@ def _permutant(path: str, args, failure: dict) -> GeneralizedPermutant:
     doc = _load(path)
     ctx = _context(args, doc)
     try:
-        return GeneralizedPermutant(ctx, set(docs.permutant_members_from_json(doc, ctx)))
+        return GeneralizedPermutant._unchecked(ctx, set(docs.permutant_members_from_json(doc, ctx)))
     except NotAlphaClosedError as exc:
         raise _alpha_failure(failure, exc.witness) from None
 

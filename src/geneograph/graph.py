@@ -1,8 +1,9 @@
 """Simple undirected graphs, automorphism groups, and induced edge permutations.
 
 The automorphism search lists each group as products of stabilizer-chain
-witnesses, which are a group by construction, and sorts them and picks
-greedy generators on the group's image tuples."""
+witnesses, which are a group by construction, sorts them, and reads the
+greedy generators off the sorted image tuples (``perm._group_generators``),
+closing nothing."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from .perm import (
     CapExceededError,
     FiniteGroup,
     Permutation,
-    _greedy_generators,
+    _group_generators,
     group_cap,
 )
 
@@ -196,8 +197,8 @@ def _automorphism_group(g: Graph, edges: bool) -> FiniteGroup:
     automorphisms, comes before any element is built.  The elements are the
     products t_0 o ... o t_{n-1}, one witness or the identity per level, on
     vertices or on edge ids (a flat table at u * n + v).  On edge ids they
-    repeat when a vertex automorphism fixes every edge, as with two isolated
-    vertices or a K2 component, so they are de-duplicated before sorting.
+    repeat exactly when ``_edge_products_repeat``, and are then de-duplicated
+    before sorting.  The greedy generators are read off the sorted list.
     """
     labels = g.edge_labels if edges else g.vertex_labels
     if edges and not g.edges:
@@ -249,10 +250,21 @@ def _automorphism_group(g: Graph, edges: bool) -> FiniteGroup:
     elements = [tuple(range(len(labels)))]
     if len(labels) > 1:  # itemgetter(i) returns no tuple
         for level in levels:
-            elements += [p for t in level for p in map(itemgetter(*t), elements)]
-    elements, gens = sorted(set(elements)), []
-    _greedy_generators(elements, gens)
-    return FiniteGroup._unchecked(labels, tuple(elements), tuple(gens))
+            base = elements[:]
+            for t in level:
+                elements += map(itemgetter(*t), base)
+    elements = sorted(set(elements) if edges and _edge_products_repeat(g) else elements)
+    return FiniteGroup._unchecked(labels, tuple(elements), tuple(_group_generators(elements)))
+
+
+def _edge_products_repeat(g: Graph) -> bool:
+    """Whether two vertex automorphisms induce one edge permutation: exactly
+    when one that is no identity fixes every edge.  Such a map fixes each
+    vertex of degree 2 or more, the one point its edges share, and with it
+    each neighbour of such a vertex; it may move only isolated vertices,
+    among themselves, and the ends of a K2 component."""
+    deg = g.degrees()
+    return deg.count(0) > 1 or any(deg[u] == deg[v] == 1 for u, v in g.edges)
 
 
 def induced_edge_permutation(g: Graph, vp: Permutation) -> Permutation:
@@ -310,4 +322,4 @@ def _subgraph_partition(edge_group: FiniteGroup) -> tuple[Sequence[int], Sequenc
     partitions and must not be changed.
     """
     generators = tuple(((0, 1), g) for g in edge_group.generator_images)
-    return permutant._code_partition(2, edge_group.degree, generators)
+    return permutant._code_partition(2, edge_group.degree, generators)[:2]

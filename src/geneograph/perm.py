@@ -13,12 +13,17 @@ G. Butler, *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991):
 element list in ``_greedy_generators``, which picks its greedy generators,
 and for a homomorphism given by generator images on its graph {(g, T(g))},
 the subgroup of G x K on the joined image tuples.  ``group_from_elements``
-checks that its list is a group; the graph automorphism groups, which
-``aut`` prints straight from image tuples with ``_cycle_texts``, are groups
-by construction.  One loop splits a whole space into orbits: its points
-numbered from 0 and each generator's move a lookup table, ``_label_orbits``
-labels every point with its orbit in one pass.  It gives the coordinate
-orbits of a group, the alpha-action census on map codes
+checks that its list is a group, so it still closes its greedy picks.  The
+graph automorphism groups, which ``aut`` prints straight from image tuples
+with ``_cycle_texts``, are groups by construction, and
+``_group_generators`` reads the same picks off their sorted list with no
+closure: a group sorted lexicographically lists its pointwise stabilizer
+chain G_0 > G_1 > ... as prefixes, and each stabilizer's cosets of the next
+as blocks of consecutive elements (C. C. Sims, *Computational methods in
+the study of permutation groups*, 1970).  One loop splits a whole space
+into orbits: its points numbered from 0 and each generator's move a lookup
+table, ``_label_orbits`` labels every point with its orbit in one pass.  It
+gives the coordinate orbits of a group, the alpha-action census on map codes
 (``permutant.all_orbits``, remembered per process by integer structure), the
 orbitals on pair codes, the conjugation orbits of the bijections by their
 positions, and the subgraph classes on edge-vector codes."""
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from operator import itemgetter
 from dataclasses import dataclass
 from functools import cached_property
@@ -279,7 +285,7 @@ class FiniteGroup:
     through ``_unchecked``.
 
     Invariant: ``generator_images`` generate ``images``.  The builders below
-    guarantee it, the graph groups through ``_greedy_generators``; the
+    guarantee it, the graph groups through ``_group_generators``; the
     homomorphism, equivariance, closure and invariance checks rely on it to
     decide a property of the whole group on the generators alone, and to name
     a generator as the witness when it fails.  The constructor does not check
@@ -427,6 +433,42 @@ def _greedy_generators(elements: Sequence[tuple[int, ...]], gens: list) -> set:
             if len(have) == len(elements):
                 break
     return found
+
+
+def _group_generators(elements: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The greedy generators of a group given as its sorted image tuples,
+    identity first: ``_greedy_generators``' picks, read off the list with
+    no closure.
+
+    The elements that fix 0 .. i-1, the stabilizer G_i, are the first
+    bisect_left(elements, (0, .., i-1, n)) elements, and those of them that
+    send i to one point form one left coset of G_(i+1), a block of |G_(i+1)|
+    consecutive elements.  So the greedy scan meets the levels from the last
+    to the first, and has generated G_(i+1) when it reaches level i.  A
+    subgroup H between G_(i+1) and G_i holds exactly the elements of G_i
+    that send i into the orbit of i under H.  Each pick of level i is then
+    the first element of the first block whose image of i lies outside that
+    orbit under the generators so far, and the level is done once the orbit
+    has |G_i| / |G_(i+1)| points.
+    """
+    n, gens, below = len(elements[0]), [], 1
+    for i in reversed(range(n)):
+        size = bisect_left(elements, (*range(i), n))
+        orbit = {i}
+        for start in range(below, size, below):
+            if len(orbit) * below == size:
+                break
+            if elements[start][i] not in orbit:
+                gens.append(elements[start])
+                frontier = list(orbit)
+                for c in frontier:
+                    for s in gens:
+                        d = s[c]
+                        if d not in orbit:
+                            orbit.add(d)
+                            frontier.append(d)
+        below = size
+    return gens
 
 
 @dataclass(frozen=True)

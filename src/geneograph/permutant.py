@@ -14,7 +14,9 @@ and T alone, not on labels, so it is remembered per process by that integer
 structure and relabeled copies of a context share it: the last
 ``_REMEMBERED_PARTITIONS`` = 8 partitions, the least recently used dropped
 first, each as its codes in orbit order in one ``array('i')`` beside the
-orbit sizes (4 bytes per map).  The map-space cap is checked on every call.
+orbit sizes (4 bytes per map), and with each orbit size's representatives,
+the orbits' first codes, so that a census request only formats them.  The
+map-space cap is checked on every call.
 ``all_orbits`` builds on it, and ``graph._subgraph_partition`` asks the same
 memo for the subgraph classes of K_n.
 
@@ -38,8 +40,8 @@ built from graphs, such as the transposition permutant of K_n, live in
 
 from __future__ import annotations
 
+import math
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -127,8 +129,9 @@ class ActionContext:
         # the place value |X|^(|Y|-1-y) of source point y in a map code
         nx, ny = self.G.degree, self.K.degree
         object.__setattr__(self, "_places", tuple(nx ** (ny - 1 - y) for y in range(ny)))
-        # each target label's index, for read_map
+        # each target label's index, and whether maps may be written in compact form, for read_map
         object.__setattr__(self, "_x_index", {lab: i for i, lab in enumerate(self.G.labels)})
+        object.__setattr__(self, "_compact", all(len(lab) == 1 for lab in self.G.labels))
 
     def move(self, g: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
         """The move h -> g o h o T(g)^-1 on image tuples of the element g of G."""
@@ -151,7 +154,7 @@ class ActionContext:
         character per source point, or as a list of target labels."""
         ny = self.K.degree
         if isinstance(value, str):
-            if any(len(lab) != 1 for lab in self.x_labels):
+            if not self._compact:
                 raise ValueError("compact form needs single-character target labels")
             if len(value) != ny:
                 raise ValueError(f"expected {ny} characters for source {self.y_labels}, got {value!r}")
@@ -234,7 +237,9 @@ class GeneralizedPermutant:
     so ``size``, ``representative`` and membership (of a ``Mapping`` or an
     image tuple) need no labeled objects; the set of codes is built on the
     first membership test and the ``Mapping`` members on first access to
-    ``members``.  Equality compares the context and the codes.
+    ``members``.  Equality compares the context and the codes.  The command
+    line builds through ``_unchecked``, which skips only the image-tuple
+    check that its map reader has made.
     """
 
     context: ActionContext
@@ -244,14 +249,24 @@ class GeneralizedPermutant:
         self.__dict__["context"] = context
         self.__post_init__(tuple(members))
 
-    def __post_init__(self, members: tuple[tuple[int, ...], ...]):
+    def __post_init__(self, members: tuple[tuple[int, ...], ...], _images_checked: bool = False):
         ctx = self.context
-        ok, witness = is_generalized_permutant(members, ctx)
+        ok, witness = is_generalized_permutant(members, ctx, _images_checked=_images_checked)
         if len(set(members)) != len(members):
             raise ValueError("duplicate members")
         if not ok:
             raise NotAlphaClosedError(witness, ctx)
         self.__dict__["codes"] = tuple(sorted(map(ctx.map_code, members)))
+
+    @classmethod
+    def _unchecked(cls, context: ActionContext, members: Iterable[tuple[int, ...]]) -> "GeneralizedPermutant":
+        """The permutant of image tuples that its reader guarantees are maps
+        Y -> X, as ``ActionContext.read_map`` builds them; their closure and
+        distinctness are still checked, with the constructor's errors."""
+        h = cls.__new__(cls)
+        h.__dict__["context"] = context
+        h.__post_init__(tuple(members), _images_checked=True)
+        return h
 
     @classmethod
     def _from_codes(cls, context: ActionContext, codes: Sequence[int]) -> "GeneralizedPermutant":
@@ -315,23 +330,25 @@ def all_orbits(ctx: ActionContext) -> tuple[list[GeneralizedPermutant], dict[int
     The partition comes from ``_partition``.  Raises CapExceededError for a
     map space over DEFAULT_MAP_SPACE_CAP elements.
     """
-    codes, sizes = _partition(ctx)
+    codes, sizes, representatives = _partition(ctx)
     orbits = [
         GeneralizedPermutant._from_codes(ctx, codes[start : start + size])
         for start, size in zip(accumulate(sizes, initial=0), sizes)
     ]
-    return orbits, dict(sorted(Counter(sizes).items()))
+    return orbits, {size: len(firsts) for size, firsts in representatives.items()}
 
 
-def _partition(ctx: ActionContext) -> tuple[array, array]:
-    """The alpha-orbits of the map space as (codes, sizes): every code in
-    orbit order, each orbit in code order and the orbits by smallest code, and
-    the orbit sizes in the same order, so that an orbit's first code, its
-    canonical representative, sits at the sum of the sizes before it.
+def _partition(ctx: ActionContext) -> tuple[array, array, dict[int, array]]:
+    """The alpha-orbits of the map space as (codes, sizes, representatives):
+    every code in orbit order, each orbit in code order and the orbits by
+    smallest code; the orbit sizes in the same order, so that an orbit's
+    first code, its canonical representative, sits at the sum of the sizes
+    before it; and, for each orbit size in increasing order, the first codes
+    of the orbits of that size, in increasing order.
 
     Raises CapExceededError for a map space over DEFAULT_MAP_SPACE_CAP
-    elements.  The arrays are shared by every caller with the same integer
-    structure and must not be changed.
+    elements.  The arrays and the dict are shared by every caller with the
+    same integer structure and must not be changed.
     """
     total = ctx.map_space_size()
     if total > DEFAULT_MAP_SPACE_CAP:
@@ -343,14 +360,16 @@ def _partition(ctx: ActionContext) -> tuple[array, array]:
 @lru_cache(maxsize=_REMEMBERED_PARTITIONS)
 def _code_partition(
     nx: int, ny: int, generators: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-) -> tuple[array, array]:
+) -> tuple[array, array, dict[int, array]]:
     """``_partition`` for maps from ny points to nx points under the
     generators' image pairs (g, T(g)).  Each generator's move h -> g o h o
     T(g^-1) becomes a table indexed by map code: as (g o h o T(g^-1))[T(g)(z)]
     = g(h[z]), source point z adds g(h[z]) * |X|^(|Y|-1-T(g)(z)) to the code
     of the moved map.  ``perm._label_orbits`` labels the codes; as g and
     T(g) are permutations, each table is a bijection of the codes, so every
-    breadth-first search closes on one whole orbit."""
+    breadth-first search closes on one whole orbit.  The representatives by
+    orbit size are kept here, with the partition they are read from, so that
+    a census request that finds the partition here finds them too."""
     tables = []
     for g, t in generators:
         table = [0]
@@ -361,9 +380,11 @@ def _code_partition(
         tables.append(table)
     orbits = _label_orbits(nx**ny, tables)[1]
     codes = array("i")
+    representatives: dict[int, array] = {}
     for o in orbits:
         codes.fromlist(o)
-    return codes, array("i", map(len, orbits))
+        representatives.setdefault(len(o), array("i")).append(o[0])
+    return codes, array("i", map(len, orbits)), dict(sorted(representatives.items()))
 
 
 def orbitals(ctx: ActionContext) -> list[tuple[tuple[int, int], ...]]:
@@ -403,24 +424,30 @@ def _invariance_witness(
     """None if alpha keeps a weighting of image tuples (absent tuples weigh
     0), else the witness (f, g): the first point f in image order, and for it
     the first generator g of G whose move changes the weight.  Decided on the
-    generators, as every element of G is a word in them."""
+    generators, as every element of G is a word in them.  A weight is first
+    compared by identity, so the one shared object of a document's repeated
+    weight costs no comparison."""
     for h in sorted(weights):
         w = weights[h]
         for g, move in zip(ctx.G.generators, ctx.moves):
-            if weights.get(move(h), 0) != w:
+            x = weights.get(move(h), 0)
+            if x is not w and x != w:
                 return Mapping(ctx.y_labels, ctx.x_labels, h), g
     return None
 
 
 def is_generalized_permutant(
-    members: Iterable[tuple[int, ...]], ctx: ActionContext
+    members: Iterable[tuple[int, ...]], ctx: ActionContext, *, _images_checked: bool = False
 ) -> tuple[bool, tuple[Mapping, Permutation] | None]:
     """Whether a set of maps, given by their image tuples, is alpha-closed; on
     failure, a witness (h, g) with g a generator of G and alpha(g, h) outside
     the set.  The set is tested as its indicator weighting, 1 on each member,
     so h is the first member, in image order, that a generator moves out, and
-    g the first such generator."""
-    witness = _invariance_witness(dict.fromkeys(map(ctx._check_images, members), 1), ctx)
+    g the first such generator.  Each member is checked to be an image tuple
+    of a map Y -> X, unless its reader has checked it already."""
+    if not _images_checked:
+        members = map(ctx._check_images, members)
+    witness = _invariance_witness(dict.fromkeys(members, 1), ctx)
     return witness is None, witness
 
 
@@ -464,7 +491,11 @@ class PermutantMeasure:
         return tuple(Mapping(ctx.y_labels, ctx.x_labels, h) for h in sorted(self.weights))
 
     def total_variation(self) -> Fraction:
-        return sum((abs(w) for w in self.weights.values()), Fraction(0))
+        """The sum of |weight|: one integer sum over the weights' least common
+        denominator, so one Fraction is built."""
+        weights = self.weights.values()
+        denominator = math.lcm(*(w.denominator for w in weights))
+        return Fraction(sum(abs(w.numerator) * (denominator // w.denominator) for w in weights), denominator)
 
 
 def measure_on_orbit(o: GeneralizedPermutant, weight) -> PermutantMeasure:

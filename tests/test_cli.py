@@ -183,15 +183,15 @@ def test_aut_decides_the_group_cap_before_listing(tmp_path, capsys, monkeypatch)
     def no_listing(*args):
         raise AssertionError("an element list was built")
 
-    listing = graph_module._greedy_generators
-    monkeypatch.setattr(graph_module, "_greedy_generators", no_listing)
+    listing = graph_module._group_generators
+    monkeypatch.setattr(graph_module, "_group_generators", no_listing)
     monkeypatch.setenv("GENEO_MAX_GROUP", "5039")
     code, out, err = run_cli(capsys, "aut", path, "--edges")
     message = "automorphism search exceeded the group cap 5039 (GENEO_MAX_GROUP)"
     assert code == 1
     assert json.loads(out) == {"error": message}
     assert err == f"error: {message}\n"
-    monkeypatch.setattr(graph_module, "_greedy_generators", listing)
+    monkeypatch.setattr(graph_module, "_group_generators", listing)
     monkeypatch.setenv("GENEO_MAX_GROUP", "5040")
     code, out, err = run_cli(capsys, "aut", path, "--edges")
     assert (code, err) == (0, "") and len(json.loads(out)["elements"]) == 5040
@@ -221,6 +221,21 @@ def test_aut_reads_only_image_tuples_through_the_public_builder(tmp_path, capsys
     group = builder(complete_graph(4))
     assert built == []
     assert len(group.elements) == len(built) == 24
+
+
+def test_aut_k7_edges_reads_its_generators_off_the_sorted_group(tmp_path, capsys, monkeypatch):
+    # the chain's products are a group by construction: no coset is closed,
+    # and the generators are still the six greedy ones
+    path = write_json(tmp_path / "k7.json", graph_document(complete_graph(7)))
+
+    def no_closure(*args):
+        raise AssertionError("a group was closed")
+
+    monkeypatch.setattr("geneograph.perm._extend_by_cosets", no_closure)
+    monkeypatch.delenv("GENEO_MAX_GROUP", raising=False)
+    code, out, err = run_cli(capsys, "aut", path, "--edges")
+    doc = json.loads(out)
+    assert (code, err, len(doc["elements"]), len(doc["generators"])) == (0, "", 5040, 6)
 
 
 def test_aut_k4_edges(tmp_path, capsys):
@@ -780,6 +795,26 @@ def test_measure_documents_read_each_weight_once(tmp_path, capsys, monkeypatch, 
     assert (code, err) == (0, "")
     # the 72 weights share one text, which the read converts once
     assert reads == ["geneograph.io"]
+
+
+@pytest.mark.parametrize("command", PERMUTANT_COMMANDS)
+def test_permutant_documents_check_each_member_once(tmp_path, capsys, monkeypatch, k4_maps, command):
+    # read_map has checked each member's labels and length, so the permutant
+    # is built without checking its image tuples again; its closure is still
+    # checked, and the public constructor keeps its check
+    ctx_path, maps = k4_maps
+    checked = []
+    check = ActionContext._check_images
+    monkeypatch.setattr(ActionContext, "_check_images", lambda self, h: checked.append(h) or check(self, h))
+    for members, expected_code in ((maps, 0), (maps[1:], 1)):
+        path = write_json(tmp_path / "h.json", map_document(command, members))
+        code, out, err = run_cli(capsys, *[arg.format(doc=path, ctx=ctx_path) for arg in MAP_COMMANDS[command]])
+        assert code == expected_code, out
+    assert json.loads(out)["error"] == "not a generalized permutant" and "witness" in json.loads(out)
+    assert checked == []
+    ctx = docs.context_from_json(read_json(ctx_path))
+    assert permutant.GeneralizedPermutant(ctx, [ctx.read_map(m) for m in maps]).size == 72
+    assert len(checked) == 72
 
 
 def test_orbits_on_a_full_table_context_lists_no_group_elements(tmp_path, capsys, monkeypatch, fresh_memos):

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from geneograph import permutant
+from geneograph import graph as graph_module, permutant
 from geneograph.graph import (
     Graph,
     NotAnAutomorphismError,
@@ -35,10 +35,10 @@ def test_the_graph_module_is_not_shadowed_by_its_builder(monkeypatch):
 
     assert module is sys.modules["geneograph.graph"]
 
-    def refuse(elements, gens):
+    def refuse(elements):
         raise RuntimeError("patched")
 
-    monkeypatch.setattr("geneograph.graph._greedy_generators", refuse)
+    monkeypatch.setattr("geneograph.graph._group_generators", refuse)
     with pytest.raises(RuntimeError, match="patched"):
         vertex_automorphism_group(complete_graph(4))
 
@@ -230,6 +230,14 @@ def test_automorphism_search_matches_brute_force(g):
     assert [p.images for p in egroup.elements] == sorted(p.images for p in egroup.elements)
     assert vgroup.generators == reference_greedy_generators(vgroup.elements)
     assert egroup.generators == reference_greedy_generators(egroup.elements)
+
+
+@pytest.mark.parametrize("g", sweep_graphs(), ids=lambda g: f"n{g.n_vertices}m{g.n_edges}")
+def test_edge_products_repeat_exactly_by_the_rule(g):
+    # the vertex group's elements are the chain's products, one each; on the
+    # edges they repeat exactly when the rule says, and only then are de-duplicated
+    products = [induced_edge_permutation(g, p).images for p in vertex_automorphism_group(g)]
+    assert graph_module._edge_products_repeat(g) == (len(set(products)) < len(products))
 
 
 def _random_regular(n: int, d: int, rng: random.Random) -> list[tuple[int, int]]:

@@ -13,6 +13,8 @@ from geneograph.perm import (
     FiniteGroup,
     Homomorphism,
     Permutation,
+    _greedy_generators,
+    _group_generators,
     compose,
     format_cycles,
     generate_group,
@@ -413,6 +415,58 @@ def test_group_from_elements_finds_generators():
     rebuilt = group_from_elements(full.elements)
     assert rebuilt.elements == full.elements
     assert generate_group(rebuilt.generators).order == 24
+
+
+@st.composite
+def small_groups(draw):
+    """generate_group of 1-3 permutations on at most 8 points.  Each permutes
+    some of the blocks of one partition of the points into at most three runs,
+    so the group may be intransitive and its stabilizer levels trivial in the
+    middle, and all are relabelled by one permutation, which moves the
+    trivial levels about."""
+    n = draw(st.integers(1, 8))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=2))) if n > 1 else []
+    blocks = [range(a, b) for a, b in zip([0, *cuts], [*cuts, n])]
+    relabel = draw(st.permutations(range(n)))
+    labels = tuple("abcdefgh"[:n])
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        images = list(range(n))
+        for block in blocks:
+            if draw(st.booleans()):
+                images[block.start : block.stop] = draw(st.permutations(block))
+        moved = [0] * n
+        for i, image in enumerate(images):
+            moved[relabel[i]] = relabel[image]
+        gens.append(Permutation(tuple(moved), labels))
+    return generate_group(gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_groups())
+def test_group_generators_read_off_the_sorted_group_are_the_greedy_generators(group):
+    greedy = []
+    assert _greedy_generators(group.images, greedy) == set(group.images)
+    assert _group_generators(group.images) == greedy
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        # (e,f) fixes a..d, so the levels of c and d are trivial between those of b and e
+        ["(a,b)", "(e,f)"],
+        # two orbits, {a, c, e} and {b, d, f}, and trivial levels after a and b
+        ["(a,c,e)", "(b,d,f)"],
+        ["(a,b,c,d,e,f)"],
+        ["(b,c)", "(d,e,f)", "(a,g)"],
+    ],
+)
+def test_group_generators_on_intransitive_groups_with_trivial_middle_levels(gens):
+    labels = tuple("abcdefg")
+    group = generate_group([parse_cycles(text, labels) for text in gens])
+    greedy = []
+    _greedy_generators(group.images, greedy)
+    assert _group_generators(group.images) == greedy
 
 
 def test_coordinate_orbits():

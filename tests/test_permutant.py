@@ -339,6 +339,12 @@ def test_all_orbits_matches_labeled_reference(build, fresh_memos):
     assert [o.members for o in orbits] == ref_orbits
     assert [o.representative() for o in orbits] == [o[0] for o in ref_orbits]
     assert [o.size for o in orbits] == [len(o) for o in ref_orbits]
+    # the partition keeps each size's representatives, in code order, by increasing size
+    representatives = permutant._partition(ctx)[2]
+    assert list(representatives) == sorted(ref_census)
+    assert {size: list(firsts) for size, firsts in representatives.items()} == {
+        size: [ctx.map_code(o[0].images) for o in ref_orbits if len(o) == size] for size in ref_census
+    }
 
 
 def test_orbits_command_prints_labels_of_the_reference(tmp_path, capsys):
@@ -645,6 +651,14 @@ def test_measure_reads_each_weight_and_drops_zeros(c6c3):
         PermutantMeasure(c6c3, {aec: None})
 
 
+@given(st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 40)), max_size=12))
+def test_total_variation_is_the_sum_of_absolute_weights(weights):
+    ctx = dihedral_edge_context()
+    m = PermutantMeasure(ctx, {ctx.map_images(c): Fraction(*w) for c, w in enumerate(weights)})
+    total = m.total_variation()
+    assert type(total) is Fraction and total == sum((abs(w) for w in m.weights.values()), Fraction(0))
+
+
 def test_measure_weight_of_an_image_tuple(c6c3):
     aec = c6c3.read_map("aec")
     m = measure_on_orbit(orbit("aec", c6c3), "1/3")
@@ -723,6 +737,14 @@ def test_cube_reflection_measure_is_invariant():
     ok, _ = is_permutant_measure(m)
     assert ok
     assert len(m.support) == 3
+
+
+def test_invariance_compares_equal_weights_that_are_distinct_objects(c6c3):
+    # a weight equal to its image's weight need not be the same object
+    codes = orbit("aec", c6c3).codes
+    m = PermutantMeasure(c6c3, {c6c3.map_images(c): Fraction(1, 2) for c in codes})
+    assert len({id(w) for w in m.weights.values()}) == len(codes) > 1
+    assert is_permutant_measure(m) == (True, None)
 
 
 def test_unbalanced_weights_are_rejected(c6c3):
